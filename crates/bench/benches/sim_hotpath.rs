@@ -20,7 +20,7 @@
 
 use hc_core::campaign::{CampaignBuilder, CampaignRunner};
 use hc_core::policy::PolicyKind;
-use hc_sim::{BatchContext, BatchJob, ExecContext, SimConfig, Simulator};
+use hc_sim::{ExecContext, SimConfig, Simulator};
 use hc_trace::SpecBenchmark;
 use std::time::Instant;
 
@@ -45,47 +45,17 @@ fn single_cell() -> f64 {
     let sim = Simulator::new(SimConfig::paper_baseline()).expect("valid config");
     let trace = SpecBenchmark::Gzip.trace(SINGLE_TRACE_LEN);
     let mut ctx = ExecContext::new();
-    // The policy is built once and reset per iteration, matching how the
-    // campaign workers recycle policies through `PolicyPool` — the measured
-    // loop allocates nothing.
-    let mut policy = PolicyKind::P888.build();
+    // The policy is built per iteration, as every grid cell builds its own.
     measure(SINGLE_TRACE_LEN as u64, || {
-        policy.reset();
+        let mut policy = PolicyKind::P888.build();
         let stats = sim.run_with(&mut ctx, &trace, policy.as_mut());
         assert_eq!(stats.committed_uops, SINGLE_TRACE_LEN as u64);
         std::hint::black_box(stats);
     })
 }
 
-fn batched_single_cell(batch: usize) -> f64 {
-    let sim = Simulator::new(SimConfig::paper_baseline()).expect("valid config");
-    let trace = SpecBenchmark::Gzip.trace(SINGLE_TRACE_LEN);
-    let mut bctx = BatchContext::new(batch);
-    let mut policies: Vec<_> = (0..batch).map(|_| PolicyKind::P888.build()).collect();
-    measure((SINGLE_TRACE_LEN * batch) as u64, || {
-        let jobs: Vec<BatchJob> = policies
-            .iter_mut()
-            .map(|policy| {
-                policy.reset();
-                BatchJob {
-                    sim: &sim,
-                    trace: &trace,
-                    policy: policy.as_mut(),
-                    runs: 1,
-                }
-            })
-            .collect();
-        let results = bctx.run_batch(jobs);
-        for stats in &results {
-            assert_eq!(stats.committed_uops, SINGLE_TRACE_LEN as u64);
-        }
-        std::hint::black_box(results);
-    })
-}
-
-/// The paper grid through [`CampaignRunner`]; `batch` of `None` uses the
-/// runner's auto-sized lockstep batching, `Some(1)` forces the scalar engine.
-fn full_grid(batch: Option<usize>) -> f64 {
+/// The paper grid through [`CampaignRunner`].
+fn full_grid() -> f64 {
     let spec = CampaignBuilder::new("hotpath-grid")
         .paper_policies()
         .spec_suite()
@@ -95,11 +65,7 @@ fn full_grid(batch: Option<usize>) -> f64 {
     // 84 policy cells + 12 memoized baselines, each over GRID_TRACE_LEN µops.
     let total_uops = (spec.cell_count() as u64 + 12) * GRID_TRACE_LEN as u64;
     measure(total_uops, || {
-        let mut runner = CampaignRunner::new();
-        if let Some(lanes) = batch {
-            runner = runner.with_batch(lanes);
-        }
-        let report = runner.run(&spec).expect("grid runs");
+        let report = CampaignRunner::new().run(&spec).expect("grid runs");
         assert_eq!(report.baseline_runs, 12, "baseline memoization must hold");
         std::hint::black_box(report);
     })
@@ -107,31 +73,13 @@ fn full_grid(batch: Option<usize>) -> f64 {
 
 fn main() {
     let single = single_cell();
-    let batched: Vec<(usize, f64)> = [1usize, 2, 4, 8]
-        .iter()
-        .map(|&b| (b, batched_single_cell(b)))
-        .collect();
-    let grid_scalar = full_grid(Some(1));
-    let grid = full_grid(None);
+    let grid = full_grid();
     println!("sim_hotpath/single_cell       {:>12.0} uops/sec", single);
-    for (b, rate) in &batched {
-        println!("sim_hotpath/batched_b{b}        {:>12.0} uops/sec", rate);
-    }
-    println!(
-        "sim_hotpath/full_grid_scalar  {:>12.0} uops/sec",
-        grid_scalar
-    );
     println!("sim_hotpath/full_grid         {:>12.0} uops/sec", grid);
     if let Some(path) = std::env::var_os("SIM_HOTPATH_RECORD") {
-        let mut json = String::from("{\n");
-        json.push_str(&format!("  \"single_cell_uops_per_sec\": {single:.0},\n"));
-        for (b, rate) in &batched {
-            json.push_str(&format!("  \"batched_b{b}_uops_per_sec\": {rate:.0},\n"));
-        }
-        json.push_str(&format!(
-            "  \"full_grid_scalar_uops_per_sec\": {grid_scalar:.0},\n"
-        ));
-        json.push_str(&format!("  \"full_grid_uops_per_sec\": {grid:.0}\n}}\n"));
+        let json = format!(
+            "{{\n  \"single_cell_uops_per_sec\": {single:.0},\n  \"full_grid_uops_per_sec\": {grid:.0}\n}}\n"
+        );
         std::fs::write(&path, json).expect("write SIM_HOTPATH_RECORD file");
     }
 }

@@ -11,12 +11,6 @@
 //! variable is consulted, then `RAYON_NUM_THREADS` (honoured by the thread
 //! pool itself), then all available cores.
 //!
-//! `--batch N` sets the lockstep lane count each campaign worker batches
-//! independent cells over (1 = scalar execution).  Without the flag the
-//! `REPRODUCE_BATCH` environment variable is consulted; unset means the
-//! batch is auto-sized from the grid shape.  Reports are byte-identical at
-//! every batch size.
-//!
 //! With no arguments every figure is reproduced.  Figure names: `table1`,
 //! `table2`, `fig1`, `fig5`, `fig6`, `fig7`, `fig8`, `fig9`, `fig11`, `fig12`,
 //! `fig13`, `fig14`, `headline`, `ed2`, `summary`.
@@ -120,7 +114,6 @@ struct Options {
     json: bool,
     csv: bool,
     threads: Option<usize>,
-    batch: Option<usize>,
     shards: usize,
     checkpoint: Option<String>,
     resume: bool,
@@ -159,11 +152,6 @@ fn parse_args() -> Options {
         csv: false,
         // Environment override; the --threads flag takes precedence.
         threads: std::env::var("REPRODUCE_THREADS")
-            .ok()
-            .and_then(|v| v.parse().ok()),
-        // Environment override; the --batch flag takes precedence.  Unset
-        // means auto-sized lockstep batches (see `hc_core::campaign`).
-        batch: std::env::var("REPRODUCE_BATCH")
             .ok()
             .and_then(|v| v.parse().ok()),
         shards: 1,
@@ -210,7 +198,6 @@ fn parse_args() -> Options {
                     .unwrap_or(opts.apps_per_category)
             }
             "--threads" => opts.threads = args.next().and_then(|v| v.parse().ok()).or(opts.threads),
-            "--batch" => opts.batch = args.next().and_then(|v| v.parse().ok()).or(opts.batch),
             "--shards" => {
                 opts.shards = args
                     .next()
@@ -254,7 +241,7 @@ fn parse_args() -> Options {
             "--csv" => opts.csv = true,
             "--help" | "-h" => {
                 println!(
-                    "usage: reproduce [FIGURE ...] [--trace-len N] [--apps-per-category N] [--full-suite] [--threads N] [--batch N] [--shards N] [--checkpoint DIR] [--resume] [--cache DIR] [--no-cache] [--json] [--csv]\n\
+                    "usage: reproduce [FIGURE ...] [--trace-len N] [--apps-per-category N] [--full-suite] [--threads N] [--shards N] [--checkpoint DIR] [--resume] [--cache DIR] [--no-cache] [--json] [--csv]\n\
                      \n\
                      multi-process fan-out:\n\
                      \x20      reproduce suite    --of N [--shard-index K] --checkpoint DIR [--no-steal] [--lease-timeout-secs S] [--worker-id NAME]\n\
@@ -705,9 +692,6 @@ fn run_sharded_campaign(
                 p.completed_cells, p.total_cells, p.policy, p.trace, p.scenario
             );
         });
-    if let Some(lanes) = opts.batch {
-        runner = runner.with_batch(lanes);
-    }
     if let Some(dir) = &opts.checkpoint {
         runner = runner.with_checkpoint(dir);
     }
@@ -772,9 +756,6 @@ fn run_suite_worker_mode(opts: &Options, spec: &CampaignSpec) {
     }
     if let Some(id) = &opts.worker_id {
         worker = worker.worker_id(id.clone());
-    }
-    if let Some(lanes) = opts.batch {
-        worker = worker.with_batch(lanes);
     }
     let cache = open_cache(opts, "suite");
     if let Some(cache) = &cache {
@@ -883,9 +864,6 @@ fn run_sensitivity_mode(opts: &Options, trace_len: usize) {
             figures::sensitivity_width_predictor_spec(trace_len),
         );
         let mut runner = CampaignRunner::new();
-        if let Some(lanes) = opts.batch {
-            runner = runner.with_batch(lanes);
-        }
         let cache = open_cache(opts, "sensitivity");
         if let Some(cache) = &cache {
             runner = runner.with_cache(Arc::clone(cache));
@@ -1048,9 +1026,6 @@ fn main() {
                 p.completed_cells, p.total_cells, p.policy, p.trace
             );
         });
-        if let Some(lanes) = opts.batch {
-            runner = runner.with_batch(lanes);
-        }
         let cache = open_cache(&opts, "campaign");
         if let Some(cache) = &cache {
             runner = runner.with_cache(Arc::clone(cache));

@@ -24,11 +24,19 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     T::from_value(&value)
 }
 
-/// Parse a JSON string into a [`Value`].
+/// Deepest array/object nesting [`parse`] accepts.  The parser spends one
+/// stack frame per level, so without a bound a few hundred kilobytes of `[`
+/// would overflow the stack; every document this workspace writes nests
+/// fewer than ten levels.
+const MAX_DEPTH: usize = 128;
+
+/// Parse a JSON string into a [`Value`].  Arrays and objects nested more
+/// than 128 levels deep are a parse error.
 pub fn parse(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -131,6 +139,8 @@ fn write_string(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -175,14 +185,28 @@ impl<'a> Parser<'a> {
             Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.seq(),
-            Some(b'{') => self.map(),
+            Some(b'[') => self.nested(Self::seq),
+            Some(b'{') => self.nested(Self::map),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             _ => Err(Error::custom(format!(
                 "unexpected character at byte {}",
                 self.pos
             ))),
         }
+    }
+
+    /// Parse one array or object with `compound`, one level deeper.
+    fn nested(&mut self, compound: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::custom(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = compound(self);
+        self.depth -= 1;
+        value
     }
 
     fn seq(&mut self) -> Result<Value, Error> {
@@ -344,6 +368,19 @@ mod tests {
         let v = parse(text).unwrap();
         assert_eq!(parse(&to_string(&v)).unwrap(), v);
         assert_eq!(parse(&to_string_pretty(&v)).unwrap(), v);
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nest(MAX_DEPTH)).is_ok(), "the limit itself parses");
+        let mixed = r#"{"a":"#.repeat(MAX_DEPTH - 1) + "[]" + &"}".repeat(MAX_DEPTH - 1);
+        assert!(parse(&mixed).is_ok(), "objects count toward the same limit");
+        let err = parse(&nest(MAX_DEPTH + 1)).expect_err("one level past the limit");
+        assert!(err.to_string().contains("nesting"), "{err}");
+        // Far past the limit is refused the same way, not a stack overflow.
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        assert!(parse(&r#"{"a":"#.repeat(200_000)).is_err());
     }
 
     #[test]

@@ -49,10 +49,9 @@ enum FlightOutcome {
 /// elected leader (must simulate and [`CellLead::publish`]), or joining
 /// another caller's in-flight simulation.
 ///
-/// This is the non-blocking decomposition of
-/// [`CellCache::get_or_compute`]; the batched campaign engine uses it to
-/// decide, per cell, whether the cell needs a simulator lane at all —
-/// cached and in-flight cells never occupy one.
+/// This is [`CellCache::get_or_compute`] with the simulation handed back to
+/// the caller, so a caller whose simulation can fail (a streamed trace row)
+/// drops its lead instead of publishing.
 pub enum CellClaim<'a> {
     /// The cell was cached (or already published by a concurrent leader);
     /// no simulation is needed.
@@ -86,11 +85,6 @@ impl CellLead<'_> {
     /// wall-clock since this lead was claimed, the cost-model observation),
     /// mark the flight done and wake every joiner.  Returns the stats for
     /// convenience.
-    ///
-    /// Under batched execution the recorded wall-clock spans the whole
-    /// lockstep batch the cell rode in, not just its own lane's work — an
-    /// upper bound that inflates every cell of a batch about equally, so
-    /// the cost-model's *ratios* (all the planner uses) survive.
     pub fn publish(self, stats: SimStats) -> SimStats {
         self.cache.dedupe_leads.fetch_add(1, Ordering::Relaxed);
         let elapsed = u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -192,6 +186,8 @@ pub struct CellCache {
     pub(super) memo: Mutex<HashMap<u128, (serde::Value, CachedCell)>>,
     /// The keyed singleflight table behind [`CellCache::get_or_compute`]:
     /// one `Flight` per key currently being simulated by some caller.
+    /// Lock ordering: before `index` and `memo` (a claim re-reads the entry
+    /// under it); never taken while holding either.
     flights: Mutex<HashMap<u128, Arc<Flight>>>,
     /// The record index.  Lock ordering: `writer` before `index` before
     /// `memo`; never the reverse.
@@ -677,17 +673,23 @@ impl CellCache {
     /// Decide how `key`'s cell is obtained, without blocking: a cached cell
     /// is returned immediately, a novel key elects this caller **leader**
     /// (simulate, then [`CellLead::publish`]), and a key already being
-    /// simulated hands back a [`CellJoin`] to wait on.
-    ///
-    /// This is [`CellCache::get_or_compute`] with the simulation inverted
-    /// out: the batched campaign engine claims every cell of a row first,
-    /// routes only the leads into simulator lanes, and waits on joins after
-    /// the batch — so cached and deduped cells never occupy a lane.
+    /// simulated hands back a [`CellJoin`] to wait on.  Each claim counts
+    /// exactly one hit or one miss.
     pub fn claim(&self, key: &CellKey) -> CellClaim<'_> {
-        if let Some(hit) = self.lookup(key) {
+        if let Some(hit) = self.read_entry(key, true) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
             return CellClaim::Hit(Box::new(hit.stats));
         }
         let mut flights = lock(&self.flights);
+        // Look again under the table lock.  A lead inserts its entry before
+        // it leaves the table, so a lead that published since the probe
+        // above is visible here; without this a late claim would lead a
+        // second simulation of a cell that is already cached.
+        if let Some(hit) = self.read_entry(key, true) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return CellClaim::Hit(Box::new(hit.stats));
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
         match flights.get(&key.digest) {
             Some(flight) if flight.document == key.document => CellClaim::Join(CellJoin {
                 cache: self,

@@ -390,6 +390,52 @@ fn concurrent_identical_keys_coalesce_onto_one_simulation() {
 }
 
 #[test]
+fn racing_claims_simulate_each_key_once() {
+    // Each round releases every thread onto one fresh key at once.  A claim
+    // that probes the index just before the lead publishes, and takes the
+    // flight table just after the lead has left it, would lead a second
+    // simulation of a cached cell unless it re-reads the index under the
+    // table lock.  One legacy entry keeps the per-miss legacy probe live,
+    // which widens that window from a few instructions to a file open.
+    const THREADS: usize = 4;
+    const KEYS: u64 = 300;
+    let dir = tmp_dir("claim_race");
+    {
+        let cache = CellCache::open(&dir).expect("open");
+        cache.insert(&sample_key(u64::MAX), &SimStats::default(), 1);
+        assert_eq!(cache.demote_to_legacy_layout().expect("demote"), 1);
+    }
+    let cache = CellCache::open(&dir).expect("open with a legacy entry");
+    let keys: Vec<CellKey> = (0..KEYS).map(|t| sample_key(1_000 + t)).collect();
+    let barrier = std::sync::Barrier::new(THREADS);
+    std::thread::scope(|s| {
+        for _ in 0..THREADS {
+            s.spawn(|| {
+                for (cycles, key) in (0u64..).zip(&keys) {
+                    barrier.wait();
+                    let stats = cache.get_or_compute(key, || SimStats {
+                        cycles,
+                        ..SimStats::default()
+                    });
+                    assert_eq!(stats.cycles, cycles);
+                }
+            });
+        }
+    });
+    let s = cache.stats();
+    assert_eq!(
+        s.dedupe_leads, KEYS,
+        "one simulation per distinct key: {s:?}"
+    );
+    assert_eq!(
+        s.hits + s.misses,
+        THREADS as u64 * KEYS,
+        "each claim counts exactly one hit or one miss: {s:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn colliding_inflight_keys_do_not_share_results() {
     // Two *different* documents under one digest must simulate
     // independently even while one is in flight.

@@ -35,20 +35,18 @@
 //! assert_eq!(report.cells.len(), 2);
 //! ```
 
-use crate::cache::{CellCache, CellClaim, CellJoin, CellKey, CellLead};
+use crate::cache::{CellCache, CellClaim, CellKey};
 use crate::experiment::{Experiment, ExperimentResult};
-use crate::policy::{PolicyKind, PolicyPool};
+use crate::policy::PolicyKind;
 use crate::scenario::{ScenarioError, ScenarioSpec, DEFAULT_SCENARIO_NAME};
 use hc_power::{Ed2Comparison, PowerModel, PowerParams};
-use hc_predictors::PredictorConfig;
-use hc_sim::{BatchJob, ConfigError, SimConfig, SimStats, Simulator, SteeringPolicy};
+use hc_sim::{ConfigError, ExecContext, SimConfig, SimStats};
 use hc_trace::{
-    read_header, FileSource, PhaseSchedule, PhasedSource, SpecBenchmark, Trace, TraceSource,
-    WorkloadCategory, WorkloadProfile,
+    read_header, FileSource, MaterializedSource, PhaseSchedule, PhasedSource, SpecBenchmark, Trace,
+    TraceError, TraceSource, WorkloadCategory, WorkloadProfile,
 };
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
@@ -408,29 +406,23 @@ pub(crate) fn resolve_row_docs(
     traces.iter().map(TraceSelector::cache_doc).collect()
 }
 
-/// One grid row's µop supply: a materialized trace (synthesized selectors
-/// and the borrowed-trace adapter paths) or a streaming [`TraceSource`]
-/// (`File` and `Phased` rows), which the engine feeds to the simulator a
-/// bounded window at a time.
-pub(crate) enum RowTrace<'a> {
-    Materialized(Cow<'a, Trace>),
-    Streamed(Box<dyn TraceSource + Send>),
-}
+/// One grid row's µop supply.  Synthesized selectors and the in-memory
+/// adapter paths wrap a [`MaterializedSource`], which the simulator reads
+/// in place; `File` and `Phased` rows stream a bounded window at a time.
+pub(crate) type RowSource<'a> = Box<dyn TraceSource + Send + 'a>;
 
 /// Open one selector's µop supply.
-pub(crate) fn make_row_trace(
+pub(crate) fn open_row(
     selector: &TraceSelector,
     trace_len: usize,
-) -> Result<RowTrace<'static>, CampaignError> {
+) -> Result<RowSource<'static>, CampaignError> {
     Ok(match selector {
-        TraceSelector::File { path } => RowTrace::Streamed(Box::new(
+        TraceSelector::File { path } => Box::new(
             FileSource::open(Path::new(path))
                 .map_err(|e| CampaignError::Trace(format!("{path}: {e}")))?,
-        )),
-        TraceSelector::Phased { schedule } => {
-            RowTrace::Streamed(Box::new(PhasedSource::new(schedule.clone())))
-        }
-        synthesized => RowTrace::Materialized(Cow::Owned(synthesized.generate(trace_len))),
+        ),
+        TraceSelector::Phased { schedule } => Box::new(PhasedSource::new(schedule.clone())),
+        synthesized => Box::new(MaterializedSource::new(synthesized.generate(trace_len))),
     })
 }
 
@@ -1356,7 +1348,6 @@ impl CampaignReport {
 pub struct CampaignRunner {
     progress: Option<ProgressHook>,
     cache: Option<Arc<CellCache>>,
-    batch: Option<usize>,
 }
 
 impl fmt::Debug for CampaignRunner {
@@ -1367,7 +1358,6 @@ impl fmt::Debug for CampaignRunner {
                 "cache",
                 &self.cache.as_ref().map(|c| c.root().to_path_buf()),
             )
-            .field("batch", &self.batch)
             .finish()
     }
 }
@@ -1402,61 +1392,30 @@ impl CampaignRunner {
         self
     }
 
-    /// Set the number of simulator lanes each worker steps in lockstep
-    /// (see [`hc_sim::BatchContext`]).  `1` forces the scalar engine;
-    /// without this call the width is sized automatically from the grid
-    /// shape.  Reports are **byte-identical at every batch width** — lanes
-    /// never interact — so this is purely a throughput knob.
-    pub fn with_batch(mut self, lanes: usize) -> CampaignRunner {
-        self.batch = Some(lanes);
+    /// Kept so existing callers still build; the engine has one executor,
+    /// so the requested lane count is ignored.
+    #[doc(hidden)]
+    pub fn with_batch(self, _lanes: usize) -> CampaignRunner {
         self
     }
 
     /// Validate and execute a campaign.
     ///
-    /// The grid **streams**: each worker synthesizes one row's trace from its
-    /// selector, runs every scenario × policy column against it, and drops it
-    /// before picking up the next row — at no point do more than O(worker
-    /// threads) traces exist in memory, so the full 409-trace Table 2 suite
-    /// runs in the same footprint as a 12-trace grid.  Each row's trace is
-    /// generated exactly once and shared by every scenario and policy
-    /// column; the `trace_generations` counter proves the memoization held.
-    /// Baselines are memoized per (trace, scenario): an N-policy sweep over
-    /// S scenarios simulates `traces × S` baselines, never
-    /// `traces × S × N`.
+    /// The grid **streams**: each worker opens one row's trace source from
+    /// its selector, runs every scenario × policy column against it, and
+    /// drops it before picking up the next row — at no point do more than
+    /// O(worker threads) traces exist in memory, so the full 409-trace
+    /// Table 2 suite runs in the same footprint as a 12-trace grid.  Each
+    /// row's trace is generated exactly once and shared by every scenario
+    /// and policy column; the `trace_generations` counter proves the
+    /// memoization held.  Baselines are memoized per (trace, scenario): an
+    /// N-policy sweep over S scenarios simulates `traces × S` baselines,
+    /// never `traces × S × N`.
     pub fn run(&self, spec: &CampaignSpec) -> Result<CampaignReport, CampaignError> {
         spec.validate()?;
-        let scenarios = scenario_experiments(spec)?;
-        // Rows run as indices into the spec's trace list so their cache
-        // identities (content-addressed for `File` rows) resolve once, up
-        // front and fallibly, instead of per cell inside the grid.
-        let row_docs = resolve_row_docs(&spec.traces)?;
         let rows: Vec<usize> = (0..spec.traces.len()).collect();
-        let generation_count = AtomicUsize::new(0);
-        let row_doc = |&i: &usize| row_docs[i].clone();
-        let grid_cache = self
-            .cache
-            .as_deref()
-            .map(|cache| GridCache::new(cache, spec, &row_doc));
-        let grid = run_grid_streaming(
-            &scenarios,
-            &rows,
-            |&i| {
-                generation_count.fetch_add(1, Ordering::Relaxed);
-                make_row_trace(&spec.traces[i], spec.trace_len)
-            },
-            &spec.policies,
-            spec.warmup_runs,
-            spec.include_baseline,
-            self.progress.as_ref(),
-            grid_cache.as_ref(),
-            resolve_batch(
-                self.batch,
-                scenarios.len(),
-                &spec.policies,
-                spec.include_baseline,
-            ),
-        )?;
+        let (grid, trace_generations) =
+            run_spec_rows(spec, &rows, self.progress.as_ref(), self.cache.as_deref())?;
         let baseline_runs = grid.baseline_runs;
         let (baselines, cells) = grid.into_flat_parts();
         Ok(CampaignReport {
@@ -1466,9 +1425,48 @@ impl CampaignRunner {
             baselines,
             cells,
             baseline_runs,
-            trace_generations: generation_count.load(Ordering::Relaxed),
+            trace_generations,
         })
     }
+}
+
+/// Run `rows` — indices into the spec's trace list — through the grid
+/// engine, returning the grid and how many row traces were opened (the
+/// report's `trace_generations`).  [`CampaignRunner`] and every
+/// [`crate::shard::CampaignShard`] go through here, so shard cache keys are
+/// whole-campaign keys.
+pub(crate) fn run_spec_rows(
+    spec: &CampaignSpec,
+    rows: &[usize],
+    progress: Option<&ProgressHook>,
+    cache: Option<&CellCache>,
+) -> Result<(Grid, usize), CampaignError> {
+    let scenarios = scenario_experiments(spec)?;
+    // Row cache identities (content-addressed for `File` rows) resolve
+    // once, up front and fallibly, instead of per cell inside the grid.
+    let row_docs = resolve_row_docs(&spec.traces)?;
+    let grid_cache = cache.map(|cache| GridCache {
+        cache,
+        trace_len: spec.trace_len,
+        warmup_runs: spec.warmup_runs,
+        scenario_docs: spec.scenarios.iter().map(Serialize::to_value).collect(),
+        row_docs,
+    });
+    let generations = AtomicUsize::new(0);
+    let grid = run_grid_streaming(
+        &scenarios,
+        rows,
+        |i| {
+            generations.fetch_add(1, Ordering::Relaxed);
+            open_row(&spec.traces[i], spec.trace_len)
+        },
+        &spec.policies,
+        spec.warmup_runs,
+        spec.include_baseline,
+        progress,
+        grid_cache.as_ref(),
+    )?;
+    Ok((grid, generations.into_inner()))
 }
 
 /// One scenario's ready-to-run machinery: its report key and the validated
@@ -1518,7 +1516,7 @@ pub(crate) fn scenario_experiments(
         .collect()
 }
 
-/// The raw output of [`run_grid`]: one entry per trace × scenario, keeping
+/// The raw output of the grid engine: one entry per trace × scenario, keeping
 /// each (trace, scenario)'s baseline next to its cells so joins are
 /// positional — correct even when two traces share a name (the adapter paths
 /// accept arbitrary trace lists; only [`CampaignSpec::validate`] enforces
@@ -1574,102 +1572,90 @@ impl Grid {
     }
 }
 
-/// The shared single-machine grid engine behind [`Experiment::run_many`]
-/// and [`crate::suite::SuiteRunner`], over already-materialized traces.
-pub(crate) fn run_grid(
+/// The single-machine grid behind the [`Experiment::run_many`] and
+/// [`crate::suite::SuiteRunner`] adapters: one legacy scenario, no warmup,
+/// baselines on, no progress hook and no cache (in-memory traces carry no
+/// declarative identity to key one on).  `open_row` wraps one row's trace
+/// in a source the simulator reads in place.
+pub(crate) fn run_grid<'t, R: Sync>(
     experiment: &Experiment,
-    traces: &[Trace],
+    rows: &'t [R],
+    open_row: impl Fn(&'t R) -> MaterializedSource<'t> + Sync,
     policies: &[PolicyKind],
-    warmup_runs: usize,
-    include_baseline: bool,
-    progress: Option<&ProgressHook>,
 ) -> Grid {
+    let indices: Vec<usize> = (0..rows.len()).collect();
     run_grid_streaming(
         std::slice::from_ref(&ScenarioExperiment::legacy(experiment.clone())),
-        traces,
-        |t| Ok(RowTrace::Materialized(Cow::Borrowed(t))),
+        &indices,
+        |i| Ok(Box::new(open_row(&rows[i]))),
         policies,
-        warmup_runs,
-        include_baseline,
-        progress,
-        // Materialized-trace adapter paths carry no declarative trace
-        // identity to key a cache on, so they never cache.
+        0,
+        true,
         None,
-        resolve_batch(None, 1, policies, include_baseline),
+        None,
     )
-    .expect("materialized rows cannot fail")
+    .expect("in-memory rows cannot fail")
 }
 
-/// Maximum lane width the automatic batch sizing picks.  Wider batches keep
-/// amortizing per-cycle dispatch overhead, but on the benchmarked reference
-/// machine the uops/sec curve is flat past four lanes while per-worker
-/// memory keeps growing (each lane owns a full window slab + event wheel),
-/// so auto stops here; explicit `--batch N` overrides are uncapped.
-const MAX_AUTO_BATCH: usize = 4;
-
-/// Resolve a requested batch width: an explicit request is clamped to at
-/// least one lane, and `None` ("auto") sizes the batch to the number of
-/// *simulated* columns per row — every scenario's baseline plus its
-/// non-baseline policy cells (the `baseline` policy column clones the
-/// scenario baseline and never occupies a lane) — capped at
-/// [`MAX_AUTO_BATCH`].  Reports are byte-identical at every width, so this
-/// only chooses a throughput/memory trade-off.
-pub(crate) fn resolve_batch(
-    requested: Option<usize>,
-    scenario_count: usize,
-    policies: &[PolicyKind],
-    include_baseline: bool,
-) -> usize {
-    if let Some(lanes) = requested {
-        return lanes.max(1);
-    }
-    let baseline_needed = include_baseline || policies.contains(&PolicyKind::Baseline);
-    let sim_columns = policies
-        .iter()
-        .filter(|&&k| k != PolicyKind::Baseline)
-        .count()
-        + usize::from(baseline_needed);
-    (scenario_count.max(1) * sim_columns).clamp(1, MAX_AUTO_BATCH)
-}
-
-/// The cache binding of one streaming-grid invocation: the [`CellCache`]
-/// plus everything needed to derive each cell's content-addressed key —
-/// the serialized scenario axis (precomputed once, aligned with the
-/// `scenarios` slice) and a projection from a row to its serialized trace
-/// identity.
-pub(crate) struct GridCache<'a, R: ?Sized> {
+/// The cache binding of one grid run: the [`CellCache`] plus every other
+/// component of its cells' content-addressed keys — the spec's length
+/// knobs, the serialized scenario axis (aligned with the grid's scenarios)
+/// and every spec row's serialized trace identity (indexed by row).
+struct GridCache<'a> {
     cache: &'a CellCache,
     trace_len: usize,
     warmup_runs: usize,
     scenario_docs: Vec<serde::Value>,
-    row_doc: &'a (dyn Fn(&R) -> serde::Value + Sync),
+    row_docs: Vec<serde::Value>,
 }
 
-impl<'a, R: ?Sized> GridCache<'a, R> {
-    /// Bind `cache` to one campaign's key space.
-    pub(crate) fn new(
-        cache: &'a CellCache,
-        spec: &CampaignSpec,
-        row_doc: &'a (dyn Fn(&R) -> serde::Value + Sync),
-    ) -> GridCache<'a, R> {
-        GridCache {
-            cache,
-            trace_len: spec.trace_len,
-            warmup_runs: spec.warmup_runs,
-            scenario_docs: spec.scenarios.iter().map(Serialize::to_value).collect(),
-            row_doc,
-        }
+impl GridCache<'_> {
+    /// The claim target of `row`'s baseline under scenario `scenario`.
+    fn baseline(&self, row: usize, scenario: usize) -> (&CellCache, CellKey) {
+        let key = CellKey::baseline(
+            &self.row_docs[row],
+            self.trace_len,
+            &self.scenario_docs[scenario],
+        );
+        (self.cache, key)
+    }
+
+    /// The claim target of `row`'s `kind` cell under scenario `scenario`.
+    fn cell(&self, row: usize, scenario: usize, kind: PolicyKind) -> (&CellCache, CellKey) {
+        let key = CellKey::cell(
+            &self.row_docs[row],
+            self.trace_len,
+            self.warmup_runs,
+            &self.scenario_docs[scenario],
+            kind.name(),
+        );
+        (self.cache, key)
     }
 }
 
-/// Restore a cell from the cache or simulate it, recording the fresh run's
-/// wall-clock cost into the cache for the cost-model planner.  Misses go
-/// through the cache's keyed singleflight
-/// ([`CellCache::get_or_compute`]), so concurrent campaigns — e.g. N
-/// requests in flight inside one `hc_serve` daemon — that need the same
-/// cell coalesce onto a single simulation.
-fn run_cached(cache: &CellCache, key: &CellKey, simulate: impl FnOnce() -> SimStats) -> SimStats {
-    cache.get_or_compute(key, simulate)
+/// Obtain one cell through the cache's claim protocol — the one path every
+/// simulated cell takes.  Without a cache the cell simply simulates.  With
+/// one, a hit is restored, a join waits for the caller already simulating
+/// the key (concurrent campaigns — e.g. N requests in flight inside one
+/// `hc_serve` daemon — coalesce onto one simulation), and a lead simulates
+/// and publishes.  A lead whose simulation fails is dropped unpublished,
+/// abandoning the flight so a joiner can take over, and the error surfaces
+/// to the caller.
+fn run_claimed(
+    key: Option<(&CellCache, CellKey)>,
+    simulate: impl FnOnce() -> Result<SimStats, TraceError>,
+) -> Result<SimStats, TraceError> {
+    let Some((cache, key)) = key else {
+        return simulate();
+    };
+    match cache.claim(&key) {
+        CellClaim::Hit(stats) => Ok(*stats),
+        CellClaim::Lead(lead) => Ok(lead.publish(simulate()?)),
+        CellClaim::Join(join) => match join.wait() {
+            Ok(stats) => Ok(stats),
+            Err(lead) => Ok(lead.publish(simulate()?)),
+        },
+    }
 }
 
 /// Deliver one progress event, isolating the engine from a panicking user
@@ -1687,662 +1673,122 @@ fn deliver_progress(hook: &ProgressHook, disabled: &AtomicBool, progress: &Campa
     }
 }
 
-/// The streaming grid engine: rows fan out in parallel and each worker
-/// *materializes one row's trace at a time* via `make_trace`, runs every
-/// scenario × policy column against it, then drops it.  Peak memory is
-/// O(worker threads) traces regardless of row count — this is what lets the
-/// full 409-trace Table 2 suite run as one campaign.  Each (trace,
-/// scenario)'s baseline is simulated at most once and shared across
-/// policies; the trace itself is synthesized once and shared across
-/// *scenarios* too.
+/// The grid engine.  Rows fan out in parallel; each worker opens *one row's
+/// trace source at a time* via `open_row`, runs every scenario × policy
+/// column against it, then drops it.  Peak memory is O(worker threads)
+/// traces regardless of row count — this is what lets the full 409-trace
+/// Table 2 suite run as one campaign.  Each (trace, scenario)'s baseline is
+/// simulated at most once and shared across policies; the trace itself is
+/// opened once and shared across *scenarios* too.
 ///
-/// `make_trace` returns a [`Cow`] so borrowed-trace callers ([`run_grid`])
-/// pay no clone while streaming callers hand over ownership.
+/// Every row is a [`TraceSource`].  An in-memory row (a
+/// [`MaterializedSource`]) is read in place by the simulator; a `File` or
+/// `Phased` row streams a bounded window of µops.  Either way the stats are
+/// bit-identical.  Each worker thread owns one [`ExecContext`], reused for
+/// every run it performs — including runs under different scenario
+/// machines — so a campaign costs O(threads) simulator arenas, not
+/// O(cells).
 ///
-/// With a [`GridCache`] bound, every simulation is first looked up by its
-/// content-addressed key and only executed on a miss (fresh results are
-/// inserted, with their wall-clock cost, for later runs and the cost-model
-/// planner).  The trace itself is still synthesized per row even on a
-/// full-hit row — synthesis is cheap, and it keeps the report's
-/// `trace_generations` counter (and with it the report bytes) identical
-/// between cold and warm runs; the cache elides *simulation*, not
-/// synthesis.
-/// With `batch > 1`, each worker instead owns a [`hc_sim::BatchContext`] of
-/// `batch` lanes plus a [`PolicyPool`], and steps every *fresh* simulation
-/// of a row — across all its scenarios and policy columns — in lockstep.
-/// Cached cells and cells another worker is already simulating (the cache's
-/// keyed singleflight) **never occupy a lane**: they are claimed up front
-/// via [`CellCache::claim`] and resolved without simulation.  Lanes never
-/// interact, so the produced grid is byte-identical at every batch width.
+/// Every simulated cell, baselines included, goes through [`run_claimed`].
+/// With a [`GridCache`] bound, cached cells are restored, in-flight cells
+/// are joined, and only leads simulate and publish (with their wall-clock
+/// cost, for later runs and the cost-model planner).  The trace is still
+/// opened per row even on a full-hit row — synthesis is cheap, and it keeps
+/// the report's `trace_generations` counter (and with it the report bytes)
+/// identical between cold and warm runs; the cache elides *simulation*,
+/// not synthesis.
 ///
-/// `make_trace` is fallible: `File` rows can hit an unreadable or corrupt
-/// recording.  The parallel fan-out may surface several failures; the *first
-/// in row order* is returned, so failures are reproducible.  Streamed rows
-/// ([`RowTrace::Streamed`]) never occupy batch lanes — lockstep lanes need
-/// random access to one shared materialized trace, while a streamed row
-/// owns a single forward cursor — they run scalar on the worker's fallback
-/// context instead.  Scalar and batched execution are bit-identical (the
-/// property the batched path is built on), so a grid mixing streamed and
-/// materialized rows is still byte-identical at every batch width.
-#[allow(clippy::too_many_arguments)] // pub(crate) engine; every caller is in this crate.
-pub(crate) fn run_grid_streaming<R, F>(
+/// Opening and streaming a row are fallible (`File` rows can hit an
+/// unreadable or corrupt recording).  The parallel fan-out may surface
+/// several failures; the *first in row order* is returned, so failures are
+/// reproducible.
+#[allow(clippy::too_many_arguments)] // private engine; every caller is in this module.
+fn run_grid_streaming<'t>(
     scenarios: &[ScenarioExperiment],
-    rows: &[R],
-    make_trace: F,
+    rows: &[usize],
+    open_row: impl Fn(usize) -> Result<RowSource<'t>, CampaignError> + Sync,
     policies: &[PolicyKind],
     warmup_runs: usize,
     include_baseline: bool,
     progress: Option<&ProgressHook>,
-    cache: Option<&GridCache<'_, R>>,
-    batch: usize,
-) -> Result<Grid, CampaignError>
-where
-    R: Sync,
-    F: for<'r> Fn(&'r R) -> Result<RowTrace<'r>, CampaignError> + Sync,
-{
+    cache: Option<&GridCache<'_>>,
+) -> Result<Grid, CampaignError> {
     let total_cells = rows.len() * policies.len() * scenarios.len();
     let completed = AtomicUsize::new(0);
     let hook_disabled = AtomicBool::new(false);
     let baseline_count = AtomicUsize::new(0);
     let baseline_needed = include_baseline || policies.contains(&PolicyKind::Baseline);
 
-    // Sequence per-row results into a grid, surfacing the first error in
-    // row order.
-    let sequence = |rows_out: Vec<Result<GridRow, CampaignError>>| -> Result<Grid, CampaignError> {
-        let mut per_trace = Vec::with_capacity(rows_out.len());
-        for row in rows_out {
-            per_trace.push(row?);
-        }
-        Ok(Grid {
-            per_trace,
-            baseline_runs: baseline_count.load(Ordering::Relaxed),
-        })
-    };
-
-    if batch > 1 {
-        let rows_out: Vec<Result<GridRow, CampaignError>> = rows
-            .par_iter()
-            .map_init(
-                || BatchWorker::new(batch),
-                |worker, row| {
-                    let row_doc = cache.map(|gc| (gc.row_doc)(row));
-                    let binding = match (cache, &row_doc) {
-                        (Some(gc), Some(doc)) => Some(CacheBinding {
-                            cache: gc.cache,
-                            trace_len: gc.trace_len,
-                            warmup_runs: gc.warmup_runs,
-                            scenario_docs: &gc.scenario_docs,
-                            row_doc: doc,
-                        }),
-                        _ => None,
-                    };
-                    match make_trace(row)? {
-                        RowTrace::Materialized(trace) => Ok(run_row_batched(
-                            worker,
-                            scenarios,
-                            &trace,
-                            policies,
-                            warmup_runs,
-                            baseline_needed,
-                            binding,
-                            progress,
-                            &hook_disabled,
-                            &completed,
-                            total_cells,
-                            &baseline_count,
-                        )),
-                        RowTrace::Streamed(mut source) => run_row_streamed(
-                            &mut worker.scalar,
-                            source.as_mut(),
-                            scenarios,
-                            policies,
-                            warmup_runs,
-                            baseline_needed,
-                            binding,
-                            progress,
-                            &hook_disabled,
-                            &completed,
-                            total_cells,
-                            &baseline_count,
-                        ),
-                    }
-                },
-            )
-            .collect();
-        return sequence(rows_out);
-    }
-
-    // One `ExecContext` per worker thread, reused across every run that
-    // worker performs — including runs under different scenario machines
-    // (`ExecContext::prepare` returns it to a cold state per run): a
-    // campaign costs O(threads) simulator arenas instead of O(cells), and
-    // results stay bit-identical to fresh contexts.
     let rows_out: Vec<Result<GridRow, CampaignError>> = rows
         .par_iter()
-        .map_init(hc_sim::ExecContext::new, |ctx, row| {
-            let row_doc = cache.map(|gc| (gc.row_doc)(row));
-            let trace = match make_trace(row)? {
-                RowTrace::Materialized(trace) => trace,
-                RowTrace::Streamed(mut source) => {
-                    let binding = match (cache, &row_doc) {
-                        (Some(gc), Some(doc)) => Some(CacheBinding {
-                            cache: gc.cache,
-                            trace_len: gc.trace_len,
-                            warmup_runs: gc.warmup_runs,
-                            scenario_docs: &gc.scenario_docs,
-                            row_doc: doc,
-                        }),
-                        _ => None,
-                    };
-                    return run_row_streamed(
-                        ctx,
-                        source.as_mut(),
-                        scenarios,
-                        policies,
-                        warmup_runs,
-                        baseline_needed,
-                        binding,
-                        progress,
-                        &hook_disabled,
-                        &completed,
-                        total_cells,
-                        &baseline_count,
-                    );
-                }
+        .map_init(ExecContext::new, |ctx, &row| {
+            let mut source = open_row(row)?;
+            let source = source.as_mut();
+            let (trace, category) = {
+                let header = source.header();
+                (header.name.clone(), header.category.clone())
             };
-            let trace: &Trace = &trace;
-            Ok(scenarios
-                .iter()
-                .enumerate()
-                .map(|(scenario_index, scenario)| {
-                    let baseline = if baseline_needed {
-                        baseline_count.fetch_add(1, Ordering::Relaxed);
-                        let stats = match (cache, &row_doc) {
-                            (Some(gc), Some(doc)) => run_cached(
-                                gc.cache,
-                                &CellKey::baseline(
-                                    doc,
-                                    gc.trace_len,
-                                    &gc.scenario_docs[scenario_index],
-                                ),
-                                || scenario.experiment.run_baseline_with(ctx, trace),
-                            ),
-                            _ => scenario.experiment.run_baseline_with(ctx, trace),
-                        };
-                        Some(BaselineRun {
-                            trace: trace.name.clone(),
-                            category: trace.category.clone(),
-                            scenario: scenario.key.clone(),
-                            stats,
-                        })
-                    } else {
-                        None
-                    };
-                    let cells = policies
-                        .iter()
-                        .map(|&kind| {
-                            let stats = match (&baseline, kind) {
-                                (Some(b), PolicyKind::Baseline) => b.stats.clone(),
-                                _ => match (cache, &row_doc) {
-                                    (Some(gc), Some(doc)) if kind != PolicyKind::Baseline => {
-                                        run_cached(
-                                            gc.cache,
-                                            &CellKey::cell(
-                                                doc,
-                                                gc.trace_len,
-                                                gc.warmup_runs,
-                                                &gc.scenario_docs[scenario_index],
-                                                kind.name(),
-                                            ),
-                                            || {
-                                                scenario.experiment.run_policy_warmed_with(
-                                                    ctx,
-                                                    trace,
-                                                    kind,
-                                                    warmup_runs,
-                                                )
-                                            },
-                                        )
-                                    }
-                                    _ => scenario.experiment.run_policy_warmed_with(
-                                        ctx,
-                                        trace,
-                                        kind,
-                                        warmup_runs,
-                                    ),
-                                },
-                            };
-                            let cell = CampaignCell {
-                                policy: kind.name().to_string(),
-                                trace: trace.name.clone(),
-                                category: trace.category.clone(),
-                                scenario: scenario.key.clone(),
-                                stats,
-                            };
-                            if let Some(hook) = progress {
-                                deliver_progress(
-                                    hook,
-                                    &hook_disabled,
-                                    &CampaignProgress {
-                                        completed_cells: completed.fetch_add(1, Ordering::Relaxed)
-                                            + 1,
-                                        total_cells,
-                                        policy: cell.policy.clone(),
-                                        trace: cell.trace.clone(),
-                                        scenario: scenario.progress_key().to_string(),
-                                    },
-                                );
-                            }
-                            cell
-                        })
-                        .collect();
-                    (baseline, cells)
-                })
-                .collect())
-        })
-        .collect();
-
-    sequence(rows_out)
-}
-
-/// Run one streamed row of the grid scalar: every scenario × policy column
-/// replays the row's [`TraceSource`] through [`Simulator::run_source`], in
-/// exactly the materialized scalar path's order.  Columns still go through
-/// the cache's claim protocol, so streamed rows coalesce with concurrent
-/// campaigns; a source failure while leading a flight drops the lead
-/// (handing the flight to a joiner) and aborts the row with a typed error.
-#[allow(clippy::too_many_arguments)]
-fn run_row_streamed(
-    ctx: &mut hc_sim::ExecContext,
-    source: &mut dyn TraceSource,
-    scenarios: &[ScenarioExperiment],
-    policies: &[PolicyKind],
-    warmup_runs: usize,
-    baseline_needed: bool,
-    cache: Option<CacheBinding<'_>>,
-    progress: Option<&ProgressHook>,
-    hook_disabled: &AtomicBool,
-    completed: &AtomicUsize,
-    total_cells: usize,
-    baseline_count: &AtomicUsize,
-) -> Result<GridRow, CampaignError> {
-    let (trace_name, category) = {
-        let h = source.header();
-        (h.name.clone(), h.category.clone())
-    };
-    let fail = |e: hc_trace::TraceError| CampaignError::Trace(format!("{trace_name}: {e}"));
-    let mut rows = Vec::with_capacity(scenarios.len());
-    for (scenario_index, scenario) in scenarios.iter().enumerate() {
-        let baseline = if baseline_needed {
-            baseline_count.fetch_add(1, Ordering::Relaxed);
-            let key = cache.as_ref().map(|b| {
-                (
-                    b.cache,
-                    CellKey::baseline(b.row_doc, b.trace_len, &b.scenario_docs[scenario_index]),
-                )
-            });
-            let stats =
-                run_streamed_cached(key, || scenario.experiment.run_baseline_source(ctx, source))
-                    .map_err(fail)?;
-            Some(BaselineRun {
-                trace: trace_name.clone(),
-                category: category.clone(),
-                scenario: scenario.key.clone(),
-                stats,
-            })
-        } else {
-            None
-        };
-        let mut cells = Vec::with_capacity(policies.len());
-        for &kind in policies {
-            let stats = match (&baseline, kind) {
-                (Some(b), PolicyKind::Baseline) => b.stats.clone(),
-                _ => {
-                    let key = cache
-                        .as_ref()
-                        .filter(|_| kind != PolicyKind::Baseline)
-                        .map(|b| {
-                            (
-                                b.cache,
-                                CellKey::cell(
-                                    b.row_doc,
-                                    b.trace_len,
-                                    b.warmup_runs,
-                                    &b.scenario_docs[scenario_index],
-                                    kind.name(),
-                                ),
-                            )
-                        });
-                    run_streamed_cached(key, || {
-                        scenario
-                            .experiment
-                            .run_policy_warmed_source(ctx, source, kind, warmup_runs)
+            let fail = |e: TraceError| CampaignError::Trace(format!("{trace}: {e}"));
+            let mut out = Vec::with_capacity(scenarios.len());
+            for (s, scenario) in scenarios.iter().enumerate() {
+                let experiment = &scenario.experiment;
+                let baseline = if baseline_needed {
+                    baseline_count.fetch_add(1, Ordering::Relaxed);
+                    let stats = run_claimed(cache.map(|gc| gc.baseline(row, s)), || {
+                        experiment.run_baseline_source(ctx, source)
                     })
-                    .map_err(fail)?
-                }
-            };
-            let cell = CampaignCell {
-                policy: kind.name().to_string(),
-                trace: trace_name.clone(),
-                category: category.clone(),
-                scenario: scenario.key.clone(),
-                stats,
-            };
-            if let Some(hook) = progress {
-                deliver_progress(
-                    hook,
-                    hook_disabled,
-                    &CampaignProgress {
-                        completed_cells: completed.fetch_add(1, Ordering::Relaxed) + 1,
-                        total_cells,
-                        policy: cell.policy.clone(),
-                        trace: cell.trace.clone(),
-                        scenario: scenario.progress_key().to_string(),
-                    },
-                );
-            }
-            cells.push(cell);
-        }
-        rows.push((baseline, cells));
-    }
-    Ok(rows)
-}
-
-/// [`run_cached`] for fallible streamed simulations: hits and joins resolve
-/// without simulating; a lead whose simulation fails is dropped without
-/// publishing, abandoning the flight so a joiner can take over, and the
-/// error surfaces to the caller.
-fn run_streamed_cached(
-    key: Option<(&CellCache, CellKey)>,
-    simulate: impl FnOnce() -> Result<SimStats, hc_trace::TraceError>,
-) -> Result<SimStats, hc_trace::TraceError> {
-    let Some((cache, key)) = key else {
-        return simulate();
-    };
-    match cache.claim(&key) {
-        CellClaim::Hit(stats) => Ok(*stats),
-        CellClaim::Lead(lead) => Ok(lead.publish(simulate()?)),
-        CellClaim::Join(join) => match join.wait() {
-            Ok(stats) => Ok(stats),
-            Err(lead) => Ok(lead.publish(simulate()?)),
-        },
-    }
-}
-
-/// Per-worker state of the batched grid path: `B` lockstep simulator lanes,
-/// a scalar context for the rare abandoned-singleflight fallback, and the
-/// policy reuse pool.  Created once per worker thread and reused across
-/// rows, so steady-state lane refills build nothing.
-struct BatchWorker {
-    lanes: hc_sim::BatchContext,
-    scalar: hc_sim::ExecContext,
-    pool: PolicyPool,
-}
-
-impl BatchWorker {
-    fn new(lanes: usize) -> BatchWorker {
-        BatchWorker {
-            lanes: hc_sim::BatchContext::new(lanes),
-            scalar: hc_sim::ExecContext::new(),
-            pool: PolicyPool::new(),
-        }
-    }
-}
-
-/// One planned fresh simulation of a batched row: which machine runs it,
-/// which policy steers it, and how many passes (warmup runs + 1).
-struct JobPlan<'s> {
-    sim: &'s Simulator,
-    kind: PolicyKind,
-    predictors: PredictorConfig,
-    runs: usize,
-}
-
-/// Where one column of a batched row gets its statistics.
-// One short-lived value per grid column during row assembly; boxing the
-// stats to shrink the slim variants would cost more than the padding.
-#[allow(clippy::large_enum_variant)]
-enum CellSource {
-    /// Known before any lane ran: a cache hit.
-    Ready(SimStats),
-    /// Simulated in this row's batch (index into the job list).
-    Lane(usize),
-    /// In flight on another worker's singleflight (index into the join
-    /// list); waited on after the batch so it never occupies a lane.
-    Pending(usize),
-    /// The `baseline` policy column: cloned from its scenario's baseline.
-    FromBaseline,
-}
-
-/// The cache pieces one batched row needs: the cache itself plus this row's
-/// serialized trace identity and the campaign-level key components (the
-/// fields of [`GridCache`], with the row projection already applied).
-struct CacheBinding<'a> {
-    cache: &'a CellCache,
-    trace_len: usize,
-    warmup_runs: usize,
-    scenario_docs: &'a [serde::Value],
-    row_doc: &'a serde::Value,
-}
-
-/// Claim one column: cached → `Ready`, in flight elsewhere → `Pending`,
-/// otherwise (leader or no cache) append a lane job.  `leads` stays aligned
-/// with `jobs` so each fresh result can be published after the batch.
-fn claim_or_enqueue<'s, 'c>(
-    plan: JobPlan<'s>,
-    key: Option<(&'c CellCache, CellKey)>,
-    jobs: &mut Vec<JobPlan<'s>>,
-    leads: &mut Vec<Option<CellLead<'c>>>,
-    joins: &mut Vec<(JobPlan<'s>, CellJoin<'c>)>,
-) -> CellSource {
-    let Some((cache, key)) = key else {
-        jobs.push(plan);
-        leads.push(None);
-        return CellSource::Lane(jobs.len() - 1);
-    };
-    match cache.claim(&key) {
-        CellClaim::Hit(stats) => CellSource::Ready(*stats),
-        CellClaim::Lead(lead) => {
-            jobs.push(plan);
-            leads.push(Some(lead));
-            CellSource::Lane(jobs.len() - 1)
-        }
-        CellClaim::Join(join) => {
-            joins.push((plan, join));
-            CellSource::Pending(joins.len() - 1)
-        }
-    }
-}
-
-/// Run one row of the grid through the worker's lockstep lanes: claim every
-/// column in scalar order, ride every fresh simulation (baselines included)
-/// through [`hc_sim::BatchContext::run_batch`], publish the results into
-/// the cache's singleflight, then assemble baselines and cells in exactly
-/// the scalar path's order.  Cached and joined cells never occupy a lane.
-#[allow(clippy::too_many_arguments)]
-fn run_row_batched(
-    worker: &mut BatchWorker,
-    scenarios: &[ScenarioExperiment],
-    trace: &Trace,
-    policies: &[PolicyKind],
-    warmup_runs: usize,
-    baseline_needed: bool,
-    cache: Option<CacheBinding<'_>>,
-    progress: Option<&ProgressHook>,
-    hook_disabled: &AtomicBool,
-    completed: &AtomicUsize,
-    total_cells: usize,
-    baseline_count: &AtomicUsize,
-) -> Vec<(Option<BaselineRun>, Vec<CampaignCell>)> {
-    // --- Plan: claim every column in scalar order.
-    let mut jobs: Vec<JobPlan> = Vec::new();
-    let mut leads: Vec<Option<CellLead>> = Vec::new();
-    let mut joins: Vec<(JobPlan, CellJoin)> = Vec::new();
-    let mut sources: Vec<(Option<CellSource>, Vec<CellSource>)> =
-        Vec::with_capacity(scenarios.len());
-    for (scenario_index, scenario) in scenarios.iter().enumerate() {
-        let experiment = &scenario.experiment;
-        let baseline_src = if baseline_needed {
-            baseline_count.fetch_add(1, Ordering::Relaxed);
-            let plan = JobPlan {
-                sim: experiment.baseline_sim(),
-                kind: PolicyKind::Baseline,
-                predictors: *experiment.predictors(),
-                runs: 1,
-            };
-            let key = cache.as_ref().map(|b| {
-                (
-                    b.cache,
-                    CellKey::baseline(b.row_doc, b.trace_len, &b.scenario_docs[scenario_index]),
-                )
-            });
-            Some(claim_or_enqueue(
-                plan, key, &mut jobs, &mut leads, &mut joins,
-            ))
-        } else {
-            None
-        };
-        let cell_srcs = policies
-            .iter()
-            .map(|&kind| {
-                if kind == PolicyKind::Baseline {
-                    // Clones the scenario baseline (spec validation
-                    // guarantees the baseline exists); never a lane job.
-                    return CellSource::FromBaseline;
-                }
-                let plan = JobPlan {
-                    sim: experiment.helper_sim(),
-                    kind,
-                    predictors: *experiment.predictors(),
-                    runs: warmup_runs + 1,
-                };
-                let key = cache.as_ref().map(|b| {
-                    (
-                        b.cache,
-                        CellKey::cell(
-                            b.row_doc,
-                            b.trace_len,
-                            b.warmup_runs,
-                            &b.scenario_docs[scenario_index],
-                            kind.name(),
-                        ),
-                    )
-                });
-                claim_or_enqueue(plan, key, &mut jobs, &mut leads, &mut joins)
-            })
-            .collect();
-        sources.push((baseline_src, cell_srcs));
-    }
-
-    // --- Execute: every fresh column rides a lane; lanes refill from the
-    // job queue as cells drain, so mixed-length cells keep all lanes busy.
-    let mut policies_in_flight: Vec<Box<dyn SteeringPolicy + Send>> = jobs
-        .iter()
-        .map(|j| worker.pool.acquire(j.kind, &j.predictors))
-        .collect();
-    let batch_jobs: Vec<BatchJob> = jobs
-        .iter()
-        .zip(policies_in_flight.iter_mut())
-        .map(|(j, policy)| BatchJob {
-            sim: j.sim,
-            trace,
-            policy: policy.as_mut(),
-            runs: j.runs,
-        })
-        .collect();
-    let mut lane_stats = worker.lanes.run_batch(batch_jobs);
-    for (j, policy) in jobs.iter().zip(policies_in_flight) {
-        worker.pool.release(j.kind, &j.predictors, policy);
-    }
-    // Publish every lead before waiting on any join: cross-worker waits can
-    // then always terminate, whatever order workers reach this point in.
-    for (stats, lead) in lane_stats.iter().zip(leads) {
-        if let Some(lead) = lead {
-            lead.publish(stats.clone());
-        }
-    }
-
-    // --- Resolve joins (another worker was simulating the same key).
-    let mut join_stats: Vec<SimStats> = joins
-        .into_iter()
-        .map(|(plan, join)| match join.wait() {
-            Ok(stats) => stats,
-            Err(lead) => {
-                // The leader's simulation panicked; run the cell scalar on
-                // this worker's fallback context.
-                let mut policy = worker.pool.acquire(plan.kind, &plan.predictors);
-                let mut stats = None;
-                for _ in 0..plan.runs {
-                    stats = Some(
-                        plan.sim
-                            .run_with(&mut worker.scalar, trace, policy.as_mut()),
-                    );
-                }
-                worker.pool.release(plan.kind, &plan.predictors, policy);
-                lead.publish(stats.expect("a job has at least one pass"))
-            }
-        })
-        .collect();
-
-    // --- Assemble in scalar order (each lane/join result is consumed
-    // exactly once, so moves replace clones).
-    let mut resolve = |src: CellSource| -> SimStats {
-        match src {
-            CellSource::Ready(stats) => stats,
-            CellSource::Lane(i) => std::mem::take(&mut lane_stats[i]),
-            CellSource::Pending(i) => std::mem::take(&mut join_stats[i]),
-            CellSource::FromBaseline => unreachable!("resolved against the scenario baseline"),
-        }
-    };
-    sources
-        .into_iter()
-        .zip(scenarios.iter())
-        .map(|((baseline_src, cell_srcs), scenario)| {
-            let baseline = baseline_src.map(|src| BaselineRun {
-                trace: trace.name.clone(),
-                category: trace.category.clone(),
-                scenario: scenario.key.clone(),
-                stats: resolve(src),
-            });
-            let cells = cell_srcs
-                .into_iter()
-                .zip(policies.iter())
-                .map(|(src, &kind)| {
-                    let stats = match src {
-                        CellSource::FromBaseline => {
-                            let b = baseline
-                                .as_ref()
-                                .expect("a baseline-policy column implies a baseline");
-                            b.stats.clone()
-                        }
-                        src => resolve(src),
-                    };
-                    let cell = CampaignCell {
-                        policy: kind.name().to_string(),
-                        trace: trace.name.clone(),
-                        category: trace.category.clone(),
+                    .map_err(fail)?;
+                    Some(BaselineRun {
+                        trace: trace.clone(),
+                        category: category.clone(),
                         scenario: scenario.key.clone(),
                         stats,
+                    })
+                } else {
+                    None
+                };
+                let mut cells = Vec::with_capacity(policies.len());
+                for &kind in policies {
+                    let stats = match &baseline {
+                        // The `baseline` column is the memoized baseline run.
+                        Some(b) if kind == PolicyKind::Baseline => b.stats.clone(),
+                        _ => run_claimed(cache.map(|gc| gc.cell(row, s, kind)), || {
+                            experiment.run_policy_warmed_source(ctx, source, kind, warmup_runs)
+                        })
+                        .map_err(fail)?,
                     };
                     if let Some(hook) = progress {
                         deliver_progress(
                             hook,
-                            hook_disabled,
+                            &hook_disabled,
                             &CampaignProgress {
                                 completed_cells: completed.fetch_add(1, Ordering::Relaxed) + 1,
                                 total_cells,
-                                policy: cell.policy.clone(),
-                                trace: cell.trace.clone(),
+                                policy: kind.name().to_string(),
+                                trace: trace.clone(),
                                 scenario: scenario.progress_key().to_string(),
                             },
                         );
                     }
-                    cell
-                })
-                .collect();
-            (baseline, cells)
+                    cells.push(CampaignCell {
+                        policy: kind.name().to_string(),
+                        trace: trace.clone(),
+                        category: category.clone(),
+                        scenario: scenario.key.clone(),
+                        stats,
+                    });
+                }
+                out.push((baseline, cells));
+            }
+            Ok(out)
         })
-        .collect()
+        .collect();
+
+    // Sequence the rows, surfacing the first error in row order.
+    Ok(Grid {
+        per_trace: rows_out.into_iter().collect::<Result<_, _>>()?,
+        baseline_runs: baseline_count.into_inner(),
+    })
 }
 
 #[cfg(test)]

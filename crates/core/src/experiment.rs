@@ -12,7 +12,7 @@ use crate::policy::PolicyKind;
 use hc_power::{Ed2Comparison, PowerModel};
 use hc_predictors::PredictorConfig;
 use hc_sim::{ConfigError, ExecContext, SimConfig, SimStats, Simulator};
-use hc_trace::{Trace, TraceError, TraceSource};
+use hc_trace::{MaterializedSource, Trace, TraceError, TraceSource};
 use serde::{Deserialize, Serialize};
 
 /// The result of running one trace under one policy, with its baseline.
@@ -122,23 +122,6 @@ impl Experiment {
         self.baseline_sim.config()
     }
 
-    /// The validated helper-cluster simulator — the machine policy cells
-    /// run on.  Exposed so batch schedulers can drive runs through
-    /// [`hc_sim::BatchContext`] instead of the scalar entry points.
-    pub fn helper_sim(&self) -> &Simulator {
-        &self.helper_sim
-    }
-
-    /// The validated monolithic-baseline simulator (helper removed).
-    pub fn baseline_sim(&self) -> &Simulator {
-        &self.baseline_sim
-    }
-
-    /// The predictor sizing policies are built with.
-    pub fn predictors(&self) -> &PredictorConfig {
-        &self.predictors
-    }
-
     /// Run the monolithic baseline on a trace.
     pub fn run_baseline(&self, trace: &Trace) -> SimStats {
         self.run_baseline_with(&mut ExecContext::new(), trace)
@@ -148,27 +131,26 @@ impl Experiment {
     /// [`ExecContext`] (bit-identical to [`Experiment::run_baseline`],
     /// without the per-run allocations).
     pub fn run_baseline_with(&self, ctx: &mut ExecContext, trace: &Trace) -> SimStats {
-        let mut policy = PolicyKind::Baseline.build();
-        self.baseline_sim.run_with(ctx, trace, policy.as_mut())
+        self.run_baseline_source(ctx, &mut MaterializedSource::borrowed(trace))
+            .expect("an in-memory trace cannot fail")
     }
 
-    /// Run the monolithic baseline over a streaming [`TraceSource`] inside
-    /// a reused [`ExecContext`].  For a source that yields the same µops as
-    /// a materialized trace with the same name and length, the stats are
+    /// Run the monolithic baseline over a [`TraceSource`] inside a reused
+    /// [`ExecContext`].  For a source that yields the same µops as a
+    /// materialized trace with the same name and length, the stats are
     /// bit-identical to [`Experiment::run_baseline_with`] over that trace.
     pub fn run_baseline_source(
         &self,
         ctx: &mut ExecContext,
         source: &mut dyn TraceSource,
     ) -> Result<SimStats, TraceError> {
-        let mut policy = PolicyKind::Baseline.build();
-        self.baseline_sim.run_source(ctx, source, policy.as_mut())
+        self.run_policy_warmed_source(ctx, source, PolicyKind::Baseline, 0)
     }
 
-    /// [`Experiment::run_policy_warmed_with`] over a streaming
-    /// [`TraceSource`]: every pass (warmups included) replays the source
-    /// from the top via its `reset`, keeping one policy instance — and so
-    /// its predictors — warm across passes.
+    /// [`Experiment::run_policy_warmed_with`] over a [`TraceSource`]: every
+    /// pass (warmups included) replays the source from the top, keeping one
+    /// policy instance — and so its predictors — warm across passes.  The
+    /// baseline policy runs on the monolithic machine, once.
     pub fn run_policy_warmed_source(
         &self,
         ctx: &mut ExecContext,
@@ -176,18 +158,14 @@ impl Experiment {
         kind: PolicyKind,
         warmup_runs: usize,
     ) -> Result<SimStats, TraceError> {
-        let sim = if kind == PolicyKind::Baseline {
-            &self.baseline_sim
-        } else {
-            &self.helper_sim
-        };
         let mut policy = kind.build_with(&self.predictors);
-        if kind != PolicyKind::Baseline {
-            for _ in 0..warmup_runs {
-                sim.run_source(ctx, source, policy.as_mut())?;
-            }
+        if kind == PolicyKind::Baseline {
+            return self.baseline_sim.run_source(ctx, source, policy.as_mut());
         }
-        sim.run_source(ctx, source, policy.as_mut())
+        for _ in 0..warmup_runs {
+            self.helper_sim.run_source(ctx, source, policy.as_mut())?;
+        }
+        self.helper_sim.run_source(ctx, source, policy.as_mut())
     }
 
     /// Run one policy on a trace (no baseline comparison).
@@ -216,18 +194,9 @@ impl Experiment {
         kind: PolicyKind,
         warmup_runs: usize,
     ) -> SimStats {
-        let sim = if kind == PolicyKind::Baseline {
-            &self.baseline_sim
-        } else {
-            &self.helper_sim
-        };
-        let mut policy = kind.build_with(&self.predictors);
-        if kind != PolicyKind::Baseline {
-            for _ in 0..warmup_runs {
-                sim.run_with(ctx, trace, policy.as_mut());
-            }
-        }
-        sim.run_with(ctx, trace, policy.as_mut())
+        let mut source = MaterializedSource::borrowed(trace);
+        self.run_policy_warmed_source(ctx, &mut source, kind, warmup_runs)
+            .expect("an in-memory trace cannot fail")
     }
 
     /// Run one policy and the baseline on the same trace.
@@ -240,7 +209,8 @@ impl Experiment {
     /// Run a set of policies against one trace, reusing one baseline run —
     /// the single-trace row of a campaign grid.
     pub fn run_many(&self, trace: &Trace, kinds: &[PolicyKind]) -> Vec<ExperimentResult> {
-        crate::campaign::run_grid(self, std::slice::from_ref(trace), kinds, 0, true, None)
+        let traces = std::slice::from_ref(trace);
+        crate::campaign::run_grid(self, traces, MaterializedSource::borrowed, kinds)
             .into_experiment_results()
     }
 }

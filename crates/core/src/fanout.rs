@@ -40,8 +40,8 @@
 use crate::cache::{CellCache, CostModel};
 use crate::campaign::{CampaignError, CampaignReport, CampaignSpec, ProgressHook};
 use crate::shard::{
-    shard_file_name, shard_wire_version, write_checkpoint_file, CampaignShard, CheckpointManifest,
-    ShardReport, MANIFEST_FILE,
+    adopt_manifest, load_shard_checkpoint, shard_file_name, shard_wire_version,
+    write_checkpoint_file, CampaignShard, CheckpointManifest, ShardReport, MANIFEST_FILE,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -249,7 +249,6 @@ pub struct FanoutWorker {
     poll_interval: Duration,
     steal: bool,
     cache: Option<Arc<CellCache>>,
-    batch: Option<usize>,
     progress: Option<ProgressHook>,
 }
 
@@ -284,7 +283,6 @@ impl FanoutWorker {
             poll_interval: Duration::from_millis(200),
             steal: true,
             cache: None,
-            batch: None,
             progress: None,
         }
     }
@@ -329,13 +327,6 @@ impl FanoutWorker {
     /// steal order.
     pub fn with_cache(mut self, cache: Arc<CellCache>) -> FanoutWorker {
         self.cache = Some(cache);
-        self
-    }
-
-    /// Lockstep simulator lanes per grid worker (see
-    /// [`CampaignShard::run_with`]).
-    pub fn with_batch(mut self, lanes: usize) -> FanoutWorker {
-        self.batch = Some(lanes);
         self
     }
 
@@ -386,7 +377,7 @@ impl FanoutWorker {
             let mut pending: Vec<usize> = order
                 .iter()
                 .copied()
-                .filter(|&k| !self.shard_complete(&shards[k]))
+                .filter(|&k| load_shard_checkpoint(&self.checkpoint, &shards[k]).is_none())
                 .collect();
             if !self.steal {
                 pending.retain(|&k| Some(k) == self.home_shard);
@@ -407,12 +398,9 @@ impl FanoutWorker {
                 };
                 // Re-check under the lease: the previous holder may have
                 // published between our scan and the claim.
-                if !self.shard_complete(&shards[k]) {
-                    let report = shards[k].run_with(
-                        self.progress.as_ref(),
-                        self.cache.as_deref(),
-                        self.batch,
-                    )?;
+                if load_shard_checkpoint(&self.checkpoint, &shards[k]).is_none() {
+                    let report =
+                        shards[k].run_with(self.progress.as_ref(), self.cache.as_deref())?;
                     write_checkpoint_file(
                         &self.checkpoint.join(shard_file_name(k)),
                         &report.to_json(),
@@ -448,28 +436,13 @@ impl FanoutWorker {
     ) -> Result<crate::shard::ShardPlan, CampaignError> {
         let path = self.checkpoint.join(MANIFEST_FILE);
         for _ in 0..8 {
-            if let Ok(text) = std::fs::read_to_string(&path) {
-                let found = CheckpointManifest::from_json(&text).map_err(|e| {
-                    CampaignError::Fanout(format!(
-                        "unreadable manifest {}: {e}; delete the directory to start over",
-                        path.display()
-                    ))
-                })?;
-                if found.spec != *spec || found.shard_count != self.shard_count {
-                    return Err(CampaignError::Fanout(format!(
-                        "{} belongs to a different campaign or shard count; \
-                         refusing to join it",
-                        self.checkpoint.display()
-                    )));
-                }
-                found.plan.validate(spec.traces.len()).map_err(|reason| {
-                    CampaignError::Fanout(format!(
-                        "manifest {} carries an invalid partition plan ({reason}); \
-                         delete the directory to start over",
-                        path.display()
-                    ))
-                })?;
-                return Ok(found.plan);
+            if let Some(plan) = adopt_manifest(
+                &self.checkpoint,
+                spec,
+                self.shard_count,
+                CampaignError::Fanout,
+            )? {
+                return Ok(plan);
             }
             let plan = crate::shard::ShardPlan::for_spec(spec, self.shard_count, model)?;
             let manifest = CheckpointManifest {
@@ -508,25 +481,6 @@ impl FanoutWorker {
             "manifest {} kept appearing and vanishing; giving up",
             path.display()
         )))
-    }
-
-    /// Whether `shard`'s report file exists and still belongs to this
-    /// partition.  Corrupt, foreign or plan-mismatched files count as
-    /// incomplete — the shard is re-claimed and the file overwritten, which
-    /// is the crash-tolerant re-execution path.
-    fn shard_complete(&self, shard: &CampaignShard) -> bool {
-        let path = self.checkpoint.join(shard_file_name(shard.shard_index()));
-        let Ok(text) = std::fs::read_to_string(&path) else {
-            return false;
-        };
-        let Ok(report) = ShardReport::from_json(&text) else {
-            return false;
-        };
-        report.shard_index == shard.shard_index()
-            && report.shard_count == shard.shard_count()
-            && report.spec == *shard.spec()
-            && report.plan == *shard.shard_plan()
-            && report.check().is_ok()
     }
 }
 

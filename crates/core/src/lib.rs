@@ -76,7 +76,7 @@ pub use fanout::{
     WorkerOutcome,
 };
 pub use figures::{Figure, FigureRow};
-pub use policy::{PolicyKind, PolicyPool, SteeringFeatures, SteeringStack};
+pub use policy::{PolicyKind, SteeringFeatures, SteeringStack};
 pub use scenario::{ScenarioError, ScenarioSpec, DEFAULT_SCENARIO_NAME};
 pub use shard::{
     CampaignShard, ShardPlan, ShardReport, ShardStrategy, ShardedCampaignRunner, ShardedRunOutcome,

@@ -128,74 +128,6 @@ impl PolicyKind {
     }
 }
 
-/// A reuse pool of built policy instances, keyed by (kind, predictor
-/// sizing).
-///
-/// Building a [`SteeringStack`] allocates its three predictor tables (~1.5
-/// KB each at the paper sizing); a campaign worker that builds one per cell
-/// pays that on every lane refill.  The pool instead hands back a previously
-/// released instance after [`SteeringPolicy::reset`] — behaviourally
-/// identical to a fresh build (the reset contract), but allocation-free once
-/// the pool is warm.  One pool lives per worker thread, so no locking.
-#[derive(Default)]
-pub struct PolicyPool {
-    free: Vec<(PolicyKind, PredictorConfig, Box<dyn SteeringPolicy + Send>)>,
-}
-
-impl std::fmt::Debug for PolicyPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PolicyPool")
-            .field("free", &self.free.len())
-            .finish()
-    }
-}
-
-impl PolicyPool {
-    /// An empty pool.
-    pub fn new() -> PolicyPool {
-        PolicyPool::default()
-    }
-
-    /// Take a policy of `kind` sized by `predictors`: a pooled instance
-    /// (reset to its untrained state) when one matches, a fresh build
-    /// otherwise.
-    pub fn acquire(
-        &mut self,
-        kind: PolicyKind,
-        predictors: &PredictorConfig,
-    ) -> Box<dyn SteeringPolicy + Send> {
-        match self
-            .free
-            .iter()
-            .position(|(k, p, _)| *k == kind && p == predictors)
-        {
-            Some(i) => {
-                let (_, _, mut policy) = self.free.swap_remove(i);
-                policy.reset();
-                policy
-            }
-            None => kind.build_with(predictors),
-        }
-    }
-
-    /// Return a policy taken with [`PolicyPool::acquire`] for later reuse.
-    /// The caller vouches that `kind`/`predictors` are the ones it was
-    /// acquired under.
-    pub fn release(
-        &mut self,
-        kind: PolicyKind,
-        predictors: &PredictorConfig,
-        policy: Box<dyn SteeringPolicy + Send>,
-    ) {
-        self.free.push((kind, *predictors, policy));
-    }
-
-    /// Number of instances currently pooled.
-    pub fn pooled(&self) -> usize {
-        self.free.len()
-    }
-}
-
 /// Tunable parameters and feature switches of the steering stack.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SteeringFeatures {
@@ -422,13 +354,6 @@ impl SteeringStack {
 impl SteeringPolicy for SteeringStack {
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn reset(&mut self) {
-        self.width_pred.reset();
-        self.carry_pred.reset();
-        self.copy_pred.reset();
-        self.stats = StackStats::default();
     }
 
     fn steer(&mut self, uop: &DynUop, ctx: &SteerContext) -> SteerDecision {

@@ -55,9 +55,8 @@ use crate::cache::{CellCache, CostModel};
 #[allow(unused_imports)] // `CampaignRunner` is referenced by doc links only.
 use crate::campaign::CampaignRunner;
 use crate::campaign::{
-    decode_versioned, make_row_trace, report_wire_version, resolve_batch, resolve_row_docs,
-    run_grid_streaming, scenario_experiments, BaselineRun, CampaignCell, CampaignError,
-    CampaignProgress, CampaignReport, CampaignSpec, GridCache, ProgressHook,
+    decode_versioned, report_wire_version, run_spec_rows, BaselineRun, CampaignCell, CampaignError,
+    CampaignProgress, CampaignReport, CampaignSpec, ProgressHook,
 };
 use crate::policy::PolicyKind;
 use serde::{Deserialize, Serialize};
@@ -396,7 +395,7 @@ impl CampaignShard {
 
     /// Execute this shard through the streaming grid engine.
     pub fn run(&self) -> Result<ShardReport, CampaignError> {
-        self.run_with(None, None, None)
+        self.run_with(None, None)
     }
 
     /// [`CampaignShard::run`] with an optional progress hook.  The hook sees
@@ -406,48 +405,19 @@ impl CampaignShard {
         &self,
         progress: Option<&ProgressHook>,
     ) -> Result<ShardReport, CampaignError> {
-        self.run_with(progress, None, None)
+        self.run_with(progress, None)
     }
 
-    /// [`CampaignShard::run`] with an optional progress hook, an optional
-    /// [`CellCache`] memoizing every simulated cell, and an optional batch
-    /// width (lockstep simulator lanes per worker; `None` sizes it
-    /// automatically).  Shard reports stay byte-identical with or without
-    /// the cache and at every batch width.
+    /// [`CampaignShard::run`] with an optional progress hook and an
+    /// optional [`CellCache`] memoizing every simulated cell.  Shard reports
+    /// stay byte-identical with or without the cache.
     pub fn run_with(
         &self,
         progress: Option<&ProgressHook>,
         cache: Option<&CellCache>,
-        batch: Option<usize>,
     ) -> Result<ShardReport, CampaignError> {
-        let scenarios = scenario_experiments(&self.spec)?;
         let indices = self.trace_indices();
-        // Cache identities resolve through the same helper the campaign
-        // runner uses, so shard cache keys match whole-campaign keys
-        // (content-addressed for `File` rows).
-        let row_docs = resolve_row_docs(&self.spec.traces)?;
-        let generation_count = AtomicUsize::new(0);
-        let row_doc = |&i: &usize| row_docs[i].clone();
-        let grid_cache = cache.map(|cache| GridCache::new(cache, &self.spec, &row_doc));
-        let grid = run_grid_streaming(
-            &scenarios,
-            &indices,
-            |&i| {
-                generation_count.fetch_add(1, Ordering::Relaxed);
-                make_row_trace(&self.spec.traces[i], self.spec.trace_len)
-            },
-            &self.spec.policies,
-            self.spec.warmup_runs,
-            self.spec.include_baseline,
-            progress,
-            grid_cache.as_ref(),
-            resolve_batch(
-                batch,
-                self.spec.scenarios.len(),
-                &self.spec.policies,
-                self.spec.include_baseline,
-            ),
-        )?;
+        let (grid, trace_generations) = run_spec_rows(&self.spec, &indices, progress, cache)?;
         let baseline_runs = grid.baseline_runs;
         let (baselines, cells) = grid.into_flat_parts();
         Ok(ShardReport {
@@ -460,7 +430,7 @@ impl CampaignShard {
             baselines,
             cells,
             baseline_runs,
-            trace_generations: generation_count.load(Ordering::Relaxed),
+            trace_generations,
         })
     }
 }
@@ -873,7 +843,6 @@ pub struct ShardedCampaignRunner {
     resume: bool,
     progress: Option<ProgressHook>,
     cache: Option<Arc<CellCache>>,
-    batch: Option<usize>,
 }
 
 impl std::fmt::Debug for ShardedCampaignRunner {
@@ -887,7 +856,6 @@ impl std::fmt::Debug for ShardedCampaignRunner {
                 "cache",
                 &self.cache.as_ref().map(|c| c.root().to_path_buf()),
             )
-            .field("batch", &self.batch)
             .finish()
     }
 }
@@ -902,16 +870,7 @@ impl ShardedCampaignRunner {
             resume: false,
             progress: None,
             cache: None,
-            batch: None,
         }
-    }
-
-    /// Set the lockstep simulator lane count each worker batches cells
-    /// over (`1` forces the scalar engine; unset sizes it automatically).
-    /// Shard and merged reports are byte-identical at every width.
-    pub fn with_batch(mut self, lanes: usize) -> ShardedCampaignRunner {
-        self.batch = Some(lanes);
-        self
     }
 
     /// Memoize every simulated cell through a [`CellCache`] and let its
@@ -1002,7 +961,7 @@ impl ShardedCampaignRunner {
                 reports.push(report);
                 continue;
             }
-            let report = shard.run_with(global_hook.as_ref(), self.cache.as_deref(), self.batch)?;
+            let report = shard.run_with(global_hook.as_ref(), self.cache.as_deref())?;
             if let Some(dir) = &self.checkpoint {
                 write_checkpoint_file(
                     &dir.join(shard_file_name(shard.shard_index())),
@@ -1033,34 +992,11 @@ impl ShardedCampaignRunner {
     ) -> Result<ShardPlan, CampaignError> {
         std::fs::create_dir_all(dir)
             .map_err(|e| CampaignError::Checkpoint(format!("create {}: {e}", dir.display())))?;
-        let manifest_path = dir.join(MANIFEST_FILE);
         if self.resume {
-            if let Ok(text) = std::fs::read_to_string(&manifest_path) {
-                // An undecodable manifest is refused like a foreign one (and
-                // with the file named, so the failure is actionable) — unlike
-                // corrupt *shard* files, whose loss only costs a re-run, a
-                // damaged manifest means the directory can't be trusted.
-                let found = CheckpointManifest::from_json(&text).map_err(|e| {
-                    CampaignError::Checkpoint(format!(
-                        "unreadable manifest {}: {e}; delete it to start over",
-                        manifest_path.display()
-                    ))
-                })?;
-                if found.spec != *spec || found.shard_count != self.shard_count {
-                    return Err(CampaignError::Checkpoint(format!(
-                        "{} belongs to a different campaign or shard count; \
-                         refusing to resume over it",
-                        dir.display()
-                    )));
-                }
-                found.plan.validate(spec.traces.len()).map_err(|reason| {
-                    CampaignError::Checkpoint(format!(
-                        "manifest {} carries an invalid partition plan ({reason}); \
-                         delete the directory to start over",
-                        manifest_path.display()
-                    ))
-                })?;
-                return Ok(found.plan);
+            if let Some(plan) =
+                adopt_manifest(dir, spec, self.shard_count, CampaignError::Checkpoint)?
+            {
+                return Ok(plan);
             }
         }
         let manifest = CheckpointManifest {
@@ -1069,13 +1005,15 @@ impl ShardedCampaignRunner {
             spec: spec.clone(),
             plan: planned,
         };
-        write_checkpoint_file(&manifest_path, &serde::json::to_string_pretty(&manifest))?;
+        write_checkpoint_file(
+            &dir.join(MANIFEST_FILE),
+            &serde::json::to_string_pretty(&manifest),
+        )?;
         Ok(manifest.plan)
     }
 
     /// Load one shard's checkpoint file if resuming and the file still
-    /// matches this shard.  An unreadable, corrupt or mismatched file is
-    /// treated as absent (the shard re-runs and the file is overwritten).
+    /// matches this shard (see [`load_shard_checkpoint`]).
     fn try_resume_shard(
         &self,
         shard: &CampaignShard,
@@ -1088,20 +1026,67 @@ impl ShardedCampaignRunner {
                 "resume requested without a checkpoint directory".to_string(),
             ));
         };
-        let path = dir.join(shard_file_name(shard.shard_index()));
-        let Ok(text) = std::fs::read_to_string(&path) else {
-            return Ok(None);
-        };
-        let Ok(report) = ShardReport::from_json(&text) else {
-            return Ok(None);
-        };
-        let matches = report.shard_index == shard.shard_index()
-            && report.shard_count == shard.shard_count()
-            && report.spec == *shard.spec()
-            && report.plan == *shard.shard_plan()
-            && report.check().is_ok();
-        Ok(matches.then_some(report))
+        Ok(load_shard_checkpoint(dir, shard))
     }
+}
+
+/// Read and check the manifest of the checkpoint directory `dir` against
+/// the campaign about to run there: it must decode, name the same spec and
+/// shard count, and carry a partition plan valid for the spec.  Returns the
+/// plan its shard files were cut along, or `None` when there is no
+/// readable manifest yet.  [`ShardedCampaignRunner`] and
+/// [`crate::fanout::FanoutWorker`] share this check; `error` builds each
+/// caller's own error variant.
+pub(crate) fn adopt_manifest(
+    dir: &Path,
+    spec: &CampaignSpec,
+    shard_count: usize,
+    error: fn(String) -> CampaignError,
+) -> Result<Option<ShardPlan>, CampaignError> {
+    let path = dir.join(MANIFEST_FILE);
+    let Ok(text) = std::fs::read_to_string(&path) else {
+        return Ok(None);
+    };
+    // An undecodable manifest is refused like a foreign one (and with the
+    // file named, so the failure is actionable) — unlike corrupt *shard*
+    // files, whose loss only costs a re-run, a damaged manifest means the
+    // directory can't be trusted.
+    let found = CheckpointManifest::from_json(&text).map_err(|e| {
+        error(format!(
+            "unreadable manifest {}: {e}; delete the directory to start over",
+            path.display()
+        ))
+    })?;
+    if found.spec != *spec || found.shard_count != shard_count {
+        return Err(error(format!(
+            "{} belongs to a different campaign or shard count; refusing to run in it",
+            dir.display()
+        )));
+    }
+    found.plan.validate(spec.traces.len()).map_err(|reason| {
+        error(format!(
+            "manifest {} carries an invalid partition plan ({reason}); \
+             delete the directory to start over",
+            path.display()
+        ))
+    })?;
+    Ok(Some(found.plan))
+}
+
+/// Load `shard`'s report from the checkpoint directory `dir` if it is there
+/// and still belongs to this partition: same index, shard count, spec and
+/// plan, and a self-consistent payload.  Unreadable, corrupt or mismatched
+/// files count as absent — the shard re-runs and the file is overwritten,
+/// which is the crash-tolerant re-execution path.
+pub(crate) fn load_shard_checkpoint(dir: &Path, shard: &CampaignShard) -> Option<ShardReport> {
+    let text = std::fs::read_to_string(dir.join(shard_file_name(shard.shard_index()))).ok()?;
+    let report = ShardReport::from_json(&text).ok()?;
+    let matches = report.shard_index == shard.shard_index()
+        && report.shard_count == shard.shard_count()
+        && report.spec == *shard.spec()
+        && report.plan == *shard.shard_plan()
+        && report.check().is_ok();
+    matches.then_some(report)
 }
 
 /// Write a checkpoint file through a temporary sibling + rename, so a crash

@@ -9,12 +9,11 @@
 //! memory, not 409.  Each trace's monolithic baseline is still simulated
 //! exactly once.
 
-use crate::campaign::{resolve_batch, run_grid, run_grid_streaming, RowTrace, ScenarioExperiment};
+use crate::campaign::run_grid;
 use crate::experiment::{Experiment, ExperimentResult};
 use crate::policy::PolicyKind;
-use hc_trace::{SpecBenchmark, Trace, WorkloadProfile};
+use hc_trace::{MaterializedSource, SpecBenchmark, Trace, WorkloadProfile};
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Aggregated results over a suite of traces for one policy.
@@ -85,7 +84,12 @@ impl SuiteRunner {
     /// Run one policy over a set of already-generated traces, sharing one
     /// baseline simulation per trace.
     pub fn run_traces(&self, traces: &[Trace], kind: PolicyKind) -> SuiteResult {
-        let grid = run_grid(&self.experiment, traces, &[kind], 0, true, None);
+        let grid = run_grid(
+            &self.experiment,
+            traces,
+            MaterializedSource::borrowed,
+            &[kind],
+        );
         SuiteResult {
             policy: kind.name().to_string(),
             per_trace: grid.into_experiment_results(),
@@ -97,18 +101,12 @@ impl SuiteRunner {
     /// when its row finishes — the suite streams instead of materializing
     /// every trace up front.
     pub fn run_profiles(&self, profiles: &[WorkloadProfile], kind: PolicyKind) -> SuiteResult {
-        let grid = run_grid_streaming(
-            std::slice::from_ref(&ScenarioExperiment::legacy(self.experiment.clone())),
+        let grid = run_grid(
+            &self.experiment,
             profiles,
-            |p| Ok(RowTrace::Materialized(Cow::Owned(p.generate()))),
+            |p| MaterializedSource::new(p.generate()),
             &[kind],
-            0,
-            true,
-            None,
-            None,
-            resolve_batch(None, 1, &[kind], true),
-        )
-        .expect("materialized rows cannot fail");
+        );
         SuiteResult {
             policy: kind.name().to_string(),
             per_trace: grid.into_experiment_results(),
@@ -118,18 +116,12 @@ impl SuiteRunner {
     /// Run one policy over the 12 SPEC Int 2000 stand-in traces (streamed
     /// like [`SuiteRunner::run_profiles`]).
     pub fn run_spec(&self, trace_len: usize, kind: PolicyKind) -> SuiteResult {
-        let grid = run_grid_streaming(
-            std::slice::from_ref(&ScenarioExperiment::legacy(self.experiment.clone())),
+        let grid = run_grid(
+            &self.experiment,
             &SpecBenchmark::ALL,
-            |b| Ok(RowTrace::Materialized(Cow::Owned(b.trace(trace_len)))),
+            |b| MaterializedSource::new(b.trace(trace_len)),
             &[kind],
-            0,
-            true,
-            None,
-            None,
-            resolve_batch(None, 1, &[kind], true),
-        )
-        .expect("materialized rows cannot fail");
+        );
         SuiteResult {
             policy: kind.name().to_string(),
             per_trace: grid.into_experiment_results(),

@@ -110,13 +110,6 @@ impl CarryPredictor {
     pub fn stats(&self) -> CarryPredictorStats {
         self.stats
     }
-
-    /// Return the predictor to its untrained post-construction state without
-    /// reallocating the table, so a reused policy starts every run untrained.
-    pub fn reset(&mut self) {
-        self.entries.fill(Entry::default());
-        self.stats = CarryPredictorStats::default();
-    }
 }
 
 #[cfg(test)]

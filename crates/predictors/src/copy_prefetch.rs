@@ -122,13 +122,6 @@ impl CopyPredictor {
     pub fn stats(&self) -> CopyPredictorStats {
         self.stats
     }
-
-    /// Return the predictor to its untrained post-construction state without
-    /// reallocating the table, so a reused policy starts every run untrained.
-    pub fn reset(&mut self) {
-        self.entries.fill(Entry::default());
-        self.stats = CopyPredictorStats::default();
-    }
 }
 
 #[cfg(test)]

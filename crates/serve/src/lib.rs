@@ -3,7 +3,7 @@
 //! The long-lived campaign service: a std-only daemon (thread per
 //! connection over [`std::net::TcpListener`], minimal HTTP/1.1 — no tokio,
 //! matching the workspace's offline compat-crate constraint) that turns the
-//! batch campaign engine into shared infrastructure.  Submit a
+//! offline campaign engine into shared infrastructure.  Submit a
 //! [`CampaignSpec`](hc_core::campaign::CampaignSpec) as JSON and the daemon
 //! validates it with the engine's typed errors, runs it on the process-wide
 //! worker pool against one shared

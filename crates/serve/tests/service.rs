@@ -147,6 +147,30 @@ fn rejections_use_typed_envelopes_and_do_not_kill_the_daemon() {
 }
 
 #[test]
+fn deeply_nested_bodies_are_rejected_without_killing_the_daemon() {
+    let (daemon, addr, dir) = start("deep", None);
+
+    // Far under the body cap, far over any nesting a spec needs: parsing it
+    // recursively would overflow the handler's stack.
+    let deep = "[".repeat(200_000);
+    let err = client::submit(&addr, &deep, |_| {}).expect_err("must reject");
+    match err {
+        hc_serve::ServeError::Rejected { status, kind, .. } => {
+            assert_eq!(status, 400);
+            assert_eq!(kind, "invalid_spec");
+        }
+        other => panic!("expected Rejected, got {other:?}"),
+    }
+
+    let health = client::get(&addr, "/healthz").expect("daemon still answers");
+    assert!(health.contains("\"ok\""));
+
+    client::shutdown(&addr).expect("drain");
+    daemon.join().unwrap().expect("clean exit");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
 fn max_requests_drains_the_daemon_after_the_last_campaign() {
     let (daemon, addr, dir) = start("maxreq", Some(2));
     let spec = small_spec("bounded");

@@ -18,7 +18,7 @@ pub const MAX_HELPER_CLOCK_RATIO: u32 = 64;
 /// produce.  The execution engine's event wheel is sized at run start to the
 /// next power of two covering [`SimConfig::worst_case_completion_ticks`], so
 /// this cap bounds the wheel at 2²⁰ buckets (~24 MB of empty buckets per
-/// lane at the extreme — the paper machine needs 2¹⁰); a configuration whose
+/// context at the extreme — the paper machine needs 2¹⁰); a configuration whose
 /// single longest µop latency exceeds a million helper cycles is a typo, not
 /// a machine.
 pub const MAX_COMPLETION_LATENCY_TICKS: u64 = 1 << 20;

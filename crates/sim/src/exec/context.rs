@@ -1,24 +1,18 @@
 //! The reusable per-run execution arena: every piece of mutable simulator
-//! state, in a structure-of-arrays layout — one [`ExecContext`] is one
-//! *lane* of simulator state, and a batch of lanes
-//! ([`super::batch::BatchContext`]) is a column-per-field SoA over cells.
+//! state.
 //!
-//! A [`ExecContext`] owns the in-flight window slab, the dependence-link
-//! arena, the reorder buffer, the cycle-bucketed event wheel, the
-//! `forced_wide` bitset, the reused memory hierarchy and branch predictor,
-//! assorted scratch buffers, **and the whole per-run machine state** (rename
-//! tables, issue-queue occupancy, the ready queues, clocks and statistics).
-//! Holding the machine state here — rather than on a stack-allocated
-//! `Machine` — is what makes runs *suspendable*: a lane can be stepped a few
-//! wide cycles at a time and interleaved with other lanes, which is the
-//! foundation of the batched execution mode.
+//! A [`ExecContext`] owns the in-flight window slab (with its hot
+//! scheduling fields split into a dense parallel column), the
+//! dependence-link arena, the reorder buffer, the cycle-bucketed event
+//! wheel, the `forced_wide` bitset, the reused memory hierarchy and branch
+//! predictor, assorted scratch buffers, **and the whole per-run machine
+//! state** (rename tables, issue-queue occupancy, the ready queues, clocks
+//! and statistics).  The stage driver (`Machine`) is only a view over it.
 //!
 //! Its `begin_run` step returns all of it to a cold state *without releasing
 //! allocations*, which is what makes the staged engine's hot loop
 //! allocation-free in steady state: a campaign worker thread allocates one
-//! context (or one batch of lanes) and replays every grid cell through it.
-//!
-//! [`Simulator::run_with`]: crate::exec::Simulator::run_with
+//! context and replays every grid cell through it.
 
 use super::RenameEntry;
 use crate::cache::MemoryHierarchy;
@@ -29,7 +23,6 @@ use crate::stats::SimStats;
 use crate::steer::{Cluster, SourceWidthInfo};
 use hc_isa::reg::NUM_ARCH_REGS;
 use hc_predictors::BranchPredictor;
-use hc_trace::Trace;
 use std::collections::VecDeque;
 
 /// Sentinel for "no link" in the dependence arena.
@@ -45,10 +38,9 @@ pub(crate) const NO_LINK: usize = usize::MAX;
 /// outright.
 const DEFAULT_WHEEL_BUCKETS: usize = 1024;
 
-/// Reusable per-run simulator state.  Create once (per worker thread, or one
-/// per batch lane) and pass to [`Simulator::run_with`] for every run; each
-/// run starts from a cold machine state but reuses every allocation of the
-/// previous one.
+/// Reusable per-run simulator state.  Create once per worker thread and pass
+/// to [`Simulator::run_with`] for every run; each run starts from a cold
+/// machine state but reuses every allocation of the previous one.
 ///
 /// [`Simulator::run_with`]: crate::exec::Simulator::run_with
 #[derive(Debug, Clone)]
@@ -99,8 +91,6 @@ pub struct ExecContext {
     pub(crate) branch_pred: BranchPredictor,
 
     // -------------------------------------------------- per-run machine state
-    // (Previously stack-locals of the run loop; living here makes a run
-    // suspendable so batch lanes can interleave.)
     /// Rename table: in-flight producer of each architectural register.
     pub(crate) rename_map: [Option<RenameEntry>; NUM_ARCH_REGS],
     /// In-flight producer of the flags register.
@@ -140,8 +130,8 @@ pub struct ExecContext {
     pub(crate) stats: SimStats,
     /// Trace µops retired so far (the run's termination condition).
     pub(crate) committed_trace_uops: usize,
-    /// Trace length of the current run (captured so the lane itself knows
-    /// when it has drained).
+    /// Trace length of the current run (captured so the context itself knows
+    /// when the run has drained).
     pub(crate) trace_len: usize,
 }
 
@@ -188,17 +178,9 @@ impl ExecContext {
         }
     }
 
-    /// Return the arena buffers to a cold state for a run of `trace` under
-    /// `cfg`, keeping every allocation.
-    #[cfg(test)]
-    pub(crate) fn prepare(&mut self, cfg: &SimConfig, trace: &Trace) {
-        self.prepare_parts(cfg, trace.len());
-    }
-
-    /// [`ExecContext::prepare`] from a bare µop count — what streaming runs
-    /// use, where the length is known from the source header but no
-    /// materialized [`Trace`] exists.
-    pub(crate) fn prepare_parts(&mut self, cfg: &SimConfig, trace_len: usize) {
+    /// Return the arena buffers to a cold state for a run of `trace_len`
+    /// µops under `cfg`, keeping every allocation.
+    fn prepare(&mut self, cfg: &SimConfig, trace_len: usize) {
         self.entries.clear();
         self.ctl.clear();
         self.dep_head.clear();
@@ -227,24 +209,17 @@ impl ExecContext {
     }
 
     /// Return the whole context — arenas *and* machine state — to the cold
-    /// state a fresh run starts from, keeping every allocation.  After this
-    /// the lane can be stepped wide cycle by wide cycle until
-    /// [`ExecContext::run_done`].
-    pub(crate) fn begin_run(&mut self, cfg: &SimConfig, trace: &Trace, policy_name: &str) {
-        self.begin_run_parts(cfg, &trace.name, trace.len(), policy_name);
-    }
-
-    /// [`ExecContext::begin_run`] from header parts (name + µop count) — the
-    /// streaming entry point, bit-identical to `begin_run` over a
-    /// materialized trace with the same name and length.
-    pub(crate) fn begin_run_parts(
+    /// state a fresh run of a `trace_len`-µop trace starts from, keeping
+    /// every allocation.  After this the run can be stepped wide cycle by
+    /// wide cycle until [`ExecContext::run_done`].
+    pub(crate) fn begin_run(
         &mut self,
         cfg: &SimConfig,
         trace_name: &str,
         trace_len: usize,
         policy_name: &str,
     ) {
-        self.prepare_parts(cfg, trace_len);
+        self.prepare(cfg, trace_len);
         self.rename_map = [None; NUM_ARCH_REGS];
         self.flags_map = None;
         self.arch_loc = [Cluster::Wide; NUM_ARCH_REGS];
@@ -602,7 +577,7 @@ mod tests {
             .generate();
         let cfg = SimConfig::paper_baseline();
         let mut ctx = ExecContext::new();
-        ctx.prepare(&cfg, &trace);
+        ctx.prepare(&cfg, trace.len());
         ctx.entries.push(Inflight::new(
             0,
             crate::rob::Role::Trace { pos: 0 },
@@ -611,7 +586,7 @@ mod tests {
         ctx.ctl
             .push(UopCtl::new(crate::steer::Cluster::Wide, false));
         ctx.events.push(3, 0);
-        ctx.prepare(&cfg, &trace);
+        ctx.prepare(&cfg, trace.len());
         assert!(ctx.entries.is_empty());
         assert!(ctx.ctl.is_empty());
         assert_eq!(ctx.events.pending, 0);

@@ -51,7 +51,6 @@
 //! the slab or an arena, not in per-entry `Vec`s, and per-tick scratch
 //! belongs in [`ExecContext`].
 
-pub mod batch;
 pub mod commit;
 pub mod context;
 pub mod frontend;
@@ -60,7 +59,6 @@ pub mod memory;
 pub mod recovery;
 pub mod rename;
 
-pub use batch::{BatchContext, BatchJob};
 pub use context::ExecContext;
 
 use crate::config::{ConfigError, SimConfig};
@@ -71,9 +69,9 @@ use hc_isa::DynUop;
 use hc_trace::{Trace, TraceError, TraceSource, TRACE_SOURCE_CHUNK};
 
 /// The simulator: construct once per configuration, then run as many traces /
-/// policies as needed — with [`Simulator::run_with`] and a reused
-/// [`ExecContext`] for allocation-free steady state, or [`Simulator::run`]
-/// for one-off convenience.
+/// policies as needed — with [`Simulator::run_with`] / [`Simulator::run_source`]
+/// and a reused [`ExecContext`] for allocation-free steady state, or
+/// [`Simulator::run`] for one-off convenience.
 #[derive(Debug, Clone)]
 pub struct Simulator {
     config: SimConfig,
@@ -94,8 +92,8 @@ impl Simulator {
     /// Run `trace` under `policy` and return the measured statistics.
     ///
     /// Convenience wrapper over [`Simulator::run_with`] that allocates a
-    /// fresh [`ExecContext`] per call; batch callers should create one
-    /// context per worker thread and reuse it.
+    /// fresh [`ExecContext`] per call; callers running many cells should
+    /// create one context per worker thread and reuse it.
     pub fn run(&self, trace: &Trace, policy: &mut dyn SteeringPolicy) -> SimStats {
         let mut ctx = ExecContext::new();
         self.run_with(&mut ctx, trace, policy)
@@ -113,20 +111,28 @@ impl Simulator {
         trace: &Trace,
         policy: &mut dyn SteeringPolicy,
     ) -> SimStats {
-        ctx.begin_run(&self.config, trace, policy.name());
-        Machine::attach(&self.config, trace, policy, ctx).run_to_completion();
+        ctx.begin_run(&self.config, &trace.name, trace.len(), policy.name());
+        Machine {
+            cfg: &self.config,
+            feed: TraceFeed::Slice(trace),
+            policy,
+            ctx,
+        }
+        .run_to_completion();
         ctx.take_stats()
     }
 
-    /// Run a streaming [`TraceSource`] under `policy` inside a reused
-    /// [`ExecContext`], holding only a bounded window of µops in memory.
+    /// Run a [`TraceSource`] under `policy` inside a reused [`ExecContext`].
     ///
-    /// The source is `reset()` first, so warmup loops can hand the same
-    /// source in repeatedly.  For any source that yields the same µops as a
-    /// materialized trace with the same name and length, the returned stats
-    /// are bit-identical to [`Simulator::run_with`] over that trace: the
-    /// machine consumes positions through the same `(len, get(pos))`
-    /// interface either way.
+    /// The input picks the feed.  A source that already holds its trace in
+    /// memory ([`TraceSource::as_trace`]) is read in place, exactly like
+    /// [`Simulator::run_with`] — no µop is copied.  Any other source is
+    /// `reset()` and streamed through a bounded window of µops, so warmup
+    /// loops can hand the same source in repeatedly.  For any source that
+    /// yields the same µops as a materialized trace with the same name and
+    /// length, the returned stats are bit-identical to
+    /// [`Simulator::run_with`] over that trace: the machine consumes
+    /// positions through the same `(len, get(pos))` interface either way.
     ///
     /// A source failure (I/O error, corrupt frame, a stream shorter than its
     /// header promised) aborts the run with the typed error; no stats are
@@ -137,6 +143,9 @@ impl Simulator {
         source: &mut dyn TraceSource,
         policy: &mut dyn SteeringPolicy,
     ) -> Result<SimStats, TraceError> {
+        if let Some(trace) = source.as_trace() {
+            return Ok(self.run_with(ctx, trace, policy));
+        }
         source.reset()?;
         let (name, len) = {
             let header = source.header();
@@ -145,7 +154,7 @@ impl Simulator {
             })?;
             (header.name.clone(), len)
         };
-        ctx.begin_run_parts(&self.config, &name, len, policy.name());
+        ctx.begin_run(&self.config, &name, len, policy.name());
         let mut machine = Machine {
             cfg: &self.config,
             feed: TraceFeed::Stream(StreamCursor::new(source, len)),
@@ -166,9 +175,9 @@ pub(crate) struct RenameEntry {
     pub(crate) seq: Seq,
 }
 
-/// Where a machine's µops come from: a borrowed materialized trace (random
-/// access, the batched-lane case) or a streaming cursor over a
-/// [`TraceSource`] holding only a bounded in-flight window.
+/// Where a machine's µops come from: a borrowed materialized trace (read in
+/// place) or a streaming cursor over a [`TraceSource`] holding only a
+/// bounded in-flight window.
 ///
 /// Both answer the two questions the frontend asks — the total length, and
 /// "the µop at position `pos`" — so slice-fed and stream-fed runs execute
@@ -280,10 +289,9 @@ impl<'a> StreamCursor<'a> {
 }
 
 /// One run's stage driver: a *view* that borrows the configuration, µop
-/// feed, policy and the [`ExecContext`] lane holding **all** mutable state.
-/// Because the machine owns nothing but its feed cursor, it can be attached
-/// and dropped between wide cycles — which is how the batched mode
-/// interleaves lanes.
+/// feed, policy and the [`ExecContext`] holding **all** mutable state.  The
+/// context must have been started with [`ExecContext::begin_run`] for
+/// the feed's name and length.
 pub(crate) struct Machine<'a> {
     pub(crate) cfg: &'a SimConfig,
     pub(crate) feed: TraceFeed<'a>,
@@ -291,23 +299,7 @@ pub(crate) struct Machine<'a> {
     pub(crate) ctx: &'a mut ExecContext,
 }
 
-impl<'a> Machine<'a> {
-    /// Attach a stage driver to a lane mid-run.  The lane must have been
-    /// started with [`ExecContext::begin_run`] for this `(cfg, trace)` pair.
-    pub(crate) fn attach(
-        cfg: &'a SimConfig,
-        trace: &'a Trace,
-        policy: &'a mut dyn SteeringPolicy,
-        ctx: &'a mut ExecContext,
-    ) -> Self {
-        Machine {
-            cfg,
-            feed: TraceFeed::Slice(trace),
-            policy,
-            ctx,
-        }
-    }
-
+impl Machine<'_> {
     pub(crate) fn ratio(&self) -> u64 {
         self.cfg.ticks_per_wide_cycle()
     }
@@ -324,7 +316,7 @@ impl<'a> Machine<'a> {
 
     // ----------------------------------------------------------------- run
 
-    /// Drive the lane until its trace has fully retired (or, for a streaming
+    /// Drive the run until its trace has fully retired (or, for a streaming
     /// feed, until the feed fails — the caller turns that into an error).
     pub(crate) fn run_to_completion(&mut self) {
         while !self.ctx.run_done() && !self.feed.failed() {
@@ -332,7 +324,7 @@ impl<'a> Machine<'a> {
         }
     }
 
-    pub(crate) fn step_wide_cycle(&mut self) {
+    fn step_wide_cycle(&mut self) {
         let ratio = self.ratio();
         for sub in 0..ratio {
             self.complete_at(self.ctx.tick);
@@ -558,16 +550,44 @@ mod tests {
         }
     }
 
+    /// A source that streams a trace but never offers it in place, so runs
+    /// over it take the stream cursor.
+    struct StreamOnly {
+        inner: hc_trace::MaterializedSource<'static>,
+        header: hc_trace::TraceHeader,
+    }
+
+    impl StreamOnly {
+        fn new(trace: Trace) -> StreamOnly {
+            StreamOnly {
+                header: hc_trace::TraceHeader::of_trace(&trace),
+                inner: hc_trace::MaterializedSource::new(trace),
+            }
+        }
+    }
+
+    impl TraceSource for StreamOnly {
+        fn header(&self) -> &hc_trace::TraceHeader {
+            &self.header
+        }
+        fn reset(&mut self) -> Result<(), TraceError> {
+            self.inner.reset()
+        }
+        fn fill(&mut self, out: &mut Vec<DynUop>, max: usize) -> Result<usize, TraceError> {
+            self.inner.fill(out, max)
+        }
+    }
+
     #[test]
     fn streaming_source_is_bit_identical_to_slice_runs() {
-        use hc_trace::MaterializedSource;
         // Long enough to wrap several stream chunks so `trim` really runs;
         // RecklessNarrow exercises the flush-and-resteer rewind path against
         // the trimmed window.
         let trace = small_trace(10_000);
         let sim = Simulator::new(SimConfig::paper_baseline()).unwrap();
         let mut ctx = ExecContext::new();
-        let mut source = MaterializedSource::new(trace.clone());
+        let mut streamed_source = StreamOnly::new(trace.clone());
+        let mut in_place_source = hc_trace::MaterializedSource::borrowed(&trace);
         for make_policy in [
             || Box::new(OracleNarrow) as Box<dyn SteeringPolicy>,
             || Box::new(RecklessNarrow) as Box<dyn SteeringPolicy>,
@@ -575,42 +595,22 @@ mod tests {
         ] {
             let sliced = sim.run_with(&mut ctx, &trace, make_policy().as_mut());
             let streamed = sim
-                .run_source(&mut ctx, &mut source, make_policy().as_mut())
-                .expect("materialized source cannot fail");
+                .run_source(&mut ctx, &mut streamed_source, make_policy().as_mut())
+                .expect("an in-memory stream cannot fail");
             assert_eq!(sliced, streamed, "stream-fed run must be bit-identical");
+            let in_place = sim
+                .run_source(&mut ctx, &mut in_place_source, make_policy().as_mut())
+                .expect("an in-memory source cannot fail");
+            assert_eq!(sliced, in_place, "in-place run must be bit-identical");
         }
     }
 
     #[test]
     fn short_stream_is_a_typed_error_not_a_hang() {
-        use hc_trace::{MaterializedSource, TraceHeader, TraceSource};
-        /// A source whose header promises more µops than it yields.
-        struct Lying {
-            inner: MaterializedSource,
-            header: TraceHeader,
-        }
-        impl TraceSource for Lying {
-            fn header(&self) -> &TraceHeader {
-                &self.header
-            }
-            fn reset(&mut self) -> Result<(), hc_trace::TraceError> {
-                self.inner.reset()
-            }
-            fn fill(
-                &mut self,
-                out: &mut Vec<DynUop>,
-                max: usize,
-            ) -> Result<usize, hc_trace::TraceError> {
-                self.inner.fill(out, max)
-            }
-        }
         let trace = small_trace(500);
-        let mut header = TraceHeader::of_trace(&trace);
-        header.len = 800;
-        let mut source = Lying {
-            inner: MaterializedSource::new(trace),
-            header,
-        };
+        let mut source = StreamOnly::new(trace);
+        // The header promises more µops than the stream yields.
+        source.header.len = 800;
         let sim = Simulator::new(SimConfig::paper_baseline()).unwrap();
         let mut ctx = ExecContext::new();
         let err = sim

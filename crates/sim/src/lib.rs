@@ -34,7 +34,7 @@ pub mod steer;
 
 pub use cache::{MemoryHierarchy, SetAssocCache};
 pub use config::{CacheConfig, ConfigError, SimConfig};
-pub use exec::{BatchContext, BatchJob, ExecContext, Simulator};
+pub use exec::{ExecContext, Simulator};
 pub use imbalance::NReadyAccumulator;
 pub use stats::{EnergyEvents, ImbalanceStats, SimStats};
 pub use steer::{

@@ -254,14 +254,6 @@ pub trait SteeringPolicy {
     fn uses_helper(&self) -> bool {
         true
     }
-
-    /// Return the policy to its untrained post-construction state, keeping
-    /// its allocations (predictor tables), so one policy instance can be
-    /// reused across grid cells — a batch lane refill resets the previous
-    /// cell's policy instead of reconstructing its tables.  Implementations
-    /// must make a reset policy behave **identically** to a freshly built
-    /// one; stateless policies need not override the default no-op.
-    fn reset(&mut self) {}
 }
 
 /// The monolithic baseline policy: every µop goes to the wide backend.

@@ -4,10 +4,11 @@
 //! stable header (name, category, length, optional content digest) known
 //! before the first µop is produced.  It is the abstraction the simulator and
 //! the campaign grid consume: a fully materialized [`Trace`] is just one
-//! implementation ([`MaterializedSource`]); on-disk `.uoptrace` files
-//! ([`crate::format::FileSource`]) and phase-structured generators
-//! ([`crate::phase::PhasedSource`]) stream µops in O(chunk) memory instead of
-//! O(trace) per worker.
+//! implementation ([`MaterializedSource`]), which also hands its trace out
+//! through [`TraceSource::as_trace`] so consumers can read it in place;
+//! on-disk `.uoptrace` files ([`crate::format::FileSource`]) and
+//! phase-structured generators ([`crate::phase::PhasedSource`]) stream µops
+//! in O(chunk) memory instead of O(trace) per worker.
 //!
 //! Contract:
 //!
@@ -22,6 +23,7 @@
 use crate::format::TraceError;
 use crate::trace::Trace;
 use hc_isa::DynUop;
+use std::borrow::Cow;
 
 /// Preferred number of µops per [`TraceSource::fill`] call: large enough to
 /// amortize per-chunk overhead, small enough to keep streaming memory flat.
@@ -64,6 +66,13 @@ pub trait TraceSource: Send {
 
     /// Append at most `max` µops to `out`; `Ok(0)` means exhausted.
     fn fill(&mut self, out: &mut Vec<DynUop>, max: usize) -> Result<usize, TraceError>;
+
+    /// The whole trace, when the source already holds it in memory — lets a
+    /// consumer read the µops in place instead of copying them out chunk by
+    /// chunk.  Streaming sources keep the default `None`.
+    fn as_trace(&self) -> Option<&Trace> {
+        None
+    }
 }
 
 /// Drain `source` from its current position into a vector (test / tooling
@@ -74,16 +83,27 @@ pub fn drain_source(source: &mut dyn TraceSource) -> Result<Vec<DynUop>, TraceEr
     Ok(uops)
 }
 
-/// A [`TraceSource`] over a fully materialized [`Trace`].
-pub struct MaterializedSource {
-    trace: Trace,
+/// A [`TraceSource`] over a fully materialized [`Trace`], owned or borrowed.
+pub struct MaterializedSource<'a> {
+    trace: Cow<'a, Trace>,
     header: TraceHeader,
     pos: usize,
 }
 
-impl MaterializedSource {
-    /// Wrap a trace.
-    pub fn new(trace: Trace) -> MaterializedSource {
+impl MaterializedSource<'static> {
+    /// Wrap an owned trace.
+    pub fn new(trace: Trace) -> MaterializedSource<'static> {
+        MaterializedSource::from_cow(Cow::Owned(trace))
+    }
+}
+
+impl<'a> MaterializedSource<'a> {
+    /// Wrap a borrowed trace without copying it.
+    pub fn borrowed(trace: &'a Trace) -> MaterializedSource<'a> {
+        MaterializedSource::from_cow(Cow::Borrowed(trace))
+    }
+
+    fn from_cow(trace: Cow<'a, Trace>) -> MaterializedSource<'a> {
         let header = TraceHeader::of_trace(&trace);
         MaterializedSource {
             trace,
@@ -91,14 +111,9 @@ impl MaterializedSource {
             pos: 0,
         }
     }
-
-    /// Recover the underlying trace.
-    pub fn into_trace(self) -> Trace {
-        self.trace
-    }
 }
 
-impl TraceSource for MaterializedSource {
+impl TraceSource for MaterializedSource<'_> {
     fn header(&self) -> &TraceHeader {
         &self.header
     }
@@ -113,6 +128,10 @@ impl TraceSource for MaterializedSource {
         out.extend_from_slice(&self.trace.uops[self.pos..self.pos + n]);
         self.pos += n;
         Ok(n)
+    }
+
+    fn as_trace(&self) -> Option<&Trace> {
+        Some(&self.trace)
     }
 }
 

@@ -4,9 +4,8 @@
 //!   1-thread and an N-thread run (the parallel fan-out with per-worker
 //!   `ExecContext` reuse must not leak state between cells or reorder
 //!   results);
-//! * the lockstep batched engine produces the same bytes at every batch
-//!   size × thread count, and a warm cell cache replays a batched campaign
-//!   with zero re-simulations;
+//! * a warm cell cache replays a campaign with zero re-simulations and the
+//!   same bytes;
 //! * repeated runs through one reused `ExecContext` match fresh-context
 //!   runs exactly.
 //!
@@ -57,74 +56,31 @@ fn campaign_json_is_byte_identical_across_thread_counts_and_reruns() {
 }
 
 #[test]
-fn batched_campaigns_are_byte_identical_across_batch_and_thread_counts() {
-    let spec = grid_spec();
-    // Scalar single-threaded run: the reference bytes.
-    rayon::set_thread_cap(1);
-    let reference = CampaignRunner::new()
-        .with_batch(1)
-        .run(&spec)
-        .expect("scalar reference run")
-        .to_json();
-    for threads in [1usize, 4] {
-        rayon::set_thread_cap(threads);
-        for batch in [1usize, 2, 8] {
-            let report = CampaignRunner::new()
-                .with_batch(batch)
-                .run(&spec)
-                .expect("batched run");
-            assert_eq!(
-                report.to_json(),
-                reference,
-                "batch {batch} × {threads} thread(s) must match the scalar bytes"
-            );
-        }
-        // Auto-sized batching (the default) must match too.
-        let auto = CampaignRunner::new().run(&spec).expect("auto-batched run");
-        assert_eq!(
-            auto.to_json(),
-            reference,
-            "auto batch × {threads} thread(s) must match the scalar bytes"
-        );
-    }
-    rayon::set_thread_cap(0);
-}
-
-#[test]
-fn batched_warm_cache_replay_simulates_nothing() {
-    let dir = std::env::temp_dir().join(format!("hc_batch_determinism_{}", std::process::id()));
+fn warm_cache_replay_simulates_nothing() {
+    let dir = std::env::temp_dir().join(format!("hc_cache_determinism_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let spec = grid_spec();
 
-    // Cold batched run fills the cache; 3 traces × (1 baseline + 3 policy
-    // cells) = 12 lookups, all misses.
+    // Cold run fills the cache; 3 traces × (1 baseline + 3 policy cells) =
+    // 12 claims, all misses.
     let cold_cache = Arc::new(CellCache::open(&dir).expect("open cold"));
     let cold = CampaignRunner::new()
-        .with_batch(8)
         .with_cache(Arc::clone(&cold_cache))
         .run(&spec)
-        .expect("cold batched run");
+        .expect("cold run");
     assert_eq!(cold_cache.activity().misses, 12);
 
-    // Warm batched replay: every cell is a cache hit, so no lane ever
-    // fills and the engine simulates nothing.
+    // Warm replay: every cell is a cache hit, so the engine simulates
+    // nothing.
     let warm_cache = Arc::new(CellCache::open(&dir).expect("open warm"));
     let warm = CampaignRunner::new()
-        .with_batch(8)
         .with_cache(Arc::clone(&warm_cache))
         .run(&spec)
-        .expect("warm batched run");
+        .expect("warm run");
     let activity = warm_cache.activity();
-    assert_eq!(
-        activity.misses, 0,
-        "a warm batched replay re-simulates zero cells"
-    );
+    assert_eq!(activity.misses, 0, "a warm replay re-simulates zero cells");
     assert_eq!(activity.hits, 12);
-    assert_eq!(
-        warm.to_json(),
-        cold.to_json(),
-        "warm batched bytes == cold batched bytes"
-    );
+    assert_eq!(warm.to_json(), cold.to_json(), "warm bytes == cold bytes");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

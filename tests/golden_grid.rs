@@ -21,7 +21,7 @@ const GOLDEN_TRACE_LEN: usize = 2_000;
 /// Serialize the grid's observable simulation output (baselines + cells,
 /// i.e. every `SimStats` the engine produced) in a schema-stable shape that
 /// does not depend on the `CampaignReport` envelope.
-fn grid_snapshot(batch: Option<usize>) -> String {
+fn grid_snapshot() -> String {
     let spec = CampaignBuilder::new("golden-7x12")
         .paper_policies()
         .spec_suite()
@@ -29,11 +29,7 @@ fn grid_snapshot(batch: Option<usize>) -> String {
         .build()
         .expect("the paper grid is a valid campaign");
     assert_eq!(spec.cell_count(), 7 * 12, "the paper grid is 7×12");
-    let mut runner = CampaignRunner::new();
-    if let Some(lanes) = batch {
-        runner = runner.with_batch(lanes);
-    }
-    let report = runner.run(&spec).expect("the grid runs");
+    let report = CampaignRunner::new().run(&spec).expect("the grid runs");
     assert_eq!(report.baselines.len(), 12);
     assert_eq!(report.cells.len(), 84);
     serde::json::to_string_pretty(&(&report.baselines, &report.cells))
@@ -43,30 +39,14 @@ fn grid_snapshot(batch: Option<usize>) -> String {
 fn staged_engine_matches_pre_refactor_golden_snapshot() {
     if std::env::var_os("GOLDEN_REGEN").is_some() {
         std::fs::create_dir_all("tests/golden").expect("create golden dir");
-        std::fs::write(GOLDEN_PATH, grid_snapshot(None)).expect("write golden file");
+        std::fs::write(GOLDEN_PATH, grid_snapshot()).expect("write golden file");
         return;
     }
     let golden = std::fs::read_to_string(GOLDEN_PATH)
         .expect("golden snapshot missing; regenerate with GOLDEN_REGEN=1");
-    let current = grid_snapshot(None);
+    let current = grid_snapshot();
     assert_eq!(
         current, golden,
         "engine output diverged from the pre-refactor golden snapshot"
     );
-}
-
-#[test]
-fn batched_engine_matches_golden_snapshot_at_every_batch_size() {
-    if std::env::var_os("GOLDEN_REGEN").is_some() {
-        return; // the regen path is owned by the scalar test above
-    }
-    let golden = std::fs::read_to_string(GOLDEN_PATH)
-        .expect("golden snapshot missing; regenerate with GOLDEN_REGEN=1");
-    for batch in [1usize, 2, 8] {
-        assert_eq!(
-            grid_snapshot(Some(batch)),
-            golden,
-            "batch size {batch} diverged from the pre-refactor golden snapshot"
-        );
-    }
 }
