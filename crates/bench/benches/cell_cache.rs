@@ -1,23 +1,18 @@
-//! Cell-cache effectiveness: warm-run replay speedup, the packed segment
-//! store against the legacy per-file layout, and the partition balance the
-//! cost-model planner buys on a skewed suite.
+//! Cell-cache effectiveness: warm-run replay speedup, metadata latency at
+//! scale, and the partition balance the cost-model planner buys on a
+//! skewed suite.
 //!
-//! Four measurements, recorded in `BENCH_cell_cache.json` at the repository
-//! root:
+//! Three measurements, recorded in `BENCH_cell_cache.json` at the
+//! repository root:
 //!
 //! * `cold` vs `warm` — the same Table 2 suite campaign run twice against
 //!   one cache directory.  The cold pass simulates and populates; the warm
 //!   pass replays every cell from disk (`misses == 0`, byte-identical
 //!   report), so `cold/warm` is the end-to-end speedup a repeated
 //!   `reproduce` invocation sees.
-//! * packed vs legacy warm replay — the same warm pass served from the
-//!   packed segment store and from the demoted per-file layout (the v1
-//!   format `cache-pack` migrates away from), byte-identical both ways.
-//! * packed vs legacy metadata at 10k entries — `stats()` latency and a
-//!   dry-run `gc()` sweep over a 10,000-entry store.  Packed answers both
-//!   from the in-memory index; legacy walks one file per entry, so this is
-//!   the scaling win of the segment layout.  The `pack()` migration of the
-//!   same 10k-entry legacy store is timed alongside.
+//! * metadata at 10k entries — `stats()` latency and a dry-run `gc()`
+//!   sweep over a 10,000-entry store, both answered from the in-memory
+//!   index.
 //! * partition balance — per-row wall-clock costs observed by the cold pass
 //!   feed `ShardPlan::cost_balanced`; `max_shard / mean_shard` estimated
 //!   work for that plan vs the legacy round-robin plan quantifies how much
@@ -109,11 +104,7 @@ fn main() {
     let start = Instant::now();
     let cold_report = cold_runner.run(&spec).expect("cold run");
     let cold = start.elapsed().as_secs_f64();
-    assert_eq!(
-        cold_cache.activity().hits,
-        0,
-        "cold cache has nothing to hit"
-    );
+    assert_eq!(cold_cache.stats().hits, 0, "cold cache has nothing to hit");
     drop(cold_cache);
 
     // Warm: replay every cell from the packed segment store.
@@ -129,60 +120,27 @@ fn main() {
         std::hint::black_box(report);
     });
     assert_eq!(
-        warm_cache.activity().misses,
+        warm_cache.stats().misses,
         0,
         "warm runs re-simulate nothing"
     );
 
-    // Partition balance under the observed per-row costs (read before the
-    // demotion below rewrites the store).
+    // Partition balance under the observed per-row costs.
     let costs = CostModel::observed(&warm_cache).row_costs(&spec);
-
-    // The same warm replay served from the legacy per-file layout.
-    warm_cache
-        .demote_to_legacy_layout()
-        .expect("demote suite cache");
     drop(warm_cache);
-    let legacy_cache = Arc::new(CellCache::open(&dir).expect("reopen legacy"));
-    let legacy_runner = CampaignRunner::new().with_cache(Arc::clone(&legacy_cache));
-    let warm_legacy = measure(|| {
-        let report = legacy_runner.run(&spec).expect("legacy warm run");
-        assert_eq!(
-            report.to_json(),
-            cold_report.to_json(),
-            "legacy bytes must not move"
-        );
-        std::hint::black_box(report);
-    });
-    assert_eq!(
-        legacy_cache.activity().misses,
-        0,
-        "legacy warm runs re-simulate nothing"
-    );
-    drop(legacy_cache);
 
-    // Metadata scaling: a 10k-entry synthetic store, packed then demoted.
+    // Metadata scaling: a 10k-entry synthetic store.
     let store_dir =
         std::env::temp_dir().join(format!("hc_bench_cell_cache_10k_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&store_dir);
-    let packed_store = CellCache::open(&store_dir).expect("open 10k store");
+    let store = CellCache::open(&store_dir).expect("open 10k store");
     let scenario = serde::Value::Str("bench".to_string());
     for i in 0..STORE_ENTRIES {
         let key = CellKey::cell(&serde::Value::UInt(i), 1_000, 0, &scenario, "8_8_8");
-        packed_store.insert(&key, &SimStats::default(), i);
+        store.insert(&key, &SimStats::default(), i);
     }
-    let (packed_stats, packed_gc) = metadata_latency(&packed_store);
-    packed_store
-        .demote_to_legacy_layout()
-        .expect("demote 10k store");
-    drop(packed_store);
-    let legacy_store = CellCache::open(&store_dir).expect("reopen 10k legacy");
-    let (legacy_stats, legacy_gc) = metadata_latency(&legacy_store);
-    let start = Instant::now();
-    let migration = legacy_store.pack().expect("pack 10k store");
-    let pack_secs = start.elapsed().as_secs_f64();
-    assert_eq!(migration.migrated, STORE_ENTRIES, "every entry migrates");
-    drop(legacy_store);
+    let (stats_secs, gc_secs) = metadata_latency(&store);
+    drop(store);
     let _ = std::fs::remove_dir_all(&store_dir);
 
     let round_robin = ShardPlan::round_robin(costs.len(), SHARDS).expect("rr plan");
@@ -192,31 +150,18 @@ fn main() {
     let skew = *costs.iter().max().unwrap() as f64 / *costs.iter().min().unwrap() as f64;
 
     let speedup = cold / warm;
-    let replay_ratio = warm_legacy / warm;
-    let stats_ratio = legacy_stats / packed_stats;
-    let gc_ratio = legacy_gc / packed_gc;
     println!("cell_cache/cold_run            {:>10.4} s", cold);
     println!("cell_cache/warm_run            {:>10.4} s", warm);
     println!("cell_cache/warm_speedup        {:>10.1}x", speedup);
-    println!("cell_cache/warm_run_legacy     {:>10.4} s", warm_legacy);
-    println!(
-        "cell_cache/packed_vs_legacy    {:>10.2}x warm replay",
-        replay_ratio
-    );
-    println!("cell_cache/stats_10k_packed    {:>10.6} s", packed_stats);
-    println!("cell_cache/stats_10k_legacy    {:>10.6} s", legacy_stats);
-    println!("cell_cache/stats_10k_ratio     {:>10.1}x", stats_ratio);
-    println!("cell_cache/gc_10k_packed       {:>10.6} s", packed_gc);
-    println!("cell_cache/gc_10k_legacy       {:>10.6} s", legacy_gc);
-    println!("cell_cache/gc_10k_ratio        {:>10.1}x", gc_ratio);
-    println!("cell_cache/pack_10k_migration  {:>10.4} s", pack_secs);
+    println!("cell_cache/stats_10k_packed    {:>10.6} s", stats_secs);
+    println!("cell_cache/gc_10k_packed       {:>10.6} s", gc_secs);
     println!("cell_cache/row_cost_skew       {:>10.2}x max/min", skew);
     println!("cell_cache/rr_max_over_mean    {:>10.4}", rr_ratio);
     println!("cell_cache/lpt_max_over_mean   {:>10.4}", lpt_ratio);
 
     if let Some(path) = std::env::var_os("CELL_CACHE_RECORD") {
         let json = format!(
-            "{{\n  \"suite\": \"{} traces x IR, trace_len {}\",\n  \"cold_run_secs\": {cold:.4},\n  \"warm_run_secs\": {warm:.4},\n  \"warm_speedup\": {speedup:.1},\n  \"legacy_warm_run_secs\": {warm_legacy:.4},\n  \"packed_vs_legacy_warm_replay\": {replay_ratio:.2},\n  \"store_entries\": {STORE_ENTRIES},\n  \"stats_10k_packed_secs\": {packed_stats:.6},\n  \"stats_10k_legacy_secs\": {legacy_stats:.6},\n  \"stats_10k_speedup\": {stats_ratio:.1},\n  \"gc_10k_packed_secs\": {packed_gc:.6},\n  \"gc_10k_legacy_secs\": {legacy_gc:.6},\n  \"gc_10k_speedup\": {gc_ratio:.1},\n  \"pack_10k_migration_secs\": {pack_secs:.4},\n  \"row_cost_skew_max_over_min\": {skew:.2},\n  \"shards\": {SHARDS},\n  \"round_robin_max_over_mean_work\": {rr_ratio:.4},\n  \"cost_balanced_max_over_mean_work\": {lpt_ratio:.4}\n}}\n",
+            "{{\n  \"suite\": \"{} traces x IR, trace_len {}\",\n  \"cold_run_secs\": {cold:.4},\n  \"warm_run_secs\": {warm:.4},\n  \"warm_speedup\": {speedup:.1},\n  \"store_entries\": {STORE_ENTRIES},\n  \"stats_10k_packed_secs\": {stats_secs:.6},\n  \"gc_10k_packed_secs\": {gc_secs:.6},\n  \"row_cost_skew_max_over_min\": {skew:.2},\n  \"shards\": {SHARDS},\n  \"round_robin_max_over_mean_work\": {rr_ratio:.4},\n  \"cost_balanced_max_over_mean_work\": {lpt_ratio:.4}\n}}\n",
             spec.traces.len(),
             TRACE_LEN,
         );

@@ -87,9 +87,10 @@
 //! least-recently-used entries until at most N bytes remain; `--dry-run`
 //! reports what would go without deleting anything.  Eviction only drops
 //! index entries; `--compact` additionally rewrites every sealed segment
-//! file so the reclaimed bytes actually leave the disk.  `cache-pack`
-//! migrates a legacy one-file-per-cell cache into the packed segment
-//! layout in place, preserving LRU order and report bytes.
+//! file so the reclaimed bytes actually leave the disk (the
+//! defragmentation pass).  A cache directory in the retired
+//! one-file-per-cell layout is refused; delete it and let the next run
+//! rebuild it.
 
 use hc_core::cache::{CellCache, GcPolicy};
 use hc_core::campaign::{CampaignBuilder, CampaignError, CampaignRunner, CampaignSpec};
@@ -252,13 +253,11 @@ fn parse_args() -> Options {
                      \x20      reproduce submit   (--addr HOST:PORT | --addr-file PATH) [--spec FILE | --trace-len N] [--metrics] [--shutdown]\n\
                      \n\
                      cache maintenance:\n\
-                     \x20      reproduce cache-gc   --cache DIR [--max-bytes N] [--max-age-secs S] [--dry-run] [--compact]\n\
-                     \x20      reproduce cache-pack --cache DIR\n\
+                     \x20      reproduce cache-gc --cache DIR [--max-bytes N] [--max-age-secs S] [--dry-run] [--compact]\n\
                      \n\
                      cache-gc evicts by age then LRU size budget; --compact additionally rewrites\n\
-                     every sealed segment so the cache ends up densely packed.  cache-pack migrates\n\
-                     a legacy per-file cache into the packed segment layout in place (LRU order\n\
-                     preserved); reports stay byte-identical before and after.\n\
+                     every sealed segment so the cache ends up densely packed.  Reports stay\n\
+                     byte-identical before and after.\n\
                      \n\
                      µop-trace recordings:\n\
                      \x20      reproduce trace-record BENCH --out FILE [--trace-len N]\n\
@@ -513,25 +512,6 @@ fn run_cache_gc_mode(opts: &Options) {
         outcome.evicted_bytes,
         outcome.kept,
         outcome.kept_bytes,
-        outcome.compacted_segments,
-        outcome.reclaimed_bytes
-    );
-}
-
-/// The `cache-pack` mode: migrate a legacy per-file cache into the packed
-/// segment layout in place, then compact to one dense segment.
-fn run_cache_pack_mode(opts: &Options) {
-    let Some(dir) = opts.cache.as_deref() else {
-        eprintln!("cache-pack: provide --cache DIR (or set REPRODUCE_CACHE)");
-        std::process::exit(2);
-    };
-    let cache = or_die("cache-pack", CellCache::open(dir));
-    let outcome = or_die("cache-pack", cache.pack());
-    println!(
-        "{}: migrated {} legacy entries ({} dropped as unreadable); compacted {} segment(s), reclaimed {} bytes",
-        cache.root().display(),
-        outcome.migrated,
-        outcome.dropped,
         outcome.compacted_segments,
         outcome.reclaimed_bytes
     );
@@ -897,10 +877,6 @@ fn main() {
     }
     if opts.figures.iter().any(|f| f == "cache-gc") {
         run_cache_gc_mode(&opts);
-        return;
-    }
-    if opts.figures.iter().any(|f| f == "cache-pack") {
-        run_cache_pack_mode(&opts);
         return;
     }
     if opts.figures.iter().any(|f| f == "merge") {

@@ -2,29 +2,29 @@
 //!
 //! Eviction works on the **index**, not the filesystem: expired or
 //! over-budget entries are simply dropped from it (their record bytes
-//! become dead weight in their segments), and legacy per-file entries are
-//! unlinked as before.  Compaction then reclaims the dead bytes: a sealed
-//! segment whose live-byte ratio has fallen below
+//! become dead weight in their segments).  Compaction then reclaims the
+//! dead bytes: a sealed segment whose live-byte ratio has fallen below
 //! [`COMPACT_LIVE_RATIO`] — or any sealed segment, under
-//! [`GcPolicy::compact`] or [`CellCache::pack`](super::CellCache::pack) —
-//! has its live records rewritten (stamps preserved) into the active
-//! segment and is deleted; a segment with no live records at all is deleted
-//! outright.  Segments modified within the reclaim grace are left alone:
-//! a fresh mtime may mean a live writer in another process.
+//! [`GcPolicy::compact`] — has its live records rewritten (stamps
+//! preserved) into the active segment and is deleted; a segment with no
+//! live records at all is deleted outright.  Segments modified within the
+//! reclaim grace are left alone: a fresh mtime may mean a live writer in
+//! another process.
 //!
-//! Everything stays deterministic: candidates are swept oldest-stamp first;
-//! within one stamp (coarse clocks stamp whole insert bursts identically)
-//! the **cheapest-to-recompute** entries go first, ranked by the simulation
+//! Everything stays deterministic: index entries are swept by the rank
+//! `(stamp, cost, digest)` — oldest last use first; within one stamp
+//! (coarse clocks stamp whole insert bursts identically) the
+//! **cheapest-to-recompute** entries go first, ranked by the simulation
 //! wall-clock each record carries, so a byte budget preferentially keeps
-//! the cells that cost the most to regenerate.  Remaining ties break by
-//! ascending digest.  Concurrent processes can at worst compact a segment another
-//! handle still references — its reads then fail verification and degrade
-//! to re-simulation, never to wrong data.
+//! the cells that cost the most to regenerate; remaining ties break by
+//! ascending digest.  Concurrent processes can at worst compact a segment
+//! another handle still references — its reads then fail verification and
+//! degrade to re-simulation, never to wrong data.
 
+use super::index::IndexEntry;
 use super::store::RECLAIM_GRACE;
-use super::{legacy, lock, now_millis, segment, CellCache};
+use super::{lock, now_millis, segment, CellCache};
 use crate::campaign::CampaignError;
-use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
@@ -65,119 +65,52 @@ pub struct GcOutcome {
     pub reclaimed_bytes: u64,
 }
 
-/// One eviction candidate, unified across the packed and legacy backends.
-struct Candidate {
-    stamp_millis: u64,
-    /// Recorded simulation cost — cheap-to-recompute entries are evicted
-    /// before expensive ones of the same last-use stamp.  Legacy files
-    /// carry no cost observation and rank as free to recompute.
-    cost_nanos: u64,
-    digest: Option<u128>,
-    /// Packed record length or legacy file size.
-    bytes: u64,
-    backend: Backend,
-}
-
-enum Backend {
-    Packed(u128),
-    Legacy(PathBuf),
-}
-
 impl CellCache {
     /// Reclaim cache space: evict every entry older than
     /// [`GcPolicy::max_age`], then — least-recently-used first — evict
     /// entries until the survivors fit [`GcPolicy::max_bytes`], and finally
     /// compact segments left mostly dead.  Last use is the index stamp,
-    /// which [`CellCache::lookup`] bumps on every hit (legacy files keep
-    /// using their mtime).  With [`GcPolicy::dry_run`] set, nothing is
-    /// deleted; the returned [`GcOutcome`] reports what *would* happen.
+    /// which [`CellCache::lookup`] bumps on every hit.  With
+    /// [`GcPolicy::dry_run`] set, nothing is deleted; the returned
+    /// [`GcOutcome`] reports what *would* happen.
     ///
     /// Eviction order is deterministic even under coarse clocks (where
     /// whole insert bursts share one stamp): oldest first; within one
     /// stamp, cheapest-to-recompute first (the recorded simulation
     /// wall-clock — a byte budget keeps the expensive cells); remaining
-    /// ties broken by ascending digest, then legacy after packed.  Legacy
-    /// files carry no cost observation and rank as free.  Evicted entries count
-    /// into [`CacheStats::evictions`](super::CacheStats::evictions); no
+    /// ties broken by ascending digest.  Evicted entries count into
+    /// [`CacheStats::evictions`](super::CacheStats::evictions); no
     /// per-entry `stat` calls happen at any point.
     pub fn gc(&self, policy: &GcPolicy) -> Result<GcOutcome, CampaignError> {
         self.sync_index(false);
         let now = now_millis();
-        let mut candidates: Vec<Candidate> = {
+        let mut candidates: Vec<(u128, IndexEntry)> = {
             let index = lock(&self.index);
-            index
-                .entries
-                .iter()
-                .map(|(digest, entry)| Candidate {
-                    stamp_millis: entry.stamp_millis,
-                    cost_nanos: entry.cost_nanos,
-                    digest: Some(*digest),
-                    bytes: entry.len,
-                    backend: Backend::Packed(*digest),
-                })
-                .collect()
+            index.entries.iter().map(|(d, e)| (*d, *e)).collect()
         };
-        if self.has_legacy.load(Ordering::Relaxed) {
-            candidates.extend(legacy::scan(&self.root).into_iter().map(|entry| Candidate {
-                stamp_millis: entry.stamp_millis,
-                cost_nanos: 0,
-                digest: entry.digest,
-                bytes: entry.bytes,
-                backend: Backend::Legacy(entry.path),
-            }));
-        }
-        candidates.sort_by(|a, b| {
-            let rank = |c: &Candidate| {
-                (
-                    c.stamp_millis,
-                    c.cost_nanos,
-                    c.digest,
-                    matches!(c.backend, Backend::Legacy(_)),
-                )
-            };
-            let path = |c: &Candidate| match &c.backend {
-                Backend::Legacy(path) => Some(path.clone()),
-                Backend::Packed(_) => None,
-            };
-            (rank(a), path(a)).cmp(&(rank(b), path(b)))
-        });
-        let mut remaining: u64 = candidates.iter().map(|c| c.bytes).sum();
+        candidates.sort_unstable_by_key(|(digest, e)| (e.stamp_millis, e.cost_nanos, *digest));
+        let mut remaining: u64 = candidates.iter().map(|(_, e)| e.len).sum();
         let mut outcome = GcOutcome::default();
-        for candidate in &candidates {
+        for (digest, entry) in &candidates {
             let expired = policy.max_age.is_some_and(|max| {
-                u128::from(now.saturating_sub(candidate.stamp_millis)) > max.as_millis()
+                u128::from(now.saturating_sub(entry.stamp_millis)) > max.as_millis()
             });
             let over_budget = policy.max_bytes.is_some_and(|max| remaining > max);
             if expired || over_budget {
                 if !policy.dry_run {
-                    match &candidate.backend {
-                        Backend::Packed(digest) => {
-                            if lock(&self.index).remove(*digest).is_none() {
-                                continue; // raced with another eviction
-                            }
-                            self.memo().remove(digest);
-                        }
-                        Backend::Legacy(path) => {
-                            if std::fs::remove_file(path).is_err() {
-                                // Already gone (concurrent GC / eviction):
-                                // count it as kept-nothing rather than
-                                // failing the sweep.
-                                continue;
-                            }
-                            if let Some(digest) = candidate.digest {
-                                self.memo().remove(&digest);
-                            }
-                        }
+                    if lock(&self.index).remove(*digest).is_none() {
+                        continue; // raced with another eviction
                     }
+                    self.memo().remove(digest);
                     self.evictions.fetch_add(1, Ordering::Relaxed);
                     self.dirty.store(true, Ordering::Relaxed);
                 }
-                remaining -= candidate.bytes;
+                remaining -= entry.len;
                 outcome.evicted += 1;
-                outcome.evicted_bytes += candidate.bytes;
+                outcome.evicted_bytes += entry.len;
             } else {
                 outcome.kept += 1;
-                outcome.kept_bytes += candidate.bytes;
+                outcome.kept_bytes += entry.len;
             }
         }
         if !policy.dry_run {
@@ -195,7 +128,7 @@ impl CellCache {
 /// `force`, every sealed segment is rewritten regardless of ratio, which
 /// packs the whole cache into one dense segment.  Returns (segments
 /// compacted, file bytes reclaimed).
-pub(super) fn compact_segments(cache: &CellCache, force: bool) -> (u64, u64) {
+fn compact_segments(cache: &CellCache, force: bool) -> (u64, u64) {
     let segments_dir = cache.segments_dir();
     let mut writer = lock(&cache.writer);
     let active_id = writer.as_ref().map(|w| w.id);
@@ -238,7 +171,7 @@ pub(super) fn compact_segments(cache: &CellCache, force: bool) -> (u64, u64) {
             continue;
         }
         let file_len = meta.len();
-        let moved: Vec<(u128, super::index::IndexEntry)> = {
+        let moved: Vec<(u128, IndexEntry)> = {
             let index = lock(&cache.index);
             index
                 .entries

@@ -9,7 +9,8 @@
 //! Rebuild rules, applied at [`CellCache::open`](super::CellCache::open)
 //! and by the cheap refresh before `stats()`/`gc()`:
 //!
-//! 1. no `index.json`, or one written under different versions → **full
+//! 1. no `index.json`, one written under different versions, or one whose
+//!    entries lack a field (every entry must carry its `cost`) → **full
 //!    scan** of every segment, ascending by id (later records shadow
 //!    earlier ones, so re-inserted cells resolve to their newest copy);
 //! 2. a snapshot whose recorded segment length is **shorter** than the file
@@ -21,7 +22,7 @@
 //! 4. entries pointing at segments that no longer exist are dropped.
 //!
 //! The snapshot is written on [`CellCache`](super::CellCache) drop and after
-//! `gc()`/`pack()`; a SIGKILL between snapshots costs only a delta scan.
+//! `gc()`; a SIGKILL between snapshots costs only a delta scan.
 
 use super::{now_millis, write_atomic, CACHE_LAYOUT_VERSION, CACHE_SCHEMA_VERSION};
 use crate::campaign::CampaignError;
@@ -41,7 +42,7 @@ pub(super) struct IndexEntry {
     /// `elapsed_nanos`), lifted into the index so GC can rank
     /// equally-stale entries by how expensive they are to recompute
     /// without touching a segment file.  Advisory: 0 when the payload
-    /// did not yield one (legacy migrations, old snapshots).
+    /// did not yield one.
     pub cost_nanos: u64,
 }
 
@@ -160,8 +161,9 @@ impl CacheIndex {
         ]))
     }
 
-    /// Decode a snapshot.  `None` for anything unreadable or written under
-    /// different versions — the caller falls back to a full scan.
+    /// Decode a snapshot.  `None` for anything unreadable, incomplete or
+    /// written under different versions — the caller falls back to a full
+    /// scan, which re-derives every field from the records themselves.
     pub(super) fn decode(text: &str) -> Option<CacheIndex> {
         let value = serde::json::parse(text).ok()?;
         let version = |name: &str| -> Option<u64> {
@@ -194,12 +196,7 @@ impl CacheIndex {
                 offset: uint(entry.get("offset")?)?,
                 len: uint(entry.get("len")?)?,
                 stamp_millis: uint(entry.get("stamp")?)?,
-                // Absent in snapshots written before cost-aware GC; those
-                // entries rank as free-to-recompute until next re-observed.
-                cost_nanos: match entry.get("cost") {
-                    Some(v) => uint(v)?,
-                    None => 0,
-                },
+                cost_nanos: uint(entry.get("cost")?)?,
             };
             // Route through `insert` so live-byte accounting is rebuilt, but
             // preserve the snapshot's scan horizons.

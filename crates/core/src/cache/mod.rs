@@ -37,14 +37,13 @@
 //! segment files themselves whenever it is missing or stale, so killing a
 //! process can never poison the cache: a torn tail record fails its checksum
 //! and is truncated away at the next open.  Module-level details live in
-//! [`segment`](self) framing (see `segment.rs`), the index rebuild rules
-//! (`index.rs`), compaction (`gc.rs`) and the legacy per-file fallback
-//! (`legacy.rs`).
+//! the segment framing (`segment.rs`), the index rebuild rules
+//! (`index.rs`) and compaction (`gc.rs`).
 //!
-//! Caches written by the older one-JSON-file-per-cell layout are read
-//! transparently and can be migrated in place with [`CellCache::pack`]
-//! (`reproduce cache-pack`); reports stay byte-identical cold, warm, or
-//! migrated.
+//! The packed store is the only layout: a directory written by the retired
+//! one-JSON-file-per-cell layout is refused at [`CellCache::open`], never
+//! half-read.  The cache is an accelerator, so rebuilding one costs only
+//! re-simulation time.
 //!
 //! Because [`SimStats`] round-trips through the workspace JSON codec exactly
 //! (integers verbatim, floats via shortest-round-trip formatting), a report
@@ -59,36 +58,38 @@
 //!
 //! ## In-flight dedupe (singleflight)
 //!
-//! [`CellCache::get_or_compute`] is the miss path every cache-mediated
-//! simulation funnels through.  It keeps a keyed singleflight table
+//! [`CellCache::claim`] is the one miss path every cache-mediated
+//! simulation goes through.  It keeps a keyed singleflight table
 //! (`HashMap<digest, Arc<Flight>>` guarded by a mutex, one condvar per
-//! flight): the first caller to miss on a key becomes the **leader** and
-//! simulates; every concurrent caller of the same key **joins** — it blocks
-//! on the flight's condvar and receives a clone of the leader's result
-//! instead of re-simulating.  N identical in-flight campaigns therefore cost
-//! one simulation per unique cell, which is what lets a long-lived campaign
+//! flight): a claim that finds the cell cached is a [`CellClaim::Hit`];
+//! the first caller to miss on a key becomes the **lead**
+//! ([`CellClaim::Lead`]), simulates and hands the result to
+//! [`CellLead::publish`]; every concurrent caller of the same key
+//! **joins** ([`CellClaim::Join`]) — [`CellJoin::wait`] blocks on the
+//! flight's condvar and returns a clone of the lead's result instead of
+//! re-simulating.  N identical in-flight campaigns therefore cost one
+//! simulation per unique cell, which is what lets a long-lived campaign
 //! service (`hc_serve`) coalesce repeat traffic *across* users, not just
 //! across runs.  The [`CacheStats::dedupe_leads`] counter is exactly the
-//! number of simulations executed through the cache; `dedupe_joins` counts
-//! the coalesced waits.
+//! number of simulations published through the cache; `dedupe_joins`
+//! counts the coalesced waits.
 //!
 //! ## Lifecycle (GC)
 //!
 //! Every record carries a last-use stamp in the index (bumped on each hit,
 //! persisted with the index snapshot).  [`CellCache::gc`] evicts entries
-//! older than a given age, then — LRU by stamp — evicts until the cache fits
-//! a byte budget, and finally rewrites segments whose live records have
-//! shrunk below half their bytes; `reproduce cache-gc` is a thin wrapper
-//! over it.
+//! older than a given age, then evicts until the cache fits a byte budget,
+//! ranking index entries by `(stamp, cost, digest)`, and finally rewrites
+//! segments whose live records have shrunk below half their bytes;
+//! `reproduce cache-gc` is a thin wrapper over it.
 
 mod gc;
 mod index;
-mod legacy;
 mod segment;
 mod store;
 
 pub use gc::{GcOutcome, GcPolicy};
-pub use store::{CellCache, CellClaim, CellJoin, CellLead, PackOutcome};
+pub use store::{CellCache, CellClaim, CellJoin, CellLead};
 
 use crate::campaign::{CampaignError, CampaignSpec};
 use crate::policy::PolicyKind;
@@ -101,21 +102,17 @@ use std::time::SystemTime;
 /// Version of the cache *key and entry semantics* (the key document layout
 /// and the meaning of a stored payload).  It is part of every key document's
 /// preamble, so bumping it invalidates every entry.  The physical file
-/// layout is versioned separately by [`CACHE_LAYOUT_VERSION`]: the packed
-/// rewrite of the store did not change what a cached cell *means*, so
-/// legacy per-file entries remain readable.
+/// layout is versioned separately by [`CACHE_LAYOUT_VERSION`].
 pub const CACHE_SCHEMA_VERSION: u32 = 1;
 
-/// Version of the on-disk *file layout*.  `1` is the legacy
-/// one-JSON-file-per-cell directory; `2` is the packed segment store.
-/// Caches of either layout open transparently; anything else is refused.
+/// Version of the on-disk *file layout*: `2` is the packed segment store,
+/// the only layout this build opens.  The retired layout `1` (one JSON
+/// file per cell) wrote manifests without the field and is refused like
+/// any other layout.
 pub const CACHE_LAYOUT_VERSION: u32 = 2;
 
 /// Name of the manifest file marking a directory as a cell cache.
 pub(crate) const MANIFEST_FILE: &str = "cache.json";
-
-/// Subdirectory holding the legacy (layout v1) content-addressed entry files.
-pub(crate) const CELLS_DIR: &str = "cells";
 
 /// Subdirectory holding the packed segment files.
 pub(crate) const SEGMENTS_DIR: &str = "segments";
@@ -250,12 +247,6 @@ impl CellKey {
     pub(crate) fn canonical_json(&self) -> String {
         serde::json::to_string(&self.document)
     }
-
-    /// The legacy (layout v1) entry file name this key addresses
-    /// (32 lowercase hex digits).
-    pub fn file_name(&self) -> String {
-        format!("{:032x}.json", self.digest)
-    }
 }
 
 /// The versions-preamble every key document starts with.
@@ -286,28 +277,12 @@ pub struct CachedCell {
     pub elapsed_nanos: u64,
 }
 
-/// Counters describing what a cache did over its lifetime (one campaign run,
-/// typically).  Cache *activity is not part of any report* — reports stay
-/// byte-identical whether cells hit or miss; these counters are how callers
-/// (the `reproduce` binary, tests, CI) observe the cache working.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheActivity {
-    /// Lookups answered from disk.
-    pub hits: u64,
-    /// Lookups that found no (usable) entry.
-    pub misses: u64,
-    /// Entries written.
-    pub inserts: u64,
-    /// Corrupt or foreign records dropped — at lookup, during a segment
-    /// scan, or by GC.
-    pub evictions: u64,
-}
-
-/// Cumulative statistics of one [`CellCache`] handle: the
-/// [`CacheActivity`] counters plus the in-flight dedupe counters and the
-/// cache's current on-disk footprint.  This is the one accessor the
-/// `reproduce` CLI counters and the `hc_serve` `/metrics` endpoint both
-/// read from.
+/// Cumulative statistics of one [`CellCache`] handle: what the cache did
+/// since it was opened (one campaign run, typically), the in-flight dedupe
+/// counters and the cache's current on-disk footprint.  Cache activity is
+/// *not part of any report* — reports stay byte-identical whether cells hit
+/// or miss; these counters are how the `reproduce` CLI, the `hc_serve`
+/// `/metrics` endpoint, tests and CI observe the cache working.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
@@ -319,16 +294,16 @@ pub struct CacheStats {
     /// Entries deleted — corrupt/foreign records dropped at lookup or scan
     /// time plus entries reclaimed by [`CellCache::gc`].
     pub evictions: u64,
-    /// Simulations actually executed through
-    /// [`CellCache::get_or_compute`] — under in-flight dedupe, exactly one
-    /// per unique missing cell key, however many callers raced.
+    /// Simulations published through [`CellLead::publish`] — under
+    /// in-flight dedupe, exactly one per unique missing cell key, however
+    /// many callers raced.
     pub dedupe_leads: u64,
     /// Callers that coalesced onto another caller's in-flight simulation
     /// instead of re-simulating.
     pub dedupe_joins: u64,
-    /// Live entries currently indexed (packed records plus legacy files).
+    /// Live entries currently indexed.
     pub entries: u64,
-    /// Bytes of live entries (packed record bytes plus legacy file bytes).
+    /// Bytes of live entries' records.
     pub bytes: u64,
 }
 

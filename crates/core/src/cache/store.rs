@@ -1,11 +1,10 @@
-//! The [`CellCache`] handle: open/scan, lookups, appends, singleflight,
-//! stats, and legacy migration.
+//! The [`CellCache`] handle: open/scan, lookups, appends, singleflight and
+//! stats.
 
 use super::index::{CacheIndex, IndexEntry};
 use super::{
-    fnv128, legacy, lock, now_millis, segment, write_atomic, CacheActivity, CacheStats, CachedCell,
-    CellKey, CACHE_LAYOUT_VERSION, CACHE_SCHEMA_VERSION, CELLS_DIR, INDEX_FILE, MANIFEST_FILE,
-    SEGMENTS_DIR,
+    lock, now_millis, segment, write_atomic, CacheStats, CachedCell, CellKey, CACHE_LAYOUT_VERSION,
+    CACHE_SCHEMA_VERSION, INDEX_FILE, MANIFEST_FILE, SEGMENTS_DIR,
 };
 use crate::campaign::CampaignError;
 use hc_sim::SimStats;
@@ -49,9 +48,8 @@ enum FlightOutcome {
 /// elected leader (must simulate and [`CellLead::publish`]), or joining
 /// another caller's in-flight simulation.
 ///
-/// This is [`CellCache::get_or_compute`] with the simulation handed back to
-/// the caller, so a caller whose simulation can fail (a streamed trace row)
-/// drops its lead instead of publishing.
+/// The simulation stays with the caller, so a caller whose simulation can
+/// fail (a streamed trace row) drops its lead instead of publishing.
 pub enum CellClaim<'a> {
     /// The cell was cached (or already published by a concurrent leader);
     /// no simulation is needed.
@@ -154,19 +152,6 @@ impl<'a> CellJoin<'a> {
     }
 }
 
-/// What [`CellCache::pack`] did to a legacy cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PackOutcome {
-    /// Legacy per-file entries migrated into packed segments.
-    pub migrated: u64,
-    /// Corrupt or version-skewed legacy files dropped instead of migrated.
-    pub dropped: u64,
-    /// Segments rewritten or deleted by the post-migration compaction.
-    pub compacted_segments: u64,
-    /// Bytes the compaction reclaimed.
-    pub reclaimed_bytes: u64,
-}
-
 /// A content-addressed, on-disk cell cache rooted at one directory.
 ///
 /// Open one with [`CellCache::open`]; share it across runners with an
@@ -184,8 +169,8 @@ pub struct CellCache {
     /// against the stored key document on every probe, exactly like the
     /// on-disk path, so digest collisions still degrade to misses.
     pub(super) memo: Mutex<HashMap<u128, (serde::Value, CachedCell)>>,
-    /// The keyed singleflight table behind [`CellCache::get_or_compute`]:
-    /// one `Flight` per key currently being simulated by some caller.
+    /// The keyed singleflight table behind [`CellCache::claim`]: one
+    /// `Flight` per key currently being simulated by some caller.
     /// Lock ordering: before `index` and `memo` (a claim re-reads the entry
     /// under it); never taken while holding either.
     flights: Mutex<HashMap<u128, Arc<Flight>>>,
@@ -194,9 +179,6 @@ pub struct CellCache {
     pub(super) index: Mutex<CacheIndex>,
     /// This handle's active segment writer (created lazily on first insert).
     pub(super) writer: Mutex<Option<segment::SegmentWriter>>,
-    /// Whether the cache had legacy per-file entries at open; gates the
-    /// per-miss fallback probe so packed-only caches never pay it.
-    pub(super) has_legacy: AtomicBool,
     /// Whether the in-memory index has diverged from the last persisted
     /// snapshot.
     pub(super) dirty: AtomicBool,
@@ -206,12 +188,12 @@ pub struct CellCache {
     pub(super) evictions: AtomicU64,
     dedupe_leads: AtomicU64,
     dedupe_joins: AtomicU64,
-    tmp_seq: AtomicU64,
 }
 
 /// The manifest marking a directory as a cell cache of specific key/entry
 /// semantics, simulator behaviour, and file layout.  `layout_version` is
-/// absent in manifests written before the packed store (implying layout 1).
+/// optional so a manifest written before the packed store (layout 1, which
+/// had no such field) still decodes — and is then refused by name.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct CacheManifest {
     schema_version: u32,
@@ -234,15 +216,14 @@ impl CellCache {
     ///
     /// * A missing or empty directory is initialised: the directory tree is
     ///   created and a manifest written.
-    /// * A directory with a matching manifest is reused — packed (layout 2)
-    ///   and legacy per-file (layout 1) caches both open; legacy entries are
-    ///   served through the fallback probe until [`CellCache::pack`]
-    ///   migrates them.
-    /// * Anything else is **refused** with [`CampaignError::Cache`]: a
-    ///   manifest from a different key schema or simulator behaviour
-    ///   version (stale entries must not be replayed), an unknown layout,
-    ///   an unreadable manifest, or a non-empty directory with no manifest
-    ///   at all (the path probably names something that is not a cache;
+    /// * A directory with a matching manifest is reused.
+    /// * Anything else is **refused** with [`CampaignError::Cache`], before
+    ///   anything is written into the directory: a manifest from a
+    ///   different key schema or simulator behaviour version (stale entries
+    ///   must not be replayed), any file layout but the packed segment
+    ///   store (including the retired one-JSON-file-per-cell layout 1), an
+    ///   unreadable manifest, or a non-empty directory with no manifest at
+    ///   all (the path probably names something that is not a cache;
     ///   silently scattering cache files into it would be destructive).
     ///
     /// Opening loads the record index: from the `index.json` snapshot when
@@ -252,10 +233,8 @@ impl CellCache {
     /// longer than the reclaim grace.
     pub fn open(dir: impl Into<PathBuf>) -> Result<CellCache, CampaignError> {
         let root = dir.into();
-        std::fs::create_dir_all(root.join(SEGMENTS_DIR))
-            .map_err(|e| CampaignError::Cache(format!("create {}: {e}", root.display())))?;
         let manifest_path = root.join(MANIFEST_FILE);
-        match std::fs::read_to_string(&manifest_path) {
+        let initialise = match std::fs::read_to_string(&manifest_path) {
             Ok(text) => {
                 let found: CacheManifest = serde::json::from_str(&text).map_err(|e| {
                     CampaignError::Cache(format!(
@@ -277,42 +256,53 @@ impl CellCache {
                         hc_sim::SIM_BEHAVIOR_VERSION,
                     )));
                 }
+                // A manifest without the field predates the packed store:
+                // layout 1, one JSON file per cell.
                 let layout = found.layout_version.unwrap_or(1);
-                if layout != 1 && layout != CACHE_LAYOUT_VERSION {
+                if layout != CACHE_LAYOUT_VERSION {
                     return Err(CampaignError::Cache(format!(
-                        "{} uses cache file layout v{layout}; this build reads layouts \
-                         v1 and v{CACHE_LAYOUT_VERSION} — refusing to guess",
+                        "{} uses cache file layout v{layout}; this build reads only layout \
+                         v{CACHE_LAYOUT_VERSION} — delete the directory to rebuild it",
                         root.display(),
                     )));
                 }
+                false
             }
             Err(_) => {
                 // No manifest.  Refuse a directory that already holds
-                // anything other than the (possibly just-created, empty)
-                // cache subdirectories — it is not ours to colonise.
-                let ours = [CELLS_DIR, SEGMENTS_DIR];
-                let foreign = std::fs::read_dir(&root)
-                    .map_err(|e| CampaignError::Cache(format!("read {}: {e}", root.display())))?
-                    .filter_map(|e| e.ok())
-                    .any(|e| !ours.iter().any(|name| e.file_name() == *name));
-                let occupied = |sub: &str| {
-                    std::fs::read_dir(root.join(sub))
-                        .map(|mut d| d.next().is_some())
-                        .unwrap_or(false)
+                // anything but an empty segment directory — it is not ours
+                // to colonise.
+                let occupied = match std::fs::read_dir(&root) {
+                    Ok(entries) => entries.filter_map(|e| e.ok()).any(|e| {
+                        e.file_name() != SEGMENTS_DIR
+                            || std::fs::read_dir(e.path()).map_or(true, |mut d| d.next().is_some())
+                    }),
+                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => false,
+                    Err(e) => {
+                        return Err(CampaignError::Cache(format!(
+                            "read {}: {e}",
+                            root.display()
+                        )))
+                    }
                 };
-                if foreign || occupied(CELLS_DIR) || occupied(SEGMENTS_DIR) {
+                if occupied {
                     return Err(CampaignError::Cache(format!(
                         "{} is not a cell cache (no {MANIFEST_FILE} manifest) and is not \
                          empty; refusing to write into it",
                         root.display()
                     )));
                 }
-                write_atomic(
-                    &manifest_path,
-                    &serde::json::to_string_pretty(&CacheManifest::current()),
-                    &root.join(format!("{MANIFEST_FILE}.tmp.{}", std::process::id())),
-                )?;
+                true
             }
+        };
+        std::fs::create_dir_all(root.join(SEGMENTS_DIR))
+            .map_err(|e| CampaignError::Cache(format!("create {}: {e}", root.display())))?;
+        if initialise {
+            write_atomic(
+                &manifest_path,
+                &serde::json::to_string_pretty(&CacheManifest::current()),
+                &root.join(format!("{MANIFEST_FILE}.tmp.{}", std::process::id())),
+            )?;
         }
         let cache = CellCache {
             root,
@@ -320,7 +310,6 @@ impl CellCache {
             flights: Mutex::new(HashMap::new()),
             index: Mutex::new(CacheIndex::default()),
             writer: Mutex::new(None),
-            has_legacy: AtomicBool::new(false),
             dirty: AtomicBool::new(false),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -328,11 +317,7 @@ impl CellCache {
             evictions: AtomicU64::new(0),
             dedupe_leads: AtomicU64::new(0),
             dedupe_joins: AtomicU64::new(0),
-            tmp_seq: AtomicU64::new(0),
         };
-        cache
-            .has_legacy
-            .store(legacy::has_entries(&cache.root), Ordering::Relaxed);
         if let Ok(text) = std::fs::read_to_string(cache.root.join(INDEX_FILE)) {
             if let Some(snapshot) = CacheIndex::decode(&text) {
                 *lock(&cache.index) = snapshot;
@@ -484,17 +469,6 @@ impl CellCache {
                 return Some(cell);
             }
         }
-        if let Some(cell) = self.read_packed(key, bump) {
-            return Some(cell);
-        }
-        if self.has_legacy.load(Ordering::Relaxed) {
-            return self.read_legacy(key, bump);
-        }
-        None
-    }
-
-    /// The packed half of [`CellCache::read_entry`].
-    fn read_packed(&self, key: &CellKey, bump: bool) -> Option<CachedCell> {
         let entry = {
             let index = lock(&self.index);
             index.entries.get(&key.digest).copied()
@@ -541,30 +515,7 @@ impl CellCache {
         decoded
     }
 
-    /// The legacy fallback half of [`CellCache::read_entry`].
-    fn read_legacy(&self, key: &CellKey, bump: bool) -> Option<CachedCell> {
-        let path = legacy::entry_path(&self.root, key);
-        let text = std::fs::read_to_string(&path).ok()?;
-        match legacy::decode_entry(&text, key) {
-            Some(cell) => {
-                self.memo()
-                    .insert(key.digest, (key.document.clone(), cell.clone()));
-                if bump {
-                    legacy::touch(&self.root, key);
-                }
-                Some(cell)
-            }
-            None => {
-                self.memo().remove(&key.digest);
-                if std::fs::remove_file(&path).is_ok() {
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                None
-            }
-        }
-    }
-
-    /// Record a use of `key`'s packed record: stamp the index entry with
+    /// Record a use of `key`'s record: stamp the index entry with
     /// the current wall-clock, the LRU clock [`CellCache::gc`] runs on.
     fn bump_stamp(&self, key: &CellKey) {
         let mut index = lock(&self.index);
@@ -615,8 +566,9 @@ impl CellCache {
             key.canonical_json().as_bytes(),
             payload.as_bytes(),
         );
+        let mut writer = lock(&self.writer);
         if self
-            .append_record(key.digest, stamp, elapsed_nanos, &record)
+            .append_with_writer(&mut writer, key.digest, stamp, elapsed_nanos, &record)
             .is_some()
         {
             self.inserts.fetch_add(1, Ordering::Relaxed);
@@ -624,20 +576,9 @@ impl CellCache {
     }
 
     /// Append one framed record to the active segment (rolling or creating
-    /// it as needed) and index it.  `None` on I/O failure.
-    pub(super) fn append_record(
-        &self,
-        digest: u128,
-        stamp: u64,
-        cost_nanos: u64,
-        record: &[u8],
-    ) -> Option<u64> {
-        let mut writer = lock(&self.writer);
-        self.append_with_writer(&mut writer, digest, stamp, cost_nanos, record)
-    }
-
-    /// [`CellCache::append_record`] for callers already holding the writer
-    /// lock (compaction rewrites).  Lock order stays writer → index.
+    /// it as needed) and index it, under the caller's writer lock (inserts
+    /// and compaction rewrites).  Lock order stays writer → index.  `None`
+    /// on I/O failure.
     pub(super) fn append_with_writer(
         &self,
         writer: &mut Option<segment::SegmentWriter>,
@@ -680,6 +621,11 @@ impl CellCache {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return CellClaim::Hit(Box::new(hit.stats));
         }
+        // Unit tests widen the window between the probe above and the table
+        // lock below, so a claim that skipped the re-read under the lock
+        // would be caught leading a second simulation.
+        #[cfg(test)]
+        std::thread::sleep(Duration::from_micros(20));
         let mut flights = lock(&self.flights);
         // Look again under the table lock.  A lead inserts its entry before
         // it leaves the table, so a lead that published since the probe
@@ -722,65 +668,18 @@ impl CellCache {
         }
     }
 
-    /// Return `key`'s cached result, or run `simulate` to produce (and
-    /// insert) it — coalescing concurrent callers of the same key onto a
-    /// **single** simulation.
-    ///
-    /// The first caller to miss becomes the key's leader: it registers an
-    /// in-flight `Flight` in the singleflight table, simulates, inserts
-    /// the entry and publishes the result.  Any caller that misses on the
-    /// same key while the flight is open blocks on the flight's condvar and
-    /// receives a clone of the leader's result — N concurrent identical
-    /// campaigns cost one simulation per unique cell.  Degradations are
-    /// always toward *more* simulation, never wrong data: a digest collision
-    /// between two distinct in-flight keys bypasses the table, and a leader
-    /// that unwinds without publishing (panicking simulation) marks the
-    /// flight abandoned so joiners simulate for themselves.
-    ///
-    /// This is the one miss path the campaign engine's cached simulations
-    /// funnel through; [`CacheStats::dedupe_leads`] counts exactly the
-    /// simulations executed here.
-    pub fn get_or_compute(&self, key: &CellKey, simulate: impl FnOnce() -> SimStats) -> SimStats {
-        match self.claim(key) {
-            CellClaim::Hit(stats) => *stats,
-            CellClaim::Lead(lead) => lead.publish(simulate()),
-            CellClaim::Join(join) => match join.wait() {
-                Ok(stats) => stats,
-                Err(lead) => lead.publish(simulate()),
-            },
-        }
-    }
-
-    /// Activity counters since this handle was opened.
-    pub fn activity(&self) -> CacheActivity {
-        CacheActivity {
+    /// Cumulative statistics: the hit/miss/insert/eviction counters, the
+    /// in-flight dedupe counters, and the cache's current footprint.  Entry
+    /// count and bytes come from the in-memory index (refreshed with one
+    /// `stat` per segment, never a per-entry walk).
+    pub fn stats(&self) -> CacheStats {
+        self.sync_index(false);
+        let (entries, bytes) = lock(&self.index).totals();
+        CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             inserts: self.inserts.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Cumulative statistics: the [`CacheActivity`] counters, the in-flight
-    /// dedupe counters, and the cache's current footprint.  Entry count and
-    /// bytes come from the in-memory index (refreshed with one `stat` per
-    /// segment, never a per-entry walk), plus the legacy files when the
-    /// fallback is live.
-    pub fn stats(&self) -> CacheStats {
-        self.sync_index(false);
-        let (mut entries, mut bytes) = lock(&self.index).totals();
-        if self.has_legacy.load(Ordering::Relaxed) {
-            for entry in legacy::scan(&self.root) {
-                entries += 1;
-                bytes += entry.bytes;
-            }
-        }
-        let activity = self.activity();
-        CacheStats {
-            hits: activity.hits,
-            misses: activity.misses,
-            inserts: activity.inserts,
-            evictions: activity.evictions,
             dedupe_leads: self.dedupe_leads.load(Ordering::Relaxed),
             dedupe_joins: self.dedupe_joins.load(Ordering::Relaxed),
             entries,
@@ -798,169 +697,7 @@ impl CellCache {
         }
     }
 
-    /// Migrate a legacy per-file cache into the packed layout, then compact
-    /// every eligible segment into one densely packed file.  Safe (and a
-    /// no-op migration) on an already packed cache, where it still acts as
-    /// an explicit defragmentation pass.  Reports stay byte-identical
-    /// before and after — `tests/cell_cache.rs` pins this.
-    pub fn pack(&self) -> Result<PackOutcome, CampaignError> {
-        let mut outcome = PackOutcome::default();
-        if self.has_legacy.load(Ordering::Relaxed) {
-            for entry in legacy::scan(&self.root) {
-                let migrated = std::fs::read_to_string(&entry.path)
-                    .ok()
-                    .and_then(|text| legacy::decode_for_migration(&text));
-                match migrated {
-                    Some((key_document, cell)) => {
-                        let canonical = serde::json::to_string(&key_document);
-                        let digest = fnv128(canonical.as_bytes());
-                        let payload = serde::json::to_string(&serde::Value::Map(vec![
-                            ("stats".to_string(), Serialize::to_value(&cell.stats)),
-                            (
-                                "elapsed_nanos".to_string(),
-                                serde::Value::UInt(cell.elapsed_nanos),
-                            ),
-                        ]));
-                        let record = segment::encode_record(
-                            digest,
-                            entry.stamp_millis,
-                            canonical.as_bytes(),
-                            payload.as_bytes(),
-                        );
-                        if self
-                            .append_record(digest, entry.stamp_millis, cell.elapsed_nanos, &record)
-                            .is_none()
-                        {
-                            return Err(CampaignError::Cache(format!(
-                                "packing {}: could not append to a segment",
-                                self.root.display()
-                            )));
-                        }
-                        outcome.migrated += 1;
-                    }
-                    None => {
-                        outcome.dropped += 1;
-                        self.evictions.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                let _ = std::fs::remove_file(&entry.path);
-            }
-            let _ = std::fs::remove_dir(self.root.join(CELLS_DIR));
-            self.has_legacy.store(false, Ordering::Relaxed);
-        }
-        let (compacted, reclaimed) = super::gc::compact_segments(self, true);
-        outcome.compacted_segments = compacted;
-        outcome.reclaimed_bytes = reclaimed;
-        self.dirty.store(true, Ordering::Relaxed);
-        self.persist_index();
-        // Stamp the manifest with the packed layout so the migration is
-        // recorded even for caches initialised by an older binary.
-        write_atomic(
-            &self.root.join(MANIFEST_FILE),
-            &serde::json::to_string_pretty(&CacheManifest::current()),
-            &self.root.join(format!(
-                "{MANIFEST_FILE}.tmp.{}.{}",
-                std::process::id(),
-                self.tmp_seq.fetch_add(1, Ordering::Relaxed)
-            )),
-        )?;
-        Ok(outcome)
-    }
-
-    /// Rewrite this cache as a legacy (layout v1) per-file directory —
-    /// segments are expanded back into one JSON file per cell, stamped with
-    /// their recorded last-use times, and the packed state is deleted.
-    ///
-    /// This exists so tests and benches can fabricate byte-faithful legacy
-    /// caches to exercise the transparent fallback and
-    /// [`CellCache::pack`] against; production code has no reason to
-    /// downgrade a cache.
-    #[doc(hidden)]
-    pub fn demote_to_legacy_layout(&self) -> Result<u64, CampaignError> {
-        let cells = self.root.join(CELLS_DIR);
-        std::fs::create_dir_all(&cells)
-            .map_err(|e| CampaignError::Cache(format!("create {}: {e}", cells.display())))?;
-        self.sync_index(false);
-        let entries: Vec<(u128, IndexEntry)> = {
-            let index = lock(&self.index);
-            index.entries.iter().map(|(d, e)| (*d, *e)).collect()
-        };
-        let segments_dir = self.segments_dir();
-        let mut written = 0u64;
-        for (digest, entry) in entries {
-            let path = segment::segment_path(&segments_dir, entry.segment);
-            let Some((found, stamp, key_bytes, payload)) =
-                segment::read_record(&path, entry.offset, entry.len)
-            else {
-                continue;
-            };
-            if found != digest {
-                continue;
-            }
-            let Some(key_document) = std::str::from_utf8(&key_bytes)
-                .ok()
-                .and_then(|s| serde::json::parse(s).ok())
-            else {
-                continue;
-            };
-            let cell = (|| {
-                let payload = serde::json::parse(std::str::from_utf8(&payload).ok()?).ok()?;
-                let m = payload.as_map()?;
-                Some(CachedCell {
-                    stats: serde::de_field(m, "stats").ok()?,
-                    elapsed_nanos: serde::de_field(m, "elapsed_nanos").ok()?,
-                })
-            })();
-            let Some(cell) = cell else { continue };
-            let file = cells.join(format!("{digest:032x}.json"));
-            let tmp = cells.join(format!(
-                "{digest:032x}.tmp.{}.{}",
-                std::process::id(),
-                self.tmp_seq.fetch_add(1, Ordering::Relaxed)
-            ));
-            write_atomic(&file, &legacy::render_entry(&key_document, &cell), &tmp)?;
-            if let Ok(handle) = std::fs::File::options().write(true).open(&file) {
-                let _ = handle.set_modified(SystemTime::UNIX_EPOCH + Duration::from_millis(stamp));
-            }
-            written += 1;
-        }
-        *lock(&self.writer) = None;
-        {
-            let mut index = lock(&self.index);
-            for id in index.segments.keys() {
-                let _ = std::fs::remove_file(segment::segment_path(&segments_dir, *id));
-            }
-            *index = CacheIndex::default();
-        }
-        let _ = std::fs::remove_file(self.root.join(INDEX_FILE));
-        self.memo().clear();
-        self.dirty.store(false, Ordering::Relaxed);
-        self.has_legacy.store(true, Ordering::Relaxed);
-        // A faithful legacy manifest: exactly the two fields the v1 layout
-        // wrote, so the fallback path sees what an old binary produced.
-        let manifest = serde::Value::Map(vec![
-            (
-                "schema_version".to_string(),
-                serde::Value::UInt(CACHE_SCHEMA_VERSION as u64),
-            ),
-            (
-                "sim_behavior_version".to_string(),
-                serde::Value::UInt(hc_sim::SIM_BEHAVIOR_VERSION as u64),
-            ),
-        ]);
-        write_atomic(
-            &self.root.join(MANIFEST_FILE),
-            &serde::json::to_string_pretty(&manifest),
-            &self.root.join(format!(
-                "{MANIFEST_FILE}.tmp.{}.{}",
-                std::process::id(),
-                self.tmp_seq.fetch_add(1, Ordering::Relaxed)
-            )),
-        )?;
-        Ok(written)
-    }
-
-    /// Pin a packed entry's last-use stamp (tests fabricate LRU histories
+    /// Pin an entry's last-use stamp (tests fabricate LRU histories
     /// with this instead of racing the filesystem clock).
     #[cfg(test)]
     pub(super) fn set_stamp(&self, key: &CellKey, stamp_millis: u64) {

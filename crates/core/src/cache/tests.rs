@@ -25,6 +25,25 @@ fn sample_key(tag: u64) -> CellKey {
     )
 }
 
+/// Return `key`'s cached result, or run `simulate` to produce and publish
+/// it — the claim protocol the grid engine drives, with a simulation that
+/// cannot fail.  Concurrent callers of one key coalesce onto one
+/// simulation.
+fn get_or_compute(
+    cache: &CellCache,
+    key: &CellKey,
+    simulate: impl FnOnce() -> SimStats,
+) -> SimStats {
+    match cache.claim(key) {
+        CellClaim::Hit(stats) => *stats,
+        CellClaim::Lead(lead) => lead.publish(simulate()),
+        CellClaim::Join(join) => match join.wait() {
+            Ok(stats) => stats,
+            Err(lead) => lead.publish(simulate()),
+        },
+    }
+}
+
 /// Backdate a segment file's mtime so grace-gated reclaim (tail truncation,
 /// compaction) treats it as quiet.
 fn age_file(path: &std::path::Path, by: Duration) {
@@ -62,7 +81,6 @@ fn digests_are_stable_and_key_sensitive() {
         .digest,
         "cell and baseline keys never collide"
     );
-    assert_eq!(a.file_name().len(), 32 + ".json".len());
 }
 
 #[test]
@@ -81,9 +99,9 @@ fn insert_then_lookup_round_trips() {
     assert_eq!(hit.stats, stats);
     assert_eq!(hit.elapsed_nanos, 456);
     assert_eq!(cache.observed_nanos(&key), Some(456));
-    let activity = cache.activity();
+    let counters = cache.stats();
     assert_eq!(
-        (activity.hits, activity.misses, activity.inserts),
+        (counters.hits, counters.misses, counters.inserts),
         (1, 1, 1)
     );
     let _ = std::fs::remove_dir_all(&dir);
@@ -111,12 +129,12 @@ fn corrupt_records_are_evicted() {
     std::fs::write(&seg, &bytes).expect("corrupt");
     let cache = CellCache::open(&dir).expect("reopen");
     assert!(cache.lookup(&key).is_none(), "corrupt record is a miss");
-    assert_eq!(cache.activity().evictions, 1);
+    assert_eq!(cache.stats().evictions, 1);
     assert!(
         cache.lookup(&key).is_none(),
         "and stays gone without re-counting"
     );
-    assert_eq!(cache.activity().evictions, 1);
+    assert_eq!(cache.stats().evictions, 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -152,11 +170,11 @@ fn torn_tails_are_truncated_at_open() {
     );
     assert!(cache.lookup(&k1).is_some());
     assert!(cache.lookup(&k2).is_some());
-    let activity = cache.activity();
+    let stats = cache.stats();
     assert_eq!(
-        (activity.misses, activity.evictions),
+        (stats.misses, stats.evictions),
         (0, 0),
-        "a torn tail is not an eviction, and poisons nothing: {activity:?}"
+        "a torn tail is not an eviction, and poisons nothing: {stats:?}"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -287,33 +305,82 @@ fn version_skewed_manifests_are_refused() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Every file under `dir` with its bytes, sorted by path.
+fn tree(dir: &std::path::Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir)
+        .expect("read dir")
+        .filter_map(|e| e.ok())
+    {
+        let path = entry.path();
+        if path.is_dir() {
+            files.extend(tree(&path));
+        } else {
+            let bytes = std::fs::read(&path).expect("read file");
+            files.push((path, bytes));
+        }
+    }
+    files.sort();
+    files
+}
+
 #[test]
 fn unknown_layouts_are_refused() {
+    let manifest = |layout: Option<u32>| {
+        let mut fields = vec![
+            (
+                "schema_version".to_string(),
+                serde::Value::UInt(CACHE_SCHEMA_VERSION as u64),
+            ),
+            (
+                "sim_behavior_version".to_string(),
+                serde::Value::UInt(hc_sim::SIM_BEHAVIOR_VERSION as u64),
+            ),
+        ];
+        if let Some(layout) = layout {
+            fields.push((
+                "layout_version".to_string(),
+                serde::Value::UInt(layout as u64),
+            ));
+        }
+        serde::json::to_string_pretty(&serde::Value::Map(fields))
+    };
+
+    // A future layout, written over an initialised cache.
     let dir = tmp_dir("layout_skew");
     {
         CellCache::open(&dir).expect("initialise");
     }
-    let future = serde::Value::Map(vec![
-        (
-            "schema_version".to_string(),
-            serde::Value::UInt(CACHE_SCHEMA_VERSION as u64),
-        ),
-        (
-            "sim_behavior_version".to_string(),
-            serde::Value::UInt(hc_sim::SIM_BEHAVIOR_VERSION as u64),
-        ),
-        (
-            "layout_version".to_string(),
-            serde::Value::UInt((CACHE_LAYOUT_VERSION + 1) as u64),
-        ),
-    ]);
     std::fs::write(
         dir.join(MANIFEST_FILE),
-        serde::json::to_string_pretty(&future),
+        manifest(Some(CACHE_LAYOUT_VERSION + 1)),
     )
     .expect("rewrite manifest");
     let err = CellCache::open(&dir).expect_err("must refuse");
     assert!(err.to_string().contains("cache file layout"));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // The retired layout 1: a manifest without `layout_version` and one
+    // JSON file per cell under `cells/`.  It is refused by name, and the
+    // directory is left exactly as it was.
+    let dir = tmp_dir("layout_v1");
+    std::fs::create_dir_all(dir.join("cells")).expect("mkdir cells");
+    std::fs::write(dir.join(MANIFEST_FILE), manifest(None)).expect("v1 manifest");
+    std::fs::write(
+        dir.join("cells")
+            .join(format!("{:032x}.json", sample_key(1).digest)),
+        r#"{"schema_version": 1, "key": {}, "stats": {}, "elapsed_nanos": 1}"#,
+    )
+    .expect("v1 entry");
+    let before = tree(&dir);
+    let err = CellCache::open(&dir).expect_err("must refuse layout 1");
+    assert!(matches!(err, crate::campaign::CampaignError::Cache(_)));
+    assert!(
+        err.to_string().contains("cache file layout v1"),
+        "the error names the layout: {err}"
+    );
+    assert_eq!(tree(&dir), before, "a refused store is left untouched");
+    assert!(!dir.join(SEGMENTS_DIR).exists(), "nothing was created");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -339,9 +406,11 @@ fn get_or_compute_hits_skip_simulation_and_misses_lead() {
         cycles: 77,
         ..SimStats::default()
     };
-    let produced = cache.get_or_compute(&key, || stats.clone());
+    let produced = get_or_compute(&cache, &key, || stats.clone());
     assert_eq!(produced, stats);
-    let replayed = cache.get_or_compute(&key, || panic!("must not re-simulate a cached cell"));
+    let replayed = get_or_compute(&cache, &key, || {
+        panic!("must not re-simulate a cached cell")
+    });
     assert_eq!(replayed, stats);
     let s = cache.stats();
     assert_eq!((s.dedupe_leads, s.dedupe_joins), (1, 0));
@@ -360,7 +429,7 @@ fn concurrent_identical_keys_coalesce_onto_one_simulation() {
         for _ in 0..4 {
             s.spawn(|| {
                 barrier.wait();
-                let stats = cache.get_or_compute(&key, || {
+                let stats = get_or_compute(&cache, &key, || {
                     sims.fetch_add(1, Ordering::Relaxed);
                     // Hold the flight open long enough that the other
                     // threads' lookups miss and join.
@@ -395,17 +464,13 @@ fn racing_claims_simulate_each_key_once() {
     // that probes the index just before the lead publishes, and takes the
     // flight table just after the lead has left it, would lead a second
     // simulation of a cached cell unless it re-reads the index under the
-    // table lock.  One legacy entry keeps the per-miss legacy probe live,
-    // which widens that window from a few instructions to a file open.
+    // table lock.  Under `cfg(test)`, `claim` pauses between its probe and
+    // the table lock, which widens that window from a few instructions to
+    // tens of microseconds.
     const THREADS: usize = 4;
     const KEYS: u64 = 300;
     let dir = tmp_dir("claim_race");
-    {
-        let cache = CellCache::open(&dir).expect("open");
-        cache.insert(&sample_key(u64::MAX), &SimStats::default(), 1);
-        assert_eq!(cache.demote_to_legacy_layout().expect("demote"), 1);
-    }
-    let cache = CellCache::open(&dir).expect("open with a legacy entry");
+    let cache = CellCache::open(&dir).expect("open");
     let keys: Vec<CellKey> = (0..KEYS).map(|t| sample_key(1_000 + t)).collect();
     let barrier = std::sync::Barrier::new(THREADS);
     std::thread::scope(|s| {
@@ -413,7 +478,7 @@ fn racing_claims_simulate_each_key_once() {
             s.spawn(|| {
                 for (cycles, key) in (0u64..).zip(&keys) {
                     barrier.wait();
-                    let stats = cache.get_or_compute(key, || SimStats {
+                    let stats = get_or_compute(&cache, key, || SimStats {
                         cycles,
                         ..SimStats::default()
                     });
@@ -449,7 +514,7 @@ fn colliding_inflight_keys_do_not_share_results() {
     let gate = std::sync::Barrier::new(2);
     std::thread::scope(|s| {
         s.spawn(|| {
-            cache.get_or_compute(&a, || {
+            get_or_compute(&cache, &a, || {
                 gate.wait(); // a's flight is registered; let the forger probe
                 std::thread::sleep(std::time::Duration::from_millis(50));
                 SimStats {
@@ -459,7 +524,7 @@ fn colliding_inflight_keys_do_not_share_results() {
             });
         });
         gate.wait();
-        let forged_stats = cache.get_or_compute(&forged, || SimStats {
+        let forged_stats = get_or_compute(&cache, &forged, || SimStats {
             cycles: 2,
             ..SimStats::default()
         });
@@ -707,47 +772,6 @@ fn compaction_rewrites_mostly_dead_segments() {
     for key in &keys {
         assert!(reopened.lookup(key).is_some());
     }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn pack_migrates_legacy_caches_in_place() {
-    let dir = tmp_dir("pack");
-    let keys: Vec<CellKey> = (0..3).map(|t| sample_key(200 + t)).collect();
-    {
-        let cache = CellCache::open(&dir).expect("open");
-        for (i, key) in keys.iter().enumerate() {
-            cache.insert(key, &SimStats::default(), 10 + i as u64);
-        }
-        let demoted = cache.demote_to_legacy_layout().expect("demote");
-        assert_eq!(demoted, 3);
-    }
-    assert!(
-        dir.join(CELLS_DIR).join(keys[0].file_name()).exists(),
-        "demotion produced per-file entries"
-    );
-    let cache = CellCache::open(&dir).expect("open legacy");
-    assert_eq!(
-        cache.observed_nanos(&keys[1]),
-        Some(11),
-        "legacy entries serve transparently"
-    );
-    let outcome = cache.pack().expect("pack");
-    assert_eq!((outcome.migrated, outcome.dropped), (3, 0));
-    assert!(
-        !dir.join(CELLS_DIR).exists(),
-        "migrated files (and the empty cells dir) are gone"
-    );
-    for (i, key) in keys.iter().enumerate() {
-        assert_eq!(cache.observed_nanos(key), Some(10 + i as u64));
-    }
-    drop(cache);
-    let warm = CellCache::open(&dir).expect("reopen packed");
-    for key in &keys {
-        assert!(warm.lookup(key).is_some());
-    }
-    let activity = warm.activity();
-    assert_eq!((activity.hits, activity.misses), (3, 0));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

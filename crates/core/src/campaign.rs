@@ -35,7 +35,7 @@
 //! assert_eq!(report.cells.len(), 2);
 //! ```
 
-use crate::cache::{CellCache, CellClaim, CellKey};
+use crate::cache::{lock, CellCache, CellClaim, CellKey};
 use crate::experiment::{Experiment, ExperimentResult};
 use crate::policy::PolicyKind;
 use crate::scenario::{ScenarioError, ScenarioSpec, DEFAULT_SCENARIO_NAME};
@@ -50,8 +50,8 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// Version of the [`CampaignSpec`] wire schema.  Bumped whenever a
 /// serialized *spec* field changes meaning; decoders reject mismatched
@@ -1106,7 +1106,7 @@ pub struct CampaignReport {
     /// simulated or restored from a [`CellCache`] (restoring still
     /// materializes one baseline per (trace, scenario)), so reports stay
     /// byte-identical between cold and warm cache runs; cache hit/miss
-    /// accounting lives in [`CellCache::activity`], not in the report.
+    /// accounting lives in [`CellCache::stats`], not in the report.
     pub baseline_runs: usize,
     /// Number of [`TraceSelector::generate`] calls actually performed — the
     /// trace-memoization instrumentation mirroring `baseline_runs`: each
@@ -1661,15 +1661,22 @@ fn run_claimed(
 /// Deliver one progress event, isolating the engine from a panicking user
 /// hook: the panic is caught and the hook is disabled for the rest of the
 /// run, so observation can never abort (or poison state shared with) the
-/// campaign.  `AssertUnwindSafe` is sound here because the engine never
-/// touches hook-owned state afterwards — the hook is simply not called
-/// again.
-fn deliver_progress(hook: &ProgressHook, disabled: &AtomicBool, progress: &CampaignProgress) {
-    if disabled.load(Ordering::Relaxed) {
+/// campaign.  The hook runs under the `disabled` lock, and a panic sets the
+/// flag before the lock is released, so a panicking hook is called exactly
+/// once per run however many workers deliver at the same moment.
+/// `AssertUnwindSafe` is sound here because the engine never touches
+/// hook-owned state afterwards — the hook is simply not called again.
+pub(crate) fn deliver_progress(
+    hook: &ProgressHook,
+    disabled: &Mutex<bool>,
+    progress: &CampaignProgress,
+) {
+    let mut disabled = lock(disabled);
+    if *disabled {
         return;
     }
     if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| hook(progress))).is_err() {
-        disabled.store(true, Ordering::Relaxed);
+        *disabled = true;
     }
 }
 
@@ -1715,7 +1722,7 @@ fn run_grid_streaming<'t>(
 ) -> Result<Grid, CampaignError> {
     let total_cells = rows.len() * policies.len() * scenarios.len();
     let completed = AtomicUsize::new(0);
-    let hook_disabled = AtomicBool::new(false);
+    let hook_disabled = Mutex::new(false);
     let baseline_count = AtomicUsize::new(0);
     let baseline_needed = include_baseline || policies.contains(&PolicyKind::Baseline);
 
@@ -1971,26 +1978,35 @@ mod tests {
     fn panicking_progress_hooks_do_not_poison_the_campaign() {
         // A user hook that panics (here: while it would be holding a lock in
         // real code) must not abort the run or corrupt the report; it is
-        // disabled and the campaign completes.
-        let calls = Arc::new(AtomicUsize::new(0));
-        let seen = Arc::clone(&calls);
-        let runner = CampaignRunner::new().with_progress(move |_| {
-            seen.fetch_add(1, Ordering::Relaxed);
-            panic!("user hook exploded");
-        });
-        let spec = small_spec();
-        let report = runner
-            .run(&spec)
-            .expect("campaign survives a panicking hook");
-        assert_eq!(report.cells.len(), 2);
-        assert_eq!(
-            calls.load(Ordering::Relaxed),
-            1,
-            "the hook is disabled after its first panic"
-        );
-        // The report is identical to a hook-less run.
-        let plain = CampaignRunner::new().run(&spec).unwrap();
-        assert_eq!(report, plain);
+        // disabled and the campaign completes.  The six-row spec runs rows
+        // on several workers, which can deliver at the same moment: the
+        // hook must still be called exactly once.
+        let mut six_rows = CampaignBuilder::new("unit-six-rows").policy(PolicyKind::P888);
+        for benchmark in SpecBenchmark::ALL.into_iter().take(6) {
+            six_rows = six_rows.spec(benchmark);
+        }
+        let six_rows = six_rows.trace_len(600).build().unwrap();
+        for spec in [small_spec(), six_rows] {
+            let calls = Arc::new(AtomicUsize::new(0));
+            let seen = Arc::clone(&calls);
+            let runner = CampaignRunner::new().with_progress(move |_| {
+                seen.fetch_add(1, Ordering::Relaxed);
+                panic!("user hook exploded");
+            });
+            let report = runner
+                .run(&spec)
+                .expect("campaign survives a panicking hook");
+            assert_eq!(report.cells.len(), spec.cell_count());
+            assert_eq!(
+                calls.load(Ordering::Relaxed),
+                1,
+                "{}: the hook is disabled after its first panic",
+                spec.name
+            );
+            // The report is identical to a hook-less run.
+            let plain = CampaignRunner::new().run(&spec).unwrap();
+            assert_eq!(report, plain);
+        }
     }
 
     #[test]

@@ -62,8 +62,8 @@ pub mod shard;
 pub mod suite;
 
 pub use cache::{
-    CacheActivity, CacheStats, CachedCell, CellCache, CellClaim, CellJoin, CellKey, CellLead,
-    CostModel, GcOutcome, GcPolicy, PackOutcome, CACHE_LAYOUT_VERSION, CACHE_SCHEMA_VERSION,
+    CacheStats, CachedCell, CellCache, CellClaim, CellJoin, CellKey, CellLead, CostModel,
+    GcOutcome, GcPolicy, CACHE_LAYOUT_VERSION, CACHE_SCHEMA_VERSION,
 };
 pub use campaign::{
     CampaignBuilder, CampaignError, CampaignProgress, CampaignReport, CampaignRunner, CampaignSpec,

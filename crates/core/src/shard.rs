@@ -55,14 +55,14 @@ use crate::cache::{CellCache, CostModel};
 #[allow(unused_imports)] // `CampaignRunner` is referenced by doc links only.
 use crate::campaign::CampaignRunner;
 use crate::campaign::{
-    decode_versioned, report_wire_version, run_spec_rows, BaselineRun, CampaignCell, CampaignError,
-    CampaignProgress, CampaignReport, CampaignSpec, ProgressHook,
+    decode_versioned, deliver_progress, report_wire_version, run_spec_rows, BaselineRun,
+    CampaignCell, CampaignError, CampaignProgress, CampaignReport, CampaignSpec, ProgressHook,
 };
 use crate::policy::PolicyKind;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// Version of the [`ShardReport`] wire schema, independent of the report and
 /// spec schemas.  Bumped whenever a serialized shard field changes meaning;
@@ -932,7 +932,7 @@ impl ShardedCampaignRunner {
         let completed = Arc::new(AtomicUsize::new(0));
         let global_hook: Option<ProgressHook> = self.progress.clone().map(|user| {
             let completed = Arc::clone(&completed);
-            let disabled = Arc::new(AtomicBool::new(false));
+            let disabled = Mutex::new(false);
             Arc::new(move |p: &CampaignProgress| {
                 let global = CampaignProgress {
                     completed_cells: completed.fetch_add(1, Ordering::Relaxed) + 1,
@@ -941,13 +941,7 @@ impl ShardedCampaignRunner {
                     trace: p.trace.clone(),
                     scenario: p.scenario.clone(),
                 };
-                if disabled.load(Ordering::Relaxed) {
-                    return;
-                }
-                if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| user(&global))).is_err()
-                {
-                    disabled.store(true, Ordering::Relaxed);
-                }
+                deliver_progress(&user, &disabled, &global);
             }) as ProgressHook
         });
 

@@ -4,7 +4,7 @@
 use crate::http::{self, Request};
 use crate::{protocol, ServeError};
 use hc_core::cache::{CacheStats, CellCache};
-use hc_core::campaign::{CampaignRunner, CampaignSpec};
+use hc_core::campaign::{CampaignRunner, CampaignSpec, TraceSelector};
 use serde::Value;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -12,6 +12,11 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// The one rejection message for a spec with `File` trace rows.  It names
+/// no path, so a client cannot tell an existing file from a missing one.
+const FILE_ROWS_REFUSED: &str =
+    "trace rows that name files (`File` selectors) are not accepted by the campaign service";
 
 /// How long a persistent connection may sit idle between requests before
 /// the daemon hangs up, unless [`ServeOptions::idle_timeout`] overrides it.
@@ -324,10 +329,22 @@ fn handle_campaign(mut stream: TcpStream, request: &Request, state: &Arc<ServerS
         );
         return;
     }
+    // `File` rows are refused before `validate`, which would open each one
+    // to read its label: a client must not make the daemon touch server
+    // paths, or learn from the error whether they exist.
     let spec = std::str::from_utf8(&request.body)
         .map_err(|e| e.to_string())
         .and_then(|text| CampaignSpec::from_json(text).map_err(|e| e.to_string()))
-        .and_then(|spec| spec.validate().map_err(|e| e.to_string()).map(|()| spec));
+        .and_then(|spec| {
+            if spec
+                .traces
+                .iter()
+                .any(|t| matches!(t, TraceSelector::File { .. }))
+            {
+                return Err(FILE_ROWS_REFUSED.to_string());
+            }
+            spec.validate().map_err(|e| e.to_string()).map(|()| spec)
+        });
     let spec = match spec {
         Ok(spec) => spec,
         Err(message) => {

@@ -170,6 +170,59 @@ fn deeply_nested_bodies_are_rejected_without_killing_the_daemon() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// POST `body` to `/campaign` and return the status and the raw response
+/// body, byte for byte.
+fn post_campaign_raw(addr: &str, body: &str) -> (u16, Vec<u8>) {
+    use std::io::Read as _;
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    hc_serve::http::write_request(&mut stream, "POST", "/campaign", body.as_bytes(), false)
+        .expect("send request");
+    let mut reader = std::io::BufReader::new(stream);
+    let (status, _headers) = hc_serve::http::read_response_head(&mut reader).expect("head");
+    let mut bytes = Vec::new();
+    reader.read_to_end(&mut bytes).expect("body");
+    (status, bytes)
+}
+
+#[test]
+fn file_rows_are_refused_without_touching_the_filesystem() {
+    let (daemon, addr, dir) = start("file-rows", None);
+
+    // An existing non-recording file and a path that does not exist: were
+    // the daemon to open them, its errors would differ ("bad magic" against
+    // "No such file").  Both must get the same 400 bytes, naming no path.
+    let missing = dir.join("no-such-recording.uoptrace");
+    let bodies: Vec<Vec<u8>> = ["/etc/passwd", missing.to_str().expect("utf-8 path")]
+        .into_iter()
+        .map(|path| {
+            let spec = CampaignBuilder::new("file-rows")
+                .policy(PolicyKind::Ir)
+                .trace_file(path)
+                .trace_len(600)
+                .build()
+                .expect("file rows build offline");
+            let (status, body) = post_campaign_raw(&addr, &spec.to_json());
+            assert_eq!(status, 400, "{path}");
+            let text = String::from_utf8(body.clone()).expect("utf-8 envelope");
+            let (kind, message) = protocol::parse_error_envelope(&text);
+            assert_eq!(kind, "invalid_spec");
+            assert!(
+                !message.contains(path),
+                "the message names no path: {message}"
+            );
+            body
+        })
+        .collect();
+    assert_eq!(bodies[0], bodies[1], "the two refusals are byte-identical");
+
+    let health = client::get(&addr, "/healthz").expect("daemon still answers");
+    assert!(health.contains("\"ok\""));
+
+    client::shutdown(&addr).expect("drain");
+    daemon.join().unwrap().expect("clean exit");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 #[test]
 fn max_requests_drains_the_daemon_after_the_last_campaign() {
     let (daemon, addr, dir) = start("maxreq", Some(2));

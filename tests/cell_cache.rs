@@ -55,7 +55,7 @@ fn warm_reports_are_byte_identical_and_simulate_nothing() {
         .with_cache(Arc::clone(&cold_cache))
         .run(&spec)
         .expect("cold run");
-    let activity = cold_cache.activity();
+    let activity = cold_cache.stats();
     assert_eq!(activity.hits, 0, "nothing to hit on a cold cache");
     assert_eq!(activity.misses, lookups);
     assert_eq!(activity.inserts, lookups);
@@ -70,7 +70,7 @@ fn warm_reports_are_byte_identical_and_simulate_nothing() {
         .with_cache(Arc::clone(&warm_cache))
         .run(&spec)
         .expect("warm run");
-    let activity = warm_cache.activity();
+    let activity = warm_cache.stats();
     assert_eq!(activity.misses, 0, "a warm run re-simulates zero cells");
     assert_eq!(activity.hits, lookups);
     assert_eq!(activity.inserts, 0);
@@ -106,11 +106,7 @@ fn golden_suite_bytes_survive_the_cache() {
             serde::json::to_string_pretty(&(&report.baselines, &report.cells, &fig14.rows));
         assert_eq!(snapshot, golden, "{pass} cache pass diverged from golden");
         if pass == "warm" {
-            assert_eq!(
-                cache.activity().misses,
-                0,
-                "warm pass must replay everything"
-            );
+            assert_eq!(cache.stats().misses, 0, "warm pass must replay everything");
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -140,7 +136,7 @@ fn caches_are_shared_across_shard_counts() {
             unsharded.to_json(),
             "{shard_count}-shard merge must match the unsharded bytes"
         );
-        let activity = warm.activity();
+        let activity = warm.stats();
         assert_eq!(
             activity.misses, 0,
             "{shard_count}-shard run re-simulates zero cells"
@@ -199,7 +195,7 @@ fn corrupt_entries_are_evicted_and_resimulated_identically() {
         .run(&spec)
         .expect("run over damaged cache");
     assert_eq!(rerun.to_json(), cold.to_json(), "repair must be invisible");
-    let activity = warm.activity();
+    let activity = warm.stats();
     assert_eq!(activity.evictions, 1, "the damaged entry is deleted");
     assert_eq!(activity.misses, 1, "…and its cell re-simulated");
     assert_eq!(activity.hits, 8, "every other cell replays");
@@ -262,69 +258,10 @@ fn killed_writers_leave_torn_tails_that_are_truncated_without_poisoning_hits() {
         cold.to_json(),
         "recovery must be invisible"
     );
-    let activity = warm.activity();
+    let activity = warm.stats();
     assert_eq!(activity.misses, 0, "no committed entry was lost");
     assert_eq!(activity.hits, 9, "every cell replays from the clean prefix");
     assert_eq!(activity.evictions, 0, "a torn tail is not a corrupt entry");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn legacy_caches_serve_transparently_and_pack_migrates_them_in_place() {
-    // The golden-suite bytes, three ways: a cold packed cache, the same
-    // entries demoted to the legacy per-file layout (served through the
-    // transparent fallback), and after `pack()` migrates them back into
-    // segments.  All three must match the committed snapshot exactly, and
-    // both warm passes must replay without a single miss.
-    let golden = std::fs::read_to_string("tests/golden/suite_2pc.json")
-        .expect("golden snapshot missing; regenerate with GOLDEN_REGEN=1");
-    let spec = CampaignBuilder::new("golden-suite")
-        .policy(PolicyKind::Ir)
-        .category_suite(2)
-        .trace_len(1_500)
-        .build()
-        .expect("the golden suite is a valid campaign");
-    let dir = tmp_dir("migrate");
-    let snapshot_of = |cache: &Arc<CellCache>| {
-        let report = ShardedCampaignRunner::new(3)
-            .with_cache(Arc::clone(cache))
-            .run(&spec)
-            .expect("the golden suite runs")
-            .report;
-        let fig14 = figures::fig14_categories_from(&report);
-        serde::json::to_string_pretty(&(&report.baselines, &report.cells, &fig14.rows))
-    };
-
-    let cache = Arc::new(CellCache::open(&dir).expect("open cold"));
-    assert_eq!(snapshot_of(&cache), golden, "cold packed pass");
-    let demoted = cache.demote_to_legacy_layout().expect("demote");
-    assert!(demoted > 0, "the demotion rewrote every simulated cell");
-    drop(cache);
-
-    // A reopened handle serves the per-file layout transparently: zero
-    // misses, golden bytes, no migration required first.
-    let legacy = Arc::new(CellCache::open(&dir).expect("open legacy"));
-    assert_eq!(snapshot_of(&legacy), golden, "legacy warm pass");
-    assert_eq!(
-        legacy.activity().misses,
-        0,
-        "legacy entries replay everything"
-    );
-    drop(legacy);
-
-    // `reproduce cache-pack`'s engine migrates in place…
-    let packed = Arc::new(CellCache::open(&dir).expect("open for migration"));
-    let outcome = packed.pack().expect("pack");
-    assert_eq!(outcome.migrated, demoted, "every legacy file migrates");
-    assert_eq!(outcome.dropped, 0, "no entry was damaged along the way");
-    assert!(!dir.join("cells").exists(), "the per-file tree is gone");
-    // …and the migrated cache replays the same bytes with zero misses.
-    assert_eq!(snapshot_of(&packed), golden, "packed warm pass");
-    assert_eq!(
-        packed.activity().misses,
-        0,
-        "migrated entries replay everything"
-    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

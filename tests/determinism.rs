@@ -68,7 +68,7 @@ fn warm_cache_replay_simulates_nothing() {
         .with_cache(Arc::clone(&cold_cache))
         .run(&spec)
         .expect("cold run");
-    assert_eq!(cold_cache.activity().misses, 12);
+    assert_eq!(cold_cache.stats().misses, 12);
 
     // Warm replay: every cell is a cache hit, so the engine simulates
     // nothing.
@@ -77,7 +77,7 @@ fn warm_cache_replay_simulates_nothing() {
         .with_cache(Arc::clone(&warm_cache))
         .run(&spec)
         .expect("warm run");
-    let activity = warm_cache.activity();
+    let activity = warm_cache.stats();
     assert_eq!(activity.misses, 0, "a warm replay re-simulates zero cells");
     assert_eq!(activity.hits, 12);
     assert_eq!(warm.to_json(), cold.to_json(), "warm bytes == cold bytes");

@@ -212,7 +212,7 @@ fn fleet_shares_one_packed_cache_and_a_killed_writers_tail_is_recovered() {
         single.to_json(),
         "a shared packed cache must not change the report bytes"
     );
-    let inserts = cache.activity().inserts;
+    let inserts = cache.stats().inserts;
     assert!(inserts > 0, "the fleet populated the cache");
     drop(cache); // seal the segment, persist the index snapshot
 
@@ -272,7 +272,7 @@ fn fleet_shares_one_packed_cache_and_a_killed_writers_tail_is_recovered() {
         single.to_json(),
         "crash recovery must not change the report bytes"
     );
-    let activity = warm.activity();
+    let activity = warm.stats();
     assert_eq!(
         activity.misses, 0,
         "no committed entry was lost to the tail"

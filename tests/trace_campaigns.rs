@@ -92,7 +92,7 @@ fn phased_campaigns_replay_warm_and_round_trip_through_recordings() {
         .with_cache(Arc::clone(&cold_cache))
         .run(&spec)
         .expect("cold run");
-    let activity = cold_cache.activity();
+    let activity = cold_cache.stats();
     assert_eq!(activity.hits, 0);
     assert_eq!(activity.inserts, activity.misses);
     assert!(activity.inserts > 0, "streamed rows populate the cache");
@@ -104,7 +104,7 @@ fn phased_campaigns_replay_warm_and_round_trip_through_recordings() {
         .with_cache(Arc::clone(&warm_cache))
         .run(&spec)
         .expect("warm run");
-    let activity = warm_cache.activity();
+    let activity = warm_cache.stats();
     assert_eq!(activity.misses, 0, "phased rows replay entirely from cache");
     assert_eq!(warm.to_json(), cold.to_json(), "warm bytes == cold bytes");
 
@@ -166,14 +166,14 @@ fn file_rows_are_cache_addressed_by_content_not_path() {
         .with_cache(Arc::clone(&cache))
         .run(&spec_for(&a))
         .expect("first run");
-    let misses_after_first = cache.activity().misses;
+    let misses_after_first = cache.stats().misses;
     assert!(misses_after_first > 0);
     let second = CampaignRunner::new()
         .with_cache(Arc::clone(&cache))
         .run(&spec_for(&b))
         .expect("second run");
     assert_eq!(
-        cache.activity().misses,
+        cache.stats().misses,
         misses_after_first,
         "the renamed copy must hit every cell the original inserted"
     );
