@@ -34,6 +34,7 @@ const MAX_DEPTH: usize = 128;
 /// than 128 levels deep are a parse error.
 pub fn parse(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
+        text: s,
         bytes: s.as_bytes(),
         pos: 0,
         depth: 0,
@@ -137,6 +138,7 @@ fn write_string(out: &mut String, s: &str) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects currently open.
@@ -264,13 +266,29 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain bytes up to the next quote or backslash
+            // in one step.  The input is a `&str`, and both stop bytes are
+            // ASCII, which never occurs inside a multi-byte UTF-8 sequence,
+            // so every run starts and ends on a character boundary.
+            let start = self.pos;
+            let run = self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - start);
+            self.pos += run;
+            out.push_str(
+                self.text
+                    .get(start..self.pos)
+                    .ok_or_else(|| Error::custom("invalid UTF-8 in string"))?,
+            );
             match self.peek() {
                 None => return Err(Error::custom("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                // The run stopped at a backslash.
+                Some(_) => {
                     self.pos += 1;
                     let esc = self
                         .peek()
@@ -285,35 +303,51 @@ impl<'a> Parser<'a> {
                         b'n' => out.push('\n'),
                         b'r' => out.push('\r'),
                         b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| Error::custom("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| Error::custom("invalid \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| Error::custom("invalid \\u escape"))?;
-                            self.pos += 4;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| Error::custom("invalid \\u code point"))?,
-                            );
-                        }
+                        b'u' => out.push(self.unicode_escape()?),
                         _ => return Err(Error::custom("unknown escape sequence")),
                     }
                 }
-                Some(_) => {
-                    // Consume one full UTF-8 character.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| Error::custom("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
             }
         }
+    }
+
+    /// The character of a `\u` escape whose `\u` has been consumed: one
+    /// BMP code unit, or a UTF-16 surrogate pair written as two escapes.
+    fn unicode_escape(&mut self) -> Result<char, Error> {
+        let unpaired = || Error::custom("unpaired surrogate in \\u escape");
+        let code = match self.hex4()? {
+            high @ 0xD800..=0xDBFF => {
+                if self.bytes.get(self.pos..self.pos + 2) != Some(b"\\u") {
+                    return Err(unpaired());
+                }
+                self.pos += 2;
+                let low = self.hex4()?;
+                if !(0xDC00..=0xDFFF).contains(&low) {
+                    return Err(unpaired());
+                }
+                0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00)
+            }
+            0xDC00..=0xDFFF => return Err(unpaired()),
+            unit => unit,
+        };
+        char::from_u32(code).ok_or_else(|| Error::custom("invalid \\u code point"))
+    }
+
+    /// Exactly four hex digits, as one UTF-16 code unit.
+    fn hex4(&mut self) -> Result<u32, Error> {
+        let digits = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| Error::custom("truncated \\u escape"))?;
+        let mut unit = 0;
+        for &b in digits {
+            let digit = char::from(b)
+                .to_digit(16)
+                .ok_or_else(|| Error::custom("invalid \\u escape"))?;
+            unit = unit * 16 + digit;
+        }
+        self.pos += 4;
+        Ok(unit)
     }
 
     fn number(&mut self) -> Result<Value, Error> {
@@ -390,6 +424,124 @@ mod tests {
         match parse(&to_string(&v)).unwrap() {
             Value::Float(g) => assert_eq!(f, g),
             other => panic!("expected float, got {other:?}"),
+        }
+    }
+
+    fn string(text: &str) -> Result<String, Error> {
+        match parse(text)? {
+            Value::Str(s) => Ok(s),
+            other => panic!("expected a string, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn runs_keep_multi_byte_characters_whole() {
+        for plain in ["µops", "café", "rocket 🚀 launch", "ü€🚀x", "🚀"] {
+            let text = format!("\"{plain}\"");
+            assert_eq!(string(&text).unwrap(), plain);
+            // The same characters split by escapes on either side of a run.
+            let escaped = format!("\"\\t{plain}\\n{plain}\\\"\"");
+            assert_eq!(string(&escaped).unwrap(), format!("\t{plain}\n{plain}\""));
+        }
+    }
+
+    #[test]
+    fn escapes_directly_around_runs() {
+        assert_eq!(string(r#""\nabc""#).unwrap(), "\nabc");
+        assert_eq!(string(r#""abc\n""#).unwrap(), "abc\n");
+        assert_eq!(string(r#""\\\"""#).unwrap(), "\\\"");
+        assert_eq!(string(r#""a\/b\u0041c""#).unwrap(), "a/bAc");
+        assert_eq!(string(r#""""#).unwrap(), "");
+    }
+
+    #[test]
+    fn unterminated_strings_keep_their_error() {
+        for text in ["\"abc", "\"µ🚀é", "\"a\\nb", "{\"key", "[\"abc\\\"def"] {
+            let err = parse(text).expect_err(text);
+            assert!(
+                err.to_string().contains("unterminated string"),
+                "{text}: {err}"
+            );
+        }
+        let err = parse("\"abc\\").expect_err("dangling backslash");
+        assert!(err.to_string().contains("unterminated escape"), "{err}");
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_character() {
+        assert_eq!(string(r#""\ud83d\ude80""#).unwrap(), "🚀");
+        assert_eq!(string(r#""a\uD83D\uDE80b""#).unwrap(), "a🚀b");
+        // The largest code point, U+10FFFF.
+        assert_eq!(string(r#""\udbff\udfff""#).unwrap(), "\u{10FFFF}");
+        // A non-BMP character survives the writer (which emits it raw) and
+        // the parser both ways.
+        let v = Value::Str("🚀".to_string());
+        assert_eq!(parse(&to_string(&v)).unwrap(), v);
+    }
+
+    #[test]
+    fn lone_surrogates_are_refused() {
+        for text in [
+            r#""\ud83d""#,
+            r#""\ud83dx""#,
+            r#""\ud83d\n""#,
+            r#""\ud83d\u0041""#,
+            r#""\ud83d\ud83d""#,
+            r#""\ude80""#,
+            r#""\ude80\ud83d""#,
+        ] {
+            let err = parse(text).expect_err(text);
+            assert!(err.to_string().contains("surrogate"), "{text}: {err}");
+        }
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(string(r#""\u0041""#).unwrap(), "A");
+        assert_eq!(string(r#""\u00e9\u00E9""#).unwrap(), "éé");
+        assert_eq!(string(r#""\u00411""#).unwrap(), "A1");
+        for text in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u004g""#,
+            r#""\u00µ""#,
+        ] {
+            let err = parse(text).expect_err(text);
+            assert!(
+                err.to_string().contains("invalid \\u escape"),
+                "{text}: {err}"
+            );
+        }
+        let err = parse(r#""\u004""#).expect_err("three digits, then the quote");
+        assert!(err.to_string().contains("escape"), "{err}");
+        let err = parse(r#""\u00"#).expect_err("input ends inside the escape");
+        assert!(err.to_string().contains("truncated"), "{err}");
+    }
+
+    /// Decoding is linear in the input.  Each size is four times the last;
+    /// a decoder that re-scans the rest of the document per character takes
+    /// 16 times longer per step and blows the bound within the ladder.
+    #[test]
+    fn decoding_time_is_linear_in_document_size() {
+        let bound = std::time::Duration::from_secs(2);
+        let timed = |text: &str| {
+            let start = std::time::Instant::now();
+            let value = parse(text).expect("valid document");
+            (start.elapsed(), value)
+        };
+        for kib in [64, 256, 1024, 4096] {
+            let text = format!("\"{}\"", "aµ".repeat(kib * 1024 / 3));
+            let (elapsed, value) = timed(&text);
+            assert!(elapsed < bound, "a {kib} KiB string took {elapsed:?}");
+            assert!(matches!(value, Value::Str(s) if s.len() == text.len() - 2));
+        }
+        for keys in [1_000, 10_000, 100_000] {
+            let body: Vec<String> = (0..keys).map(|i| format!("\"k{i:06}\":{i}")).collect();
+            let text = format!("{{{}}}", body.join(","));
+            let (elapsed, value) = timed(&text);
+            assert!(elapsed < bound, "{keys} keys took {elapsed:?}");
+            assert!(matches!(value, Value::Map(m) if m.len() == keys));
         }
     }
 }

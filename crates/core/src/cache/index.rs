@@ -80,10 +80,15 @@ impl CacheIndex {
         if let Some(old) = self.entries.insert(digest, entry) {
             self.release(&old);
         }
+        // Saturating: a damaged snapshot may carry any offset or length.  An
+        // entry reaching past its segment's end pushes the horizon past the
+        // file, which makes the next sync rescan that segment (rule 3).
         let state = self.segments.entry(entry.segment).or_default();
-        state.live_bytes += entry.len;
+        state.live_bytes = state.live_bytes.saturating_add(entry.len);
         state.live_records += 1;
-        state.scanned_len = state.scanned_len.max(entry.offset + entry.len);
+        state.scanned_len = state
+            .scanned_len
+            .max(entry.offset.saturating_add(entry.len));
     }
 
     /// Drop `digest` from the index (eviction or corruption), returning the

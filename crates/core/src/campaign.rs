@@ -42,8 +42,8 @@ use crate::scenario::{ScenarioError, ScenarioSpec, DEFAULT_SCENARIO_NAME};
 use hc_power::{Ed2Comparison, PowerModel, PowerParams};
 use hc_sim::{ConfigError, ExecContext, SimConfig, SimStats};
 use hc_trace::{
-    read_header, FileSource, MaterializedSource, PhaseSchedule, PhasedSource, SpecBenchmark, Trace,
-    TraceError, TraceSource, WorkloadCategory, WorkloadProfile,
+    read_header, FileSource, MaterializedSource, PhaseSchedule, PhasedSource, SpecBenchmark,
+    SynthesizedSource, Trace, TraceError, TraceSource, WorkloadCategory, WorkloadProfile,
 };
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -110,6 +110,15 @@ pub enum CampaignError {
     /// keyed by name, so duplicates would silently join to the wrong
     /// baseline.
     DuplicateTraceLabel(String),
+    /// A `Profile` row, or a phase of a `Phased` row, names a workload
+    /// profile that cannot generate a trace: its kernel mix is empty or
+    /// has no positive weight (see [`WorkloadProfile::check`]).
+    InvalidProfile {
+        /// The row's trace label.
+        trace: String,
+        /// What the profile check objected to.
+        reason: String,
+    },
     /// The same policy appears twice; report cells are keyed by policy
     /// name, so duplicates would double-count in every aggregate.
     DuplicatePolicy(String),
@@ -209,6 +218,12 @@ impl fmt::Display for CampaignError {
             ),
             CampaignError::DuplicateTraceLabel(label) => {
                 write!(f, "campaign names the trace `{label}` more than once")
+            }
+            CampaignError::InvalidProfile { trace, reason } => {
+                write!(
+                    f,
+                    "trace `{trace}` has an invalid workload profile: {reason}"
+                )
             }
             CampaignError::DuplicatePolicy(name) => {
                 write!(f, "campaign names the policy `{name}` more than once")
@@ -321,6 +336,21 @@ pub enum TraceSelector {
 }
 
 impl TraceSelector {
+    /// The workload profile a synthesized row generates its `trace_len`
+    /// µops from: the one mapping behind [`TraceSelector::label`],
+    /// [`TraceSelector::generate`] and the grid's row sources, so the three
+    /// cannot drift apart.  Callers handle `File` and `Phased` rows first.
+    fn profile(&self, trace_len: usize) -> WorkloadProfile {
+        match self {
+            TraceSelector::Spec(b) => b.profile(trace_len),
+            TraceSelector::CategoryApp { category, app } => category.app_profile(*app, trace_len),
+            TraceSelector::Profile(p) => p.clone().with_trace_len(trace_len),
+            TraceSelector::File { .. } | TraceSelector::Phased { .. } => {
+                unreachable!("`File` and `Phased` rows supply their own µops")
+            }
+        }
+    }
+
     /// The trace name this selector will generate.
     ///
     /// For a `File` row the name travels inside the recording, so this reads
@@ -330,15 +360,11 @@ impl TraceSelector {
     /// opens it.
     pub fn label(&self, trace_len: usize) -> String {
         match self {
-            TraceSelector::Spec(b) => b.name().to_string(),
-            TraceSelector::CategoryApp { category, app } => {
-                category.app_profile(*app, trace_len).name
-            }
-            TraceSelector::Profile(p) => p.name.clone(),
             TraceSelector::File { path } => read_header(Path::new(path))
                 .map(|h| h.name)
                 .unwrap_or_else(|_| format!("file:{path}")),
             TraceSelector::Phased { schedule } => schedule.name.clone(),
+            synthesized => synthesized.profile(trace_len).name,
         }
     }
 
@@ -352,16 +378,12 @@ impl TraceSelector {
     /// for callers that need a materialized [`Trace`].
     pub fn generate(&self, trace_len: usize) -> Trace {
         match self {
-            TraceSelector::Spec(b) => b.trace(trace_len),
-            TraceSelector::CategoryApp { category, app } => {
-                category.app_profile(*app, trace_len).generate()
-            }
-            TraceSelector::Profile(p) => p.clone().with_trace_len(trace_len).generate(),
             TraceSelector::File { path } => match hc_trace::load_trace(Path::new(path)) {
                 Ok(trace) => trace,
                 Err(e) => panic!("cannot load trace file `{path}`: {e}"),
             },
             TraceSelector::Phased { schedule } => schedule.materialize(),
+            synthesized => synthesized.profile(trace_len).generate(),
         }
     }
 
@@ -406,12 +428,15 @@ pub(crate) fn resolve_row_docs(
     traces.iter().map(TraceSelector::cache_doc).collect()
 }
 
-/// One grid row's µop supply.  Synthesized selectors and the in-memory
-/// adapter paths wrap a [`MaterializedSource`], which the simulator reads
-/// in place; `File` and `Phased` rows stream a bounded window at a time.
+/// One grid row's µop supply.  Synthesized selectors open a
+/// [`SynthesizedSource`], which generates the trace on the first read and
+/// is then read in place, like the in-memory adapter paths'
+/// [`MaterializedSource`]; `File` and `Phased` rows stream a bounded window
+/// at a time.
 pub(crate) type RowSource<'a> = Box<dyn TraceSource + Send + 'a>;
 
-/// Open one selector's µop supply.
+/// Open one selector's µop supply.  Opening does no µop work: a row whose
+/// every cell is a cache hit is never synthesized or streamed.
 pub(crate) fn open_row(
     selector: &TraceSelector,
     trace_len: usize,
@@ -422,7 +447,7 @@ pub(crate) fn open_row(
                 .map_err(|e| CampaignError::Trace(format!("{path}: {e}")))?,
         ),
         TraceSelector::Phased { schedule } => Box::new(PhasedSource::new(schedule.clone())),
-        synthesized => Box::new(MaterializedSource::new(synthesized.generate(trace_len))),
+        synthesized => Box::new(SynthesizedSource::new(synthesized.profile(trace_len))),
     })
 }
 
@@ -550,6 +575,21 @@ impl CampaignSpec {
         }
         let mut labels = std::collections::BTreeSet::new();
         for selector in &self.traces {
+            let profiles: Vec<&WorkloadProfile> = match selector {
+                TraceSelector::Profile(p) => vec![p],
+                TraceSelector::Phased { schedule } => {
+                    schedule.phases.iter().map(|p| &p.profile).collect()
+                }
+                _ => Vec::new(),
+            };
+            for profile in profiles {
+                profile
+                    .check()
+                    .map_err(|reason| CampaignError::InvalidProfile {
+                        trace: selector.label(self.trace_len),
+                        reason: reason.to_string(),
+                    })?;
+            }
             if let TraceSelector::Phased { schedule } = selector {
                 if schedule.phases.is_empty() {
                     return Err(CampaignError::Trace(format!(
@@ -1108,11 +1148,13 @@ pub struct CampaignReport {
     /// byte-identical between cold and warm cache runs; cache hit/miss
     /// accounting lives in [`CellCache::stats`], not in the report.
     pub baseline_runs: usize,
-    /// Number of [`TraceSelector::generate`] calls actually performed — the
-    /// trace-memoization instrumentation mirroring `baseline_runs`: each
-    /// grid row is synthesized exactly once and shared across every policy
-    /// column, every warmup run *and every scenario*, so this is always the
-    /// number of traces.
+    /// Number of row trace sources opened — the trace-memoization
+    /// instrumentation mirroring `baseline_runs`: each grid row is opened
+    /// exactly once and shared across every policy column, every warmup run
+    /// *and every scenario*, so this is always the number of traces.  A
+    /// synthesized row counts when it is opened, whether or not a cell
+    /// simulates and makes it generate its µops, so the count (and the
+    /// report bytes) are the same for cold and warm cache runs.
     pub trace_generations: usize,
 }
 
@@ -1406,9 +1448,11 @@ impl CampaignRunner {
     /// drops it before picking up the next row — at no point do more than
     /// O(worker threads) traces exist in memory, so the full 409-trace
     /// Table 2 suite runs in the same footprint as a 12-trace grid.  Each
-    /// row's trace is generated exactly once and shared by every scenario
+    /// row's source is opened exactly once and shared by every scenario
     /// and policy column; the `trace_generations` counter proves the
-    /// memoization held.  Baselines are memoized per (trace, scenario): an
+    /// memoization held.  A synthesized row generates its µops when its
+    /// first cell simulates, at most once, and not at all when every cell
+    /// is a cache hit.  Baselines are memoized per (trace, scenario): an
     /// N-policy sweep over S scenarios simulates `traces × S` baselines,
     /// never `traces × S × N`.
     pub fn run(&self, spec: &CampaignSpec) -> Result<CampaignReport, CampaignError> {
@@ -1699,11 +1743,12 @@ pub(crate) fn deliver_progress(
 /// Every simulated cell, baselines included, goes through [`run_claimed`].
 /// With a [`GridCache`] bound, cached cells are restored, in-flight cells
 /// are joined, and only leads simulate and publish (with their wall-clock
-/// cost, for later runs and the cost-model planner).  The trace is still
-/// opened per row even on a full-hit row — synthesis is cheap, and it keeps
-/// the report's `trace_generations` counter (and with it the report bytes)
-/// identical between cold and warm runs; the cache elides *simulation*,
-/// not synthesis.
+/// cost, for later runs and the cost-model planner).  Each row is still
+/// opened on a full-hit row, which keeps the report's `trace_generations`
+/// counter (and with it the report bytes) identical between cold and warm
+/// runs.  Opening costs no µop work: the source is read only inside a
+/// lead's simulation, so a synthesized row generates its trace when its
+/// first cell simulates and a full-hit row never does.
 ///
 /// Opening and streaming a row are fallible (`File` rows can hit an
 /// unreadable or corrupt recording).  The parallel fan-out may surface
@@ -2295,6 +2340,132 @@ mod tests {
                 supported: CAMPAIGN_SPEC_SCHEMA_VERSION,
             }
         );
+    }
+
+    /// A profile whose µops cannot be generated: reading a row built on it
+    /// panics, so a test that survives never synthesized the row.
+    fn poisoned_profile(name: &str) -> WorkloadProfile {
+        WorkloadProfile::new(name, Vec::new()).with_category("enc")
+    }
+
+    #[test]
+    fn profiles_that_cannot_generate_are_refused_by_validate() {
+        let zero = WorkloadProfile::new("zero", vec![(hc_trace::KernelKind::WordSum, 0.0)]);
+        let rows = [
+            (TraceSelector::Profile(poisoned_profile("empty")), "empty"),
+            (TraceSelector::Profile(zero.clone()), "zero"),
+            (
+                TraceSelector::Phased {
+                    schedule: PhaseSchedule::new("phased")
+                        .phase(SpecBenchmark::Gzip.profile(1), 100)
+                        .phase(zero, 100),
+                },
+                "phased",
+            ),
+        ];
+        for (selector, trace) in rows {
+            let mut spec = small_spec();
+            spec.traces.push(selector);
+            let err = spec.validate().expect_err(trace);
+            match &err {
+                CampaignError::InvalidProfile { trace: t, .. } => assert_eq!(t, trace),
+                other => panic!("{trace}: expected InvalidProfile, got {other:?}"),
+            }
+            assert!(err.to_string().contains(trace), "{err}");
+            // The runner refuses it the same way instead of panicking.
+            assert_eq!(CampaignRunner::new().run(&spec).unwrap_err(), err);
+        }
+    }
+
+    #[test]
+    fn opening_a_row_or_reading_its_header_synthesizes_nothing() {
+        let row = open_row(&TraceSelector::Profile(poisoned_profile("p")), 500).unwrap();
+        assert_eq!(row.header().name, "p");
+        assert_eq!(row.header().category.as_deref(), Some("enc"));
+        assert_eq!(row.header().len, 500);
+        let read = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| row.as_trace()));
+        assert!(read.is_err(), "the first read generates the µops");
+    }
+
+    #[test]
+    fn deferred_row_headers_match_the_generated_traces() {
+        let selectors = SpecBenchmark::ALL
+            .iter()
+            .map(|&b| TraceSelector::Spec(b))
+            .chain(WorkloadCategory::ALL.iter().flat_map(|&category| {
+                (0..category.trace_count())
+                    .map(move |app| TraceSelector::CategoryApp { category, app })
+            }));
+        let mut checked = 0;
+        for selector in selectors {
+            for trace_len in [1, 7, 300] {
+                let mut row = open_row(&selector, trace_len).unwrap();
+                let header = row.header().clone();
+                assert_eq!(header.name, selector.label(trace_len));
+                let generated = selector.generate(trace_len);
+                assert_eq!(header, hc_trace::TraceHeader::of_trace(&generated));
+                assert_eq!(row.as_trace().unwrap().uops, generated.uops);
+                row.reset().unwrap();
+                assert_eq!(
+                    hc_trace::source::drain_source(row.as_mut()).unwrap().len(),
+                    trace_len
+                );
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, (12 + 409) * 3);
+    }
+
+    #[test]
+    fn fully_warm_replays_synthesize_no_row() {
+        // Every row is poisoned, so the replay succeeds only if no row is
+        // ever read.  The cache is filled by hand under the grid's own keys.
+        let mut spec = small_spec();
+        spec.policies.push(PolicyKind::Ir);
+        spec.traces = vec![
+            TraceSelector::Profile(poisoned_profile("profile")),
+            TraceSelector::Phased {
+                schedule: PhaseSchedule::new("phased").phase(poisoned_profile("phase"), 300),
+            },
+        ];
+        let stats = CampaignRunner::new().run(&small_spec()).unwrap().cells[0]
+            .stats
+            .clone();
+        let dir = std::env::temp_dir().join(format!("hc_campaign_warm_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = CellCache::open(&dir).unwrap();
+        let keys = GridCache {
+            cache: &cache,
+            trace_len: spec.trace_len,
+            warmup_runs: spec.warmup_runs,
+            scenario_docs: spec.scenarios.iter().map(Serialize::to_value).collect(),
+            row_docs: resolve_row_docs(&spec.traces).unwrap(),
+        };
+        for row in 0..spec.traces.len() {
+            let cells = spec.policies.iter().map(|&kind| keys.cell(row, 0, kind));
+            for (cache, key) in std::iter::once(keys.baseline(row, 0)).chain(cells) {
+                match cache.claim(&key) {
+                    CellClaim::Lead(lead) => lead.publish(stats.clone()),
+                    _ => panic!("a fresh cache holds nothing"),
+                };
+            }
+        }
+        let filled = cache.stats();
+        let rows: Vec<usize> = (0..spec.traces.len()).collect();
+        let (grid, opened) = run_spec_rows(&spec, &rows, None, Some(&cache)).unwrap();
+        assert_eq!(opened, 2, "every row is still opened once");
+        let (baselines, cells) = grid.into_flat_parts();
+        assert_eq!((baselines.len(), cells.len()), (2, 6));
+        assert_eq!(cells[0].trace, "profile");
+        assert_eq!(cells[3].trace, "phased");
+        assert!(cells.iter().all(|c| c.stats == stats));
+        let replayed = cache.stats();
+        assert_eq!(replayed.misses, filled.misses, "the replay misses nothing");
+        // Per row: the baseline, P888 and IR (the `baseline` column reuses
+        // the row's baseline).
+        assert_eq!(replayed.hits, filled.hits + 6);
+        drop(cache);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

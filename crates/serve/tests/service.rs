@@ -2,10 +2,10 @@
 //! daemon on an ephemeral loopback port per test, driven through the
 //! real client.
 
-use hc_core::campaign::{CampaignBuilder, CampaignRunner, CampaignSpec};
+use hc_core::campaign::{CampaignBuilder, CampaignRunner, CampaignSpec, TraceSelector};
 use hc_core::policy::PolicyKind;
 use hc_serve::{client, protocol, ServeOptions, Server};
-use hc_trace::SpecBenchmark;
+use hc_trace::{KernelKind, SpecBenchmark, WorkloadProfile};
 use serde::Value;
 use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
@@ -217,6 +217,35 @@ fn file_rows_are_refused_without_touching_the_filesystem() {
 
     let health = client::get(&addr, "/healthz").expect("daemon still answers");
     assert!(health.contains("\"ok\""));
+
+    client::shutdown(&addr).expect("drain");
+    daemon.join().unwrap().expect("clean exit");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn profiles_that_cannot_generate_are_refused_before_any_work() {
+    let (daemon, addr, dir) = start("bad-profile", None);
+
+    // An empty kernel mix and a mix without a positive weight both decode
+    // as specs; generating either trace would panic the handler thread.
+    for mix in [Vec::new(), vec![(KernelKind::WordSum, 0.0)]] {
+        let mut spec = small_spec("bad-profile");
+        spec.traces
+            .push(TraceSelector::Profile(WorkloadProfile::new("bad", mix)));
+        let (status, body) = post_campaign_raw(&addr, &spec.to_json());
+        assert_eq!(status, 400);
+        let text = String::from_utf8(body).expect("utf-8 envelope");
+        let (kind, message) = protocol::parse_error_envelope(&text);
+        assert_eq!(kind, "invalid_spec");
+        assert!(message.contains("profile"), "{message}");
+    }
+
+    let health = client::get(&addr, "/healthz").expect("daemon still answers");
+    assert!(health.contains("\"ok\""));
+    let metrics = client::get(&addr, "/metrics").expect("metrics");
+    assert_eq!(metric(&metrics, &["requests", "campaigns_in_flight"]), 0);
+    assert_eq!(metric(&metrics, &["requests", "campaigns_rejected"]), 2);
 
     client::shutdown(&addr).expect("drain");
     daemon.join().unwrap().expect("clean exit");

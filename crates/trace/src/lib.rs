@@ -35,6 +35,8 @@ pub use kernels::{Kernel, KernelKind};
 pub use phase::{Phase, PhaseSchedule, PhasedSource};
 pub use profile::WorkloadProfile;
 pub use program::{Inst, Label, Operand, Program};
-pub use source::{MaterializedSource, TraceHeader, TraceSource, TRACE_SOURCE_CHUNK};
+pub use source::{
+    MaterializedSource, SynthesizedSource, TraceHeader, TraceSource, TRACE_SOURCE_CHUNK,
+};
 pub use spec::SpecBenchmark;
 pub use trace::{mix_category, Trace};

@@ -78,19 +78,38 @@ impl WorkloadProfile {
         self
     }
 
+    /// Why [`WorkloadProfile::generate`] cannot run this profile, if it
+    /// cannot: the mix names no kernel, or no kernel has a positive weight.
+    pub fn check(&self) -> Result<(), &'static str> {
+        if self.mix.is_empty() {
+            return Err("profile must contain at least one kernel");
+        }
+        if self.total_weight() <= 0.0 {
+            return Err("profile weights must be positive");
+        }
+        Ok(())
+    }
+
+    /// The sum of the positive kernel weights.
+    fn total_weight(&self) -> f64 {
+        self.mix.iter().map(|(_, w)| w.max(0.0)).sum()
+    }
+
     /// Generate the trace described by this profile.
     ///
     /// Each kernel in the mix is interpreted long enough to supply its share
     /// of the requested µop count; the per-kernel segments are then
     /// interleaved over a fixed number of rounds so the trace alternates between
     /// "phases" like a real program.
+    ///
+    /// # Panics
+    ///
+    /// Panics when [`WorkloadProfile::check`] refuses the profile.
     pub fn generate(&self) -> Trace {
-        assert!(
-            !self.mix.is_empty(),
-            "profile must contain at least one kernel"
-        );
-        let total_weight: f64 = self.mix.iter().map(|(_, w)| w.max(0.0)).sum();
-        assert!(total_weight > 0.0, "profile weights must be positive");
+        if let Err(reason) = self.check() {
+            panic!("{reason}");
+        }
+        let total_weight = self.total_weight();
 
         // Compute integer shares that sum exactly to the requested length:
         // floor each share and hand the rounding remainder to the heaviest kernel.
@@ -250,6 +269,32 @@ mod tests {
     #[should_panic(expected = "at least one kernel")]
     fn empty_mix_panics() {
         let _ = WorkloadProfile::new("bad", vec![]).generate();
+    }
+
+    #[test]
+    fn check_refuses_exactly_what_generate_panics_on() {
+        let profile = |mix| WorkloadProfile::new("p", mix).with_trace_len(64);
+        let refused = [
+            vec![],
+            vec![(KernelKind::WordSum, 0.0)],
+            vec![(KernelKind::WordSum, -1.0), (KernelKind::Checksum, 0.0)],
+        ];
+        for mix in refused {
+            let p = profile(mix);
+            assert!(p.check().is_err(), "{p:?}");
+            assert!(std::panic::catch_unwind(|| p.generate()).is_err(), "{p:?}");
+        }
+        let accepted = [
+            vec![(KernelKind::WordSum, 1.0)],
+            vec![(KernelKind::WordSum, 0.0), (KernelKind::Checksum, 1e-9)],
+            vec![(KernelKind::WordSum, f64::INFINITY)],
+            vec![(KernelKind::WordSum, -1.0), (KernelKind::Checksum, 2.0)],
+        ];
+        for mix in accepted {
+            let p = profile(mix);
+            assert_eq!(p.check(), Ok(()), "{p:?}");
+            assert_eq!(p.generate().len(), 64, "{p:?}");
+        }
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! the campaign grid consume: a fully materialized [`Trace`] is just one
 //! implementation ([`MaterializedSource`]), which also hands its trace out
 //! through [`TraceSource::as_trace`] so consumers can read it in place;
-//! on-disk `.uoptrace` files ([`crate::format::FileSource`]) and
+//! [`SynthesizedSource`] defers generating a [`WorkloadProfile`]'s trace to
+//! its first read, so a consumer that only needs the header never pays for
+//! the µops; on-disk `.uoptrace` files ([`crate::format::FileSource`]) and
 //! phase-structured generators ([`crate::phase::PhasedSource`]) stream µops
 //! in O(chunk) memory instead of O(trace) per worker.
 //!
@@ -21,9 +23,11 @@
 //! * two passes over the same source yield identical µop sequences.
 
 use crate::format::TraceError;
+use crate::profile::WorkloadProfile;
 use crate::trace::Trace;
 use hc_isa::DynUop;
 use std::borrow::Cow;
+use std::cell::OnceCell;
 
 /// Preferred number of µops per [`TraceSource::fill`] call: large enough to
 /// amortize per-chunk overhead, small enough to keep streaming memory flat.
@@ -135,9 +139,67 @@ impl TraceSource for MaterializedSource<'_> {
     }
 }
 
+/// A [`TraceSource`] over a [`WorkloadProfile`] that generates the trace on
+/// its first read.  The header comes from the profile alone — its name,
+/// category and `trace_len` — so opening the source and reading its header
+/// do no µop work.  The first [`TraceSource::as_trace`] or
+/// [`TraceSource::fill`] generates the trace once; every read goes through a
+/// [`MaterializedSource`] over it.
+pub struct SynthesizedSource {
+    profile: WorkloadProfile,
+    header: TraceHeader,
+    trace: OnceCell<MaterializedSource<'static>>,
+}
+
+impl SynthesizedSource {
+    /// Defer generating `profile`'s trace until it is first read.
+    pub fn new(profile: WorkloadProfile) -> SynthesizedSource {
+        let header = TraceHeader {
+            name: profile.name.clone(),
+            category: profile.category.clone(),
+            len: profile.trace_len as u64,
+            digest: None,
+        };
+        SynthesizedSource {
+            profile,
+            header,
+            trace: OnceCell::new(),
+        }
+    }
+
+    fn materialized(&self) -> &MaterializedSource<'static> {
+        self.trace
+            .get_or_init(|| MaterializedSource::new(self.profile.generate()))
+    }
+}
+
+impl TraceSource for SynthesizedSource {
+    fn header(&self) -> &TraceHeader {
+        &self.header
+    }
+
+    fn reset(&mut self) -> Result<(), TraceError> {
+        match self.trace.get_mut() {
+            Some(source) => source.reset(),
+            None => Ok(()),
+        }
+    }
+
+    fn fill(&mut self, out: &mut Vec<DynUop>, max: usize) -> Result<usize, TraceError> {
+        self.materialized();
+        let source = self.trace.get_mut().expect("generated by `materialized`");
+        source.fill(out, max)
+    }
+
+    fn as_trace(&self) -> Option<&Trace> {
+        self.materialized().as_trace()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::KernelKind;
     use hc_isa::uop::{AluOp, Uop, UopKind};
 
     fn trace(n: usize) -> Trace {
@@ -160,6 +222,32 @@ mod tests {
         assert_eq!(src.fill(&mut out, 4).unwrap(), 2);
         assert_eq!(src.fill(&mut out, 4).unwrap(), 0);
         assert_eq!(out, t.uops);
+    }
+
+    #[test]
+    fn synthesized_source_generates_on_first_read_only() {
+        // An empty mix panics when generated, so surviving a call shows the
+        // call did no µop work.
+        let poisoned = WorkloadProfile::new("poisoned", Vec::new()).with_trace_len(9);
+        let mut src = SynthesizedSource::new(poisoned);
+        assert_eq!(src.header().len, 9);
+        src.reset().unwrap();
+        let read = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            src.fill(&mut Vec::new(), 1)
+        }));
+        assert!(read.is_err(), "the first fill generates the µops");
+
+        let profile = WorkloadProfile::new("syn", vec![(KernelKind::WordSum, 1.0)])
+            .with_category("int")
+            .with_trace_len(500);
+        let expected = profile.generate();
+        let mut src = SynthesizedSource::new(profile.clone());
+        assert_eq!(*src.header(), TraceHeader::of_trace(&expected));
+        assert_eq!(drain_source(&mut src).unwrap(), expected.uops);
+        src.reset().unwrap();
+        assert_eq!(drain_source(&mut src).unwrap(), expected.uops);
+        let src = SynthesizedSource::new(profile);
+        assert_eq!(src.as_trace().unwrap().uops, expected.uops);
     }
 
     #[test]
