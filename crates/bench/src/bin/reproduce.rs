@@ -83,7 +83,8 @@
 //! requests share one persistent (keep-alive) connection.
 //!
 //! `cache-gc` sweeps a `--cache` directory: `--max-age-secs S` evicts
-//! entries unused for longer than S, then `--max-bytes N` evicts
+//! entries unused for longer than S (last use is recorded to within a
+//! minute), then `--max-bytes N` evicts
 //! least-recently-used entries until at most N bytes remain; `--dry-run`
 //! reports what would go without deleting anything.  Eviction only drops
 //! index entries; `--compact` additionally rewrites every sealed segment

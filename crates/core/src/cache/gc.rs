@@ -70,7 +70,9 @@ impl CellCache {
     /// [`GcPolicy::max_age`], then — least-recently-used first — evict
     /// entries until the survivors fit [`GcPolicy::max_bytes`], and finally
     /// compact segments left mostly dead.  Last use is the index stamp,
-    /// which [`CellCache::lookup`] bumps on every hit.  With
+    /// which a hit ([`CellCache::lookup`], [`CellCache::claim`]) moves to
+    /// now once the recorded use is a minute old, so ages are accurate to
+    /// within a minute.  With
     /// [`GcPolicy::dry_run`] set, nothing is deleted; the returned
     /// [`GcOutcome`] reports what *would* happen.
     ///

@@ -76,12 +76,14 @@
 //!
 //! ## Lifecycle (GC)
 //!
-//! Every record carries a last-use stamp in the index (bumped on each hit,
-//! persisted with the index snapshot).  [`CellCache::gc`] evicts entries
-//! older than a given age, then evicts until the cache fits a byte budget,
-//! ranking index entries by `(stamp, cost, digest)`, and finally rewrites
-//! segments whose live records have shrunk below half their bytes;
-//! `reproduce cache-gc` is a thin wrapper over it.
+//! Every record carries a last-use stamp in the index (bumped by a hit once
+//! the recorded use is a minute old, persisted with the index snapshot; a
+//! replay that follows another within the minute writes nothing).
+//! [`CellCache::gc`] evicts entries older than a given age, then evicts
+//! until the cache fits a byte budget, ranking index entries by
+//! `(stamp, cost, digest)`, and finally rewrites segments whose live
+//! records have shrunk below half their bytes; `reproduce cache-gc` is a
+//! thin wrapper over it.
 
 mod gc;
 mod index;

@@ -20,6 +20,12 @@ use std::time::{Duration, Instant, SystemTime};
 /// writer mid-append; after the grace it is debris from a dead process.
 pub(super) const RECLAIM_GRACE: Duration = Duration::from_secs(5);
 
+/// Resolution of the last-use clock, in milliseconds.  A hit moves an
+/// entry's stamp only when the recorded use is at least this far from now,
+/// so a replay that follows another within the resolution leaves the index
+/// unchanged and the handle writes no `index.json` when it drops.
+pub(super) const STAMP_RESOLUTION_MILLIS: u64 = 60_000;
+
 /// One in-flight simulation that concurrent callers of the same key can
 /// join instead of repeating.
 #[derive(Debug)]
@@ -516,17 +522,23 @@ impl CellCache {
     }
 
     /// Record a use of `key`'s record: stamp the index entry with
-    /// the current wall-clock, the LRU clock [`CellCache::gc`] runs on.
+    /// the current wall-clock, the LRU clock [`CellCache::gc`] runs on, to
+    /// within [`STAMP_RESOLUTION_MILLIS`].  A stamp in the future (a skewed
+    /// clock, a damaged snapshot) is as stale as an old one.
     fn bump_stamp(&self, key: &CellKey) {
+        let now = now_millis();
         let mut index = lock(&self.index);
         if let Some(entry) = index.entries.get_mut(&key.digest) {
-            entry.stamp_millis = now_millis();
-            self.dirty.store(true, Ordering::Relaxed);
+            if now.abs_diff(entry.stamp_millis) >= STAMP_RESOLUTION_MILLIS {
+                entry.stamp_millis = now;
+                self.dirty.store(true, Ordering::Relaxed);
+            }
         }
     }
 
     /// Look up a cell, counting a hit or miss.  A hit also records the use
-    /// (bumps the entry's last-use stamp for [`CellCache::gc`]).
+    /// (bumps the entry's last-use stamp for [`CellCache::gc`], to within a
+    /// minute).
     pub fn lookup(&self, key: &CellKey) -> Option<CachedCell> {
         match self.read_entry(key, true) {
             Some(cell) => {
@@ -706,6 +718,15 @@ impl CellCache {
             entry.stamp_millis = stamp_millis;
             self.dirty.store(true, Ordering::Relaxed);
         }
+    }
+
+    /// An entry's last-use stamp, if indexed.
+    #[cfg(test)]
+    pub(super) fn stamp(&self, key: &CellKey) -> Option<u64> {
+        lock(&self.index)
+            .entries
+            .get(&key.digest)
+            .map(|e| e.stamp_millis)
     }
 
     /// Paths of the on-disk segment files, ascending by id.

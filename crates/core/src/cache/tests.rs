@@ -1,3 +1,4 @@
+use super::store::STAMP_RESOLUTION_MILLIS;
 use super::*;
 use crate::campaign::CampaignBuilder;
 use hc_sim::SimStats;
@@ -730,6 +731,61 @@ fn lookup_bumps_last_use_so_hot_entries_survive_gc() {
         "used entry must survive"
     );
     assert!(cache.observed_nanos(&cold).is_none());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn hits_within_the_stamp_resolution_write_nothing() {
+    let dir = tmp_dir("stamp_resolution");
+    let keys: Vec<CellKey> = (0..3).map(|t| sample_key(40 + t)).collect();
+    {
+        let cache = CellCache::open(&dir).expect("open");
+        let recent = now_millis() - 1_000;
+        for key in &keys {
+            cache.insert(key, &SimStats::default(), 1);
+            cache.set_stamp(key, recent);
+        }
+    }
+    let snapshot = std::fs::read(dir.join(INDEX_FILE)).expect("written at drop");
+    // Hits on entries used a second ago move no stamp, so the handle drops
+    // without rewriting the snapshot.
+    {
+        let cache = CellCache::open(&dir).expect("reopen");
+        let stamps: Vec<Option<u64>> = keys.iter().map(|k| cache.stamp(k)).collect();
+        for key in &keys {
+            assert!(cache.lookup(key).is_some());
+            assert!(matches!(cache.claim(key), CellClaim::Hit(_)));
+        }
+        assert_eq!(
+            keys.iter().map(|k| cache.stamp(k)).collect::<Vec<_>>(),
+            stamps
+        );
+    }
+    assert_eq!(
+        std::fs::read(dir.join(INDEX_FILE)).expect("snapshot"),
+        snapshot,
+        "a replay within the resolution writes nothing"
+    );
+    // A stamp one resolution old, or one in the future, moves to now.
+    let cache = CellCache::open(&dir).expect("reopen");
+    let now = now_millis();
+    cache.set_stamp(&keys[0], now - STAMP_RESOLUTION_MILLIS);
+    cache.set_stamp(&keys[1], now + 3_600_000);
+    cache.set_stamp(&keys[2], now - STAMP_RESOLUTION_MILLIS + 1_000);
+    for key in &keys {
+        assert!(cache.lookup(key).is_some());
+    }
+    for key in &keys[..2] {
+        let stamp = cache.stamp(key).expect("indexed");
+        assert!((now..=now_millis()).contains(&stamp), "{stamp} vs {now}");
+    }
+    assert_eq!(
+        cache.stamp(&keys[2]),
+        Some(now - STAMP_RESOLUTION_MILLIS + 1_000)
+    );
+    drop(cache);
+    let reopened = CellCache::open(&dir).expect("reopen");
+    assert!(reopened.stamp(&keys[0]).expect("indexed") >= now);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -197,12 +197,21 @@ impl ShardPlan {
 
     /// Plan a partition of `spec` with per-row costs from `model` —
     /// the planner behind [`ShardedCampaignRunner`].
+    ///
+    /// One shard holds every row whatever the costs (the LPT partition is
+    /// the round-robin one), so a one-shard plan costs no row.  With a warm
+    /// cache that skips reading and decoding one record per cell, which
+    /// was half of a warm one-shard replay, spent on a single thread
+    /// before the grid fans out.
     pub fn for_spec(
         spec: &CampaignSpec,
         shard_count: usize,
         model: &CostModel<'_>,
     ) -> Result<ShardPlan, CampaignError> {
         spec.validate()?;
+        if shard_count == 1 {
+            return ShardPlan::round_robin(spec.traces.len(), 1);
+        }
         ShardPlan::cost_balanced(&model.row_costs(spec), shard_count)
     }
 

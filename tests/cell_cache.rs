@@ -79,6 +79,57 @@ fn warm_reports_are_byte_identical_and_simulate_nothing() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Every file under `dir`, recursively: path, bytes and modification time.
+fn files(dir: &std::path::Path) -> Vec<(PathBuf, Vec<u8>, SystemTime)> {
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir(dir).expect("readable directory") {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            out.extend(files(&path));
+        } else {
+            let modified = std::fs::metadata(&path)
+                .and_then(|m| m.modified())
+                .expect("file mtime");
+            out.push((
+                path.clone(),
+                std::fs::read(&path).expect("file bytes"),
+                modified,
+            ));
+        }
+    }
+    out.sort_by(|a, b| a.0.cmp(&b.0));
+    out
+}
+
+#[test]
+fn warm_replays_write_nothing_to_the_cache() {
+    // Hits move a last-use stamp only once it is a minute old, so replays
+    // right after the fill leave the index, and so every file, untouched.
+    let dir = tmp_dir("read_only_replay");
+    let spec = small_spec();
+    let cold = ShardedCampaignRunner::new(1)
+        .with_cache(Arc::new(CellCache::open(&dir).expect("open cold")))
+        .run(&spec)
+        .expect("cold run")
+        .report
+        .to_json();
+    let filled = files(&dir);
+    assert!(filled.iter().any(|(path, ..)| path.ends_with("index.json")));
+    for shards in [1, 2] {
+        let cache = Arc::new(CellCache::open(&dir).expect("open warm"));
+        let warm = ShardedCampaignRunner::new(shards)
+            .with_cache(Arc::clone(&cache))
+            .run(&spec)
+            .expect("warm run")
+            .report;
+        assert_eq!(cache.stats().misses, 0);
+        drop(cache);
+        assert_eq!(warm.to_json(), cold, "{shards} shards");
+        assert!(files(&dir) == filled, "{shards} shards: the replay wrote");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn golden_suite_bytes_survive_the_cache() {
     // The same snapshot `tests/golden_suite.rs` pins, but produced through
@@ -354,9 +405,18 @@ fn observed_timings_rebalance_the_sharded_partition() {
     // The planner saw real observations on the second pass; prove the
     // cost-model plumbing reaches it (the plan may or may not deviate from
     // round-robin — observed timings decide — but it must partition).
-    let plan = ShardPlan::for_spec(&spec, 3, &CostModel::observed(&cache)).expect("plan");
+    let model = CostModel::observed(&cache);
+    let plan = ShardPlan::for_spec(&spec, 3, &model).expect("plan");
     let covered: usize = (0..plan.shard_count()).map(|k| plan.rows(k).len()).sum();
     assert_eq!(covered, spec.traces.len());
+    // A one-shard plan skips the costing and is still the plan the costs
+    // would have made.
+    let one = ShardPlan::for_spec(&spec, 1, &model).expect("one-shard plan");
+    assert_eq!(
+        one,
+        ShardPlan::cost_balanced(&model.row_costs(&spec), 1).expect("costed plan")
+    );
+    assert_eq!(one.strategy(), ShardStrategy::RoundRobin);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
