@@ -199,10 +199,9 @@ impl ShardPlan {
     /// the planner behind [`ShardedCampaignRunner`].
     ///
     /// One shard holds every row whatever the costs (the LPT partition is
-    /// the round-robin one), so a one-shard plan costs no row.  With a warm
-    /// cache that skips reading and decoding one record per cell, which
-    /// was half of a warm one-shard replay, spent on a single thread
-    /// before the grid fans out.
+    /// the round-robin one), so a one-shard plan costs no row: with a warm
+    /// cache, costing reads and decodes one record per cell on one thread
+    /// before the grid fans out, and the grid reads them again.
     pub fn for_spec(
         spec: &CampaignSpec,
         shard_count: usize,
