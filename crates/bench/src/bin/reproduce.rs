@@ -56,9 +56,11 @@
 //! `merge` is the fan-out's coordinator: it validates the checkpoint
 //! directory's shard set against its manifest (typed conflict errors;
 //! mixed-plan directories are refused) and emits a merged report
-//! **byte-identical** to the single-process `suite` run.  `--wait` polls
-//! until every shard lands (bound it with `--merge-timeout-secs S`);
-//! without it, missing shards are an immediate error.
+//! **byte-identical** to the single-process `suite` run.  `--wait` waits
+//! for the manifest and then for every shard to land, so the coordinator
+//! may start before the workers (bound it with `--merge-timeout-secs S`);
+//! without it, a missing manifest or missing shards are an immediate
+//! error.
 //!
 //! `sensitivity` is opt-in as well: the paper-grounded hardware sensitivity
 //! study as one N-D scenario campaign — the IR policy over the SPEC suite ×

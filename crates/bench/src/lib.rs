@@ -3,7 +3,8 @@
 //! Benchmark harness for the helper-cluster reproduction.
 //!
 //! * The `reproduce` binary regenerates every table and figure of the paper's
-//!   evaluation section and prints them as Markdown (see `EXPERIMENTS.md`).
+//!   evaluation section and prints them as Markdown (DESIGN.md, "Known
+//!   calibration gap", compares its headline numbers with the paper's).
 //! * The Criterion benches under `benches/` time the regeneration of each
 //!   figure at a reduced trace length, so `cargo bench` both exercises every
 //!   experiment code path and tracks simulator performance over time.

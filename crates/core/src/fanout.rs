@@ -24,6 +24,17 @@
 //!   [`CampaignReport::merge`], and emits a merged report **byte-identical**
 //!   to the single-process run.
 //!
+//! ## Waiting
+//!
+//! A worker whose remaining shards are all freshly leased by peers, and a
+//! waiting coordinator whose manifest or shards have not landed yet, sleep
+//! between rescans of the directory: 1 ms at first, doubling on every
+//! rescan that finds nothing new, up to the configured poll interval, and
+//! back to 1 ms after any progress.  So a peer's shard is picked up within
+//! about as long again as the wait so far, and an idle fleet rescans
+//! rarely.  Each side remembers the shards it has accepted and never reads
+//! them again.
+//!
 //! ## Why duplicate execution is safe
 //!
 //! The claim protocol keeps duplicate work *rare* (exactly one `hard_link`
@@ -237,9 +248,10 @@ pub struct WorkerOutcome {
 /// remaining unfinished shards — most expensive first, per the
 /// [`CostModel`]'s recorded per-row costs — and claims any whose lease is
 /// absent or stale.  A worker with stealing disabled executes exactly its
-/// home shard: it waits (polling) while a peer's fresh lease covers that
-/// shard, reclaims it if the lease goes stale, and returns once the shard's
-/// report is on disk, whoever wrote it.
+/// home shard: it waits while a peer's fresh lease covers that shard
+/// (rescanning on the backoff described in the [module docs](self)),
+/// reclaims it if the lease goes stale, and returns once the shard's report
+/// is on disk, whoever wrote it.
 pub struct FanoutWorker {
     shard_count: usize,
     home_shard: Option<usize>,
@@ -309,8 +321,9 @@ impl FanoutWorker {
         self
     }
 
-    /// How often an idle worker rescans the directory for newly-stale
-    /// leases or newly-complete shards.
+    /// The longest sleep between rescans of an idle worker looking for
+    /// newly-stale leases or newly-complete shards (default 200 ms).  The
+    /// sleeps start at 1 ms and double up to this cap.
     pub fn poll_interval(mut self, interval: Duration) -> FanoutWorker {
         self.poll_interval = interval;
         self
@@ -372,20 +385,28 @@ impl FanoutWorker {
         let mut order: Vec<usize> = (0..self.shard_count).collect();
         order.sort_by_key(|&k| (Some(k) != self.home_shard, std::cmp::Reverse(loads[k]), k));
 
+        if !self.steal {
+            order.retain(|&k| Some(k) == self.home_shard);
+        }
+
+        // Shards known finished: written here, or accepted from disk once.
+        // A finished shard is never probed again, so each landed shard file
+        // is read and decoded at most once per run.
+        let mut done = vec![false; self.shard_count];
+        let mut backoff = Backoff::new(self.poll_interval);
         let mut outcome = WorkerOutcome::default();
         loop {
-            let mut pending: Vec<usize> = order
-                .iter()
-                .copied()
-                .filter(|&k| load_shard_checkpoint(&self.checkpoint, &shards[k]).is_none())
-                .collect();
-            if !self.steal {
-                pending.retain(|&k| Some(k) == self.home_shard);
+            let mut progressed = false;
+            for &k in &order {
+                if !done[k] && load_shard_checkpoint(&self.checkpoint, &shards[k]).is_some() {
+                    done[k] = true;
+                    progressed = true;
+                }
             }
+            let pending: Vec<usize> = order.iter().copied().filter(|&k| !done[k]).collect();
             if pending.is_empty() {
                 break;
             }
-            let mut progressed = false;
             for &k in &pending {
                 let Some(lease) = ShardLease::try_claim(
                     &self.checkpoint,
@@ -410,13 +431,16 @@ impl FanoutWorker {
                         outcome.stolen_shards.push(k);
                     }
                 }
+                done[k] = true;
                 lease.release();
                 progressed = true;
             }
-            if !progressed {
+            if progressed {
+                backoff.reset();
+            } else {
                 // Everything unfinished is freshly leased by live peers:
                 // wait for reports to land or leases to go stale.
-                std::thread::sleep(self.poll_interval);
+                backoff.wait();
             }
         }
         outcome.executed_shards.sort_unstable();
@@ -487,12 +511,13 @@ impl FanoutWorker {
 /// How long [`MergeCoordinator::run`] is willing to watch the directory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MergeWait {
-    /// Merge what is on disk right now; missing shards are an error.
+    /// Merge what is on disk right now; a missing manifest or missing
+    /// shards are an error.
     NoWait,
-    /// Poll until every shard file lands (workers may still be running, or
-    /// not even started).
+    /// Wait until the manifest and every shard file land (workers may still
+    /// be running, or not even started).
     Forever,
-    /// Poll, but give up after this long.
+    /// Wait, but give up after this long.
     Timeout(Duration),
 }
 
@@ -518,7 +543,10 @@ pub struct MergeOutcome {
 /// [`CampaignError::ShardSetMismatch`], even in waiting mode, because no
 /// amount of waiting repairs it), and pass the same payload self-checks as
 /// [`CampaignReport::merge`].  Corrupt or missing shard files, by contrast,
-/// are *waitable*: a live fleet overwrites them via stale-lease reclaim.
+/// are *waitable*: a live fleet overwrites them via stale-lease reclaim.  So
+/// is a missing manifest, which the first worker publishes when it starts;
+/// a manifest that exists but does not decode or validate is refused at
+/// once, because publication is atomic.
 #[derive(Debug, Clone)]
 pub struct MergeCoordinator {
     checkpoint: PathBuf,
@@ -542,7 +570,8 @@ impl MergeCoordinator {
         self
     }
 
-    /// How often the watching coordinator rescans the directory.
+    /// The longest sleep between rescans of a waiting coordinator (default
+    /// 200 ms).  The sleeps start at 1 ms and double up to this cap.
     pub fn poll_interval(mut self, interval: Duration) -> MergeCoordinator {
         self.poll_interval = interval;
         self
@@ -550,13 +579,37 @@ impl MergeCoordinator {
 
     /// Watch (per the wait policy), validate and merge.
     pub fn run(&self) -> Result<MergeOutcome, CampaignError> {
+        let deadline = match self.wait {
+            MergeWait::Timeout(limit) => Some(Instant::now() + limit),
+            _ => None,
+        };
+        let mut backoff = Backoff::new(self.poll_interval);
         let manifest_path = self.checkpoint.join(MANIFEST_FILE);
-        let text = std::fs::read_to_string(&manifest_path).map_err(|e| {
-            CampaignError::Fanout(format!(
-                "no readable manifest at {}: {e}; workers write it when they start",
-                manifest_path.display()
-            ))
-        })?;
+        // A waiting coordinator may start before the first worker has
+        // published the manifest, so a missing one is waitable.  Publication
+        // is atomic, so a manifest that exists but cannot be read, decoded
+        // or validated is refused at once.
+        let text = loop {
+            match std::fs::read_to_string(&manifest_path) {
+                Ok(text) => break text,
+                Err(e)
+                    if e.kind() == std::io::ErrorKind::NotFound
+                        && self.wait != MergeWait::NoWait =>
+                {
+                    self.check_deadline(deadline, || {
+                        format!("the manifest {}", manifest_path.display())
+                    })?;
+                    backoff.wait();
+                }
+                Err(e) => {
+                    return Err(CampaignError::Fanout(format!(
+                        "no readable manifest at {}: {e}; workers write it when they start",
+                        manifest_path.display()
+                    )))
+                }
+            }
+        };
+        backoff.reset();
         let manifest = CheckpointManifest::from_json(&text).map_err(|e| {
             CampaignError::Fanout(format!(
                 "unreadable manifest {}: {e}; delete the directory to start over",
@@ -580,45 +633,59 @@ impl MergeCoordinator {
                 manifest.shard_count
             )));
         }
-        let deadline = match self.wait {
-            MergeWait::Timeout(limit) => Some(Instant::now() + limit),
-            _ => None,
-        };
+        // Shards accepted so far; an accepted shard is not read again.
+        let mut loaded: Vec<Option<ShardReport>> = vec![None; manifest.shard_count];
         loop {
-            let mut reports = Vec::with_capacity(manifest.shard_count);
-            let mut missing = Vec::new();
-            for index in 0..manifest.shard_count {
-                match self.load_shard(index, &manifest)? {
-                    Some(report) => reports.push(report),
-                    None => missing.push(index),
+            let mut landed = false;
+            for (index, slot) in loaded.iter_mut().enumerate() {
+                if slot.is_none() {
+                    *slot = self.load_shard(index, &manifest)?;
+                    landed |= slot.is_some();
                 }
             }
+            let missing: Vec<usize> = (0..manifest.shard_count)
+                .filter(|&index| loaded[index].is_none())
+                .collect();
             if missing.is_empty() {
+                let reports: Vec<ShardReport> = loaded.into_iter().flatten().collect();
                 let report = CampaignReport::merge(&reports)?;
                 return Ok(MergeOutcome {
                     report,
                     shard_count: manifest.shard_count,
                 });
             }
-            match self.wait {
-                MergeWait::NoWait => {
-                    return Err(CampaignError::Fanout(format!(
-                        "{} is missing shards {missing:?}; run workers for them or \
-                         merge with waiting enabled",
-                        self.checkpoint.display()
-                    )))
-                }
-                MergeWait::Forever => {}
-                MergeWait::Timeout(limit) => {
-                    if deadline.is_some_and(|d| Instant::now() >= d) {
-                        return Err(CampaignError::Fanout(format!(
-                            "timed out after {limit:?} waiting for shards {missing:?} in {}",
-                            self.checkpoint.display()
-                        )));
-                    }
-                }
+            if self.wait == MergeWait::NoWait {
+                return Err(CampaignError::Fanout(format!(
+                    "{} is missing shards {missing:?}; run workers for them or \
+                     merge with waiting enabled",
+                    self.checkpoint.display()
+                )));
             }
-            std::thread::sleep(self.poll_interval);
+            self.check_deadline(deadline, || {
+                format!("shards {missing:?} in {}", self.checkpoint.display())
+            })?;
+            if landed {
+                backoff.reset();
+            }
+            backoff.wait();
+        }
+    }
+
+    /// The typed timeout error once a `Timeout` wait's deadline has passed;
+    /// `awaited` names what the coordinator was still waiting for.
+    fn check_deadline(
+        &self,
+        deadline: Option<Instant>,
+        awaited: impl FnOnce() -> String,
+    ) -> Result<(), CampaignError> {
+        match (self.wait, deadline) {
+            (MergeWait::Timeout(limit), Some(deadline)) if Instant::now() >= deadline => {
+                Err(CampaignError::Fanout(format!(
+                    "timed out after {limit:?} waiting for {}",
+                    awaited()
+                )))
+            }
+            _ => Ok(()),
         }
     }
 
@@ -652,6 +719,43 @@ impl MergeCoordinator {
             return Ok(None); // malformed payload: waitable, like corrupt
         }
         Ok(Some(report))
+    }
+}
+
+/// The sleep between rescans of a waiting worker or coordinator: 1 ms
+/// after any progress, doubling on every idle rescan up to the configured
+/// poll interval.  Waiting always sleeps; it never spins or yields.
+#[derive(Debug)]
+struct Backoff {
+    next: Duration,
+    cap: Duration,
+}
+
+impl Backoff {
+    const FIRST: Duration = Duration::from_millis(1);
+
+    fn new(cap: Duration) -> Backoff {
+        Backoff {
+            next: Backoff::FIRST.min(cap),
+            cap,
+        }
+    }
+
+    /// Something moved: the next wait starts short again.
+    fn reset(&mut self) {
+        self.next = Backoff::FIRST.min(self.cap);
+    }
+
+    /// The next sleep, doubling the one after it (up to the cap).
+    fn advance(&mut self) -> Duration {
+        let sleep = self.next;
+        self.next = (sleep * 2).min(self.cap);
+        sleep
+    }
+
+    /// Nothing moved: sleep, and sleep longer next time.
+    fn wait(&mut self) {
+        std::thread::sleep(self.advance());
     }
 }
 
@@ -783,10 +887,39 @@ mod tests {
     }
 
     #[test]
+    fn backoff_doubles_from_one_millisecond_to_the_cap_and_resets() {
+        let ms = Duration::from_millis;
+        let mut backoff = Backoff::new(ms(20));
+        let sleeps: Vec<Duration> = (0..7).map(|_| backoff.advance()).collect();
+        assert_eq!(sleeps, [ms(1), ms(2), ms(4), ms(8), ms(16), ms(20), ms(20)]);
+        backoff.reset();
+        assert_eq!(backoff.advance(), ms(1), "progress restarts the sequence");
+        assert_eq!(backoff.advance(), ms(2));
+        // A cap below the first step is honoured from the start.
+        let mut tight = Backoff::new(Duration::from_micros(300));
+        assert_eq!(tight.advance(), Duration::from_micros(300));
+        assert_eq!(tight.advance(), Duration::from_micros(300));
+    }
+
+    #[test]
     fn merge_requires_a_manifest() {
         let dir = tmp_dir("no_manifest");
         let err = MergeCoordinator::new(&dir).run().unwrap_err();
         assert!(matches!(err, CampaignError::Fanout(_)), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn waiting_merge_refuses_an_undecodable_manifest_at_once() {
+        let dir = tmp_dir("bad_manifest");
+        std::fs::write(dir.join(MANIFEST_FILE), "{ not a manifest").expect("write");
+        let started = Instant::now();
+        let err = MergeCoordinator::new(&dir)
+            .wait(MergeWait::Forever)
+            .run()
+            .unwrap_err();
+        assert!(err.to_string().contains("unreadable manifest"), "{err}");
+        assert!(started.elapsed() < Duration::from_secs(5));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

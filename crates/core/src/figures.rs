@@ -2,9 +2,10 @@
 //!
 //! Each function regenerates the data behind one figure or table of the
 //! paper's evaluation section and returns it as structured rows, so the
-//! `reproduce` binary, the Criterion benches and EXPERIMENTS.md all share one
-//! code path.  The default `trace_len` values are sized for minutes-not-hours
-//! runs; pass larger values for higher-fidelity numbers.
+//! `reproduce` binary and the Criterion benches share one code path.
+//! DESIGN.md's "Known calibration gap" compares the headline numbers with
+//! the paper's.  The default `trace_len` values are sized for
+//! minutes-not-hours runs; pass larger values for higher-fidelity numbers.
 //!
 //! Every figure that simulates does so through one [`crate::campaign`] grid,
 //! so each trace's monolithic baseline is simulated exactly once per figure

@@ -133,6 +133,10 @@ pub struct ExecContext {
     /// Trace length of the current run (captured so the context itself knows
     /// when the run has drained).
     pub(crate) trace_len: usize,
+    /// Dead wide cycles the current run jumped over instead of stepping
+    /// (already included in `cycles`).  Diagnostic only: no statistic
+    /// reads it.
+    pub(crate) skipped_cycles: u64,
 }
 
 impl ExecContext {
@@ -175,6 +179,7 @@ impl ExecContext {
             stats: SimStats::default(),
             committed_trace_uops: 0,
             trace_len: 0,
+            skipped_cycles: 0,
         }
     }
 
@@ -245,6 +250,7 @@ impl ExecContext {
         };
         self.committed_trace_uops = 0;
         self.trace_len = trace_len;
+        self.skipped_cycles = 0;
     }
 
     /// Whether the current run has retired its whole trace (or hit the
@@ -297,6 +303,11 @@ impl ReadyQueues {
                 queue.clear();
             }
         }
+    }
+
+    /// Whether no entry of either cluster is ready to issue.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.queues.iter().flatten().all(Vec::is_empty)
     }
 
     /// Number of ready entries of one (cluster, is_fp) class.
@@ -423,6 +434,25 @@ impl EventWheel {
         self.pending += 1;
     }
 
+    /// The first tick in `[now, limit)` at which [`EventWheel::drain_due`]
+    /// would return an event, or `None` if there is none before `limit`.
+    /// Scans bucket by bucket from `now`, so its cost grows with the
+    /// distance skipped, not with the wheel size.  A bucket drains every
+    /// event whose due tick has been reached, so an event due at a tick
+    /// whose bucket was already visited surfaces one revolution later,
+    /// exactly as `drain_due` would deliver it.
+    pub(crate) fn next_due(&self, now: u64, limit: u64) -> Option<u64> {
+        if self.pending == 0 {
+            return None;
+        }
+        let mask = self.buckets.len() - 1;
+        (now..limit).find(|&tick| {
+            self.buckets[tick as usize & mask]
+                .iter()
+                .any(|&(due, _)| due <= tick)
+        })
+    }
+
     /// Move every event due at `now` into `out`, sorted by sequence number.
     /// The wheel is drained every tick, so an event's bucket is always
     /// visited exactly at its due tick; events a full wheel revolution in
@@ -435,6 +465,9 @@ impl EventWheel {
         }
         let mask = self.buckets.len() - 1;
         let bucket = &mut self.buckets[now as usize & mask];
+        if bucket.is_empty() {
+            return;
+        }
         if bucket.iter().all(|&(due, _)| due == now) {
             out.extend(bucket.drain(..).map(|(_, seq)| seq));
         } else {

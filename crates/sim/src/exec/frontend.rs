@@ -20,8 +20,7 @@ impl Machine<'_> {
         }
         let mut renamed = 0usize;
         while renamed < self.cfg.rename_width && self.ctx.next_pos < self.feed.len() {
-            // Window space: worst case a split needs chunks + copies entries.
-            if self.ctx.rob.len() + self.split_chunks() * 2 + 2 > self.cfg.rob_entries {
+            if self.window_full() {
                 break;
             }
             let pos = self.ctx.next_pos;
@@ -54,6 +53,12 @@ impl Machine<'_> {
                 break; // mispredicted branch: stop fetching younger work
             }
         }
+    }
+
+    /// Whether the window lacks room for the worst case one µop can need:
+    /// a split's chunks plus their copies, and two source copies.
+    pub(crate) fn window_full(&self) -> bool {
+        self.ctx.rob.len() + self.split_chunks() * 2 + 2 > self.cfg.rob_entries
     }
 
     /// Whether this µop's steering is forced wide by the decision context

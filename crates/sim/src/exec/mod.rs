@@ -24,7 +24,9 @@
 //! `helper_clock_ratio` ticks (2 in the paper).  Frontend, commit, and the
 //! wide backend operate once per wide cycle; the helper backend issues every
 //! tick, which is exactly the "2× faster narrow backend with synchronised
-//! clocks" design of §2.2.
+//! clocks" design of §2.2.  Wide cycles in which nothing can happen are
+//! not stepped: the run jumps to the next one in which something can, and
+//! charges the skipped cycles in bulk (`Machine::skip_dead_cycles`).
 //!
 //! # What is modelled
 //!
@@ -62,7 +64,7 @@ pub mod rename;
 pub use context::ExecContext;
 
 use crate::config::{ConfigError, SimConfig};
-use crate::rob::Seq;
+use crate::rob::{Seq, UopState};
 use crate::stats::SimStats;
 use crate::steer::{Cluster, SteeringPolicy};
 use hc_isa::DynUop;
@@ -320,7 +322,9 @@ impl Machine<'_> {
     /// feed, until the feed fails — the caller turns that into an error).
     pub(crate) fn run_to_completion(&mut self) {
         while !self.ctx.run_done() && !self.feed.failed() {
-            self.step_wide_cycle();
+            if !self.skip_dead_cycles() {
+                self.step_wide_cycle();
+            }
         }
     }
 
@@ -339,15 +343,79 @@ impl Machine<'_> {
         self.commit();
         self.feed.trim(self.ctx.committed_trace_uops);
         self.rename_and_dispatch();
-        self.sample_nready();
-        self.ctx.cycles += 1;
-        self.ctx.stats.energy.wide_cycles += 1;
-        self.ctx.stats.energy.helper_cycles += ratio;
+        self.close_cycles(1);
+    }
+
+    /// Close `n` wide cycles whose ticks have run: sample NREADY once per
+    /// cycle and advance the cycle counters.
+    fn close_cycles(&mut self, n: u64) {
+        self.sample_nready(n);
+        self.ctx.cycles += n;
+        self.ctx.stats.energy.wide_cycles += n;
+        self.ctx.stats.energy.helper_cycles += n * self.ratio();
+    }
+
+    /// Jump over the wide cycles, starting with the current one, in which
+    /// nothing can happen, charging them in bulk exactly as stepping them
+    /// would.  Returns whether any cycle was skipped.
+    ///
+    /// A cycle is dead when no entry of either cluster is ready (so nothing
+    /// issues), the ROB head is absent or not complete (so nothing
+    /// commits), and rename returns before it calls the policy: the
+    /// frontend is stalled past the tick rename will see, or a mispredicted
+    /// branch blocks fetch, or the window has no room, or the whole trace
+    /// has been fetched.  Only a completion event can change any of that,
+    /// except the frontend stall, which runs out by itself.  So the machine
+    /// wakes in the wide cycle holding the next drainable event, or the
+    /// first cycle whose rename sees the stall expired when the stall is
+    /// the only blocker, and never past the cycle bound.
+    ///
+    /// An issue-queue-full stall is not dead: rename steers the µop and
+    /// counts a predictor access before the admission check refuses it.
+    fn skip_dead_cycles(&mut self) -> bool {
+        let ctx = &*self.ctx;
+        if !ctx.ready.is_empty() {
+            return false;
+        }
+        if let Some(&head) = ctx.rob.front() {
+            let head = ctx.ctl[head as usize];
+            if !head.alive() || head.state == UopState::Completed {
+                return false;
+            }
+        }
+        let ratio = self.ratio();
+        // Rename runs after the cycle's ticks, so it sees the next boundary.
+        let stalled = ctx.tick + ratio < ctx.frontend_stall_until;
+        let waits_for_event =
+            ctx.branch_stall.is_some() || ctx.next_pos >= self.feed.len() || self.window_full();
+        if !stalled && !waits_for_event {
+            return false;
+        }
+        let mut wake = ctx.max_cycles;
+        if !waits_for_event {
+            // First cycle c with (c + 1) * ratio >= frontend_stall_until.
+            wake = wake.min((ctx.frontend_stall_until - 1) / ratio);
+        }
+        if let Some(due) = ctx.events.next_due(ctx.tick, wake.saturating_mul(ratio)) {
+            wake = wake.min(due / ratio);
+        }
+        let skip = wake.saturating_sub(ctx.cycles);
+        if skip == 0 {
+            return false;
+        }
+        self.ctx.tick += skip * ratio;
+        self.ctx.skipped_cycles += skip;
+        self.close_cycles(skip);
+        true
     }
 
     // ------------------------------------------------------------- metrics
 
-    fn sample_nready(&mut self) {
+    /// Record `cycles` NREADY samples of the current machine state.  A dead
+    /// cycle leaves the state unchanged, so skipped cycles replay as
+    /// identical samples; the accumulator's window halving is integer
+    /// state, so the replay is exact.
+    fn sample_nready(&mut self, cycles: u64) {
         if !self.cfg.helper_enabled || !self.policy.uses_helper() {
             return;
         }
@@ -362,9 +430,11 @@ impl Machine<'_> {
         // Free slots next cycle approximated by the issue widths.
         let wide_free = self.cfg.int_issue_width;
         let helper_free = self.cfg.helper_issue_width * self.ratio() as usize;
-        self.ctx
-            .nready
-            .record(wide_ready, wide_free, helper_ready, helper_free, considered);
+        for _ in 0..cycles {
+            self.ctx
+                .nready
+                .record(wide_ready, wide_free, helper_ready, helper_free, considered);
+        }
     }
 }
 
@@ -630,6 +700,171 @@ mod tests {
         let trace = small_trace(400);
         let stats = sim.run_with(&mut ctx, &trace, &mut AlwaysWide);
         assert_eq!(stats.committed_uops, 400);
+    }
+
+    /// The engine without dead-cycle skipping: step every wide cycle.
+    fn run_stepping(sim: &Simulator, trace: &Trace, policy: &mut dyn SteeringPolicy) -> SimStats {
+        let mut ctx = ExecContext::new();
+        ctx.begin_run(sim.config(), &trace.name, trace.len(), policy.name());
+        let mut machine = Machine {
+            cfg: sim.config(),
+            feed: TraceFeed::Slice(trace),
+            policy,
+            ctx: &mut ctx,
+        };
+        while !machine.ctx.run_done() {
+            machine.step_wide_cycle();
+        }
+        ctx.take_stats()
+    }
+
+    /// xorshift64: a tiny deterministic stream for deriving test inputs.
+    fn next(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// A value in `lo..hi` from the stream.
+    fn pick(state: &mut u64, lo: u64, hi: u64) -> u64 {
+        lo + next(state) % (hi - lo)
+    }
+
+    /// A seeded policy that mixes every decision shape — wide, both
+    /// fatal-checked helper modes, splits, load replication, copy prefetch —
+    /// mostly regardless of the µop's real widths, so width flushes are
+    /// frequent.  It leans on the NREADY estimate, so a wrong imbalance
+    /// replay changes the schedule, not only the imbalance statistics.
+    struct Scattershot(u64);
+    impl SteeringPolicy for Scattershot {
+        fn name(&self) -> &str {
+            "scattershot"
+        }
+        fn steer(&mut self, uop: &DynUop, ctx: &SteerContext) -> SteerDecision {
+            let r = next(&mut self.0);
+            if !ctx.helper_available || ctx.forced_wide {
+                return SteerDecision::wide();
+            }
+            let lean_helper = ctx.wide_to_narrow_imbalance > 0.02;
+            let decision = match r % 6 {
+                0 if !lean_helper => SteerDecision::wide(),
+                0 | 1 => SteerDecision::helper(HelperMode::AllNarrow),
+                2 => SteerDecision::helper(HelperMode::CarryFree),
+                3 => SteerDecision::split_to_helper(),
+                4 if uop.is_all_narrow() => SteerDecision::helper(HelperMode::AllNarrow),
+                _ => SteerDecision::wide(),
+            };
+            let decision = if r & 64 != 0 {
+                decision.with_replication()
+            } else {
+                decision
+            };
+            let decision = if r & 128 != 0 {
+                decision.with_copy_prefetch()
+            } else {
+                decision
+            };
+            decision.with_dest_prediction(r & 256 != 0)
+        }
+        fn on_writeback(&mut self, _u: &DynUop, _i: WritebackInfo) {}
+    }
+
+    /// A valid machine drawn from `state` at the given helper clock ratio:
+    /// every width, queue, latency (zero included) and penalty varies, and
+    /// small caches make misses common.  Queues and the window stay large
+    /// enough for the widest split, so no run can deadlock on admission.
+    fn random_config(state: &mut u64, ratio: u32) -> SimConfig {
+        let mut cfg = SimConfig::paper_baseline();
+        cfg.helper_enabled = pick(state, 0, 4) != 0;
+        cfg.helper_width_bits = [4, 8, 16][pick(state, 0, 3) as usize];
+        cfg.helper_clock_ratio = ratio;
+        let split_slots = cfg.split_chunks() * 2;
+        cfg.dl0.size_bytes = [4 * 1024, 32 * 1024][pick(state, 0, 2) as usize];
+        cfg.ul1.size_bytes = [256 * 1024, 4 * 1024 * 1024][pick(state, 0, 2) as usize];
+        cfg.dl0.latency = pick(state, 1, 6) as u32;
+        cfg.ul1.latency = pick(state, 4, 21) as u32;
+        cfg.memory_latency = pick(state, 10, 500) as u32;
+        cfg.int_iq_entries = pick(state, 4, 48) as usize;
+        cfg.int_issue_width = pick(state, 1, 5) as usize;
+        cfg.fp_iq_entries = pick(state, 1, 40) as usize;
+        cfg.fp_issue_width = pick(state, 1, 4) as usize;
+        cfg.commit_width = pick(state, 1, 9) as usize;
+        cfg.rename_width = pick(state, 1, 9) as usize;
+        cfg.fetch_width = cfg.rename_width;
+        cfg.rob_entries = pick(state, split_slots as u64 + 3, 192) as usize;
+        cfg.helper_issue_width = pick(state, 1, 5) as usize;
+        cfg.helper_iq_entries =
+            pick(state, split_slots as u64 + 3, split_slots as u64 + 40) as usize;
+        cfg.copy_latency = pick(state, 0, 4) as u32;
+        cfg.branch_mispredict_penalty = pick(state, 0, 16) as u32;
+        cfg.width_flush_penalty = pick(state, 0, 12) as u32;
+        cfg.mul_latency = pick(state, 0, 8) as u32;
+        cfg.div_latency = pick(state, 0, 40) as u32;
+        cfg.fp_latency = pick(state, 0, 8) as u32;
+        cfg.forward_latency = pick(state, 0, 3) as u32;
+        cfg
+    }
+
+    /// A trace mixing pointer chasing (for long memory stalls) with three
+    /// kernels drawn from `state`.
+    fn random_trace(state: &mut u64, len: usize) -> Trace {
+        let mut mix = vec![(KernelKind::PointerChase, 1.0)];
+        for _ in 0..3 {
+            let kind = KernelKind::ALL[pick(state, 0, KernelKind::ALL.len() as u64) as usize];
+            mix.push((kind, pick(state, 1, 5) as f64));
+        }
+        WorkloadProfile::new("skip-prop", mix)
+            .with_trace_len(len)
+            .with_narrow_bias(pick(state, 10, 95) as f64 / 100.0)
+            .with_seed(next(state))
+            .generate()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(40))]
+
+        /// Skipping dead cycles changes no statistic: random machines,
+        /// traces and policies give bit-identical stats with and without
+        /// it, and the skip path runs.
+        #[test]
+        fn skipping_dead_cycles_matches_stepping_every_cycle(
+            seed in proptest::any::<u64>(),
+            ratio in 1u32..65,
+            len in 100usize..800,
+        ) {
+            let mut state = seed | 1;
+            let sim = Simulator::new(random_config(&mut state, ratio)).expect("valid config");
+            let trace = random_trace(&mut state, len);
+            let mut ctx = ExecContext::new();
+            let mut skipped = 0;
+            for policy in 0..4 {
+                let make = || -> Box<dyn SteeringPolicy> {
+                    match policy {
+                        0 => Box::new(AlwaysWide),
+                        1 => Box::new(OracleNarrow),
+                        2 => Box::new(RecklessNarrow),
+                        _ => Box::new(Scattershot(seed | 1)),
+                    }
+                };
+                let fast = sim.run_with(&mut ctx, &trace, make().as_mut());
+                skipped += ctx.skipped_cycles;
+                let plain = run_stepping(&sim, &trace, make().as_mut());
+                proptest::prop_assert_eq!(fast, plain, "policy {}", policy);
+            }
+            proptest::prop_assert!(skipped > 0, "no dead cycle was skipped");
+        }
+    }
+
+    #[test]
+    fn memory_bound_runs_skip_most_dead_cycles() {
+        let trace = SpecBenchmark::Mcf.trace(2_000);
+        let sim = Simulator::new(SimConfig::paper_baseline()).unwrap();
+        let mut ctx = ExecContext::new();
+        let stats = sim.run_with(&mut ctx, &trace, &mut OracleNarrow);
+        let share = ctx.skipped_cycles as f64 / stats.cycles as f64;
+        eprintln!("mcf skipped share {share:.3} of {} cycles", stats.cycles);
+        assert!(share > 0.3, "only {share:.3} of mcf's cycles were skipped");
     }
 
     #[test]

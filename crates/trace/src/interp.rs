@@ -15,6 +15,7 @@ use hc_isa::uop::{AluOp, MemSize, Uop, UopKind};
 use hc_isa::value::Value;
 use hc_isa::DynUop;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A sparse byte-addressable memory image.
 ///
@@ -23,7 +24,35 @@ use std::collections::HashMap;
 /// address-derived pattern so loads never return "surprising" wide garbage.
 #[derive(Debug, Clone, Default)]
 pub struct MemImage {
-    bytes: HashMap<u32, u8>,
+    bytes: HashMap<u32, u8, BuildHasherDefault<AddrHasher>>,
+}
+
+/// Hashes a byte address with one multiply.  The image is only probed by
+/// address, never iterated, and its addresses come from the built-in
+/// kernels, never from outside the program, so the default collision-proof
+/// hasher bought nothing but a third of trace synthesis time.
+#[derive(Debug, Default)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(8) ^ b as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+    }
+
+    fn write_u32(&mut self, addr: u32) {
+        // Fibonacci hashing.  The product's high half depends on every
+        // address bit; the rotation moves it to the low bits the table
+        // indexes with, so regions a power of two apart do not collide.
+        self.0 = (addr as u64)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(32);
+    }
 }
 
 impl MemImage {

@@ -127,7 +127,7 @@ fn helper_cluster_cost_stays_bounded_on_narrow_workloads() {
     // The paper reports the IR configuration beating the monolithic baseline
     // by 22% on SPEC Int.  On our synthetic, tight-loop traces the helper's
     // inter-cluster communication cost is not fully recovered (see
-    // EXPERIMENTS.md, "Known calibration gap"), so this test pins the current
+    // DESIGN.md, "Known calibration gap"), so this test pins the current
     // behaviour: the helper configuration must stay within 15% of the
     // baseline and must beat it on at least one narrow-heavy workload class.
     let exp = Experiment::default();

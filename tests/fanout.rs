@@ -10,14 +10,14 @@
 
 use hc_core::cache::{CellCache, CostModel};
 use hc_core::campaign::CampaignError;
-use hc_core::fanout::{lease_file_name, FanoutWorker, MergeCoordinator, MergeWait};
+use hc_core::fanout::{lease_file_name, FanoutWorker, MergeCoordinator, MergeWait, ShardLease};
 use hc_core::shard::CampaignShard;
 use hc_core::CellKey;
 use hc_sim::SimStats;
 use helper_cluster::prelude::*;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::{Duration, SystemTime};
+use std::time::{Duration, Instant, SystemTime};
 
 const LEN: usize = 600;
 
@@ -355,9 +355,9 @@ fn waiting_merge_converges_while_workers_trickle_in() {
                     .run()
             })
         };
-        // The first worker starts late (the coordinator needs a manifest
-        // before it can watch) and the second later still: the coordinator
-        // must wait out both gaps.
+        // The coordinator starts before any worker, so it must first wait
+        // for the manifest; the second worker starts later still, so it
+        // must then wait for the last shard.
         std::thread::sleep(Duration::from_millis(50));
         FanoutWorker::new(2, &dir)
             .home_shard(0)
@@ -371,22 +371,86 @@ fn waiting_merge_converges_while_workers_trickle_in() {
             .run(&spec)
             .expect("late worker");
         coordinator.join().expect("join")
-    });
-
-    // The coordinator may have raced the manifest's creation; that is a
-    // typed error, not a hang — but with the worker starting 50 ms in, the
-    // manifest should exist by the coordinator's first read only if the
-    // read happens after it.  Accept the success path and assert bytes.
-    let merged = match merged {
-        Ok(outcome) => outcome,
-        Err(_) => MergeCoordinator::new(&dir)
-            .run()
-            .expect("merge after the fact"),
-    };
+    })
+    .expect("the waiting coordinator merges once both shards land");
     assert_eq!(
         merged.report.to_json(),
         single.to_json(),
         "waited merge must not change the report bytes"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn waiting_merge_times_out_naming_the_missing_manifest() {
+    let dir = tmp_dir("no_workers");
+    let err = MergeCoordinator::new(&dir)
+        .wait(MergeWait::Timeout(Duration::from_millis(200)))
+        .poll_interval(Duration::from_millis(20))
+        .run()
+        .expect_err("no worker ever starts");
+    assert!(matches!(err, CampaignError::Fanout(_)), "{err}");
+    let msg = err.to_string();
+    assert!(
+        msg.contains("timed out") && msg.contains("campaign.json"),
+        "the timeout must name the manifest: {msg}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn idle_worker_wakes_soon_after_its_peers_shard_lands() {
+    let dir = tmp_dir("wake");
+    let spec = small_spec();
+    let single = CampaignRunner::new()
+        .run(&spec)
+        .expect("single-process run");
+    // The peer's shard, computed up front; the worker's uncached plan is
+    // the round-robin one.
+    let peer_report = CampaignShard::plan(&spec, 2).expect("plan")[1]
+        .run()
+        .expect("peer shard run");
+    // A live peer holds shard 1 for the whole wait.
+    let peer_lease = ShardLease::try_claim(&dir, 1, "peer", Duration::from_secs(60))
+        .expect("claim")
+        .expect("empty directory: the peer wins shard 1");
+
+    let (outcome, wake_latency) = std::thread::scope(|scope| {
+        let worker = scope.spawn(|| {
+            let outcome = FanoutWorker::new(2, &dir)
+                .home_shard(0)
+                .worker_id("waker")
+                .poll_interval(Duration::from_secs(10))
+                .run(&spec)
+                .expect("worker run");
+            (outcome, Instant::now())
+        });
+        let own_shard = dir.join("shard_0000.json");
+        let started = Instant::now();
+        while !own_shard.exists() {
+            assert!(
+                started.elapsed() < Duration::from_secs(60),
+                "the worker never wrote its home shard"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        // Let the worker settle into its wait, then land the peer's shard.
+        std::thread::sleep(Duration::from_millis(100));
+        let tmp = dir.join("shard_0001.json.tmp");
+        std::fs::write(&tmp, peer_report.to_json()).expect("write peer shard");
+        std::fs::rename(&tmp, dir.join("shard_0001.json")).expect("publish peer shard");
+        let landed_at = Instant::now();
+        peer_lease.release();
+        let (outcome, returned_at) = worker.join().expect("join");
+        (outcome, returned_at.saturating_duration_since(landed_at))
+    });
+    assert!(
+        wake_latency < Duration::from_secs(2),
+        "the worker took {wake_latency:?} to notice its peer's shard (poll interval 10 s)"
+    );
+    assert_eq!(outcome.executed_shards, vec![0]);
+    assert!(outcome.stolen_shards.is_empty());
+    let merged = MergeCoordinator::new(&dir).run().expect("merge");
+    assert_eq!(merged.report.to_json(), single.to_json());
     let _ = std::fs::remove_dir_all(&dir);
 }
