@@ -465,9 +465,6 @@ impl EventWheel {
         }
         let mask = self.buckets.len() - 1;
         let bucket = &mut self.buckets[now as usize & mask];
-        if bucket.is_empty() {
-            return;
-        }
         if bucket.iter().all(|&(due, _)| due == now) {
             out.extend(bucket.drain(..).map(|(_, seq)| seq));
         } else {
@@ -538,9 +535,12 @@ mod tests {
     fn wheel_drains_in_seq_order_at_the_due_tick() {
         let mut w = EventWheel::new();
         let mut out = Vec::new();
+        assert_eq!(w.next_due(0, 100), None, "an empty wheel has nothing due");
         w.push(5, 9);
         w.push(5, 3);
         w.push(6, 1);
+        assert_eq!(w.next_due(0, 100), Some(5));
+        assert_eq!(w.next_due(0, 5), None, "the limit is exclusive");
         w.drain_due(4, &mut out);
         assert!(out.is_empty());
         w.drain_due(5, &mut out);
@@ -560,10 +560,18 @@ mod tests {
         let horizon = w.horizon();
         w.push(10, 1);
         w.push(10 + horizon, 2);
+        assert_eq!(w.next_due(0, 4 * horizon), Some(10));
         w.drain_due(10, &mut out);
         assert_eq!(out, vec![1]);
+        assert_eq!(w.next_due(11, 4 * horizon), Some(10 + horizon));
         w.drain_due(10 + horizon, &mut out);
         assert_eq!(out, vec![2]);
+        // An event pushed for a tick whose bucket was already drained
+        // surfaces one revolution later, where `drain_due` delivers it.
+        w.push(20, 3);
+        assert_eq!(w.next_due(21, 4 * horizon), Some(20 + horizon));
+        w.drain_due(20 + horizon, &mut out);
+        assert_eq!(out, vec![3]);
     }
 
     #[test]
