@@ -233,6 +233,7 @@ fn compact_segments(cache: &CellCache, force: bool) -> (u64, u64) {
         }
         if std::fs::remove_file(&path).is_ok() {
             lock(&cache.index).segments.remove(&id);
+            cache.forget_segment_file(id);
             cache.dirty.store(true, Ordering::Relaxed);
             compacted += 1;
             reclaimed += file_len.saturating_sub(moved_bytes);

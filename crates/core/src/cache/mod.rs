@@ -19,9 +19,11 @@
 //!   entry instead of silently replaying stale results.
 //!
 //! The digest is FNV-1a/128 over the *compact canonical JSON* of that key
-//! document; the document itself is stored inside each record and compared on
-//! every lookup, so even a digest collision (or a corrupt / foreign record)
-//! degrades to a miss, never to wrong data.
+//! document, which the grid lays out from JSON fragments rendered once per
+//! run (each row's trace identity, each scenario).  Those bytes are stored
+//! inside each record and compared byte for byte on every lookup, so even a
+//! digest collision (or a corrupt / foreign record) degrades to a miss,
+//! never to wrong data.
 //!
 //! ## Packed segment store
 //!
@@ -97,8 +99,9 @@ use crate::campaign::{CampaignError, CampaignSpec};
 use crate::policy::PolicyKind;
 use hc_sim::SimStats;
 use serde::Serialize;
+use std::fmt::Write as _;
 use std::path::Path;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::SystemTime;
 
 /// Version of the cache *key and entry semantics* (the key document layout
@@ -192,23 +195,18 @@ pub(crate) fn write_atomic(path: &Path, contents: &str, tmp: &Path) -> Result<()
     })
 }
 
-/// The content-addressed key of one cached cell: the canonical key document
-/// plus its digest (the record's index key).
+/// The content-addressed key of one cached cell: the canonical bytes of its
+/// key document plus their digest (the record's index key).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellKey {
     pub(crate) digest: u128,
-    pub(crate) document: serde::Value,
+    /// The compact canonical JSON of the key document: the byte string the
+    /// digest is computed over, the key half of a packed record, and what
+    /// every lookup compares a stored key with.
+    pub(crate) canonical: Arc<str>,
 }
 
 impl CellKey {
-    fn from_document(document: serde::Value) -> CellKey {
-        let canonical = serde::json::to_string(&document);
-        CellKey {
-            digest: fnv128(canonical.as_bytes()),
-            document,
-        }
-    }
-
     /// Key of a policy cell: (trace identity, scenario, policy, warmup).
     pub fn cell(
         trace: &serde::Value,
@@ -217,55 +215,79 @@ impl CellKey {
         scenario: &serde::Value,
         policy: &str,
     ) -> CellKey {
-        CellKey::from_document(serde::Value::Map(vec![
-            key_preamble(),
-            ("kind".to_string(), serde::Value::Str("cell".to_string())),
-            ("trace".to_string(), trace.clone()),
-            ("trace_len".to_string(), Serialize::to_value(&trace_len)),
-            ("warmup_runs".to_string(), Serialize::to_value(&warmup_runs)),
-            ("scenario".to_string(), scenario.clone()),
-            ("policy".to_string(), serde::Value::Str(policy.to_string())),
-        ]))
+        CellKey::cell_from_json(
+            &serde::json::to_string(trace),
+            trace_len,
+            warmup_runs,
+            &serde::json::to_string(scenario),
+            policy,
+        )
     }
 
     /// Key of a (trace, scenario) monolithic baseline.  Baselines never run
     /// warmup passes, so `warmup_runs` is deliberately *not* part of the key:
     /// campaigns differing only in warmup share baseline entries.
     pub fn baseline(trace: &serde::Value, trace_len: usize, scenario: &serde::Value) -> CellKey {
-        CellKey::from_document(serde::Value::Map(vec![
-            key_preamble(),
-            (
-                "kind".to_string(),
-                serde::Value::Str("baseline".to_string()),
-            ),
-            ("trace".to_string(), trace.clone()),
-            ("trace_len".to_string(), Serialize::to_value(&trace_len)),
-            ("scenario".to_string(), scenario.clone()),
-        ]))
+        CellKey::baseline_from_json(
+            &serde::json::to_string(trace),
+            trace_len,
+            &serde::json::to_string(scenario),
+        )
     }
 
-    /// The canonical compact JSON of the key document — the byte string the
-    /// digest is computed over and the key half of a packed record.
-    pub(crate) fn canonical_json(&self) -> String {
-        serde::json::to_string(&self.document)
+    /// [`CellKey::cell`] over the compact JSON (`serde::json::to_string`) of
+    /// the trace identity and the scenario, so a caller keying many cells
+    /// renders each row and each scenario once.
+    pub(crate) fn cell_from_json(
+        trace: &str,
+        trace_len: usize,
+        warmup_runs: usize,
+        scenario: &str,
+        policy: &str,
+    ) -> CellKey {
+        lay_out_key(trace, trace_len, scenario, Some((warmup_runs, policy)))
+    }
+
+    /// [`CellKey::baseline`] over rendered fragments, like
+    /// [`CellKey::cell_from_json`].
+    pub(crate) fn baseline_from_json(trace: &str, trace_len: usize, scenario: &str) -> CellKey {
+        lay_out_key(trace, trace_len, scenario, None)
     }
 }
 
-/// The versions-preamble every key document starts with.
-fn key_preamble() -> (String, serde::Value) {
-    (
-        "versions".to_string(),
-        serde::Value::Map(vec![
-            (
-                "cache_schema".to_string(),
-                serde::Value::UInt(CACHE_SCHEMA_VERSION as u64),
-            ),
-            (
-                "sim_behavior".to_string(),
-                serde::Value::UInt(hc_sim::SIM_BEHAVIOR_VERSION as u64),
-            ),
-        ]),
-    )
+/// Lay out a key document from its rendered JSON fragments: the versions
+/// preamble, `kind`, `trace`, `trace_len`, `warmup_runs` (cells only),
+/// `scenario`, `policy` (cells only).  The bytes equal
+/// `serde::json::to_string` of that document as a map in this field order,
+/// which is what every existing cache was keyed on, so changing anything
+/// here orphans every cached cell.  `cell` is a policy cell's
+/// `(warmup_runs, policy)`; `None` lays out a baseline's key.
+fn lay_out_key(
+    trace: &str,
+    trace_len: usize,
+    scenario: &str,
+    cell: Option<(usize, &str)>,
+) -> CellKey {
+    let kind = if cell.is_some() { "cell" } else { "baseline" };
+    let mut doc = String::with_capacity(trace.len() + scenario.len() + 160);
+    let _ = write!(
+        doc,
+        "{{\"versions\":{{\"cache_schema\":{CACHE_SCHEMA_VERSION},\"sim_behavior\":{}}},\
+         \"kind\":\"{kind}\",\"trace\":{trace},\"trace_len\":{trace_len}",
+        hc_sim::SIM_BEHAVIOR_VERSION,
+    );
+    if let Some((warmup_runs, _)) = cell {
+        let _ = write!(doc, ",\"warmup_runs\":{warmup_runs}");
+    }
+    let _ = write!(doc, ",\"scenario\":{scenario}");
+    if let Some((_, policy)) = cell {
+        let _ = write!(doc, ",\"policy\":{}", serde::json::to_string(policy));
+    }
+    doc.push('}');
+    CellKey {
+        digest: fnv128(doc.as_bytes()),
+        canonical: Arc::from(doc),
+    }
 }
 
 /// One decoded cache entry: the memoized statistics plus the wall-clock cost
@@ -349,6 +371,19 @@ impl<'a> CostModel<'a> {
     /// Estimated cost (abstract nanoseconds) of simulating one spec row:
     /// the row's baselines plus every scenario × policy cell.
     pub fn row_cost(&self, spec: &CampaignSpec, row: usize) -> u64 {
+        self.cost_of_row(spec, row, &render_scenarios(spec))
+    }
+
+    /// Estimated cost of every spec row, in row order.
+    pub fn row_costs(&self, spec: &CampaignSpec) -> Vec<u64> {
+        let scenario_docs = render_scenarios(spec);
+        (0..spec.traces.len())
+            .map(|row| self.cost_of_row(spec, row, &scenario_docs))
+            .collect()
+    }
+
+    /// [`CostModel::row_cost`] with the scenarios already rendered.
+    fn cost_of_row(&self, spec: &CampaignSpec, row: usize, scenario_docs: &[String]) -> u64 {
         let default_cell = (spec.trace_len as u64).saturating_mul(Self::DEFAULT_NANOS_PER_UOP);
         let baseline_needed =
             spec.include_baseline || spec.policies.contains(&PolicyKind::Baseline);
@@ -379,25 +414,26 @@ impl<'a> CostModel<'a> {
         // identity (e.g. an unreadable recording) falls back to the plain
         // selector document — cost estimates are advisory, and the campaign
         // itself will surface the typed error.
-        let trace_doc = spec.traces[row]
-            .cache_doc()
-            .unwrap_or_else(|_| Serialize::to_value(&spec.traces[row]));
+        let trace_doc = serde::json::to_string(
+            &spec.traces[row]
+                .cache_doc()
+                .unwrap_or_else(|_| Serialize::to_value(&spec.traces[row])),
+        );
         let mut total = 0u64;
-        for scenario in &spec.scenarios {
-            let scenario_doc = Serialize::to_value(scenario);
+        for scenario_doc in scenario_docs {
             if baseline_needed {
-                let key = CellKey::baseline(&trace_doc, spec.trace_len, &scenario_doc);
+                let key = CellKey::baseline_from_json(&trace_doc, spec.trace_len, scenario_doc);
                 total = total.saturating_add(cache.observed_nanos(&key).unwrap_or(default_cell));
             }
             for kind in &spec.policies {
                 if *kind == PolicyKind::Baseline {
                     continue; // cloned from the baseline, free
                 }
-                let key = CellKey::cell(
+                let key = CellKey::cell_from_json(
                     &trace_doc,
                     spec.trace_len,
                     spec.warmup_runs,
-                    &scenario_doc,
+                    scenario_doc,
                     kind.name(),
                 );
                 total = total.saturating_add(cache.observed_nanos(&key).unwrap_or_else(|| {
@@ -407,13 +443,11 @@ impl<'a> CostModel<'a> {
         }
         total
     }
+}
 
-    /// Estimated cost of every spec row, in row order.
-    pub fn row_costs(&self, spec: &CampaignSpec) -> Vec<u64> {
-        (0..spec.traces.len())
-            .map(|row| self.row_cost(spec, row))
-            .collect()
-    }
+/// Each scenario's compact JSON: the key fragment its cells are keyed on.
+pub(crate) fn render_scenarios(spec: &CampaignSpec) -> Vec<String> {
+    spec.scenarios.iter().map(serde::json::to_string).collect()
 }
 
 #[cfg(test)]

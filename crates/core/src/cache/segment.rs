@@ -29,8 +29,16 @@
 //!   tail away once the file has been quiet longer than the reclaim grace
 //!   (a fresh tail may be a live writer mid-append);
 //! * a record fully present but failing its checksum (or whose stored key
-//!   does not hash to its digest) is **corruption** — it is skipped, counted
-//!   as an eviction, and the scan resynchronizes on the next record magic.
+//!   does not hash to its digest) is **corruption** — it is counted as an
+//!   eviction and the scan resynchronizes on the next sound record (its own
+//!   lengths may be the damaged bytes, so they are not trusted as a skip
+//!   distance; only a corrupt record with no sound record after it is
+//!   skipped by them).
+//!
+//! A scan that starts past the header (a delta scan from a snapshot's
+//! horizon) and meets damage is redone from the header: the horizon comes
+//! from an advisory snapshot and may sit inside a record, where a sound
+//! record reads as damage.
 //!
 //! Each segment is created with `create_new`, so exactly one handle ever
 //! appends to a given segment: concurrent handles (threads share one handle;
@@ -38,7 +46,7 @@
 
 use super::{fnv128, Fnv64, CACHE_LAYOUT_VERSION, CACHE_SCHEMA_VERSION};
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Magic prefix of every segment file.
@@ -148,22 +156,45 @@ pub(super) struct ScanOutcome {
     pub corrupt: u64,
     /// The file ends in an incomplete record (an interrupted append).
     pub torn_tail: bool,
+    /// The outcome covers the whole segment from its header: a full scan,
+    /// asked for or redone after a delta scan met damage.
+    pub from_header: bool,
 }
 
-/// Parse the record at `buf[offset..]`.  `Ok(Some)` is a sound record,
-/// `Ok(None)` is fully-present-but-corrupt (skippable via its declared
-/// length), `Err(())` means the bytes cannot be trusted at all (bad magic,
-/// absurd length, or the record runs past EOF).
-#[allow(clippy::result_unit_err)]
-fn parse_record_at(buf: &[u8], offset: usize) -> Result<Option<ScannedRecord>, ()> {
-    let header_end = offset.checked_add(REC_HEADER_LEN as usize).ok_or(())?;
+/// One fully present record, borrowed from the buffer it was parsed from.
+#[derive(Debug)]
+pub(super) struct Record<'a> {
+    pub digest: u128,
+    /// Total framed length (header + key + payload).
+    pub len: u64,
+    pub stamp_millis: u64,
+    pub key: &'a [u8],
+    pub payload: &'a [u8],
+    /// The stored checksum matches the record's bytes.
+    pub checksum_holds: bool,
+}
+
+impl Record<'_> {
+    /// Whether the checksum holds and the stored key hashes to the
+    /// record's digest: what a scan accepts.  A lookup checks the checksum
+    /// and compares the stored key with the probe's bytes instead, which
+    /// under the probe's digest implies the second half.
+    fn sound(&self) -> bool {
+        self.checksum_holds && fnv128(self.key) == self.digest
+    }
+}
+
+/// Parse the record at `buf[offset..]`.  `None` means the bytes cannot be
+/// trusted at all: bad magic, absurd length, or a record running past EOF.
+fn parse_record_at(buf: &[u8], offset: usize) -> Option<Record<'_>> {
+    let header_end = offset.checked_add(REC_HEADER_LEN as usize)?;
     if header_end > buf.len() {
-        return Err(());
+        return None;
     }
     let word = |at: usize, n: usize| -> &[u8] { &buf[offset + at..offset + at + n] };
     let magic = u32::from_le_bytes(word(0, 4).try_into().unwrap_or_default());
     if magic != REC_MAGIC {
-        return Err(());
+        return None;
     }
     let digest = u128::from_le_bytes(word(4, 16).try_into().unwrap_or_default());
     let key_len = u32::from_le_bytes(word(20, 4).try_into().unwrap_or_default());
@@ -171,12 +202,12 @@ fn parse_record_at(buf: &[u8], offset: usize) -> Result<Option<ScannedRecord>, (
     let stamp_millis = u64::from_le_bytes(word(28, 8).try_into().unwrap_or_default());
     let checksum = u64::from_le_bytes(word(36, 8).try_into().unwrap_or_default());
     if key_len > MAX_PART_BYTES || payload_len > MAX_PART_BYTES {
-        return Err(());
+        return None;
     }
     let total = REC_HEADER_LEN + key_len as u64 + payload_len as u64;
-    let end = offset.checked_add(total as usize).ok_or(())?;
+    let end = offset.checked_add(total as usize)?;
     if end > buf.len() {
-        return Err(());
+        return None;
     }
     let key = &buf[header_end..header_end + key_len as usize];
     let payload = &buf[header_end + key_len as usize..end];
@@ -184,19 +215,14 @@ fn parse_record_at(buf: &[u8], offset: usize) -> Result<Option<ScannedRecord>, (
     sum.update(&buf[offset + 4..offset + 36]);
     sum.update(key);
     sum.update(payload);
-    if sum.finish() != checksum || fnv128(key) != digest {
-        return Ok(None);
-    }
-    // `cost_nanos` is filled in by `scan_records`, not here: this parser
-    // also backs the per-lookup `read_record` path, which decodes the
-    // payload itself and must not pay a second JSON parse.
-    Ok(Some(ScannedRecord {
+    Some(Record {
         digest,
-        offset: offset as u64,
         len: total,
         stamp_millis,
-        cost_nanos: 0,
-    }))
+        key,
+        payload,
+        checksum_holds: sum.finish() == checksum,
+    })
 }
 
 /// Scan `buf` (the raw bytes of a segment file) from `start` — which must
@@ -205,53 +231,45 @@ fn parse_record_at(buf: &[u8], offset: usize) -> Result<Option<ScannedRecord>, (
 pub(super) fn scan_records(buf: &[u8], start: u64) -> ScanOutcome {
     let mut outcome = ScanOutcome {
         valid_len: start,
+        from_header: start == SEG_HEADER_LEN,
         ..ScanOutcome::default()
     };
     let mut offset = start as usize;
     while offset < buf.len() {
-        match parse_record_at(buf, offset) {
-            Ok(Some(mut record)) => {
-                let key_len = u32::from_le_bytes(
-                    buf[offset + 20..offset + 24].try_into().unwrap_or_default(),
-                ) as usize;
-                let payload_start = offset + REC_HEADER_LEN as usize + key_len;
-                record.cost_nanos =
-                    payload_cost_nanos(&buf[payload_start..offset + record.len as usize]);
-                offset += record.len as usize;
-                outcome.valid_len = offset as u64;
-                outcome.records.push(record);
-            }
-            Ok(None) => {
-                // Fully present but damaged: skip it by its own framing and
-                // keep going — one flipped byte must not shadow the rest of
-                // the segment.  (The lengths were already bounds-checked by
-                // `parse_record_at` before it reported `Ok(None)`.)
-                let key_len = u32::from_le_bytes(
-                    buf[offset + 20..offset + 24].try_into().unwrap_or_default(),
-                );
-                let payload_len = u32::from_le_bytes(
-                    buf[offset + 24..offset + 28].try_into().unwrap_or_default(),
-                );
-                offset += (REC_HEADER_LEN + key_len as u64 + payload_len as u64) as usize;
-                outcome.valid_len = offset as u64;
+        let record = parse_record_at(buf, offset);
+        if let Some(record) = record.as_ref().filter(|r| r.sound()) {
+            outcome.records.push(ScannedRecord {
+                digest: record.digest,
+                offset: offset as u64,
+                len: record.len,
+                stamp_millis: record.stamp_millis,
+                cost_nanos: payload_cost_nanos(record.payload),
+            });
+            offset += record.len as usize;
+            outcome.valid_len = offset as u64;
+            continue;
+        }
+        // Damaged.  A fully present record's own end is trusted when the
+        // file ends there or another record starts there; otherwise its
+        // lengths may be the damaged bytes, so resynchronize on the next
+        // sound record instead, and only with none left skip by them.
+        let declared_end = record.map(|r| offset + r.len as usize);
+        let boundary =
+            declared_end.filter(|&end| end == buf.len() || parse_record_at(buf, end).is_some());
+        match boundary
+            .or_else(|| resync(buf, offset + 1))
+            .or(declared_end)
+        {
+            Some(next) => {
                 outcome.corrupt += 1;
+                offset = next;
+                outcome.valid_len = offset as u64;
             }
-            Err(()) => {
-                // Untrustworthy bytes.  Look for a later record magic to
-                // resynchronize on; a sound record there means this was a
-                // damaged region (count it once), no such record means the
-                // file just ends in an interrupted append.
-                match resync(buf, offset + 1) {
-                    Some(next) => {
-                        outcome.corrupt += 1;
-                        offset = next;
-                        outcome.valid_len = offset as u64;
-                    }
-                    None => {
-                        outcome.torn_tail = true;
-                        return outcome;
-                    }
-                }
+            // Untrustworthy bytes with nothing sound after them: the file
+            // just ends in an interrupted append.
+            None => {
+                outcome.torn_tail = true;
+                return outcome;
             }
         }
     }
@@ -263,10 +281,9 @@ fn resync(buf: &[u8], from: usize) -> Option<usize> {
     let magic = REC_MAGIC.to_le_bytes();
     let mut at = from;
     while at + magic.len() <= buf.len() {
-        if buf[at..at + magic.len()] == magic {
-            if let Ok(Some(_)) = parse_record_at(buf, at) {
-                return Some(at);
-            }
+        if buf[at..at + magic.len()] == magic && parse_record_at(buf, at).is_some_and(|r| r.sound())
+        {
+            return Some(at);
         }
         at += 1;
     }
@@ -276,7 +293,9 @@ fn resync(buf: &[u8], from: usize) -> Option<usize> {
 /// Read a whole segment file and scan it from `start`.  A header that does
 /// not match the current versions yields an empty outcome (the segment is
 /// ignored, not an error: version gating happened at the manifest already,
-/// so this only catches foreign files).
+/// so this only catches foreign files).  A delta scan (`start` past the
+/// header) that meets damage is redone from the header, and only that
+/// outcome is returned.
 pub(super) fn scan_segment(path: &Path, start: u64) -> std::io::Result<ScanOutcome> {
     let buf = std::fs::read(path)?;
     if buf.len() < SEG_HEADER_LEN as usize || buf[..8] != *SEG_MAGIC {
@@ -285,29 +304,42 @@ pub(super) fn scan_segment(path: &Path, start: u64) -> std::io::Result<ScanOutco
     if buf[8..20] != segment_header()[8..20] {
         return Ok(ScanOutcome::default());
     }
-    Ok(scan_records(&buf, start.max(SEG_HEADER_LEN)))
+    let outcome = scan_records(&buf, start.max(SEG_HEADER_LEN));
+    if !outcome.from_header && (outcome.torn_tail || outcome.corrupt > 0) {
+        return Ok(scan_records(&buf, SEG_HEADER_LEN));
+    }
+    Ok(outcome)
 }
 
-/// Positioned read of one record's key and payload JSON, re-verifying the
-/// framing so a compacted-away or damaged record degrades to `None`.
-pub(super) fn read_record(
-    path: &Path,
-    offset: u64,
-    len: u64,
-) -> Option<(u128, u64, Vec<u8>, Vec<u8>)> {
-    let mut file = File::open(path).ok()?;
-    file.seek(SeekFrom::Start(offset)).ok()?;
+/// One positioned read of the `len`-byte record at `offset` through an open
+/// segment file.  The caller verifies the bytes with [`verify_read`].
+pub(super) fn read_at(file: &File, offset: u64, len: u64) -> Option<Vec<u8>> {
     let mut buf = vec![0u8; usize::try_from(len).ok()?];
-    file.read_exact(&mut buf).ok()?;
-    let record = parse_record_at(&buf, 0).ok().flatten()?;
-    if record.len != len {
-        return None;
-    }
-    let key_start = REC_HEADER_LEN as usize;
-    let key_len = u32::from_le_bytes(buf[20..24].try_into().ok()?) as usize;
-    let key = buf[key_start..key_start + key_len].to_vec();
-    let payload = buf[key_start + key_len..].to_vec();
-    Some((record.digest, record.stamp_millis, key, payload))
+    read_exact_at(file, &mut buf, offset).ok()?;
+    Some(buf)
+}
+
+#[cfg(unix)]
+fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+    std::os::unix::fs::FileExt::read_exact_at(file, buf, offset)
+}
+
+/// Targets without a positioned read move the descriptor's shared cursor,
+/// so concurrent reads through one descriptor can interleave; a read that
+/// did fails verification, which costs a retry or a re-simulation, never
+/// wrong data.
+#[cfg(not(unix))]
+fn read_exact_at(mut file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+    use std::io::{Read, Seek, SeekFrom};
+    file.seek(SeekFrom::Start(offset))?;
+    file.read_exact(buf)
+}
+
+/// Verify a record read back by [`read_at`]: framing that spans exactly
+/// `buf` and a checksum that holds.  The caller compares the digest and the
+/// stored key with its probe.
+pub(super) fn verify_read(buf: &[u8]) -> Option<Record<'_>> {
+    parse_record_at(buf, 0).filter(|record| record.checksum_holds && record.len == buf.len() as u64)
 }
 
 /// The one handle allowed to append to its segment (created `create_new`).

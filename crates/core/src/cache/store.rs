@@ -10,6 +10,7 @@ use crate::campaign::CampaignError;
 use hc_sim::SimStats;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -30,10 +31,11 @@ pub(super) const STAMP_RESOLUTION_MILLIS: u64 = 60_000;
 /// join instead of repeating.
 #[derive(Debug)]
 struct Flight {
-    /// The full key document of the in-flight simulation; joiners verify it
-    /// so two distinct keys colliding on a digest degrade to independent
-    /// simulations, never to one caller receiving the other's result.
-    document: serde::Value,
+    /// The canonical key bytes of the in-flight simulation; joiners compare
+    /// them so two distinct keys colliding on a digest degrade to
+    /// independent simulations, never to one caller receiving the other's
+    /// result.
+    canonical: Arc<str>,
     slot: Mutex<FlightOutcome>,
     ready: Condvar,
 }
@@ -75,8 +77,8 @@ pub enum CellClaim<'a> {
 /// table entry and wakes every joiner; if the leader never published, the
 /// outcome is marked `FlightOutcome::Abandoned` so joiners fall back to
 /// simulating.  A lead with no flight is a collision **bypass**: the digest
-/// is occupied by a *different* key document, so the caller simulates and
-/// inserts without touching the table.
+/// is occupied by a *different* key, so the caller simulates and inserts
+/// without touching the table.
 pub struct CellLead<'a> {
     cache: &'a CellCache,
     key: CellKey,
@@ -169,12 +171,12 @@ impl<'a> CellJoin<'a> {
 pub struct CellCache {
     pub(super) root: PathBuf,
     /// In-memory memo of entries this handle has already decoded from
-    /// disk: records are immutable once written, so a cost-model probe and
-    /// the later execution-time lookup of the same cell share one disk
-    /// read + JSON parse instead of two.  Keyed by digest but verified
-    /// against the stored key document on every probe, exactly like the
-    /// on-disk path, so digest collisions still degrade to misses.
-    pub(super) memo: Mutex<HashMap<u128, (serde::Value, CachedCell)>>,
+    /// disk: records are immutable once written, so repeated lookups of one
+    /// cell (a replay loop inside one process, a daemon's repeat traffic)
+    /// share one disk read + JSON parse.  Keyed by digest but verified
+    /// against the stored canonical key bytes on every probe, exactly like
+    /// the on-disk path, so digest collisions still degrade to misses.
+    pub(super) memo: Mutex<HashMap<u128, (Arc<str>, CachedCell)>>,
     /// The keyed singleflight table behind [`CellCache::claim`]: one
     /// `Flight` per key currently being simulated by some caller.
     /// Lock ordering: before `index` and `memo` (a claim re-reads the entry
@@ -185,6 +187,12 @@ pub struct CellCache {
     pub(super) index: Mutex<CacheIndex>,
     /// This handle's active segment writer (created lazily on first insert).
     pub(super) writer: Mutex<Option<segment::SegmentWriter>>,
+    /// Read descriptors of the segments lookups have read, by segment id: a
+    /// hit is one positioned read through one of them.  A segment's
+    /// descriptor is dropped when `sync_index` forgets or rescans that
+    /// segment and when GC deletes it, so a long-lived handle never pins a
+    /// deleted file.  Never held while taking another lock.
+    files: Mutex<HashMap<u64, Arc<File>>>,
     /// Whether the in-memory index has diverged from the last persisted
     /// snapshot.
     pub(super) dirty: AtomicBool,
@@ -316,6 +324,7 @@ impl CellCache {
             flights: Mutex::new(HashMap::new()),
             index: Mutex::new(CacheIndex::default()),
             writer: Mutex::new(None),
+            files: Mutex::new(HashMap::new()),
             dirty: AtomicBool::new(false),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -344,8 +353,24 @@ impl CellCache {
 
     /// This handle's in-memory memo (poison-proof: a panicking reader
     /// cannot take the cache down with it).
-    pub(super) fn memo(&self) -> MutexGuard<'_, HashMap<u128, (serde::Value, CachedCell)>> {
+    pub(super) fn memo(&self) -> MutexGuard<'_, HashMap<u128, (Arc<str>, CachedCell)>> {
         lock(&self.memo)
+    }
+
+    /// A read descriptor of segment `id`, and whether it was already open
+    /// (`false`: opened just now).  `None` if the file cannot be opened.
+    fn segment_file(&self, id: u64) -> Option<(Arc<File>, bool)> {
+        if let Some(file) = lock(&self.files).get(&id) {
+            return Some((Arc::clone(file), true));
+        }
+        let file = Arc::new(File::open(segment::segment_path(&self.segments_dir(), id)).ok()?);
+        lock(&self.files).insert(id, Arc::clone(&file));
+        Some((file, false))
+    }
+
+    /// Close this handle's read descriptor of segment `id`, if open.
+    pub(super) fn forget_segment_file(&self, id: u64) {
+        lock(&self.files).remove(&id);
     }
 
     /// Reconcile the in-memory index with the segment directory: pick up
@@ -393,6 +418,7 @@ impl CellCache {
             }
             for id in orphaned {
                 index.segments.remove(&id);
+                self.forget_segment_file(id);
             }
             self.dirty.store(true, Ordering::Relaxed);
         }
@@ -422,7 +448,21 @@ impl CellCache {
             let Ok(outcome) = segment::scan_segment(&path, start) else {
                 continue;
             };
+            if outcome.from_header {
+                self.forget_segment_file(id);
+            }
+            let mut found = false;
             for record in &outcome.records {
+                // A rescan from the header re-finds the records the index
+                // already points at; they keep their entries and stamps.
+                if index
+                    .entries
+                    .get(&record.digest)
+                    .is_some_and(|e| e.segment == id && e.offset == record.offset)
+                {
+                    continue;
+                }
+                found = true;
                 index.insert(
                     record.digest,
                     IndexEntry {
@@ -435,11 +475,11 @@ impl CellCache {
                 );
             }
             index.note_segment(id, outcome.valid_len);
-            if outcome.corrupt > 0 {
-                self.evictions.fetch_add(outcome.corrupt, Ordering::Relaxed);
-                self.dirty.store(true, Ordering::Relaxed);
-            }
-            if !outcome.records.is_empty() {
+            self.evictions.fetch_add(outcome.corrupt, Ordering::Relaxed);
+            if found
+                || outcome.corrupt > 0
+                || index.segments.get(&id).map(|s| s.scanned_len) != known
+            {
                 self.dirty.store(true, Ordering::Relaxed);
             }
             if outcome.torn_tail
@@ -464,61 +504,49 @@ impl CellCache {
     /// evicted and reported as absent.  `bump` records a use (the LRU
     /// clock) on success.
     fn read_entry(&self, key: &CellKey, bump: bool) -> Option<CachedCell> {
-        if let Some((document, cell)) = self.memo().get(&key.digest) {
-            // Same stored-key verification as the disk path; a memoized
-            // colliding digest falls through to disk (and is evicted there).
-            if *document == key.document {
-                let cell = cell.clone();
-                if bump {
-                    self.bump_stamp(key);
-                }
-                return Some(cell);
-            }
-        }
-        let entry = {
-            let index = lock(&self.index);
-            index.entries.get(&key.digest).copied()
-        }?;
-        let path = segment::segment_path(&self.segments_dir(), entry.segment);
-        let decoded: Option<CachedCell> = (|| {
-            let (digest, _, key_bytes, payload) =
-                segment::read_record(&path, entry.offset, entry.len)?;
-            if digest != key.digest {
-                return None;
-            }
-            let stored_key = serde::json::parse(std::str::from_utf8(&key_bytes).ok()?).ok()?;
-            // The digest collided or the record was tampered with: the
-            // stored key must be equal to the probe's.
-            if stored_key != key.document {
-                return None;
-            }
-            let payload = serde::json::parse(std::str::from_utf8(&payload).ok()?).ok()?;
-            let m = payload.as_map()?;
-            Some(CachedCell {
-                stats: serde::de_field(m, "stats").ok()?,
-                elapsed_nanos: serde::de_field(m, "elapsed_nanos").ok()?,
-            })
-        })();
-        match &decoded {
-            Some(cell) => {
-                self.memo()
-                    .insert(key.digest, (key.document.clone(), cell.clone()));
-                if bump {
-                    self.bump_stamp(key);
-                }
-            }
+        // Same stored-key comparison as the disk path; a memoized colliding
+        // digest falls through to disk (and is evicted there).
+        let memoized = self
+            .memo()
+            .get(&key.digest)
+            .filter(|(canonical, _)| *canonical == key.canonical)
+            .map(|(_, cell)| cell.clone());
+        let cell = match memoized {
+            Some(cell) => cell,
             None => {
-                // Evict from the index: a later miss re-simulates and
-                // re-appends.  The dead bytes fall to compaction.
-                let removed = lock(&self.index).remove(key.digest).is_some();
-                self.memo().remove(&key.digest);
-                if removed {
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                    self.dirty.store(true, Ordering::Relaxed);
-                }
+                let entry = lock(&self.index).entries.get(&key.digest).copied()?;
+                let decoded = match self.segment_file(entry.segment) {
+                    Some((file, true)) => decode_record(&file, &entry, key).or_else(|| {
+                        // The descriptor may name a file that another
+                        // process has since replaced under this id: read
+                        // once more through a fresh open before evicting.
+                        self.forget_segment_file(entry.segment);
+                        let (file, _) = self.segment_file(entry.segment)?;
+                        decode_record(&file, &entry, key)
+                    }),
+                    Some((file, false)) => decode_record(&file, &entry, key),
+                    None => None,
+                };
+                let Some(cell) = decoded else {
+                    // Evict from the index: a later miss re-simulates and
+                    // re-appends.  The dead bytes fall to compaction.
+                    let removed = lock(&self.index).remove(key.digest).is_some();
+                    self.memo().remove(&key.digest);
+                    if removed {
+                        self.evictions.fetch_add(1, Ordering::Relaxed);
+                        self.dirty.store(true, Ordering::Relaxed);
+                    }
+                    return None;
+                };
+                self.memo()
+                    .insert(key.digest, (Arc::clone(&key.canonical), cell.clone()));
+                cell
             }
+        };
+        if bump {
+            self.bump_stamp(key);
         }
-        decoded
+        Some(cell)
     }
 
     /// Record a use of `key`'s record: stamp the index entry with
@@ -552,11 +580,17 @@ impl CellCache {
         }
     }
 
-    /// The recorded wall-clock cost of a cell, if cached — the cost-model
-    /// probe.  Does not count as a hit or miss, and does not disturb the
-    /// LRU clock.
+    /// The recorded wall-clock cost of a cell, if indexed — the cost-model
+    /// probe, answered from the index entry without reading the record.  A
+    /// recorded cost of 0 means unknown and reads as `None`.  Does not count
+    /// as a hit or miss, does not disturb the LRU clock and evicts nothing;
+    /// a damaged record is found, and evicted, by the lookup that reads it.
     pub fn observed_nanos(&self, key: &CellKey) -> Option<u64> {
-        self.read_entry(key, false).map(|c| c.elapsed_nanos)
+        lock(&self.index)
+            .entries
+            .get(&key.digest)
+            .map(|entry| entry.cost_nanos)
+            .filter(|&nanos| nanos > 0)
     }
 
     /// Insert (or overwrite) a cell entry by appending a record to this
@@ -575,7 +609,7 @@ impl CellCache {
         let record = segment::encode_record(
             key.digest,
             stamp,
-            key.canonical_json().as_bytes(),
+            key.canonical.as_bytes(),
             payload.as_bytes(),
         );
         let mut writer = lock(&self.writer);
@@ -649,7 +683,7 @@ impl CellCache {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         match flights.get(&key.digest) {
-            Some(flight) if flight.document == key.document => CellClaim::Join(CellJoin {
+            Some(flight) if flight.canonical == key.canonical => CellClaim::Join(CellJoin {
                 cache: self,
                 key: key.clone(),
                 flight: Arc::clone(flight),
@@ -665,7 +699,7 @@ impl CellCache {
             }),
             None => {
                 let flight = Arc::new(Flight {
-                    document: key.document.clone(),
+                    canonical: Arc::clone(&key.canonical),
                     slot: Mutex::new(FlightOutcome::Pending),
                     ready: Condvar::new(),
                 });
@@ -729,6 +763,15 @@ impl CellCache {
             .map(|e| e.stamp_millis)
     }
 
+    /// Ids of the segments this handle holds a read descriptor of,
+    /// ascending.
+    #[cfg(test)]
+    pub(super) fn open_segment_ids(&self) -> Vec<u64> {
+        let mut ids: Vec<u64> = lock(&self.files).keys().copied().collect();
+        ids.sort_unstable();
+        ids
+    }
+
     /// Paths of the on-disk segment files, ascending by id.
     #[cfg(test)]
     pub(super) fn segment_files(&self) -> Vec<PathBuf> {
@@ -739,6 +782,25 @@ impl CellCache {
             .map(|id| segment::segment_path(&dir, *id))
             .collect()
     }
+}
+
+/// Read `entry`'s record through `file` and decode it for `key`: `None`
+/// unless the checksum holds, the record's digest is the probe's, and the
+/// stored key bytes equal the probe's canonical bytes.
+fn decode_record(file: &File, entry: &IndexEntry, key: &CellKey) -> Option<CachedCell> {
+    let buf = segment::read_at(file, entry.offset, entry.len)?;
+    let record = segment::verify_read(&buf)?;
+    // A digest collision or a tampered record: the stored key must equal
+    // the probe's, byte for byte.
+    if record.digest != key.digest || record.key != key.canonical.as_bytes() {
+        return None;
+    }
+    let payload = serde::json::parse(std::str::from_utf8(record.payload).ok()?).ok()?;
+    let m = payload.as_map()?;
+    Some(CachedCell {
+        stats: serde::de_field(m, "stats").ok()?,
+        elapsed_nanos: serde::de_field(m, "elapsed_nanos").ok()?,
+    })
 }
 
 impl Drop for CellCache {

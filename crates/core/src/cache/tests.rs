@@ -7,6 +7,7 @@ use serde::Serialize;
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, SystemTime};
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -263,7 +264,7 @@ fn colliding_entries_degrade_to_misses() {
     cache.insert(&a, &SimStats::default(), 1);
     let forged = CellKey {
         digest: a.digest,
-        document: serde::Value::Str("not the same key".to_string()),
+        canonical: Arc::from("\"not the same key\""),
     };
     assert!(cache.lookup(&forged).is_none());
     let _ = std::fs::remove_dir_all(&dir);
@@ -503,14 +504,14 @@ fn racing_claims_simulate_each_key_once() {
 
 #[test]
 fn colliding_inflight_keys_do_not_share_results() {
-    // Two *different* documents under one digest must simulate
-    // independently even while one is in flight.
+    // Two *different* keys under one digest must simulate independently
+    // even while one is in flight.
     let dir = tmp_dir("singleflight_collide");
     let cache = CellCache::open(&dir).expect("open");
     let a = sample_key(21);
     let forged = CellKey {
         digest: a.digest,
-        document: serde::Value::Str("different document".to_string()),
+        canonical: Arc::from("\"different document\""),
     };
     let gate = std::sync::Barrier::new(2);
     std::thread::scope(|s| {
@@ -877,5 +878,259 @@ fn observed_timings_refine_row_costs() {
         costs[1] > costs[0] * 50,
         "observed row must dominate: {costs:?}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The key document exactly as the cache built it before keys were laid out
+/// from rendered fragments — the reference every cached cell was keyed on.
+/// `cell` is a policy cell's `(warmup_runs, policy)`; `None` is a baseline.
+fn reference_document(
+    trace: &serde::Value,
+    trace_len: usize,
+    scenario: &serde::Value,
+    cell: Option<(usize, &str)>,
+) -> serde::Value {
+    let preamble = (
+        "versions".to_string(),
+        serde::Value::Map(vec![
+            (
+                "cache_schema".to_string(),
+                serde::Value::UInt(CACHE_SCHEMA_VERSION as u64),
+            ),
+            (
+                "sim_behavior".to_string(),
+                serde::Value::UInt(hc_sim::SIM_BEHAVIOR_VERSION as u64),
+            ),
+        ]),
+    );
+    match cell {
+        Some((warmup_runs, policy)) => serde::Value::Map(vec![
+            preamble,
+            ("kind".to_string(), serde::Value::Str("cell".to_string())),
+            ("trace".to_string(), trace.clone()),
+            ("trace_len".to_string(), Serialize::to_value(&trace_len)),
+            ("warmup_runs".to_string(), Serialize::to_value(&warmup_runs)),
+            ("scenario".to_string(), scenario.clone()),
+            ("policy".to_string(), serde::Value::Str(policy.to_string())),
+        ]),
+        None => serde::Value::Map(vec![
+            preamble,
+            (
+                "kind".to_string(),
+                serde::Value::Str("baseline".to_string()),
+            ),
+            ("trace".to_string(), trace.clone()),
+            ("trace_len".to_string(), Serialize::to_value(&trace_len)),
+            ("scenario".to_string(), scenario.clone()),
+        ]),
+    }
+}
+
+/// The cache identity of a recorded `.uoptrace` file, recorded once.
+fn file_trace_doc() -> &'static serde::Value {
+    static DOC: std::sync::OnceLock<serde::Value> = std::sync::OnceLock::new();
+    DOC.get_or_init(|| {
+        let path = tmp_dir("key_file_row").with_extension("uoptrace");
+        hc_trace::write_trace(&path, &SpecBenchmark::Bzip2.profile(300).generate())
+            .expect("record a trace");
+        let doc = crate::campaign::TraceSelector::File {
+            path: path.display().to_string(),
+        }
+        .cache_doc()
+        .expect("a recording has a cache identity");
+        let _ = std::fs::remove_file(&path);
+        doc
+    })
+}
+
+/// One trace identity of each selector kind, varied by `bits`.
+fn sampled_trace_doc(kind: usize, bits: u64) -> serde::Value {
+    use crate::campaign::TraceSelector;
+    use hc_trace::{KernelKind, PhaseSchedule, WorkloadCategory, WorkloadProfile};
+    let spec = SpecBenchmark::ALL[bits as usize % SpecBenchmark::ALL.len()];
+    let profile = WorkloadProfile::new(
+        format!("custom \"{bits:x}\" µ\\🚀\n"),
+        vec![
+            (KernelKind::WordSum, 1.0 + (bits % 7) as f64 / 8.0),
+            (KernelKind::Checksum, 2.5),
+        ],
+    )
+    .with_category("enc\t");
+    let selector = match kind {
+        0 => TraceSelector::Spec(spec),
+        1 => TraceSelector::CategoryApp {
+            category: WorkloadCategory::ALL[bits as usize % 7],
+            app: (bits >> 8) as usize % 64,
+        },
+        2 => TraceSelector::Profile(profile),
+        3 => TraceSelector::Phased {
+            schedule: PhaseSchedule::new("phased")
+                .phase(profile, 1 + (bits >> 16) as usize % 500)
+                .phase(spec.profile(1), 60),
+        },
+        _ => return file_trace_doc().clone(),
+    };
+    Serialize::to_value(&selector)
+}
+
+/// The default scenario, or a named one with a changed machine, predictor
+/// sizing and power model.
+fn sampled_scenario_doc(bits: u64) -> serde::Value {
+    use crate::scenario::ScenarioSpec;
+    if bits.is_multiple_of(3) {
+        return Serialize::to_value(&ScenarioSpec::default());
+    }
+    let machine = hc_sim::SimConfig {
+        helper_clock_ratio: 1 + (bits >> 4) as u32 % 4,
+        rob_entries: 64 + (bits >> 8) as usize % 192,
+        ..hc_sim::SimConfig::default()
+    };
+    let predictors = hc_predictors::PredictorConfig {
+        width_entries: 1 << (4 + bits % 8),
+        ..hc_predictors::PredictorConfig::default()
+    };
+    Serialize::to_value(
+        &ScenarioSpec::named(format!("s{bits:x} \"quoted\"\\"))
+            .with_machine(machine)
+            .with_predictors(predictors)
+            .with_power(hc_power::PowerParams::with_helper_discount(
+                ((bits >> 12) % 400) as f64 / 100.0,
+            )),
+    )
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(200))]
+
+    /// Keys laid out from rendered fragments are the bytes, and so the
+    /// digests, of the key documents every existing cache was written
+    /// under: every selector kind, default and other scenarios, warmups
+    /// 0–3, every policy name and one that needs JSON escapes.
+    #[test]
+    fn fragment_keys_are_the_reference_document_bytes(
+        selector in 0usize..5,
+        warmup_runs in 0usize..4,
+        policy in 0usize..9,
+        bits in proptest::prelude::any::<u64>(),
+    ) {
+        let trace = sampled_trace_doc(selector, bits);
+        let scenario = sampled_scenario_doc(bits.rotate_left(17));
+        let policy = PolicyKind::ALL
+            .get(policy)
+            .map_or("esc \"q\" \\ \n\t\u{1} µ", |kind| kind.name());
+        let (trace_json, scenario_json) =
+            (serde::json::to_string(&trace), serde::json::to_string(&scenario));
+        let cells = [
+            (
+                CellKey::cell_from_json(&trace_json, 2_000, warmup_runs, &scenario_json, policy),
+                CellKey::cell(&trace, 2_000, warmup_runs, &scenario, policy),
+                Some((warmup_runs, policy)),
+            ),
+            (
+                CellKey::baseline_from_json(&trace_json, 2_000, &scenario_json),
+                CellKey::baseline(&trace, 2_000, &scenario),
+                None,
+            ),
+        ];
+        for (fragments, public, cell) in cells {
+            let reference =
+                serde::json::to_string(&reference_document(&trace, 2_000, &scenario, cell));
+            proptest::prop_assert_eq!(&*fragments.canonical, reference.as_str());
+            proptest::prop_assert_eq!(fragments.digest, fnv128(reference.as_bytes()));
+            proptest::prop_assert_eq!(&public, &fragments);
+        }
+    }
+}
+
+#[test]
+fn the_default_gzip_ir_cell_keeps_its_digest() {
+    // Computed by the key builder every existing cache was written under:
+    // a change to the key layout that moves this digest orphans every
+    // cached cell.
+    let spec = CampaignBuilder::new("pinned")
+        .policy(PolicyKind::Ir)
+        .spec(SpecBenchmark::Gzip)
+        .trace_len(2_000)
+        .build()
+        .unwrap();
+    let key = CellKey::cell_from_json(
+        &serde::json::to_string(&spec.traces[0]),
+        spec.trace_len,
+        spec.warmup_runs,
+        &render_scenarios(&spec)[0],
+        PolicyKind::Ir.name(),
+    );
+    assert_eq!(key.digest, 0x429560ef5a86382fac946ef44a71b4d9);
+}
+
+#[test]
+fn a_replaced_segment_costs_a_reopen_not_an_eviction() {
+    // Another process rewrites a segment under the same id (same records,
+    // a new file): this handle's descriptor still names the old file.
+    let dir = tmp_dir("replaced");
+    let (k1, k2) = (sample_key(61), sample_key(62));
+    {
+        let cache = CellCache::open(&dir).expect("open");
+        cache.insert(&k1, &SimStats::default(), 1);
+        cache.insert(&k2, &SimStats::default(), 2);
+    }
+    let cache = CellCache::open(&dir).expect("reopen");
+    assert!(
+        cache.lookup(&k1).is_some(),
+        "opens the segment's descriptor"
+    );
+    let seg = cache.segment_files().pop().expect("one segment");
+    let bytes = std::fs::read(&seg).expect("read segment");
+    let old = std::fs::File::options()
+        .write(true)
+        .open(&seg)
+        .expect("hold the old file");
+    let tmp = seg.with_extension("tmp");
+    std::fs::write(&tmp, &bytes).expect("write replacement");
+    std::fs::rename(&tmp, &seg).expect("replace segment");
+    // Damage the old file, which only the cached descriptor still reaches.
+    old.set_len(0).expect("empty the old file");
+    drop(old);
+    let hit = cache.lookup(&k2).expect("read through a fresh open");
+    assert_eq!(hit.elapsed_nanos, 2);
+    let stats = cache.stats();
+    assert_eq!((stats.hits, stats.misses, stats.evictions), (2, 0, 0));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn forgotten_and_deleted_segments_release_their_descriptors() {
+    let dir = tmp_dir("descriptors");
+    let keys: Vec<CellKey> = (0..2).map(|t| sample_key(70 + t)).collect();
+    {
+        let cache = CellCache::open(&dir).expect("open");
+        cache.insert(&keys[0], &SimStats::default(), 1);
+    }
+    {
+        let cache = CellCache::open(&dir).expect("open");
+        cache.insert(&keys[1], &SimStats::default(), 2);
+    }
+    let cache = CellCache::open(&dir).expect("reopen");
+    let segments = cache.segment_files();
+    assert_eq!(segments.len(), 2);
+    for key in &keys {
+        assert!(cache.lookup(key).is_some());
+    }
+    assert_eq!(cache.open_segment_ids(), vec![0, 1]);
+    // Another handle deletes segment 1: the next sync forgets it.
+    std::fs::remove_file(&segments[1]).expect("delete segment 1");
+    let _ = cache.stats();
+    assert_eq!(cache.open_segment_ids(), vec![0]);
+    // Compaction deletes segment 0 once it is quiet.
+    age_file(&segments[0], Duration::from_secs(30));
+    let outcome = cache
+        .gc(&GcPolicy {
+            compact: true,
+            ..GcPolicy::default()
+        })
+        .expect("gc");
+    assert_eq!(outcome.compacted_segments, 1);
+    assert!(!segments[0].exists());
+    assert!(!cache.open_segment_ids().contains(&0));
     let _ = std::fs::remove_dir_all(&dir);
 }

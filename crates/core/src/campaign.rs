@@ -35,7 +35,7 @@
 //! assert_eq!(report.cells.len(), 2);
 //! ```
 
-use crate::cache::{lock, CellCache, CellClaim, CellKey};
+use crate::cache::{lock, render_scenarios, CellCache, CellClaim, CellKey};
 use crate::experiment::{Experiment, ExperimentResult};
 use crate::policy::PolicyKind;
 use crate::scenario::{ScenarioError, ScenarioSpec, DEFAULT_SCENARIO_NAME};
@@ -1489,13 +1489,7 @@ pub(crate) fn run_spec_rows(
     // Row cache identities (content-addressed for `File` rows) resolve
     // once, up front and fallibly, instead of per cell inside the grid.
     let row_docs = resolve_row_docs(&spec.traces)?;
-    let grid_cache = cache.map(|cache| GridCache {
-        cache,
-        trace_len: spec.trace_len,
-        warmup_runs: spec.warmup_runs,
-        scenario_docs: spec.scenarios.iter().map(Serialize::to_value).collect(),
-        row_docs,
-    });
+    let grid_cache = cache.map(|cache| GridCache::new(cache, spec, &row_docs));
     let generations = AtomicUsize::new(0);
     let grid = run_grid_streaming(
         &scenarios,
@@ -1643,20 +1637,33 @@ pub(crate) fn run_grid<'t, R: Sync>(
 
 /// The cache binding of one grid run: the [`CellCache`] plus every other
 /// component of its cells' content-addressed keys — the spec's length
-/// knobs, the serialized scenario axis (aligned with the grid's scenarios)
-/// and every spec row's serialized trace identity (indexed by row).
+/// knobs, the compact JSON of the scenario axis (aligned with the grid's
+/// scenarios) and of every spec row's trace identity (indexed by row),
+/// each rendered once per run.
 struct GridCache<'a> {
     cache: &'a CellCache,
     trace_len: usize,
     warmup_runs: usize,
-    scenario_docs: Vec<serde::Value>,
-    row_docs: Vec<serde::Value>,
+    scenario_docs: Vec<String>,
+    row_docs: Vec<String>,
 }
 
-impl GridCache<'_> {
+impl<'a> GridCache<'a> {
+    /// Bind `cache` to `spec`'s keys; `row_docs` are the rows' resolved
+    /// trace identities ([`resolve_row_docs`]).
+    fn new(cache: &'a CellCache, spec: &CampaignSpec, row_docs: &[serde::Value]) -> Self {
+        GridCache {
+            cache,
+            trace_len: spec.trace_len,
+            warmup_runs: spec.warmup_runs,
+            scenario_docs: render_scenarios(spec),
+            row_docs: row_docs.iter().map(serde::json::to_string).collect(),
+        }
+    }
+
     /// The claim target of `row`'s baseline under scenario `scenario`.
     fn baseline(&self, row: usize, scenario: usize) -> (&CellCache, CellKey) {
-        let key = CellKey::baseline(
+        let key = CellKey::baseline_from_json(
             &self.row_docs[row],
             self.trace_len,
             &self.scenario_docs[scenario],
@@ -1666,7 +1673,7 @@ impl GridCache<'_> {
 
     /// The claim target of `row`'s `kind` cell under scenario `scenario`.
     fn cell(&self, row: usize, scenario: usize, kind: PolicyKind) -> (&CellCache, CellKey) {
-        let key = CellKey::cell(
+        let key = CellKey::cell_from_json(
             &self.row_docs[row],
             self.trace_len,
             self.warmup_runs,
@@ -2434,13 +2441,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("hc_campaign_warm_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = CellCache::open(&dir).unwrap();
-        let keys = GridCache {
-            cache: &cache,
-            trace_len: spec.trace_len,
-            warmup_runs: spec.warmup_runs,
-            scenario_docs: spec.scenarios.iter().map(Serialize::to_value).collect(),
-            row_docs: resolve_row_docs(&spec.traces).unwrap(),
-        };
+        let keys = GridCache::new(&cache, &spec, &resolve_row_docs(&spec.traces).unwrap());
         for row in 0..spec.traces.len() {
             let cells = spec.policies.iter().map(|&kind| keys.cell(row, 0, kind));
             for (cache, key) in std::iter::once(keys.baseline(row, 0)).chain(cells) {

@@ -420,6 +420,40 @@ fn observed_timings_rebalance_the_sharded_partition() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn planner_costs_are_read_from_the_index() {
+    // The cost model prices rows from the index alone: with every segment
+    // file gone it still sees the recorded costs, and reads, evicts and
+    // counts nothing.
+    let dir = tmp_dir("index_costs");
+    let spec = small_spec();
+    {
+        let cold = Arc::new(CellCache::open(&dir).expect("open"));
+        CampaignRunner::new()
+            .with_cache(Arc::clone(&cold))
+            .run(&spec)
+            .expect("cold run");
+    }
+    let warm = CostModel::observed(&CellCache::open(&dir).expect("open warm")).row_costs(&spec);
+    assert_ne!(
+        warm,
+        CostModel::uniform().row_costs(&spec),
+        "costs were observed"
+    );
+    // A fresh handle, whose memo holds nothing.
+    let cache = CellCache::open(&dir).expect("reopen warm");
+    std::fs::rename(dir.join("segments"), dir.join("segments.moved")).expect("move segments");
+    assert_eq!(CostModel::observed(&cache).row_costs(&spec), warm);
+    let stats = cache.stats();
+    assert_eq!(
+        (stats.hits, stats.misses, stats.evictions),
+        (0, 0, 0),
+        "{stats:?}"
+    );
+    drop(cache);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Deterministic splitmix64, for sampling cost vectors from one seed.
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);

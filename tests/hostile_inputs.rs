@@ -12,7 +12,7 @@
 //! must still open and replay its campaign byte for byte, rescanning its
 //! segments where the snapshot cannot be trusted.
 
-use hc_core::cache::GcPolicy;
+use hc_core::cache::{CacheStats, GcPolicy};
 use hc_trace::{KernelKind, PhaseSchedule, WorkloadCategory};
 use helper_cluster::prelude::*;
 use proptest::prelude::*;
@@ -358,5 +358,214 @@ proptest! {
         let damaged = mutate(&fixture.index, kind, seed);
         let replayed = replay_with_index(&format!("index_{seed:x}"), &damaged, kind, seed);
         prop_assert_eq!(replayed, fixture.report.clone());
+    }
+}
+
+/// The fixture's one segment file: its path within the cache and its bytes.
+fn fixture_segment() -> (&'static Path, &'static [u8]) {
+    let mut segments = cache_fixture()
+        .files
+        .iter()
+        .filter(|(path, _)| path.extension().is_some_and(|x| x == "pack"));
+    let (path, bytes) = segments.next().expect("the fixture has a segment");
+    assert!(segments.next().is_none(), "one writer, one segment");
+    (path, bytes)
+}
+
+/// Byte length of a segment header and of a record header.
+const SEG_HEADER_LEN: usize = 20;
+const REC_HEADER_LEN: usize = 44;
+
+/// The key and payload lengths a record header declares.
+fn record_lengths(segment: &[u8], at: usize) -> (usize, usize) {
+    let word = |from: usize| {
+        u32::from_le_bytes(segment[at + from..at + from + 4].try_into().unwrap()) as usize
+    };
+    (word(20), word(24))
+}
+
+/// The offset of every record in a sound segment, in file order.
+fn record_offsets(segment: &[u8]) -> Vec<usize> {
+    let mut offsets = Vec::new();
+    let mut at = SEG_HEADER_LEN;
+    while at < segment.len() {
+        offsets.push(at);
+        let (key_len, payload_len) = record_lengths(segment, at);
+        at += REC_HEADER_LEN + key_len + payload_len;
+    }
+    offsets
+}
+
+/// FNV-1a/64, the record checksum, to re-seal a forged record.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf29ce484222325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x100000001b3)
+    })
+}
+
+/// Copy the fixture cache into a fresh directory with `segment` as its
+/// segment's bytes and `index` (or none) as its snapshot, optionally age the
+/// segment past the reclaim grace, open it and replay the campaign.  The
+/// replayed report, the handle's counters, and the segment's bytes after
+/// the handle dropped.
+fn replay_segment(
+    tag: &str,
+    segment: &[u8],
+    index: Option<&str>,
+    aged: bool,
+) -> (String, CacheStats, Vec<u8>) {
+    let fixture = cache_fixture();
+    let (segment_path, _) = fixture_segment();
+    let dir = scratch_dir(tag);
+    for (path, bytes) in &fixture.files {
+        let path = dir.join(path);
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        let bytes = if path.ends_with(segment_path) {
+            segment
+        } else {
+            bytes
+        };
+        std::fs::write(path, bytes).unwrap();
+    }
+    if let Some(index) = index {
+        std::fs::write(dir.join("index.json"), index).unwrap();
+    }
+    if aged {
+        std::fs::File::options()
+            .write(true)
+            .open(dir.join(segment_path))
+            .unwrap()
+            .set_modified(std::time::SystemTime::now() - std::time::Duration::from_secs(60))
+            .unwrap();
+    }
+    let (report, stats) = no_panic(tag, 0, 0, || {
+        let cache = Arc::new(CellCache::open(&dir).expect("a damaged segment still opens"));
+        let report = CampaignRunner::new()
+            .with_cache(Arc::clone(&cache))
+            .run(&cached_spec())
+            .expect("warm run");
+        (report.to_json(), cache.stats())
+    });
+    let after = std::fs::read(dir.join(segment_path)).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    (report, stats, after)
+}
+
+/// The value of field `name` of a JSON map.
+fn field_mut<'a>(value: &'a mut serde::Value, name: &str) -> &'a mut serde::Value {
+    let serde::Value::Map(fields) = value else {
+        panic!("`{name}` is looked up in a map");
+    };
+    &mut fields
+        .iter_mut()
+        .find(|(field, _)| field == name)
+        .expect(name)
+        .1
+}
+
+/// A snapshot that lost its last entry and whose segment horizon lands 10
+/// bytes into that record, on a segment quiet past the reclaim grace.  The
+/// delta scan from that horizon sees a torn tail; the open must rescan the
+/// segment from its header instead of cutting the good record off.
+#[test]
+fn a_snapshot_horizon_inside_a_record_cuts_nothing() {
+    let fixture = cache_fixture();
+    let (_, segment) = fixture_segment();
+    let last = *record_offsets(segment).last().unwrap() as u64;
+    let mut index = serde::json::parse(&fixture.index).expect("snapshot");
+    let serde::Value::Seq(entries) = field_mut(&mut index, "entries") else {
+        panic!("entries is a list");
+    };
+    let indexed = entries.len();
+    entries.retain(|entry| entry.get("offset") != Some(&serde::Value::UInt(last)));
+    assert_eq!(
+        entries.len(),
+        indexed - 1,
+        "the last record's entry is gone"
+    );
+    let serde::Value::Seq(segments) = field_mut(&mut index, "segments") else {
+        panic!("segments is a list");
+    };
+    *field_mut(&mut segments[0], "len") = serde::Value::UInt(last + 10);
+    let index = serde::json::to_string(&index);
+    let (report, stats, after) = replay_segment("horizon", segment, Some(&index), true);
+    assert_eq!(report, fixture.report);
+    assert_eq!(
+        (stats.hits, stats.misses, stats.evictions),
+        (6, 0, 0),
+        "every cell replays"
+    );
+    assert!(after == segment, "the segment's bytes are unchanged");
+}
+
+/// Every field of a segment record damaged in turn — on the first and on
+/// the last record, with the snapshot pointing at the records and without
+/// one — plus a truncation inside a record and appended garbage.  The
+/// cache opens, the damaged cells re-simulate, every other cell hits, and
+/// the campaign replays byte for byte.
+#[test]
+fn damaged_segment_records_still_open_and_replay() {
+    let fixture = cache_fixture();
+    let (_, segment) = fixture_segment();
+    let offsets = record_offsets(segment);
+    assert_eq!(offsets.len(), 6, "2 rows × (baseline + 2 policies)");
+    let max_part = 32 * 1024 * 1024 + 1;
+    let mut cases: Vec<(String, Vec<u8>, u64)> = Vec::new();
+    for (nth, &at) in [(0, &offsets[0]), (5, &offsets[5])] {
+        let (key_len, payload_len) = record_lengths(segment, at);
+        let past_eof = (segment.len() - at) as u32;
+        let flip = |name: &str, byte: usize| {
+            let mut damaged = segment.to_vec();
+            damaged[at + byte] ^= 0x5a;
+            (format!("record {nth}: {name}"), damaged, 1)
+        };
+        cases.push(flip("magic", 1));
+        cases.push(flip("digest", 9));
+        cases.push(flip("stamp", 30));
+        cases.push(flip("checksum", 40));
+        cases.push(flip("key byte", REC_HEADER_LEN + key_len / 2));
+        cases.push(flip(
+            "payload byte",
+            REC_HEADER_LEN + key_len + payload_len / 2,
+        ));
+        for (field, from, declared) in [("key_len", 20, key_len), ("payload_len", 24, payload_len)]
+        {
+            for len in [declared as u32 + 1, past_eof, max_part] {
+                let mut damaged = segment.to_vec();
+                damaged[at + from..at + from + 4].copy_from_slice(&len.to_le_bytes());
+                cases.push((format!("record {nth}: {field} {len}"), damaged, 1));
+            }
+        }
+        // A forged key: one key byte changed and the checksum re-sealed, so
+        // only the stored-key check can catch it.
+        let mut forged = segment.to_vec();
+        forged[at + REC_HEADER_LEN + key_len / 2] ^= 0x01;
+        let end = at + REC_HEADER_LEN + key_len + payload_len;
+        let mut sealed = forged[at + 4..at + 36].to_vec();
+        sealed.extend_from_slice(&forged[at + REC_HEADER_LEN..end]);
+        forged[at + 36..at + 44].copy_from_slice(&fnv64(&sealed).to_le_bytes());
+        cases.push((format!("record {nth}: resealed key byte"), forged, 1));
+        // Cut inside the record: it and every later record are lost.
+        cases.push((
+            format!("record {nth}: truncated inside"),
+            segment[..at + REC_HEADER_LEN + 5].to_vec(),
+            6 - nth as u64,
+        ));
+    }
+    let mut garbage = segment.to_vec();
+    garbage.extend_from_slice(b"\x45\x52\x43\x48 not a record \xa5\xa5\xa5");
+    cases.push(("appended garbage".to_string(), garbage, 0));
+
+    for (name, damaged, lost) in &cases {
+        for index in [Some(fixture.index.as_str()), None] {
+            let (report, stats, _) = replay_segment("records", damaged, index, false);
+            let what = format!("{name}, snapshot {}", index.is_some());
+            assert_eq!(&report, &fixture.report, "{what}");
+            assert_eq!(
+                (stats.hits, stats.misses),
+                (6 - lost, *lost),
+                "{what}: damaged cells re-simulate, the rest hit"
+            );
+        }
     }
 }
