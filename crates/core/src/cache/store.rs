@@ -190,8 +190,9 @@ pub struct CellCache {
     /// Read descriptors of the segments lookups have read, by segment id: a
     /// hit is one positioned read through one of them.  A segment's
     /// descriptor is dropped when `sync_index` forgets or rescans that
-    /// segment and when GC deletes it, so a long-lived handle never pins a
-    /// deleted file.  Never held while taking another lock.
+    /// segment and when GC deletes it, so a long-lived handle pins a file
+    /// another process deleted only until its next sync (`stats`, `gc`).
+    /// Never held while taking another lock.
     files: Mutex<HashMap<u64, Arc<File>>>,
     /// Whether the in-memory index has diverged from the last persisted
     /// snapshot.
