@@ -15,7 +15,11 @@
 //!    earlier ones, so re-inserted cells resolve to their newest copy);
 //! 2. a snapshot whose recorded segment length is **shorter** than the file
 //!    → **delta scan** of just the appended suffix (another handle — or a
-//!    previous life of this cache — appended after the snapshot);
+//!    previous life of this cache — appended after the snapshot).  A damaged
+//!    snapshot can put that horizon inside a record, where a sound record
+//!    reads as damage, so a delta scan from a horizon no scan of this handle
+//!    has confirmed that meets damage (a torn tail or a corrupt record) is
+//!    redone from the header, and only that scan's outcome counts;
 //! 3. a recorded length **longer** than the file (the segment was truncated
 //!    or rewritten) or a segment on disk the snapshot has never heard of →
 //!    full scan of that segment;
@@ -57,6 +61,9 @@ pub(super) struct SegmentState {
     pub live_bytes: u64,
     /// Records the index still points at.
     pub live_records: u64,
+    /// `scanned_len` was found by scanning the segment, so it is a record
+    /// boundary; a horizon read from a snapshot may not be.
+    pub scanned: bool,
 }
 
 /// The whole in-memory index.
@@ -67,10 +74,11 @@ pub(super) struct CacheIndex {
 }
 
 impl CacheIndex {
-    /// Register (or refresh) a segment's scan horizon.
+    /// Register (or refresh) the horizon a scan of a segment reached.
     pub(super) fn note_segment(&mut self, id: u64, scanned_len: u64) {
         let state = self.segments.entry(id).or_default();
         state.scanned_len = state.scanned_len.max(scanned_len);
+        state.scanned = true;
     }
 
     /// Point `digest` at a new record, releasing the bytes of whichever

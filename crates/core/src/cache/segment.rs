@@ -35,10 +35,6 @@
 //!   distance; only a corrupt record with no sound record after it is
 //!   skipped by them).
 //!
-//! A scan that starts past the header (a delta scan from a snapshot's
-//! horizon) and meets damage is redone from the header: the horizon comes
-//! from an advisory snapshot and may sit inside a record, where a sound
-//! record reads as damage.
 //!
 //! Each segment is created with `create_new`, so exactly one handle ever
 //! appends to a given segment: concurrent handles (threads share one handle;
@@ -156,8 +152,7 @@ pub(super) struct ScanOutcome {
     pub corrupt: u64,
     /// The file ends in an incomplete record (an interrupted append).
     pub torn_tail: bool,
-    /// The outcome covers the whole segment from its header: a full scan,
-    /// asked for or redone after a delta scan met damage.
+    /// The scan started at the segment header.
     pub from_header: bool,
 }
 
@@ -293,9 +288,7 @@ fn resync(buf: &[u8], from: usize) -> Option<usize> {
 /// Read a whole segment file and scan it from `start`.  A header that does
 /// not match the current versions yields an empty outcome (the segment is
 /// ignored, not an error: version gating happened at the manifest already,
-/// so this only catches foreign files).  A delta scan (`start` past the
-/// header) that meets damage is redone from the header, and only that
-/// outcome is returned.
+/// so this only catches foreign files).
 pub(super) fn scan_segment(path: &Path, start: u64) -> std::io::Result<ScanOutcome> {
     let buf = std::fs::read(path)?;
     if buf.len() < SEG_HEADER_LEN as usize || buf[..8] != *SEG_MAGIC {
@@ -304,11 +297,7 @@ pub(super) fn scan_segment(path: &Path, start: u64) -> std::io::Result<ScanOutco
     if buf[8..20] != segment_header()[8..20] {
         return Ok(ScanOutcome::default());
     }
-    let outcome = scan_records(&buf, start.max(SEG_HEADER_LEN));
-    if !outcome.from_header && (outcome.torn_tail || outcome.corrupt > 0) {
-        return Ok(scan_records(&buf, SEG_HEADER_LEN));
-    }
-    Ok(outcome)
+    Ok(scan_records(&buf, start.max(SEG_HEADER_LEN)))
 }
 
 /// One positioned read of the `len`-byte record at `offset` through an open

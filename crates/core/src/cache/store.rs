@@ -446,9 +446,18 @@ impl CellCache {
                 None => segment::SEG_HEADER_LEN,
             };
             let path = segment::segment_path(&segments_dir, id);
-            let Ok(outcome) = segment::scan_segment(&path, start) else {
+            let Ok(mut outcome) = segment::scan_segment(&path, start) else {
                 continue;
             };
+            // A horizon no scan has confirmed came from the snapshot and may
+            // sit inside a record: judge damage seen from it from the header.
+            let confirmed = index.segments.get(&id).is_some_and(|s| s.scanned);
+            if !outcome.from_header && !confirmed && (outcome.torn_tail || outcome.corrupt > 0) {
+                match segment::scan_segment(&path, segment::SEG_HEADER_LEN) {
+                    Ok(full) => outcome = full,
+                    Err(_) => continue,
+                }
+            }
             if outcome.from_header {
                 self.forget_segment_file(id);
             }

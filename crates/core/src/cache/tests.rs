@@ -1134,3 +1134,39 @@ fn forgotten_and_deleted_segments_release_their_descriptors() {
     assert!(!cache.open_segment_ids().contains(&0));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn only_unconfirmed_horizons_are_rescanned_from_the_header() {
+    let dir = tmp_dir("confirmed");
+    let (k1, k2) = (sample_key(81), sample_key(82));
+    {
+        let cache = CellCache::open(&dir).expect("open");
+        cache.insert(&k1, &SimStats::default(), 1);
+        cache.insert(&k2, &SimStats::default(), 2);
+    }
+    let cache = CellCache::open(&dir).expect("reopen");
+    let seg = cache.segment_files().pop().expect("one segment");
+    assert!(
+        cache.lookup(&k1).is_some(),
+        "opens the segment's descriptor"
+    );
+    // A writer killed mid-append leaves a record prefix behind.
+    let partial = segment::encode_record(sample_key(83).digest, 5, b"\"k\"", b"{}");
+    std::fs::File::options()
+        .append(true)
+        .open(&seg)
+        .expect("append")
+        .write_all(&partial[..partial.len() - 7])
+        .expect("tear");
+    // The horizon came from the snapshot: the delta scan that meets the
+    // tail is redone from the header, which drops the descriptor.
+    let _ = cache.stats();
+    assert!(cache.open_segment_ids().is_empty());
+    // Now the horizon is a scanned record boundary: the same tail, seen
+    // by every later sync, costs a delta scan only.
+    assert!(cache.lookup(&k2).is_some());
+    let stats = cache.stats();
+    assert_eq!(cache.open_segment_ids(), vec![0]);
+    assert_eq!((stats.hits, stats.misses, stats.evictions), (2, 0, 0));
+    let _ = std::fs::remove_dir_all(&dir);
+}
