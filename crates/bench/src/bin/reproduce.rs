@@ -23,11 +23,14 @@
 //!
 //! `suite` is opt-in too: the §3.8 Table 2 suite (IR policy,
 //! `--apps-per-category N` applications per category, or all 409 with
-//! `--full-suite`) as one sharded, streaming campaign.  `--shards N` splits
-//! the suite into N deterministic shards (merged reports are byte-identical
-//! for any shard count); `--checkpoint DIR` writes each completed shard to
-//! disk and `--resume` skips shards already on disk.  Traces are synthesized
-//! per worker, so even the full suite holds O(threads) traces in memory.
+//! `--full-suite`) as one streaming campaign.  With `--checkpoint DIR` the
+//! suite is split into `--shards N` deterministic shards, each completed
+//! shard is written to disk by the same worker and merge code as
+//! `suite --of N` and `merge` run, and `--resume` skips shards already on
+//! disk.  Without `--checkpoint`, `--shards N` only names the partition:
+//! the suite runs as one grid, whose bytes every partition merges to.
+//! Traces are synthesized per worker, so even the full suite holds
+//! O(threads) traces in memory.
 //!
 //! `--cache DIR` opens (or initialises) a content-addressed cell cache for
 //! the campaign modes (`campaign`, `suite`, `sensitivity`): every simulated
@@ -36,8 +39,9 @@
 //! byte-identical either way.  Cache hit/miss counters go to stderr.  The
 //! `REPRODUCE_CACHE` environment variable supplies a default directory;
 //! `--no-cache` disables caching even when it is set.  With a warm cache,
-//! `--shards N` partitions by *observed per-row cost* (LPT bin packing)
-//! instead of round-robin, so one slow trace cannot straggle a shard set.
+//! a checkpointed `--shards N` run partitions by *observed per-row cost*
+//! (LPT bin packing) instead of round-robin, so one slow trace cannot
+//! straggle a shard set.
 //!
 //! `suite --of N` switches to the multi-process **fan-out worker** mode:
 //! the process joins (or, first arrival, plans) an N-way partition rooted
@@ -250,6 +254,10 @@ fn parse_args() -> Options {
                      multi-process fan-out:\n\
                      \x20      reproduce suite    --of N [--shard-index K] --checkpoint DIR [--no-steal] [--lease-timeout-secs S] [--worker-id NAME]\n\
                      \x20      reproduce merge    --checkpoint DIR [--wait] [--merge-timeout-secs S] [--json] [--csv]\n\
+                     \n\
+                     --shards N without --checkpoint only names the partition: the campaign runs\n\
+                     as one grid, and the report is the same for every N.  With --checkpoint DIR\n\
+                     the shards run through the worker and merge code of the fan-out modes.\n\
                      \n\
                      campaign service:\n\
                      \x20      reproduce serve    [--addr HOST:PORT] [--addr-file PATH] [--cache DIR] [--max-requests N] [--threads N]\n\

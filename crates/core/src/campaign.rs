@@ -147,6 +147,15 @@ pub enum CampaignError {
     Decode(String),
     /// A sharded run was asked for zero shards.
     ZeroShardCount,
+    /// A shard count above [`crate::shard::MAX_SHARD_COUNT`]: every plan
+    /// holds one row list per shard, so a damaged document or a typo could
+    /// otherwise ask for more memory than any machine has.
+    TooManyShards {
+        /// Shard count asked for.
+        count: usize,
+        /// The largest shard count accepted.
+        max: usize,
+    },
     /// A shard names an index outside its own shard count.
     ShardIndexOutOfRange {
         /// Shard index found.
@@ -177,12 +186,10 @@ pub enum CampaignError {
         /// What was wrong.
         reason: String,
     },
-    /// A checkpoint directory could not be read, written or trusted.
+    /// A checkpoint directory (see [`crate::fanout`]) could not be read,
+    /// written or trusted, or a merge over it timed out or found shards
+    /// missing.
     Checkpoint(String),
-    /// The distributed fan-out coordination layer (lease files, manifest
-    /// adoption, merge watching — see [`crate::fanout`]) failed in a way
-    /// that is not attributable to any single shard payload.
-    Fanout(String),
     /// A cell-cache directory could not be opened, trusted or written
     /// (see [`crate::cache::CellCache::open`]).
     Cache(String),
@@ -241,6 +248,9 @@ impl fmt::Display for CampaignError {
             ),
             CampaignError::Decode(msg) => write!(f, "malformed campaign document: {msg}"),
             CampaignError::ZeroShardCount => write!(f, "campaign shard count must be non-zero"),
+            CampaignError::TooManyShards { count, max } => {
+                write!(f, "campaign shard count {count} exceeds the limit of {max}")
+            }
             CampaignError::ShardIndexOutOfRange { index, count } => {
                 write!(f, "shard index {index} out of range for {count} shards")
             }
@@ -264,7 +274,6 @@ impl fmt::Display for CampaignError {
                 write!(f, "shard {index} is malformed: {reason}")
             }
             CampaignError::Checkpoint(msg) => write!(f, "campaign checkpoint error: {msg}"),
-            CampaignError::Fanout(msg) => write!(f, "distributed fan-out error: {msg}"),
             CampaignError::Cache(msg) => write!(f, "cell cache error: {msg}"),
             CampaignError::Trace(msg) => write!(f, "trace source error: {msg}"),
             CampaignError::MissingCell { policy, trace } => {

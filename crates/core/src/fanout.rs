@@ -1,19 +1,20 @@
-//! Multi-process shard fan-out: lease-based work claiming, work-stealing
+//! The one shard executor: lease-based work claiming, work-stealing
 //! reassignment and a merge coordinator over one checkpoint directory.
 //!
-//! [`ShardedCampaignRunner`](crate::shard::ShardedCampaignRunner) executes a
-//! partition's shards sequentially inside one process.  This module turns
-//! the same checkpoint directory — the `campaign.json` manifest plus one
-//! `shard_NNNN.json` per completed shard — into a **coordination substrate
-//! for a fleet of worker processes**:
+//! A checkpoint directory holds a `campaign.json` manifest, one
+//! `shard_NNNN.json` per completed shard and one `shard_NNNN.lease` per
+//! shard being executed.  Every run that checkpoints goes through this
+//! module: a fleet of worker processes, and the in-process
+//! [`ShardedCampaignRunner`](crate::shard::ShardedCampaignRunner), which is
+//! a fleet of one worker followed by a merge.
 //!
 //! * [`FanoutWorker`] is one worker of the fleet.  It reconciles (or, first
 //!   arrival, publishes) the manifest, claims shards through **lease files**
 //!   and executes each claimed shard through the ordinary streaming grid
-//!   engine, writing the shard report with the existing tmp+rename
-//!   checkpoint protocol.  With stealing enabled a fast worker picks up a
-//!   straggler's or crashed peer's unfinished shards, steered by the
-//!   recorded per-row costs of the [`CostModel`].
+//!   engine, writing the shard report through a tmp+rename.  With stealing
+//!   enabled a fast worker picks up a straggler's or crashed peer's
+//!   unfinished shards, steered by the recorded per-row costs of the
+//!   [`CostModel`].
 //! * [`ShardLease`] is the claim primitive: an exclusively-created
 //!   `shard_NNNN.lease` file whose mtime is renewed by a heartbeat thread
 //!   while the holder simulates.  A lease whose mtime has not moved for the
@@ -49,13 +50,16 @@
 //! — the leases exist only to avoid wasting simulation time.
 
 use crate::cache::{CellCache, CostModel};
-use crate::campaign::{CampaignError, CampaignReport, CampaignSpec, ProgressHook};
+use crate::campaign::{
+    deliver_progress, CampaignError, CampaignProgress, CampaignReport, CampaignSpec, ProgressHook,
+};
 use crate::shard::{
-    adopt_manifest, load_shard_checkpoint, shard_file_name, shard_wire_version,
-    write_checkpoint_file, CampaignShard, CheckpointManifest, ShardReport, MANIFEST_FILE,
+    check_shard_count, load_shard_checkpoint, shard_file_name, shard_wire_version,
+    write_checkpoint_file, CampaignShard, CheckpointManifest, ShardPlan, ShardReport,
+    MANIFEST_FILE,
 };
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant, SystemTime};
 
@@ -64,16 +68,42 @@ pub fn lease_file_name(index: usize) -> String {
     format!("shard_{index:04}.lease")
 }
 
-/// Process-wide sequence for unique lease tmp-file names (two threads of one
-/// process racing for the same shard must not collide on the tmp path).
-static LEASE_TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+/// Process-wide sequence for unique tmp-file names (two threads of one
+/// process racing for the same file must not collide on the tmp path).
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// Create `path` holding `contents` unless it already exists: write a
+/// uniquely named sibling, then `hard_link` it into place.  Link creation
+/// fails if `path` exists, so however many creators race, **exactly one
+/// wins** (`Ok(true)`); the others get `Ok(false)`.
+fn create_exclusive(path: &Path, contents: &str) -> Result<bool, CampaignError> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(
+        ".tmp.{}.{}",
+        std::process::id(),
+        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let tmp = PathBuf::from(tmp);
+    std::fs::write(&tmp, contents)
+        .map_err(|e| CampaignError::Checkpoint(format!("write {}: {e}", tmp.display())))?;
+    let linked = std::fs::hard_link(&tmp, path);
+    let _ = std::fs::remove_file(&tmp);
+    match linked {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => Ok(false),
+        Err(e) => Err(CampaignError::Checkpoint(format!(
+            "create {}: {e}",
+            path.display()
+        ))),
+    }
+}
 
 /// An exclusive, heartbeat-renewed claim on one shard of a checkpoint
 /// directory.
 ///
-/// Claiming is atomic: the claimant writes a uniquely-named temporary file
-/// and `hard_link`s it to the lease path — link creation fails if the lease
-/// already exists, so however many workers race, **exactly one wins**.  A
+/// Claiming is atomic: the lease file is created exclusively (a
+/// uniquely-named temporary file `hard_link`ed to the lease path), so
+/// however many workers race, **exactly one wins**.  A
 /// background heartbeat thread then renews the lease's mtime every quarter
 /// of the staleness timeout; a holder that dies (or stalls) stops renewing,
 /// and once the mtime is older than the timeout any other worker may break
@@ -126,43 +156,22 @@ impl ShardLease {
             ),
         ]));
         for attempt in 0..2 {
-            let tmp = dir.join(format!(
-                "{}.tmp.{}.{}",
-                lease_file_name(index),
-                std::process::id(),
-                LEASE_TMP_SEQ.fetch_add(1, Ordering::Relaxed),
-            ));
-            std::fs::write(&tmp, &doc)
-                .map_err(|e| CampaignError::Fanout(format!("write {}: {e}", tmp.display())))?;
-            match std::fs::hard_link(&tmp, &path) {
-                Ok(()) => {
-                    let _ = std::fs::remove_file(&tmp);
-                    return Ok(Some(ShardLease::won(path, timeout)));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    let _ = std::fs::remove_file(&tmp);
-                    // Occupied.  Dead holder?  The mtime is the heartbeat
-                    // clock: unreadable or future mtimes count as fresh
-                    // (never break a lease on bad evidence).
-                    let stale = std::fs::metadata(&path)
-                        .and_then(|m| m.modified())
-                        .ok()
-                        .and_then(|mtime| SystemTime::now().duration_since(mtime).ok())
-                        .is_some_and(|age| age > timeout);
-                    if stale && attempt == 0 {
-                        let _ = std::fs::remove_file(&path);
-                        continue;
-                    }
-                    return Ok(None);
-                }
-                Err(e) => {
-                    let _ = std::fs::remove_file(&tmp);
-                    return Err(CampaignError::Fanout(format!(
-                        "claim {}: {e}",
-                        path.display()
-                    )));
-                }
+            if create_exclusive(&path, &doc)? {
+                return Ok(Some(ShardLease::won(path, timeout)));
             }
+            // Occupied.  Dead holder?  The mtime is the heartbeat clock:
+            // unreadable or future mtimes count as fresh (never break a
+            // lease on bad evidence).
+            let stale = std::fs::metadata(&path)
+                .and_then(|m| m.modified())
+                .ok()
+                .and_then(|mtime| SystemTime::now().duration_since(mtime).ok())
+                .is_some_and(|age| age > timeout);
+            if stale && attempt == 0 {
+                let _ = std::fs::remove_file(&path);
+                continue;
+            }
+            return Ok(None);
         }
         Ok(None)
     }
@@ -205,10 +214,6 @@ impl ShardLease {
     pub fn path(&self) -> &Path {
         &self.path
     }
-
-    /// Release the claim: stop the heartbeat and remove the lease file.
-    /// (Equivalent to dropping the lease; provided for explicitness.)
-    pub fn release(self) {}
 }
 
 impl Drop for ShardLease {
@@ -289,7 +294,7 @@ impl FanoutWorker {
             worker_id: format!(
                 "pid{}-{}",
                 std::process::id(),
-                LEASE_TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+                TMP_SEQ.fetch_add(1, Ordering::Relaxed)
             ),
             lease_timeout: Duration::from_secs(30),
             poll_interval: Duration::from_millis(200),
@@ -343,10 +348,13 @@ impl FanoutWorker {
         self
     }
 
-    /// Attach a progress hook; it observes shard-local cell counts.
+    /// Attach a progress hook.  It observes campaign-global cell counts:
+    /// shards found finished advance the count without replaying their
+    /// cells through the hook, and a hook that panics is disabled for the
+    /// rest of the run.
     pub fn with_progress(
         mut self,
-        hook: impl Fn(&crate::campaign::CampaignProgress) + Send + Sync + 'static,
+        hook: impl Fn(&CampaignProgress) + Send + Sync + 'static,
     ) -> FanoutWorker {
         self.progress = Some(Arc::new(hook));
         self
@@ -356,9 +364,7 @@ impl FanoutWorker {
     /// then claim-and-run shards until this worker's work is done (its home
     /// shard complete, or — stealing — every shard complete).
     pub fn run(&self, spec: &CampaignSpec) -> Result<WorkerOutcome, CampaignError> {
-        if self.shard_count == 0 {
-            return Err(CampaignError::ZeroShardCount);
-        }
+        check_shard_count(self.shard_count)?;
         if let Some(home) = self.home_shard {
             if home >= self.shard_count {
                 return Err(CampaignError::ShardIndexOutOfRange {
@@ -369,7 +375,7 @@ impl FanoutWorker {
         }
         spec.validate()?;
         std::fs::create_dir_all(&self.checkpoint).map_err(|e| {
-            CampaignError::Fanout(format!("create {}: {e}", self.checkpoint.display()))
+            CampaignError::Checkpoint(format!("create {}: {e}", self.checkpoint.display()))
         })?;
         let model = match self.cache.as_deref() {
             Some(cache) => CostModel::observed(cache),
@@ -389,6 +395,32 @@ impl FanoutWorker {
             order.retain(|&k| Some(k) == self.home_shard);
         }
 
+        // Campaign-global progress: the grid engine counts per shard, so the
+        // count and the disable flag for a panicking hook live out here.
+        let total_cells = spec.cell_count();
+        let completed = Arc::new(AtomicUsize::new(0));
+        let hook: Option<ProgressHook> = self.progress.clone().map(|user| {
+            let completed = Arc::clone(&completed);
+            let disabled = Mutex::new(false);
+            Arc::new(move |p: &CampaignProgress| {
+                let global = CampaignProgress {
+                    completed_cells: completed.fetch_add(1, Ordering::Relaxed) + 1,
+                    total_cells,
+                    ..p.clone()
+                };
+                deliver_progress(&user, &disabled, &global);
+            }) as ProgressHook
+        });
+        let skip_cells = |k: usize| completed.fetch_add(shards[k].cell_count(), Ordering::Relaxed);
+        // A shard file cut along another plan counts as absent: running the
+        // shard overwrites it.
+        let landed = |k: usize| {
+            matches!(
+                load_shard_checkpoint(&self.checkpoint, &shards[k]),
+                Ok(Some(_))
+            )
+        };
+
         // Shards known finished: written here, or accepted from disk once.
         // A finished shard is never probed again, so each landed shard file
         // is read and decoded at most once per run.
@@ -398,7 +430,8 @@ impl FanoutWorker {
         loop {
             let mut progressed = false;
             for &k in &order {
-                if !done[k] && load_shard_checkpoint(&self.checkpoint, &shards[k]).is_some() {
+                if !done[k] && landed(k) {
+                    skip_cells(k);
                     done[k] = true;
                     progressed = true;
                 }
@@ -419,9 +452,10 @@ impl FanoutWorker {
                 };
                 // Re-check under the lease: the previous holder may have
                 // published between our scan and the claim.
-                if load_shard_checkpoint(&self.checkpoint, &shards[k]).is_none() {
-                    let report =
-                        shards[k].run_with(self.progress.as_ref(), self.cache.as_deref())?;
+                if landed(k) {
+                    skip_cells(k);
+                } else {
+                    let report = shards[k].run_with(hook.as_ref(), self.cache.as_deref())?;
                     write_checkpoint_file(
                         &self.checkpoint.join(shard_file_name(k)),
                         &report.to_json(),
@@ -432,7 +466,7 @@ impl FanoutWorker {
                     }
                 }
                 done[k] = true;
-                lease.release();
+                drop(lease);
                 progressed = true;
             }
             if progressed {
@@ -448,60 +482,42 @@ impl FanoutWorker {
         Ok(outcome)
     }
 
-    /// Adopt the directory's manifest, or plan the partition and publish
-    /// one.  Publication is atomic (tmp + `hard_link`): however many
-    /// workers arrive at an empty directory simultaneously, exactly one
-    /// manifest wins and every other worker adopts its plan — the fleet
-    /// never splits across two partitions.
+    /// Adopt the directory's manifest — it must name this worker's spec and
+    /// shard count — or plan the partition and publish one.  Publication is
+    /// an exclusive create: however many workers arrive at an empty
+    /// directory simultaneously, exactly one manifest wins and every other
+    /// worker adopts its plan — the fleet never splits across two
+    /// partitions.
     fn reconcile_manifest(
         &self,
         spec: &CampaignSpec,
         model: &CostModel<'_>,
-    ) -> Result<crate::shard::ShardPlan, CampaignError> {
+    ) -> Result<ShardPlan, CampaignError> {
         let path = self.checkpoint.join(MANIFEST_FILE);
         for _ in 0..8 {
-            if let Some(plan) = adopt_manifest(
-                &self.checkpoint,
-                spec,
-                self.shard_count,
-                CampaignError::Fanout,
-            )? {
-                return Ok(plan);
+            if let Some(found) = CheckpointManifest::read(&self.checkpoint)? {
+                if found.spec != *spec || found.shard_count != self.shard_count {
+                    return Err(CampaignError::Checkpoint(format!(
+                        "{} belongs to a different campaign or shard count; refusing to run in it",
+                        self.checkpoint.display()
+                    )));
+                }
+                return Ok(found.plan);
             }
-            let plan = crate::shard::ShardPlan::for_spec(spec, self.shard_count, model)?;
+            let plan = ShardPlan::for_spec(spec, self.shard_count, model)?;
             let manifest = CheckpointManifest {
                 schema_version: shard_wire_version(spec, &plan),
                 shard_count: self.shard_count,
                 spec: spec.clone(),
                 plan,
             };
-            let tmp = self.checkpoint.join(format!(
-                "{MANIFEST_FILE}.tmp.{}.{}",
-                std::process::id(),
-                LEASE_TMP_SEQ.fetch_add(1, Ordering::Relaxed),
-            ));
-            std::fs::write(&tmp, serde::json::to_string_pretty(&manifest))
-                .map_err(|e| CampaignError::Fanout(format!("write {}: {e}", tmp.display())))?;
-            match std::fs::hard_link(&tmp, &path) {
-                Ok(()) => {
-                    let _ = std::fs::remove_file(&tmp);
-                    return Ok(manifest.plan);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    // Lost the publish race; adopt the winner's manifest on
-                    // the next pass.
-                    let _ = std::fs::remove_file(&tmp);
-                }
-                Err(e) => {
-                    let _ = std::fs::remove_file(&tmp);
-                    return Err(CampaignError::Fanout(format!(
-                        "publish manifest {}: {e}",
-                        path.display()
-                    )));
-                }
+            if create_exclusive(&path, &serde::json::to_string_pretty(&manifest))? {
+                return Ok(manifest.plan);
             }
+            // Lost the publish race; adopt the winner's manifest on the
+            // next pass.
         }
-        Err(CampaignError::Fanout(format!(
+        Err(CampaignError::Checkpoint(format!(
             "manifest {} kept appearing and vanishing; giving up",
             path.display()
         )))
@@ -584,62 +600,35 @@ impl MergeCoordinator {
             _ => None,
         };
         let mut backoff = Backoff::new(self.poll_interval);
-        let manifest_path = self.checkpoint.join(MANIFEST_FILE);
         // A waiting coordinator may start before the first worker has
         // published the manifest, so a missing one is waitable.  Publication
         // is atomic, so a manifest that exists but cannot be read, decoded
-        // or validated is refused at once.
-        let text = loop {
-            match std::fs::read_to_string(&manifest_path) {
-                Ok(text) => break text,
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::NotFound
-                        && self.wait != MergeWait::NoWait =>
-                {
-                    self.check_deadline(deadline, || {
-                        format!("the manifest {}", manifest_path.display())
-                    })?;
-                    backoff.wait();
-                }
-                Err(e) => {
-                    return Err(CampaignError::Fanout(format!(
-                        "no readable manifest at {}: {e}; workers write it when they start",
-                        manifest_path.display()
-                    )))
-                }
+        // or trusted is refused at once.
+        let manifest = loop {
+            if let Some(manifest) = CheckpointManifest::read(&self.checkpoint)? {
+                break manifest;
             }
+            let manifest_path = self.checkpoint.join(MANIFEST_FILE);
+            if self.wait == MergeWait::NoWait {
+                return Err(CampaignError::Checkpoint(format!(
+                    "no manifest at {}; workers write it when they start",
+                    manifest_path.display()
+                )));
+            }
+            self.check_deadline(deadline, || {
+                format!("the manifest {}", manifest_path.display())
+            })?;
+            backoff.wait();
         };
         backoff.reset();
-        let manifest = CheckpointManifest::from_json(&text).map_err(|e| {
-            CampaignError::Fanout(format!(
-                "unreadable manifest {}: {e}; delete the directory to start over",
-                manifest_path.display()
-            ))
-        })?;
-        manifest
-            .plan
-            .validate(manifest.spec.traces.len())
-            .map_err(|reason| {
-                CampaignError::Fanout(format!(
-                    "manifest {} carries an invalid partition plan ({reason})",
-                    manifest_path.display()
-                ))
-            })?;
-        if manifest.plan.shard_count() != manifest.shard_count {
-            return Err(CampaignError::Fanout(format!(
-                "manifest {} plan covers {} shards but claims {}",
-                manifest_path.display(),
-                manifest.plan.shard_count(),
-                manifest.shard_count
-            )));
-        }
         // Shards accepted so far; an accepted shard is not read again.
+        let shards = CampaignShard::from_plan(&manifest.spec, manifest.plan);
         let mut loaded: Vec<Option<ShardReport>> = vec![None; manifest.shard_count];
         loop {
             let mut landed = false;
-            for (index, slot) in loaded.iter_mut().enumerate() {
+            for (shard, slot) in shards.iter().zip(&mut loaded) {
                 if slot.is_none() {
-                    *slot = self.load_shard(index, &manifest)?;
+                    *slot = load_shard_checkpoint(&self.checkpoint, shard)?;
                     landed |= slot.is_some();
                 }
             }
@@ -655,7 +644,7 @@ impl MergeCoordinator {
                 });
             }
             if self.wait == MergeWait::NoWait {
-                return Err(CampaignError::Fanout(format!(
+                return Err(CampaignError::Checkpoint(format!(
                     "{} is missing shards {missing:?}; run workers for them or \
                      merge with waiting enabled",
                     self.checkpoint.display()
@@ -680,45 +669,13 @@ impl MergeCoordinator {
     ) -> Result<(), CampaignError> {
         match (self.wait, deadline) {
             (MergeWait::Timeout(limit), Some(deadline)) if Instant::now() >= deadline => {
-                Err(CampaignError::Fanout(format!(
+                Err(CampaignError::Checkpoint(format!(
                     "timed out after {limit:?} waiting for {}",
                     awaited()
                 )))
             }
             _ => Ok(()),
         }
-    }
-
-    /// Load shard `index` if its file is present and belongs to the
-    /// manifest's partition.  Absent/corrupt files are `None` (waitable);
-    /// a decodable file from a *different* partition is a hard refusal.
-    fn load_shard(
-        &self,
-        index: usize,
-        manifest: &CheckpointManifest,
-    ) -> Result<Option<ShardReport>, CampaignError> {
-        let path = self.checkpoint.join(shard_file_name(index));
-        let Ok(text) = std::fs::read_to_string(&path) else {
-            return Ok(None);
-        };
-        let Ok(report) = ShardReport::from_json(&text) else {
-            return Ok(None); // corrupt: a worker will re-run and overwrite it
-        };
-        if report.spec != manifest.spec
-            || report.plan != manifest.plan
-            || report.shard_count != manifest.shard_count
-            || report.shard_index != index
-        {
-            return Err(CampaignError::ShardSetMismatch(format!(
-                "{} was cut along a different campaign or partition plan than \
-                 the manifest; refusing to merge a mixed-plan directory",
-                path.display()
-            )));
-        }
-        if report.check().is_err() {
-            return Ok(None); // malformed payload: waitable, like corrupt
-        }
-        Ok(Some(report))
     }
 }
 
@@ -799,7 +756,7 @@ mod tests {
         assert!(ShardLease::try_claim(&dir, 1, "b", timeout)
             .expect("claim")
             .is_some());
-        first.release();
+        drop(first);
         assert!(
             ShardLease::try_claim(&dir, 0, "b", timeout)
                 .expect("claim")
@@ -852,7 +809,7 @@ mod tests {
                 .is_none(),
             "heartbeat-renewed lease must stay unbreakable"
         );
-        lease.release();
+        drop(lease);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -879,7 +836,7 @@ mod tests {
         // A 2-shard fleet ran here; a 3-shard worker may not join it.
         FanoutWorker::new(2, &dir).run(&spec(2)).expect("seed run");
         let err = FanoutWorker::new(3, &dir).run(&spec(2)).unwrap_err();
-        assert!(matches!(err, CampaignError::Fanout(_)), "{err}");
+        assert!(matches!(err, CampaignError::Checkpoint(_)), "{err}");
         assert!(err
             .to_string()
             .contains("different campaign or shard count"));
@@ -905,7 +862,7 @@ mod tests {
     fn merge_requires_a_manifest() {
         let dir = tmp_dir("no_manifest");
         let err = MergeCoordinator::new(&dir).run().unwrap_err();
-        assert!(matches!(err, CampaignError::Fanout(_)), "{err}");
+        assert!(matches!(err, CampaignError::Checkpoint(_)), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -2,7 +2,7 @@
 //!
 //! Each function regenerates the data behind one figure or table of the
 //! paper's evaluation section and returns it as structured rows, so the
-//! `reproduce` binary and the Criterion benches share one code path.
+//! `reproduce` binary and the tests share one code path.
 //! DESIGN.md's "Known calibration gap" compares the headline numbers with
 //! the paper's.  The default `trace_len` values are sized for
 //! minutes-not-hours runs; pass larger values for higher-fidelity numbers.
@@ -642,6 +642,7 @@ mod tests {
     #[test]
     fn fig5_percentages_sum_to_100() {
         let f = fig5(LEN).expect("fig5 reproduces");
+        assert_eq!(f.series.len(), 3);
         for row in &f.rows {
             let sum: f64 = row.values.iter().sum();
             assert!((sum - 100.0).abs() < 1.0, "{}: {sum}", row.label);

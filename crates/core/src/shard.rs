@@ -22,11 +22,15 @@
 //! sets with typed [`CampaignError`]s instead of silently joining cells to
 //! the wrong baselines.
 //!
-//! [`ShardedCampaignRunner`] drives a whole partition and adds
-//! **checkpoint/resume**: with a checkpoint directory configured, every
-//! completed shard is written to `shard_NNNN.json` next to a `campaign.json`
-//! manifest, and a resumed run loads (and skips) every shard whose file
-//! still matches the spec.
+//! [`ShardedCampaignRunner`] runs a whole partition in one process and
+//! has no shard loop of its own.  With a checkpoint directory it is a
+//! fleet of one: one [`FanoutWorker`] executes every shard into the
+//! directory (a `campaign.json` manifest plus one `shard_NNNN.json` per
+//! completed shard) and a [`MergeCoordinator`] merges them, so a resumed
+//! run skips every shard whose file still matches the spec.  Without one it
+//! runs the plain grid, [`CampaignRunner::run`]: in-process shards would
+//! only run one after another, and every partition merges to the same
+//! bytes.
 //!
 //! ```no_run
 //! use hc_core::campaign::CampaignBuilder;
@@ -52,17 +56,15 @@
 //! ```
 
 use crate::cache::{CellCache, CostModel};
-#[allow(unused_imports)] // `CampaignRunner` is referenced by doc links only.
-use crate::campaign::CampaignRunner;
 use crate::campaign::{
-    decode_versioned, deliver_progress, report_wire_version, run_spec_rows, BaselineRun,
-    CampaignCell, CampaignError, CampaignProgress, CampaignReport, CampaignSpec, ProgressHook,
+    decode_versioned, report_wire_version, run_spec_rows, BaselineRun, CampaignCell, CampaignError,
+    CampaignProgress, CampaignReport, CampaignRunner, CampaignSpec, ProgressHook,
 };
+use crate::fanout::{lease_file_name, FanoutWorker, MergeCoordinator};
 use crate::policy::PolicyKind;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Version of the [`ShardReport`] wire schema, independent of the report and
 /// spec schemas.  Bumped whenever a serialized shard field changes meaning;
@@ -91,6 +93,13 @@ pub const LEGACY_SHARD_SCHEMA_VERSION: u32 = 1;
 /// (see [`SHARD_SCHEMA_VERSION`]).
 pub const SCENARIO_SHARD_SCHEMA_VERSION: u32 = 2;
 
+/// Every shard wire version the shard and manifest decoders accept.
+const SHARD_WIRE_VERSIONS: [u32; 3] = [
+    LEGACY_SHARD_SCHEMA_VERSION,
+    SCENARIO_SHARD_SCHEMA_VERSION,
+    SHARD_SCHEMA_VERSION,
+];
+
 /// The shard wire version for a (spec, plan) pair: v3 once the partition is
 /// cost-balanced, otherwise legacy v1 while the scenario axis is unused and
 /// v2 beyond.
@@ -101,6 +110,24 @@ pub(crate) fn shard_wire_version(spec: &CampaignSpec, plan: &ShardPlan) -> u32 {
             LEGACY_SHARD_SCHEMA_VERSION
         }
         ShardStrategy::RoundRobin => SCENARIO_SHARD_SCHEMA_VERSION,
+    }
+}
+
+/// The largest shard count any partition may have.  A plan holds one row
+/// list per shard and a fleet keeps per-shard state, so a count read from a
+/// damaged document, or mistyped on a command line, is refused before
+/// anything is allocated per shard.
+pub const MAX_SHARD_COUNT: usize = 4_096;
+
+/// Refuse a shard count outside `1..=MAX_SHARD_COUNT` with a typed error.
+pub(crate) fn check_shard_count(count: usize) -> Result<(), CampaignError> {
+    match count {
+        0 => Err(CampaignError::ZeroShardCount),
+        1..=MAX_SHARD_COUNT => Ok(()),
+        _ => Err(CampaignError::TooManyShards {
+            count,
+            max: MAX_SHARD_COUNT,
+        }),
     }
 }
 
@@ -143,9 +170,7 @@ impl ShardPlan {
     /// The legacy round-robin partition of `n_rows` rows into `shard_count`
     /// shards.
     pub fn round_robin(n_rows: usize, shard_count: usize) -> Result<ShardPlan, CampaignError> {
-        if shard_count == 0 {
-            return Err(CampaignError::ZeroShardCount);
-        }
+        check_shard_count(shard_count)?;
         Ok(ShardPlan {
             strategy: ShardStrategy::RoundRobin,
             assignments: (0..shard_count)
@@ -162,9 +187,7 @@ impl ShardPlan {
     /// then **canonicalised** to [`ShardStrategy::RoundRobin`] so the wire
     /// format (and every golden byte) of uncached runs is unchanged.
     pub fn cost_balanced(costs: &[u64], shard_count: usize) -> Result<ShardPlan, CampaignError> {
-        if shard_count == 0 {
-            return Err(CampaignError::ZeroShardCount);
-        }
+        check_shard_count(shard_count)?;
         // LPT: rows in descending cost order (stable, so equal costs keep
         // spec order), each to the least-loaded shard (ties to the lowest
         // shard index).
@@ -196,7 +219,7 @@ impl ShardPlan {
     }
 
     /// Plan a partition of `spec` with per-row costs from `model` —
-    /// the planner behind [`ShardedCampaignRunner`].
+    /// the planner of the first [`FanoutWorker`] in a checkpoint directory.
     ///
     /// One shard holds every row whatever the costs (the LPT partition is
     /// the round-robin one), so a one-shard plan costs no row: with a warm
@@ -292,11 +315,30 @@ impl Deserialize for ShardPlan {
                 )))
             }
         };
+        let assignments: Vec<Vec<usize>> = serde::de_field(m, "assignments")?;
+        check_shard_count(assignments.len()).map_err(|e| serde::Error::custom(e.to_string()))?;
         Ok(ShardPlan {
             strategy,
-            assignments: serde::de_field(m, "assignments")?,
+            assignments,
         })
     }
+}
+
+/// The partition plan of a shard or manifest document whose decoded fields
+/// are `m`: the `plan` field of a v3 document, or the round-robin plan a
+/// v1/v2 document implies (round-robin was then the only partition, so the
+/// shard count fixes it).
+fn decode_plan(
+    m: &[(String, serde::Value)],
+    schema_version: u32,
+    shard_count: usize,
+    spec: &CampaignSpec,
+) -> Result<ShardPlan, serde::Error> {
+    if schema_version >= SHARD_SCHEMA_VERSION {
+        return serde::de_field(m, "plan");
+    }
+    ShardPlan::round_robin(spec.traces.len(), shard_count)
+        .map_err(|e| serde::Error::custom(e.to_string()))
 }
 
 /// One deterministic slice of a campaign's trace rows, per its partition's
@@ -316,9 +358,7 @@ impl CampaignShard {
         shard_count: usize,
         shard_index: usize,
     ) -> Result<CampaignShard, CampaignError> {
-        if shard_count == 0 {
-            return Err(CampaignError::ZeroShardCount);
-        }
+        check_shard_count(shard_count)?;
         if shard_index >= shard_count {
             return Err(CampaignError::ShardIndexOutOfRange {
                 index: shard_index,
@@ -404,16 +444,6 @@ impl CampaignShard {
     /// Execute this shard through the streaming grid engine.
     pub fn run(&self) -> Result<ShardReport, CampaignError> {
         self.run_with(None, None)
-    }
-
-    /// [`CampaignShard::run`] with an optional progress hook.  The hook sees
-    /// *shard-local* cell counts; [`ShardedCampaignRunner`] remaps them to
-    /// campaign-global counts.
-    pub fn run_with_progress(
-        &self,
-        progress: Option<&ProgressHook>,
-    ) -> Result<ShardReport, CampaignError> {
-        self.run_with(progress, None)
     }
 
     /// [`CampaignShard::run`] with an optional progress hook and an
@@ -525,14 +555,7 @@ impl Deserialize for ShardReport {
         let schema_version: u32 = serde::de_field(m, "schema_version")?;
         let shard_count: usize = serde::de_field(m, "shard_count")?;
         let spec: CampaignSpec = serde::de_field(m, "spec")?;
-        let plan = if schema_version >= SHARD_SCHEMA_VERSION {
-            serde::de_field(m, "plan")?
-        } else {
-            // v1/v2 shards predate explicit plans: round-robin was the only
-            // partition, so the plan is fully implied by the shard count.
-            ShardPlan::round_robin(spec.traces.len(), shard_count.max(1))
-                .map_err(|e| serde::Error::custom(e.to_string()))?
-        };
+        let plan = decode_plan(m, schema_version, shard_count, &spec)?;
         Ok(ShardReport {
             schema_version,
             shard_index: serde::de_field(m, "shard_index")?,
@@ -557,14 +580,7 @@ impl ShardReport {
     /// Decode from JSON (legacy v1/v2 or plan-aware v3), checking the shard
     /// schema version first.
     pub fn from_json(text: &str) -> Result<ShardReport, CampaignError> {
-        let value = decode_versioned(
-            text,
-            &[
-                LEGACY_SHARD_SCHEMA_VERSION,
-                SCENARIO_SHARD_SCHEMA_VERSION,
-                SHARD_SCHEMA_VERSION,
-            ],
-        )?;
+        let value = decode_versioned(text, &SHARD_WIRE_VERSIONS)?;
         Deserialize::from_value(&value).map_err(|e| CampaignError::Decode(e.to_string()))
     }
 
@@ -573,9 +589,9 @@ impl ShardReport {
         self.spec.include_baseline || self.spec.policies.contains(&PolicyKind::Baseline)
     }
 
-    /// Structural self-consistency: right row/cell/baseline counts, a valid
-    /// partition plan, and rows matching the plan's slice for
-    /// `(shard_index, shard_count)`.
+    /// Structural self-consistency: right row/cell/baseline counts and
+    /// counters, a valid partition plan, and rows matching the plan's slice
+    /// for `(shard_index, shard_count)`.
     pub(crate) fn check(&self) -> Result<(), CampaignError> {
         let malformed = |reason: String| CampaignError::MalformedShard {
             index: self.shard_index,
@@ -628,6 +644,14 @@ impl ShardReport {
                 scenarios
             )));
         }
+        // Every row is opened once and every baseline is counted, so the
+        // counters a merge sums are bounded by the payload.
+        if self.trace_generations != rows || self.baseline_runs != expected_baselines {
+            return Err(malformed(format!(
+                "{} trace generations and {} baseline runs for {rows} rows and {expected_baselines} baselines",
+                self.trace_generations, self.baseline_runs
+            )));
+        }
         Ok(())
     }
 }
@@ -654,10 +678,7 @@ impl CampaignReport {
     pub fn merge(shards: &[ShardReport]) -> Result<CampaignReport, CampaignError> {
         let first = shards.first().ok_or(CampaignError::NoShards)?;
         for shard in shards {
-            if shard.schema_version != LEGACY_SHARD_SCHEMA_VERSION
-                && shard.schema_version != SCENARIO_SHARD_SCHEMA_VERSION
-                && shard.schema_version != SHARD_SCHEMA_VERSION
-            {
+            if !SHARD_WIRE_VERSIONS.contains(&shard.schema_version) {
                 return Err(CampaignError::UnsupportedSchemaVersion {
                     found: shard.schema_version,
                     supported: SHARD_SCHEMA_VERSION,
@@ -757,17 +778,46 @@ pub(crate) struct CheckpointManifest {
 }
 
 impl CheckpointManifest {
-    /// Decode a manifest document, accepting every shard wire version.
-    pub(crate) fn from_json(text: &str) -> Result<CheckpointManifest, CampaignError> {
-        let value = decode_versioned(
-            text,
-            &[
-                LEGACY_SHARD_SCHEMA_VERSION,
-                SCENARIO_SHARD_SCHEMA_VERSION,
-                SHARD_SCHEMA_VERSION,
-            ],
-        )?;
-        Deserialize::from_value(&value).map_err(|e| CampaignError::Decode(e.to_string()))
+    /// Read the manifest of the checkpoint directory `dir`: `None` when
+    /// there is none yet, else a manifest whose plan partitions its spec's
+    /// rows into exactly `shard_count` shards.  A manifest that exists but
+    /// cannot be read, decoded or trusted is refused with the file named:
+    /// unlike a corrupt shard file, whose loss only costs a re-run, a
+    /// damaged manifest means the directory cannot be trusted.
+    pub(crate) fn read(dir: &Path) -> Result<Option<CheckpointManifest>, CampaignError> {
+        let path = dir.join(MANIFEST_FILE);
+        let text = match std::fs::read_to_string(&path) {
+            Ok(text) => text,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => {
+                return Err(CampaignError::Checkpoint(format!(
+                    "unreadable manifest {}: {e}",
+                    path.display()
+                )))
+            }
+        };
+        let untrusted = |reason: String| {
+            CampaignError::Checkpoint(format!(
+                "unreadable manifest {}: {reason}; delete the directory to start over",
+                path.display()
+            ))
+        };
+        let value =
+            decode_versioned(&text, &SHARD_WIRE_VERSIONS).map_err(|e| untrusted(e.to_string()))?;
+        let manifest: CheckpointManifest =
+            Deserialize::from_value(&value).map_err(|e| untrusted(e.to_string()))?;
+        manifest
+            .plan
+            .validate(manifest.spec.traces.len())
+            .map_err(|reason| untrusted(format!("invalid partition plan ({reason})")))?;
+        if manifest.plan.shard_count() != manifest.shard_count {
+            return Err(untrusted(format!(
+                "its plan covers {} shards but it claims {}",
+                manifest.plan.shard_count(),
+                manifest.shard_count
+            )));
+        }
+        Ok(Some(manifest))
     }
 }
 
@@ -799,12 +849,7 @@ impl Deserialize for CheckpointManifest {
         let schema_version: u32 = serde::de_field(m, "schema_version")?;
         let shard_count: usize = serde::de_field(m, "shard_count")?;
         let spec: CampaignSpec = serde::de_field(m, "spec")?;
-        let plan = if schema_version >= SHARD_SCHEMA_VERSION {
-            serde::de_field(m, "plan")?
-        } else {
-            ShardPlan::round_robin(spec.traces.len(), shard_count.max(1))
-                .map_err(|e| serde::Error::custom(e.to_string()))?
-        };
+        let plan = decode_plan(m, schema_version, shard_count, &spec)?;
         Ok(CheckpointManifest {
             schema_version,
             shard_count,
@@ -834,16 +879,18 @@ pub struct ShardedRunOutcome {
     pub resumed_shards: Vec<usize>,
 }
 
-/// Drives a whole shard partition — sequentially over shards, with the
-/// streaming parallel fan-out *inside* each shard — with optional
+/// Runs a whole shard partition in one process, with optional
 /// checkpointing and resume.
 ///
-/// Partitioning is **cost-model-driven**: the runner plans with
-/// [`ShardPlan::for_spec`], so with a [`CellCache`] attached
-/// ([`ShardedCampaignRunner::with_cache`]) rows are LPT-packed by their
-/// recorded simulation times, and without one (no observations) the plan
-/// canonicalises to the legacy round-robin partition — wire formats,
-/// checkpoint bytes and golden snapshots of uncached runs are unchanged.
+/// With a checkpoint directory the runner is a fleet of one: a
+/// [`FanoutWorker`] with no home shard executes every unfinished shard into
+/// the directory — planning the partition with [`ShardPlan::for_spec`], so
+/// with a [`CellCache`] attached rows are LPT-packed by their recorded
+/// simulation times — and a [`MergeCoordinator`] merges the directory.
+/// This is the code `reproduce suite --of N` followed by `reproduce merge`
+/// runs.  Without a checkpoint directory the shard count only names the
+/// partition: the runner runs [`CampaignRunner::run`], whose bytes every
+/// partition merges to.
 #[derive(Clone)]
 pub struct ShardedCampaignRunner {
     shard_count: usize,
@@ -881,10 +928,10 @@ impl ShardedCampaignRunner {
         }
     }
 
-    /// Memoize every simulated cell through a [`CellCache`] and let its
-    /// recorded timings drive the cost-balanced partition (see
-    /// [`ShardPlan::cost_balanced`]).  Reports stay byte-identical with or
-    /// without the cache.
+    /// Memoize every simulated cell through a [`CellCache`]; with a
+    /// checkpoint directory its recorded timings also drive the
+    /// cost-balanced partition (see [`ShardPlan::cost_balanced`]).  Reports
+    /// stay byte-identical with or without the cache.
     pub fn with_cache(mut self, cache: Arc<CellCache>) -> ShardedCampaignRunner {
         self.cache = Some(cache);
         self
@@ -898,8 +945,9 @@ impl ShardedCampaignRunner {
     }
 
     /// On `true`, load (and skip re-running) every shard whose checkpoint
-    /// file exists and still matches the spec.  Requires a checkpoint
-    /// directory.
+    /// file exists and still matches the spec; a shard whose lease a
+    /// killed run left behind is redone once that lease goes stale.  On
+    /// `false` the run starts over.  Requires a checkpoint directory.
     pub fn resume(mut self, resume: bool) -> ShardedCampaignRunner {
         self.resume = resume;
         self
@@ -917,178 +965,94 @@ impl ShardedCampaignRunner {
 
     /// Execute (or resume) the partition and merge the shards.
     pub fn run(&self, spec: &CampaignSpec) -> Result<ShardedRunOutcome, CampaignError> {
-        // Plan with observed costs when a cache is attached (uniform costs —
-        // and therefore the canonical round-robin plan — otherwise).
-        let model = match self.cache.as_deref() {
-            Some(cache) => CostModel::observed(cache),
-            None => CostModel::uniform(),
+        check_shard_count(self.shard_count)?;
+        let Some(dir) = &self.checkpoint else {
+            if self.resume {
+                return Err(CampaignError::Checkpoint(
+                    "resume requested without a checkpoint directory".to_string(),
+                ));
+            }
+            let mut runner = CampaignRunner::new();
+            if let Some(hook) = self.progress.clone() {
+                runner = runner.with_progress(move |p| hook(p));
+            }
+            if let Some(cache) = &self.cache {
+                runner = runner.with_cache(Arc::clone(cache));
+            }
+            return Ok(ShardedRunOutcome {
+                report: runner.run(spec)?,
+                executed_shards: (0..self.shard_count).collect(),
+                resumed_shards: Vec::new(),
+            });
         };
-        let mut plan = ShardPlan::for_spec(spec, self.shard_count, &model)?;
-        if let Some(dir) = &self.checkpoint {
-            // A resumed directory pins its original plan: completed shard
-            // files were cut along it, so re-planning would orphan them.
-            plan = self.prepare_checkpoint_dir(dir, spec, plan)?;
-        }
-        let shards = CampaignShard::from_plan(spec, plan);
-
-        // Remap shard-local progress to campaign-global cell counts; resumed
-        // shards advance the counter without firing the hook per cell.  The
-        // panic isolation inside the grid engine is per shard, so a
-        // run-level disable flag lives out here: a user hook that panics is
-        // disabled for the rest of the *run*, not re-tried on every shard.
-        let total_cells = spec.cell_count();
-        let completed = Arc::new(AtomicUsize::new(0));
-        let global_hook: Option<ProgressHook> = self.progress.clone().map(|user| {
-            let completed = Arc::clone(&completed);
-            let disabled = Mutex::new(false);
-            Arc::new(move |p: &CampaignProgress| {
-                let global = CampaignProgress {
-                    completed_cells: completed.fetch_add(1, Ordering::Relaxed) + 1,
-                    total_cells,
-                    policy: p.policy.clone(),
-                    trace: p.trace.clone(),
-                    scenario: p.scenario.clone(),
-                };
-                deliver_progress(&user, &disabled, &global);
-            }) as ProgressHook
-        });
-
-        let mut reports = Vec::with_capacity(shards.len());
-        let mut executed_shards = Vec::new();
-        let mut resumed_shards = Vec::new();
-        for shard in &shards {
-            if let Some(report) = self.try_resume_shard(shard)? {
-                completed.fetch_add(shard.cell_count(), Ordering::Relaxed);
-                resumed_shards.push(shard.shard_index());
-                reports.push(report);
-                continue;
+        if !self.resume {
+            // Start over: forget the manifest, so the worker plans afresh,
+            // and every file of the shards about to run.
+            remove_if_present(&dir.join(MANIFEST_FILE))?;
+            for k in 0..self.shard_count {
+                remove_if_present(&dir.join(shard_file_name(k)))?;
+                remove_if_present(&dir.join(lease_file_name(k)))?;
             }
-            let report = shard.run_with(global_hook.as_ref(), self.cache.as_deref())?;
-            if let Some(dir) = &self.checkpoint {
-                write_checkpoint_file(
-                    &dir.join(shard_file_name(shard.shard_index())),
-                    &report.to_json(),
-                )?;
-            }
-            executed_shards.push(shard.shard_index());
-            reports.push(report);
         }
-
+        let mut worker = FanoutWorker::new(self.shard_count, dir);
+        if let Some(hook) = self.progress.clone() {
+            worker = worker.with_progress(move |p| hook(p));
+        }
+        if let Some(cache) = &self.cache {
+            worker = worker.with_cache(Arc::clone(cache));
+        }
+        let executed_shards = worker.run(spec)?.executed_shards;
         Ok(ShardedRunOutcome {
-            report: CampaignReport::merge(&reports)?,
+            report: MergeCoordinator::new(dir).run()?.report,
+            resumed_shards: (0..self.shard_count)
+                .filter(|k| !executed_shards.contains(k))
+                .collect(),
             executed_shards,
-            resumed_shards,
         })
     }
+}
 
-    /// Create the checkpoint directory and reconcile its manifest: a resumed
-    /// run refuses a directory whose manifest belongs to a different
-    /// campaign or shard count, **adopts** a matching manifest's partition
-    /// plan (completed shard files were cut along it), and a fresh run
-    /// overwrites the manifest with the newly planned partition.
-    fn prepare_checkpoint_dir(
-        &self,
-        dir: &Path,
-        spec: &CampaignSpec,
-        planned: ShardPlan,
-    ) -> Result<ShardPlan, CampaignError> {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| CampaignError::Checkpoint(format!("create {}: {e}", dir.display())))?;
-        if self.resume {
-            if let Some(plan) =
-                adopt_manifest(dir, spec, self.shard_count, CampaignError::Checkpoint)?
-            {
-                return Ok(plan);
-            }
-        }
-        let manifest = CheckpointManifest {
-            schema_version: shard_wire_version(spec, &planned),
-            shard_count: self.shard_count,
-            spec: spec.clone(),
-            plan: planned,
-        };
-        write_checkpoint_file(
-            &dir.join(MANIFEST_FILE),
-            &serde::json::to_string_pretty(&manifest),
-        )?;
-        Ok(manifest.plan)
-    }
-
-    /// Load one shard's checkpoint file if resuming and the file still
-    /// matches this shard (see [`load_shard_checkpoint`]).
-    fn try_resume_shard(
-        &self,
-        shard: &CampaignShard,
-    ) -> Result<Option<ShardReport>, CampaignError> {
-        if !self.resume {
-            return Ok(None);
-        }
-        let Some(dir) = &self.checkpoint else {
-            return Err(CampaignError::Checkpoint(
-                "resume requested without a checkpoint directory".to_string(),
-            ));
-        };
-        Ok(load_shard_checkpoint(dir, shard))
+/// Remove the file at `path` if there is one.
+fn remove_if_present(path: &Path) -> Result<(), CampaignError> {
+    match std::fs::remove_file(path) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(CampaignError::Checkpoint(
+            format!("remove {}: {e}", path.display()),
+        )),
+        _ => Ok(()),
     }
 }
 
-/// Read and check the manifest of the checkpoint directory `dir` against
-/// the campaign about to run there: it must decode, name the same spec and
-/// shard count, and carry a partition plan valid for the spec.  Returns the
-/// plan its shard files were cut along, or `None` when there is no
-/// readable manifest yet.  [`ShardedCampaignRunner`] and
-/// [`crate::fanout::FanoutWorker`] share this check; `error` builds each
-/// caller's own error variant.
-pub(crate) fn adopt_manifest(
+/// Load `shard`'s report from the checkpoint directory `dir`.  An absent,
+/// undecodable or malformed file is `None`: the shard re-runs and the file
+/// is overwritten, which is the crash-tolerant re-execution path.  A file
+/// that decodes but was cut along a different campaign or partition plan,
+/// or written at another wire version than the plan's, is refused as a
+/// mixed-plan directory: a worker overwrites it, but no amount of waiting
+/// lets a merge use it.
+pub(crate) fn load_shard_checkpoint(
     dir: &Path,
-    spec: &CampaignSpec,
-    shard_count: usize,
-    error: fn(String) -> CampaignError,
-) -> Result<Option<ShardPlan>, CampaignError> {
-    let path = dir.join(MANIFEST_FILE);
-    let Ok(text) = std::fs::read_to_string(&path) else {
+    shard: &CampaignShard,
+) -> Result<Option<ShardReport>, CampaignError> {
+    let path = dir.join(shard_file_name(shard.shard_index()));
+    let Some(report) = std::fs::read_to_string(&path)
+        .ok()
+        .and_then(|text| ShardReport::from_json(&text).ok())
+    else {
         return Ok(None);
     };
-    // An undecodable manifest is refused like a foreign one (and with the
-    // file named, so the failure is actionable) — unlike corrupt *shard*
-    // files, whose loss only costs a re-run, a damaged manifest means the
-    // directory can't be trusted.
-    let found = CheckpointManifest::from_json(&text).map_err(|e| {
-        error(format!(
-            "unreadable manifest {}: {e}; delete the directory to start over",
+    if report.shard_index != shard.shard_index()
+        || report.shard_count != shard.shard_count()
+        || report.spec != *shard.spec()
+        || report.plan != *shard.shard_plan()
+        || report.schema_version != shard_wire_version(shard.spec(), shard.shard_plan())
+    {
+        return Err(CampaignError::ShardSetMismatch(format!(
+            "{} was cut along a different campaign or partition plan than \
+             the manifest; refusing to merge a mixed-plan directory",
             path.display()
-        ))
-    })?;
-    if found.spec != *spec || found.shard_count != shard_count {
-        return Err(error(format!(
-            "{} belongs to a different campaign or shard count; refusing to run in it",
-            dir.display()
         )));
     }
-    found.plan.validate(spec.traces.len()).map_err(|reason| {
-        error(format!(
-            "manifest {} carries an invalid partition plan ({reason}); \
-             delete the directory to start over",
-            path.display()
-        ))
-    })?;
-    Ok(Some(found.plan))
-}
-
-/// Load `shard`'s report from the checkpoint directory `dir` if it is there
-/// and still belongs to this partition: same index, shard count, spec and
-/// plan, and a self-consistent payload.  Unreadable, corrupt or mismatched
-/// files count as absent — the shard re-runs and the file is overwritten,
-/// which is the crash-tolerant re-execution path.
-pub(crate) fn load_shard_checkpoint(dir: &Path, shard: &CampaignShard) -> Option<ShardReport> {
-    let text = std::fs::read_to_string(dir.join(shard_file_name(shard.shard_index()))).ok()?;
-    let report = ShardReport::from_json(&text).ok()?;
-    let matches = report.shard_index == shard.shard_index()
-        && report.shard_count == shard.shard_count()
-        && report.spec == *shard.spec()
-        && report.plan == *shard.shard_plan()
-        && report.check().is_ok();
-    matches.then_some(report)
+    Ok(report.check().is_ok().then_some(report))
 }
 
 /// Write a checkpoint file through a temporary sibling + rename, so a crash
@@ -1107,6 +1071,7 @@ mod tests {
     use super::*;
     use crate::campaign::CampaignBuilder;
     use hc_trace::SpecBenchmark;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn spec(n_traces: usize) -> CampaignSpec {
         let mut b = CampaignBuilder::new("shard-unit").policy(PolicyKind::P888);

@@ -16,7 +16,7 @@ use hc_core::CellKey;
 use hc_sim::SimStats;
 use helper_cluster::prelude::*;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime};
 
 const LEN: usize = 600;
@@ -389,7 +389,7 @@ fn waiting_merge_times_out_naming_the_missing_manifest() {
         .poll_interval(Duration::from_millis(20))
         .run()
         .expect_err("no worker ever starts");
-    assert!(matches!(err, CampaignError::Fanout(_)), "{err}");
+    assert!(matches!(err, CampaignError::Checkpoint(_)), "{err}");
     let msg = err.to_string();
     assert!(
         msg.contains("timed out") && msg.contains("campaign.json"),
@@ -440,7 +440,7 @@ fn idle_worker_wakes_soon_after_its_peers_shard_lands() {
         std::fs::write(&tmp, peer_report.to_json()).expect("write peer shard");
         std::fs::rename(&tmp, dir.join("shard_0001.json")).expect("publish peer shard");
         let landed_at = Instant::now();
-        peer_lease.release();
+        drop(peer_lease);
         let (outcome, returned_at) = worker.join().expect("join");
         (outcome, returned_at.saturating_duration_since(landed_at))
     });
@@ -452,5 +452,30 @@ fn idle_worker_wakes_soon_after_its_peers_shard_lands() {
     assert!(outcome.stolen_shards.is_empty());
     let merged = MergeCoordinator::new(&dir).run().expect("merge");
     assert_eq!(merged.report.to_json(), single.to_json());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_workers_progress_counts_across_its_shards() {
+    // One worker executing both shards reports one campaign-wide count, not
+    // a count per shard.  Worker threads may deliver events out of order.
+    let dir = tmp_dir("progress");
+    let spec = small_spec();
+    let events = Arc::new(Mutex::new(Vec::new()));
+    let seen = Arc::clone(&events);
+    let outcome = FanoutWorker::new(2, &dir)
+        .with_progress(move |p| {
+            let mut seen = seen.lock().expect("events");
+            seen.push((p.completed_cells, p.total_cells));
+        })
+        .run(&spec)
+        .expect("worker run");
+    assert_eq!(outcome.executed_shards, vec![0, 1]);
+    let total = spec.cell_count();
+    let events = events.lock().expect("events");
+    assert!(events.iter().all(|&(_, of)| of == total), "{events:?}");
+    let mut completed: Vec<usize> = events.iter().map(|&(done, _)| done).collect();
+    completed.sort_unstable();
+    assert_eq!(completed, (1..=total).collect::<Vec<_>>());
     let _ = std::fs::remove_dir_all(&dir);
 }

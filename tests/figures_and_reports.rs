@@ -1,6 +1,5 @@
 //! Integration tests for the figure-reproduction API and the report
-//! renderers — the same code paths the `reproduce` binary and the Criterion
-//! benches use.
+//! renderers — the same code paths the `reproduce` binary uses.
 
 use hc_core::figures;
 use hc_core::policy::PolicyKind;
@@ -54,6 +53,7 @@ fn headline_contains_every_non_baseline_policy() {
 #[test]
 fn fig14_covers_all_seven_categories() {
     let f = figures::fig14_categories(1, LEN).expect("fig14 reproduces");
+    assert_eq!(f.rows.len(), 8, "7 categories + AVG");
     let labels: Vec<&str> = f.rows.iter().map(|r| r.label.as_str()).collect();
     for cat in ["enc", "sfp", "kernels", "mm", "office", "prod", "ws"] {
         assert!(labels.contains(&cat), "{cat} missing from {labels:?}");
@@ -62,7 +62,12 @@ fn fig14_covers_all_seven_categories() {
 
 #[test]
 fn markdown_and_csv_render_every_figure() {
-    for fig in [figures::fig1(LEN), figures::fig13(LEN)] {
+    for fig in [
+        figures::fig1(LEN),
+        figures::fig11(LEN),
+        figures::fig12(LEN).expect("fig12 reproduces"),
+        figures::fig13(LEN),
+    ] {
         let md = figure_to_markdown(&fig);
         let csv = figure_to_csv(&fig);
         assert!(md.contains(&fig.id));

@@ -10,15 +10,20 @@
 //! Every decoder must answer every damaged document with a value or a typed
 //! error; a panic fails the test.  A cache whose `index.json` was damaged
 //! must still open and replay its campaign byte for byte, rescanning its
-//! segments where the snapshot cannot be trusted.
+//! segments where the snapshot cannot be trusted.  A checkpoint directory
+//! whose manifest or shard file was damaged must make every reader of it
+//! fail with a typed error or report the campaign's bytes.
 
 use hc_core::cache::{CacheStats, GcPolicy};
+use hc_core::fanout::{FanoutWorker, MergeCoordinator};
+use hc_core::shard::{ShardPlan, MAX_SHARD_COUNT};
 use hc_trace::{KernelKind, PhaseSchedule, WorkloadCategory};
 use helper_cluster::prelude::*;
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 const TRACE_LEN: usize = 200;
 
@@ -567,5 +572,288 @@ fn damaged_segment_records_still_open_and_replay() {
                 "{what}: damaged cells re-simulate, the rest hit"
             );
         }
+    }
+}
+
+/// The files of a checkpoint directory, as (name, contents), by name.
+type Files = [(String, String)];
+
+/// A reader of a checkpoint directory: a report or a typed error.
+type Reader<'a> = &'a dyn Fn(&Path) -> Result<CampaignReport, CampaignError>;
+
+/// A complete 2-shard checkpoint directory of `cached_spec()`, written by a
+/// checkpointed runner and held in memory: its `campaign.json` and both
+/// shard files (v1 documents).
+fn checkpoint_fixture() -> &'static Files {
+    static FIXTURE: OnceLock<Vec<(String, String)>> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let dir = scratch_dir("checkpoint_fixture");
+        let outcome = ShardedCampaignRunner::new(2)
+            .with_checkpoint(&dir)
+            .run(&cached_spec())
+            .expect("checkpointed run");
+        assert_eq!(outcome.report.to_json(), cache_fixture().report);
+        let files = ["campaign.json", "shard_0000.json", "shard_0001.json"]
+            .map(|name| {
+                let text = std::fs::read_to_string(dir.join(name)).expect(name);
+                (name.to_string(), text)
+            })
+            .to_vec();
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), files.len());
+        let _ = std::fs::remove_dir_all(&dir);
+        files
+    })
+}
+
+/// `text`, a v1 manifest or shard document, in the v3 shape: the same
+/// fields plus a `plan` of `strategy` cutting `assignments`.
+fn as_v3(text: &str, strategy: &str, assignments: &[&[usize]]) -> String {
+    let mut doc = serde::json::parse(text).expect("a pristine document");
+    *field_mut(&mut doc, "schema_version") = serde::Value::UInt(3);
+    let serde::Value::Map(fields) = &mut doc else {
+        panic!("a document is a map");
+    };
+    let assignments: Vec<Vec<usize>> = assignments.iter().map(|rows| rows.to_vec()).collect();
+    fields.push((
+        "plan".to_string(),
+        serde::Value::Map(vec![
+            (
+                "strategy".to_string(),
+                serde::Value::Str(strategy.to_string()),
+            ),
+            (
+                "assignments".to_string(),
+                serde::Serialize::to_value(&assignments),
+            ),
+        ]),
+    ));
+    serde::json::to_string_pretty(&doc)
+}
+
+/// `text` with the first number after its first `"field"` key replaced by
+/// `value`.
+fn inflate(text: &str, field: &str, value: &str) -> String {
+    let key = text.find(&format!("\"{field}\"")).expect(field);
+    let start = key
+        + text[key..]
+            .find(|c: char| c.is_ascii_digit())
+            .expect("a number");
+    let end = start
+        + text[start..]
+            .find(|c: char| !c.is_ascii_digit())
+            .expect("its end");
+    let mut out = text.to_string();
+    out.replace_range(start..end, value);
+    out
+}
+
+/// What one reader of a checkpoint directory returned — a report's JSON or
+/// a typed error — the merge of the shard files the directory held
+/// afterwards, if they all decode and merge, and whether the directory was
+/// left exactly as it was.
+struct ReaderOutcome {
+    reader: &'static str,
+    report: Result<String, CampaignError>,
+    on_disk: Option<String>,
+    untouched: bool,
+}
+
+/// Run each reader of a checkpoint directory on its own copy of `files`: a
+/// worker with a short lease timeout followed by a merge, a merge that does
+/// not wait, and a resumed in-process runner.
+fn read_checkpoint(tag: &str, files: &Files, kind: u8, seed: u64) -> Vec<ReaderOutcome> {
+    let spec = cached_spec();
+    let readers: [(&str, Reader); 3] = [
+        ("worker", &|dir| {
+            FanoutWorker::new(2, dir)
+                .lease_timeout(Duration::from_millis(200))
+                .run(&spec)?;
+            Ok(MergeCoordinator::new(dir).run()?.report)
+        }),
+        ("merge", &|dir| Ok(MergeCoordinator::new(dir).run()?.report)),
+        ("resumed runner", &|dir| {
+            let runner = ShardedCampaignRunner::new(2).with_checkpoint(dir);
+            Ok(runner.resume(true).run(&spec)?.report)
+        }),
+    ];
+    readers
+        .iter()
+        .map(|(reader, read)| {
+            let dir = scratch_dir(&format!("{tag}_{}", reader.replace(' ', "_")));
+            std::fs::create_dir_all(&dir).unwrap();
+            for (name, text) in files {
+                std::fs::write(dir.join(name), text).unwrap();
+            }
+            let report = no_panic(reader, kind, seed, || read(&dir)).map(|r| r.to_json());
+            let on_disk = ["shard_0000.json", "shard_0001.json"]
+                .iter()
+                .map(|name| {
+                    ShardReport::from_json(&std::fs::read_to_string(dir.join(name)).ok()?).ok()
+                })
+                .collect::<Option<Vec<_>>>()
+                .and_then(|shards| CampaignReport::merge(&shards).ok())
+                .map(|merged| merged.to_json());
+            let mut left: Vec<(String, String)> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|entry| {
+                    let path = entry.unwrap().path();
+                    let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                    (name, std::fs::read_to_string(&path).unwrap_or_default())
+                })
+                .collect();
+            left.sort();
+            let _ = std::fs::remove_dir_all(&dir);
+            ReaderOutcome {
+                reader,
+                report,
+                on_disk,
+                untouched: left == files,
+            }
+        })
+        .collect()
+}
+
+/// Every reader failed with a typed error or reported the campaign's
+/// bytes — or the merge of the shard files its directory held: shard files
+/// carry no checksum, so a damaged number in a cell can still decode as a
+/// shard of the partition, and is merged as written.
+fn assert_typed_or_faithful(outcomes: &[ReaderOutcome], what: &str) {
+    for outcome in outcomes {
+        if let Ok(report) = &outcome.report {
+            assert!(
+                *report == cache_fixture().report || Some(report) == outcome.on_disk.as_ref(),
+                "{} on {what}: a report that is neither the campaign's nor its directory's",
+                outcome.reader
+            );
+        }
+    }
+}
+
+/// Every inflated number in the counts, indices and versions of a real
+/// manifest and a real shard file — v1 documents, and v3 documents for the
+/// plan rows.  Counts past `MAX_SHARD_COUNT` are refused wherever a plan is
+/// built, before anything is allocated per shard.
+#[test]
+fn inflated_checkpoint_fields_fail_typed() {
+    let v1 = checkpoint_fixture();
+    let v3: Vec<(String, String)> = v1
+        .iter()
+        .map(|(name, text)| (name.clone(), as_v3(text, "cost_balanced", &[&[0], &[1]])))
+        .collect();
+    let pristine = read_checkpoint("inflated", &v3, 3, 0);
+    assert!(pristine
+        .iter()
+        .all(|o| o.report.as_ref() == Ok(&cache_fixture().report)));
+    let cases: [(&Files, usize, &str); 10] = [
+        (v1, 0, "shard_count"),
+        (v1, 0, "schema_version"),
+        (&v3, 0, "assignments"),
+        (v1, 2, "shard_count"),
+        (v1, 2, "shard_index"),
+        (v1, 2, "schema_version"),
+        (v1, 2, "trace_indices"),
+        (&v3, 2, "assignments"),
+        (v1, 2, "baseline_runs"),
+        (v1, 2, "trace_generations"),
+    ];
+    for (files, file, field) in cases {
+        for (i, value) in INFLATED.iter().enumerate() {
+            let mut damaged = files.to_vec();
+            damaged[file].1 = inflate(&files[file].1, field, value);
+            let what = format!("{} {field} {value}", damaged[file].0);
+            no_panic(&what, 3, i as u64, || {
+                let _ = ShardReport::from_json(&damaged[file].1);
+            });
+            assert_typed_or_faithful(&read_checkpoint("inflated", &damaged, 3, i as u64), &what);
+        }
+    }
+
+    let spec = cached_spec();
+    let dir = scratch_dir("too_many_shards");
+    assert!(CampaignShard::plan(&spec, MAX_SHARD_COUNT).is_ok());
+    for count in [MAX_SHARD_COUNT + 1, 1_000_000_000_000_000] {
+        let too_many = CampaignError::TooManyShards {
+            count,
+            max: MAX_SHARD_COUNT,
+        };
+        assert_eq!(ShardPlan::round_robin(2, count).unwrap_err(), too_many);
+        assert_eq!(
+            ShardPlan::cost_balanced(&[1, 2], count).unwrap_err(),
+            too_many
+        );
+        assert_eq!(
+            CampaignShard::new(spec.clone(), count, 0).unwrap_err(),
+            too_many
+        );
+        assert_eq!(CampaignShard::plan(&spec, count).unwrap_err(), too_many);
+        assert_eq!(
+            ShardedCampaignRunner::new(count).run(&spec).unwrap_err(),
+            too_many
+        );
+        let checkpointed = ShardedCampaignRunner::new(count).with_checkpoint(&dir);
+        assert_eq!(checkpointed.run(&spec).unwrap_err(), too_many);
+        assert_eq!(
+            FanoutWorker::new(count, &dir).run(&spec).unwrap_err(),
+            too_many
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A v3 manifest claiming 2 shards whose plan cuts 3: every reader refuses
+/// the directory before running a shard or writing a file.
+#[test]
+fn a_manifest_whose_plan_disagrees_with_its_shard_count_is_refused() {
+    let mut files = checkpoint_fixture().to_vec();
+    files[0].1 = as_v3(&files[0].1, "cost_balanced", &[&[0], &[1], &[]]);
+    for outcome in read_checkpoint("three_of_two", &files, 0, 0) {
+        match outcome.report {
+            Err(CampaignError::Checkpoint(msg)) => {
+                assert!(msg.contains("plan covers 3 shards"), "{msg}")
+            }
+            other => panic!("{} accepted the directory: {other:?}", outcome.reader),
+        }
+        assert!(
+            outcome.untouched,
+            "{} wrote into the directory",
+            outcome.reader
+        );
+    }
+}
+
+/// A shard file written at another wire version than its siblings — v3
+/// with the same round-robin plan the v1 manifest implies.  A worker
+/// overwrites it, so a resumed runner reports the campaign's bytes; a merge
+/// refuses the mixed directory.
+#[test]
+fn a_shard_file_of_another_wire_version_is_rerun() {
+    let mut files = checkpoint_fixture().to_vec();
+    files[2].1 = as_v3(&files[2].1, "round_robin", &[&[0], &[1]]);
+    for outcome in read_checkpoint("mixed_version", &files, 0, 0) {
+        match (outcome.reader, &outcome.report) {
+            ("merge", Err(CampaignError::ShardSetMismatch(_))) => {}
+            ("worker" | "resumed runner", Ok(report)) => {
+                assert_eq!(*report, cache_fixture().report, "{}", outcome.reader)
+            }
+            (reader, other) => panic!("{reader}: {other:?}"),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A damaged manifest or shard file never crashes or hangs a reader of
+    /// its checkpoint directory.
+    #[test]
+    fn damaged_checkpoint_directories_fail_typed_or_merge(
+        file in 0usize..3,
+        kind in 0u8..5,
+        seed in any::<u64>(),
+    ) {
+        let mut files = checkpoint_fixture().to_vec();
+        files[file].1 = mutate(&files[file].1, kind, seed);
+        let outcomes = read_checkpoint("damaged", &files, kind, seed);
+        assert_typed_or_faithful(&outcomes, &files[file].0);
     }
 }

@@ -6,12 +6,18 @@
 //!   re-run, and the merged output never changes;
 //! * the full 409-trace Table 2 suite runs as one streaming campaign
 //!   (each trace synthesized on the fly inside a worker, one generation per
-//!   row).
+//!   row);
+//! * a checkpointed runner is a fleet of one fan-out worker plus a merge:
+//!   it reproduces the golden suite and reports progress over the whole
+//!   campaign.
 
+use hc_core::figures;
 use hc_core::shard::{CampaignShard, ShardedCampaignRunner};
 use hc_trace::WorkloadCategory;
 use helper_cluster::prelude::*;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 fn suite_spec() -> CampaignSpec {
     CampaignBuilder::new("shard-acceptance")
@@ -190,4 +196,70 @@ fn full_table2_suite_streams_as_one_campaign() {
             .count();
         assert_eq!(rows, category.trace_count(), "{}", category.abbrev());
     }
+}
+
+/// The golden suite's snapshot of a report (see `tests/golden_suite.rs`).
+fn golden_suite_snapshot(report: &CampaignReport) -> String {
+    let fig14 = figures::fig14_categories_from(report);
+    serde::json::to_string_pretty(&(&report.baselines, &report.cells, &fig14.rows))
+}
+
+#[test]
+fn a_checkpointed_runner_is_a_fleet_of_one_that_reproduces_the_golden_suite() {
+    let golden = std::fs::read_to_string("tests/golden/suite_2pc.json")
+        .expect("golden snapshot missing; regenerate with GOLDEN_REGEN=1");
+    let spec = CampaignBuilder::new("golden-suite")
+        .policy(PolicyKind::Ir)
+        .category_suite(2)
+        .trace_len(1_500)
+        .build()
+        .expect("the golden suite is a valid campaign");
+    let dir = TempDir::new("golden_fleet");
+    let runner = ShardedCampaignRunner::new(3)
+        .with_checkpoint(&dir.0)
+        .resume(true);
+    let cold = runner.run(&spec).expect("cold run");
+    assert_eq!(cold.executed_shards, vec![0, 1, 2]);
+    assert_eq!(golden_suite_snapshot(&cold.report), golden);
+
+    // Lose shard 1 and resume: the resumed shards' cells count as done
+    // before the first event, and the count ends at the campaign's total.
+    // Worker threads may deliver events out of order, so they are sorted.
+    std::fs::remove_file(dir.0.join("shard_0001.json")).expect("drop shard 1");
+    let events = Arc::new(Mutex::new(Vec::new()));
+    let seen = Arc::clone(&events);
+    let resumed = runner
+        .clone()
+        .with_progress(move |p| {
+            let mut seen = seen.lock().expect("events");
+            seen.push((p.completed_cells, p.total_cells));
+        })
+        .run(&spec)
+        .expect("resumed run");
+    assert_eq!(resumed.executed_shards, vec![1]);
+    assert_eq!(resumed.resumed_shards, vec![0, 2]);
+    assert_eq!(golden_suite_snapshot(&resumed.report), golden);
+    let total = spec.cell_count();
+    let resumed_cells = total - CampaignShard::plan(&spec, 3).expect("plan")[1].cell_count();
+    let events = events.lock().expect("events");
+    assert!(events.iter().all(|&(_, of)| of == total), "{events:?}");
+    let mut completed: Vec<usize> = events.iter().map(|&(done, _)| done).collect();
+    completed.sort_unstable();
+    assert_eq!(completed, (resumed_cells + 1..=total).collect::<Vec<_>>());
+
+    // Starting over with a hook that panics: every shard runs, the run
+    // completes, and the hook is called once in the whole run.
+    let calls = Arc::new(AtomicUsize::new(0));
+    let counted = Arc::clone(&calls);
+    let fresh = ShardedCampaignRunner::new(3)
+        .with_checkpoint(&dir.0)
+        .with_progress(move |_| {
+            counted.fetch_add(1, Ordering::SeqCst);
+            panic!("user hook exploded");
+        })
+        .run(&spec)
+        .expect("a panicking hook does not stop the run");
+    assert_eq!(fresh.executed_shards, vec![0, 1, 2]);
+    assert_eq!(calls.load(Ordering::SeqCst), 1);
+    assert_eq!(golden_suite_snapshot(&fresh.report), golden);
 }
