@@ -1507,6 +1507,7 @@ pub(crate) fn run_spec_rows(
             generations.fetch_add(1, Ordering::Relaxed);
             open_row(&spec.traces[i], spec.trace_len)
         },
+        spec.trace_len,
         &spec.policies,
         spec.warmup_runs,
         spec.include_baseline,
@@ -1635,6 +1636,7 @@ pub(crate) fn run_grid<'t, R: Sync>(
         std::slice::from_ref(&ScenarioExperiment::legacy(experiment.clone())),
         &indices,
         |i| Ok(Box::new(open_row(&rows[i]))),
+        0,
         policies,
         0,
         true,
@@ -1754,7 +1756,8 @@ pub(crate) fn deliver_progress(
 /// bit-identical.  Each worker thread owns one [`ExecContext`], reused for
 /// every run it performs — including runs under different scenario
 /// machines — so a campaign costs O(threads) simulator arenas, not
-/// O(cells).
+/// O(cells).  The calling thread sizes them for `row_len` µops (`0`: on
+/// first use), which keeps them out of the workers' allocator arenas.
 ///
 /// Every simulated cell, baselines included, goes through [`run_claimed`].
 /// With a [`GridCache`] bound, cached cells are restored, in-flight cells
@@ -1775,6 +1778,7 @@ fn run_grid_streaming<'t>(
     scenarios: &[ScenarioExperiment],
     rows: &[usize],
     open_row: impl Fn(usize) -> Result<RowSource<'t>, CampaignError> + Sync,
+    row_len: usize,
     policies: &[PolicyKind],
     warmup_runs: usize,
     include_baseline: bool,
@@ -1787,9 +1791,13 @@ fn run_grid_streaming<'t>(
     let baseline_count = AtomicUsize::new(0);
     let baseline_needed = include_baseline || policies.contains(&PolicyKind::Baseline);
 
+    let workers = rayon::current_num_threads().min(rows.len());
+    let sized_context = || ExecContext::with_capacity(row_len);
+    let contexts = Mutex::new((0..workers).map(|_| sized_context()).collect::<Vec<_>>());
+    let take_context = || lock(&contexts).pop().unwrap_or_default();
     let rows_out: Vec<Result<GridRow, CampaignError>> = rows
         .par_iter()
-        .map_init(ExecContext::new, |ctx, &row| {
+        .map_init(take_context, |ctx, &row| {
             let mut source = open_row(row)?;
             let source = source.as_mut();
             let (trace, category) = {

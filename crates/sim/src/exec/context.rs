@@ -11,7 +11,7 @@
 //!
 //! Its `begin_run` step returns all of it to a cold state *without releasing
 //! allocations*, which is what makes the staged engine's hot loop
-//! allocation-free in steady state: a campaign worker thread allocates one
+//! allocation-free in steady state: a campaign worker thread is handed one
 //! context and replays every grid cell through it.
 
 use super::RenameEntry;
@@ -183,6 +183,25 @@ impl ExecContext {
         }
     }
 
+    /// Create a context whose window slab already holds a run of
+    /// `trace_len` µops.  The memory is taken on the calling thread, so a
+    /// caller that hands contexts to short-lived worker threads keeps the
+    /// largest buffers out of those threads' allocator arenas.
+    pub fn with_capacity(trace_len: usize) -> ExecContext {
+        let mut ctx = ExecContext::new();
+        ctx.reserve_window(trace_len);
+        ctx
+    }
+
+    /// Reserve the window slab and its parallel columns for a run of
+    /// `trace_len` µops, with half as many again for copies and splits.
+    fn reserve_window(&mut self, trace_len: usize) {
+        let want = trace_len + trace_len / 2;
+        self.entries.reserve(want);
+        self.ctl.reserve(want);
+        self.dep_head.reserve(want);
+    }
+
     /// Return the arena buffers to a cold state for a run of `trace_len`
     /// µops under `cfg`, keeping every allocation.
     fn prepare(&mut self, cfg: &SimConfig, trace_len: usize) {
@@ -190,10 +209,7 @@ impl ExecContext {
         self.ctl.clear();
         self.dep_head.clear();
         self.dep_pool.clear();
-        let want = trace_len + trace_len / 2;
-        self.entries.reserve(want);
-        self.ctl.reserve(want);
-        self.dep_head.reserve(want);
+        self.reserve_window(trace_len);
         self.rob.clear();
         self.stores.clear();
         self.events.reset();

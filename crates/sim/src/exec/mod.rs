@@ -620,6 +620,21 @@ mod tests {
         }
     }
 
+    #[test]
+    fn presized_context_is_bit_identical_to_a_fresh_one() {
+        let trace = small_trace(1_500);
+        let sim = Simulator::new(SimConfig::paper_baseline()).unwrap();
+        // Sized for a shorter, the same and a longer trace than it runs.
+        for len in [500, 1_500, 4_000] {
+            let mut ctx = ExecContext::with_capacity(len);
+            assert!(ctx.entries.capacity() >= len + len / 2);
+            assert_eq!(
+                sim.run_with(&mut ctx, &trace, &mut RecklessNarrow),
+                sim.run(&trace, &mut RecklessNarrow)
+            );
+        }
+    }
+
     /// A source that streams a trace but never offers it in place, so runs
     /// over it take the stream cursor.
     struct StreamOnly {
