@@ -108,9 +108,9 @@ use hc_core::report::{
     campaign_to_markdown, figure_to_markdown, kv_table_to_markdown, scenario_summary_to_markdown,
 };
 use hc_core::shard::ShardedCampaignRunner;
-use hc_core::suite::SuiteRunner;
 use hc_power::{Ed2Comparison, PowerModel};
-use hc_trace::{paper_suite, reduced_suite, SpecBenchmark};
+use hc_trace::SpecBenchmark;
+use std::cell::OnceCell;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -976,6 +976,19 @@ fn main() {
             figure_to_markdown(&or_die("headline", figures::headline(len)))
         );
     }
+    // `ed2` and `summary` read one IR × SPEC campaign, and `fig14` and
+    // `summary` one Table 2 suite campaign: each runs at most once.
+    let ir_spec = OnceCell::new();
+    let run_ir_spec = || {
+        let spec = CampaignBuilder::new("ed2")
+            .policy(PolicyKind::Ir)
+            .spec_suite()
+            .trace_len(len)
+            .build();
+        or_die("ed2", CampaignRunner::new().run(&or_die("ed2", spec)))
+    };
+    let suite = OnceCell::new();
+    let run_suite = || or_die("fig14", figures::suite_report(opts.apps_per_category, len));
     if wanted(&opts, "fig14") {
         // One suite campaign feeds both halves of the figure: the
         // per-category bars and the per-application S-curve.
@@ -985,10 +998,10 @@ fn main() {
                 figure_to_markdown(&or_die("fig14", figures::fig14_categories(0, len)))
             );
         } else {
-            let report = or_die("fig14", figures::suite_report(opts.apps_per_category, len));
+            let report = suite.get_or_init(run_suite);
             println!(
                 "{}",
-                figure_to_markdown(&figures::fig14_categories_from(&report))
+                figure_to_markdown(&figures::fig14_categories_from(report))
             );
             print_curve_summary(&report.speedup_curve(PolicyKind::Ir.name()));
         }
@@ -1034,15 +1047,7 @@ fn main() {
     if wanted(&opts, "ed2") {
         // §3.7: energy-delay² of the most aggressive configuration (IR) vs
         // the baseline, via a single-policy campaign.
-        let spec = or_die(
-            "ed2",
-            CampaignBuilder::new("ed2")
-                .policy(PolicyKind::Ir)
-                .spec_suite()
-                .trace_len(len)
-                .build(),
-        );
-        let report = or_die("ed2", CampaignRunner::new().run(&spec));
+        let report = ir_spec.get_or_init(run_ir_spec);
         let model = PowerModel::default();
         let mut improvements = Vec::new();
         for r in &report.experiment_results() {
@@ -1057,24 +1062,29 @@ fn main() {
         );
     }
     if wanted(&opts, "summary") {
-        // Abstract numbers: SPEC-Int average and wide-suite average under IR.
-        let runner = SuiteRunner::default();
-        let spec = runner.run_spec(len, PolicyKind::Ir);
+        // Abstract numbers: the IR means over the SPEC-Int campaign `ed2`
+        // runs and the wide suite `fig14` runs (all 409 apps under
+        // `--full-suite`).  An empty suite averages 0%.
+        let ir = PolicyKind::Ir.name();
+        let increase_pct = |mean: Option<f64>| (mean.unwrap_or(1.0) - 1.0) * 100.0;
         println!("### Summary (abstract numbers)\n");
         println!(
             "SPEC Int average speedup (IR): {:.1}% (paper: 22%)",
-            spec.mean_performance_increase_pct()
+            increase_pct(ir_spec.get_or_init(run_ir_spec).mean_speedup(ir))
         );
-        let profiles = if opts.full_suite {
-            paper_suite(len)
+        let full_suite;
+        let wide = if opts.full_suite {
+            full_suite = or_die("summary", figures::suite_report(usize::MAX, len));
+            Some(&full_suite)
+        } else if opts.apps_per_category == 0 {
+            None
         } else {
-            reduced_suite(opts.apps_per_category, len)
+            Some(suite.get_or_init(run_suite))
         };
-        let wide = runner.run_profiles(&profiles, PolicyKind::Ir);
         println!(
             "Wide-suite ({} apps) average speedup (IR): {:.1}% (paper: 11% over 412 apps)\n",
-            profiles.len(),
-            wide.mean_performance_increase_pct()
+            wide.map_or(0, |report| report.spec.traces.len()),
+            increase_pct(wide.and_then(|report| report.mean_speedup(ir)))
         );
     }
 }

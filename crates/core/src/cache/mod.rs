@@ -95,7 +95,7 @@ mod store;
 pub use gc::{GcOutcome, GcPolicy};
 pub use store::{CellCache, CellClaim, CellJoin, CellLead};
 
-use crate::campaign::{CampaignError, CampaignSpec};
+use crate::campaign::{CampaignError, CampaignSpec, GridCache};
 use crate::policy::PolicyKind;
 use hc_sim::SimStats;
 use serde::Serialize;
@@ -368,80 +368,61 @@ impl<'a> CostModel<'a> {
         CostModel { cache: Some(cache) }
     }
 
-    /// Estimated cost (abstract nanoseconds) of simulating one spec row:
-    /// the row's baselines plus every scenario × policy cell.
-    pub fn row_cost(&self, spec: &CampaignSpec, row: usize) -> u64 {
-        self.cost_of_row(spec, row, &render_scenarios(spec))
-    }
-
-    /// Estimated cost of every spec row, in row order.
+    /// Estimated cost (abstract nanoseconds) of simulating each spec row —
+    /// the row's baselines plus every scenario × policy cell — in row order.
     pub fn row_costs(&self, spec: &CampaignSpec) -> Vec<u64> {
-        let scenario_docs = render_scenarios(spec);
-        (0..spec.traces.len())
-            .map(|row| self.cost_of_row(spec, row, &scenario_docs))
-            .collect()
-    }
-
-    /// [`CostModel::row_cost`] with the scenarios already rendered.
-    fn cost_of_row(&self, spec: &CampaignSpec, row: usize, scenario_docs: &[String]) -> u64 {
         let default_cell = (spec.trace_len as u64).saturating_mul(Self::DEFAULT_NANOS_PER_UOP);
-        let baseline_needed =
-            spec.include_baseline || spec.policies.contains(&PolicyKind::Baseline);
+        let warm_cell = default_cell.saturating_mul((spec.warmup_runs as u64).saturating_add(1));
+        let baselines = spec.simulates_baselines();
+        // The baseline-policy column clones the memoized baseline, so it
+        // costs nothing beyond the baseline itself.
+        let sim_policies: Vec<PolicyKind> = spec
+            .policies
+            .iter()
+            .copied()
+            .filter(|&k| k != PolicyKind::Baseline)
+            .collect();
         let Some(cache) = self.cache else {
-            let baselines = if baseline_needed {
-                spec.scenarios.len() as u64
-            } else {
-                0
-            };
-            // The baseline-policy column clones the memoized baseline, so it
-            // costs nothing beyond the baseline itself.
-            let sim_policies = spec
-                .policies
-                .iter()
-                .filter(|&&k| k != PolicyKind::Baseline)
-                .count() as u64;
+            let scenarios = spec.scenarios.len() as u64;
+            let baseline_runs = if baselines { scenarios } else { 0 };
             let warm_factor = (spec.warmup_runs as u64).saturating_add(1);
-            return default_cell.saturating_mul(
-                baselines.saturating_add(
-                    sim_policies
-                        .saturating_mul(spec.scenarios.len() as u64)
+            let row = default_cell.saturating_mul(
+                baseline_runs.saturating_add(
+                    (sim_policies.len() as u64)
+                        .saturating_mul(scenarios)
                         .saturating_mul(warm_factor),
                 ),
             );
+            return vec![row; spec.traces.len()];
         };
-        // Match the grid's cache identity for this row (content-addressed
-        // for `File` rows) so observed timings are found; an unresolvable
-        // identity (e.g. an unreadable recording) falls back to the plain
-        // selector document — cost estimates are advisory, and the campaign
-        // itself will surface the typed error.
-        let trace_doc = serde::json::to_string(
-            &spec.traces[row]
-                .cache_doc()
-                .unwrap_or_else(|_| Serialize::to_value(&spec.traces[row])),
-        );
-        let mut total = 0u64;
-        for scenario_doc in scenario_docs {
-            if baseline_needed {
-                let key = CellKey::baseline_from_json(&trace_doc, spec.trace_len, scenario_doc);
-                total = total.saturating_add(cache.observed_nanos(&key).unwrap_or(default_cell));
-            }
-            for kind in &spec.policies {
-                if *kind == PolicyKind::Baseline {
-                    continue; // cloned from the baseline, free
+        // Key cells the way the grid does (content-addressed for `File`
+        // rows) so observed timings are found; an unresolvable identity
+        // (e.g. an unreadable recording) falls back to the plain selector
+        // document — cost estimates are advisory, and the campaign itself
+        // will surface the typed error.
+        let row_docs: Vec<serde::Value> = spec
+            .traces
+            .iter()
+            .map(|t| t.cache_doc().unwrap_or_else(|_| Serialize::to_value(t)))
+            .collect();
+        let keys = GridCache::new(cache, spec, &row_docs);
+        let observed = |(cache, key): (&CellCache, CellKey), estimate: u64| {
+            cache.observed_nanos(&key).unwrap_or(estimate)
+        };
+        (0..spec.traces.len())
+            .map(|row| {
+                let mut total = 0u64;
+                for s in 0..spec.scenarios.len() {
+                    if baselines {
+                        total = total.saturating_add(observed(keys.baseline(row, s), default_cell));
+                    }
+                    for &kind in &sim_policies {
+                        total = total.saturating_add(observed(keys.cell(row, s, kind), warm_cell));
+                    }
                 }
-                let key = CellKey::cell_from_json(
-                    &trace_doc,
-                    spec.trace_len,
-                    spec.warmup_runs,
-                    scenario_doc,
-                    kind.name(),
-                );
-                total = total.saturating_add(cache.observed_nanos(&key).unwrap_or_else(|| {
-                    default_cell.saturating_mul((spec.warmup_runs as u64).saturating_add(1))
-                }));
-            }
-        }
-        total
+                total
+            })
+            .collect()
     }
 }
 

@@ -15,8 +15,9 @@
 //! * the result is a versioned [`CampaignReport`] with JSON and CSV
 //!   renderings (see [`crate::report`]).
 //!
-//! [`Experiment`], [`crate::suite::SuiteRunner`] and [`crate::figures`] are
-//! thin adapters over this engine.
+//! It is the one engine: [`crate::figures`], [`crate::shard`],
+//! [`crate::fanout`] and the `reproduce` binary all run on it, and each of
+//! its cells runs on an [`Experiment`]'s validated simulators.
 //!
 //! ```
 //! use hc_core::campaign::{CampaignBuilder, CampaignRunner};
@@ -42,8 +43,8 @@ use crate::scenario::{ScenarioError, ScenarioSpec, DEFAULT_SCENARIO_NAME};
 use hc_power::{Ed2Comparison, PowerModel, PowerParams};
 use hc_sim::{ConfigError, ExecContext, SimConfig, SimStats};
 use hc_trace::{
-    read_header, FileSource, MaterializedSource, PhaseSchedule, PhasedSource, SpecBenchmark,
-    SynthesizedSource, Trace, TraceError, TraceSource, WorkloadCategory, WorkloadProfile,
+    read_header, FileSource, PhaseSchedule, PhasedSource, SpecBenchmark, SynthesizedSource, Trace,
+    TraceError, TraceSource, WorkloadCategory, WorkloadProfile,
 };
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -431,25 +432,19 @@ impl TraceSelector {
 /// Resolve the serialized cache identity of every spec row up front, so the
 /// grid's per-row projection is infallible and each `File` header is read
 /// once per campaign instead of once per cell.
-pub(crate) fn resolve_row_docs(
-    traces: &[TraceSelector],
-) -> Result<Vec<serde::Value>, CampaignError> {
+fn resolve_row_docs(traces: &[TraceSelector]) -> Result<Vec<serde::Value>, CampaignError> {
     traces.iter().map(TraceSelector::cache_doc).collect()
 }
 
-/// One grid row's µop supply.  Synthesized selectors open a
+/// Open one grid row's µop supply.  Synthesized selectors open a
 /// [`SynthesizedSource`], which generates the trace on the first read and
-/// is then read in place, like the in-memory adapter paths'
-/// [`MaterializedSource`]; `File` and `Phased` rows stream a bounded window
-/// at a time.
-pub(crate) type RowSource<'a> = Box<dyn TraceSource + Send + 'a>;
-
-/// Open one selector's µop supply.  Opening does no µop work: a row whose
-/// every cell is a cache hit is never synthesized or streamed.
-pub(crate) fn open_row(
+/// is then read in place; `File` and `Phased` rows stream a bounded window
+/// at a time.  Opening does no µop work: a row whose every cell is a cache
+/// hit is never synthesized or streamed.
+fn open_row(
     selector: &TraceSelector,
     trace_len: usize,
-) -> Result<RowSource<'static>, CampaignError> {
+) -> Result<Box<dyn TraceSource + Send>, CampaignError> {
     Ok(match selector {
         TraceSelector::File { path } => Box::new(
             FileSource::open(Path::new(path))
@@ -637,6 +632,12 @@ impl CampaignSpec {
             })?;
         }
         Ok(())
+    }
+
+    /// Whether the grid simulates a monolithic baseline per (trace,
+    /// scenario): for speedups, or because the `baseline` column reads it.
+    pub(crate) fn simulates_baselines(&self) -> bool {
+        self.include_baseline || self.policies.contains(&PolicyKind::Baseline)
     }
 
     /// Number of policy × trace × scenario cells in the grid.
@@ -1133,6 +1134,11 @@ impl Deserialize for BaselineRun {
     }
 }
 
+/// A cell's scenario display key (`"default"` on the legacy path).
+fn scenario_key(cell: &CampaignCell) -> &str {
+    cell.scenario.as_deref().unwrap_or(DEFAULT_SCENARIO_NAME)
+}
+
 /// The versioned output of a campaign run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CampaignReport {
@@ -1259,22 +1265,15 @@ impl CampaignReport {
     /// category label group under `"uncategorized"`) — the aggregation behind
     /// the paper's Figure 14 (left).
     pub fn mean_speedup_by_category(&self, policy: &str) -> BTreeMap<String, f64> {
-        let mut sums: BTreeMap<String, (f64, usize)> = BTreeMap::new();
-        for cell in self.cells.iter().filter(|c| c.policy == policy) {
-            let Some(baseline) = self.baseline_for_cell(cell) else {
-                continue;
-            };
-            let cat = cell
-                .category
-                .clone()
-                .unwrap_or_else(|| "uncategorized".to_string());
-            let e = sums.entry(cat).or_insert((0.0, 0));
-            e.0 += cell.stats.speedup_over(baseline);
-            e.1 += 1;
-        }
-        sums.into_iter()
-            .map(|(k, (s, n))| (k, s / n as f64))
-            .collect()
+        self.mean_by(
+            policy,
+            |cell| {
+                cell.category
+                    .clone()
+                    .unwrap_or_else(|| "uncategorized".to_string())
+            },
+            |cell, baseline| cell.stats.speedup_over(baseline),
+        )
     }
 
     /// One policy's per-trace speedups sorted ascending — the S-curve of
@@ -1305,37 +1304,23 @@ impl CampaignReport {
     /// Arithmetic-mean speedup of one policy over the grid's traces (and
     /// scenarios).  Computed in place — no result vectors are materialized.
     pub fn mean_speedup(&self, policy: &str) -> Option<f64> {
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for cell in self.cells.iter().filter(|c| c.policy == policy) {
-            if let Some(baseline) = self.baseline_for_cell(cell) {
-                sum += cell.stats.speedup_over(baseline);
-                n += 1;
-            }
-        }
-        (n > 0).then(|| sum / n as f64)
+        self.mean_by(
+            policy,
+            |_| (),
+            |cell, baseline| cell.stats.speedup_over(baseline),
+        )
+        .remove(&())
     }
 
     /// Mean speedup of one policy per scenario — the sensitivity-study
     /// aggregation: each scenario's cells against that scenario's baselines.
     /// Legacy cells group under `"default"`.
     pub fn speedup_by_scenario(&self, policy: &str) -> BTreeMap<String, f64> {
-        let mut sums: BTreeMap<String, (f64, usize)> = BTreeMap::new();
-        for cell in self.cells.iter().filter(|c| c.policy == policy) {
-            let Some(baseline) = self.baseline_for_cell(cell) else {
-                continue;
-            };
-            let key = cell
-                .scenario
-                .clone()
-                .unwrap_or_else(|| DEFAULT_SCENARIO_NAME.to_string());
-            let e = sums.entry(key).or_insert((0.0, 0));
-            e.0 += cell.stats.speedup_over(baseline);
-            e.1 += 1;
-        }
-        sums.into_iter()
-            .map(|(k, (s, n))| (k, s / n as f64))
-            .collect()
+        self.mean_by(
+            policy,
+            |cell| scenario_key(cell).to_string(),
+            |cell, baseline| cell.stats.speedup_over(baseline),
+        )
     }
 
     /// The power parameters a scenario key's energy accounting uses.
@@ -1353,19 +1338,32 @@ impl CampaignReport {
     /// under **its own** [`PowerParams`] — the §3.7 ED² comparison as a
     /// sensitivity axis.
     pub fn ed2_by_scenario(&self, policy: &str) -> BTreeMap<String, f64> {
-        let mut sums: BTreeMap<String, (f64, usize)> = BTreeMap::new();
+        self.mean_by(
+            policy,
+            |cell| scenario_key(cell).to_string(),
+            |cell, baseline| {
+                let model = PowerModel::new(self.scenario_power(scenario_key(cell)));
+                Ed2Comparison::compare(&model, baseline, &cell.stats).improvement
+            },
+        )
+    }
+
+    /// The mean of `value` over one policy's cells, grouped by `key`: each
+    /// cell is joined with its own-scenario baseline (cells without one are
+    /// skipped), and each group sums its values in cell order.
+    fn mean_by<K: Ord>(
+        &self,
+        policy: &str,
+        key: impl Fn(&CampaignCell) -> K,
+        value: impl Fn(&CampaignCell, &SimStats) -> f64,
+    ) -> BTreeMap<K, f64> {
+        let mut sums: BTreeMap<K, (f64, usize)> = BTreeMap::new();
         for cell in self.cells.iter().filter(|c| c.policy == policy) {
             let Some(baseline) = self.baseline_for_cell(cell) else {
                 continue;
             };
-            let key = cell
-                .scenario
-                .clone()
-                .unwrap_or_else(|| DEFAULT_SCENARIO_NAME.to_string());
-            let model = PowerModel::new(self.scenario_power(&key));
-            let cmp = Ed2Comparison::compare(&model, baseline, &cell.stats);
-            let e = sums.entry(key).or_insert((0.0, 0));
-            e.0 += cmp.improvement;
+            let e = sums.entry(key(cell)).or_insert((0.0, 0));
+            e.0 += value(cell, baseline);
             e.1 += 1;
         }
         sums.into_iter()
@@ -1467,77 +1465,30 @@ impl CampaignRunner {
     pub fn run(&self, spec: &CampaignSpec) -> Result<CampaignReport, CampaignError> {
         spec.validate()?;
         let rows: Vec<usize> = (0..spec.traces.len()).collect();
-        let (grid, trace_generations) =
-            run_spec_rows(spec, &rows, self.progress.as_ref(), self.cache.as_deref())?;
-        let baseline_runs = grid.baseline_runs;
-        let (baselines, cells) = grid.into_flat_parts();
+        let grid = run_spec_rows(spec, &rows, self.progress.as_ref(), self.cache.as_deref())?;
         Ok(CampaignReport {
             schema_version: report_wire_version(spec),
             name: spec.name.clone(),
             spec: spec.clone(),
-            baselines,
-            cells,
-            baseline_runs,
-            trace_generations,
+            baseline_runs: grid.baselines.len(),
+            baselines: grid.baselines,
+            cells: grid.cells,
+            trace_generations: grid.trace_generations,
         })
     }
 }
 
-/// Run `rows` — indices into the spec's trace list — through the grid
-/// engine, returning the grid and how many row traces were opened (the
-/// report's `trace_generations`).  [`CampaignRunner`] and every
-/// [`crate::shard::CampaignShard`] go through here, so shard cache keys are
-/// whole-campaign keys.
-pub(crate) fn run_spec_rows(
-    spec: &CampaignSpec,
-    rows: &[usize],
-    progress: Option<&ProgressHook>,
-    cache: Option<&CellCache>,
-) -> Result<(Grid, usize), CampaignError> {
-    let scenarios = scenario_experiments(spec)?;
-    // Row cache identities (content-addressed for `File` rows) resolve
-    // once, up front and fallibly, instead of per cell inside the grid.
-    let row_docs = resolve_row_docs(&spec.traces)?;
-    let grid_cache = cache.map(|cache| GridCache::new(cache, spec, &row_docs));
-    let generations = AtomicUsize::new(0);
-    let grid = run_grid_streaming(
-        &scenarios,
-        rows,
-        |i| {
-            generations.fetch_add(1, Ordering::Relaxed);
-            open_row(&spec.traces[i], spec.trace_len)
-        },
-        spec.trace_len,
-        &spec.policies,
-        spec.warmup_runs,
-        spec.include_baseline,
-        progress,
-        grid_cache.as_ref(),
-    )?;
-    Ok((grid, generations.into_inner()))
-}
-
 /// One scenario's ready-to-run machinery: its report key and the validated
 /// [`Experiment`] (helper + baseline simulators, predictor sizing).
-pub(crate) struct ScenarioExperiment {
+struct ScenarioExperiment {
     /// Report key for this scenario's cells and baselines; `None` on the
     /// legacy single-default-scenario path, which keeps cells byte-identical
     /// to pre-scenario reports.
-    pub(crate) key: Option<String>,
-    pub(crate) experiment: Experiment,
+    key: Option<String>,
+    experiment: Experiment,
 }
 
 impl ScenarioExperiment {
-    /// Wrap one bare experiment as the anonymous legacy scenario — the shape
-    /// every pre-scenario adapter path ([`Experiment::run_many`],
-    /// `SuiteRunner`) runs through.
-    pub(crate) fn legacy(experiment: Experiment) -> ScenarioExperiment {
-        ScenarioExperiment {
-            key: None,
-            experiment,
-        }
-    }
-
     /// Progress-hook display key.
     fn progress_key(&self) -> &str {
         self.key.as_deref().unwrap_or(DEFAULT_SCENARIO_NAME)
@@ -1546,9 +1497,7 @@ impl ScenarioExperiment {
 
 /// Build one [`ScenarioExperiment`] per spec scenario.  On the legacy
 /// single-default-scenario path cells stay untagged.
-pub(crate) fn scenario_experiments(
-    spec: &CampaignSpec,
-) -> Result<Vec<ScenarioExperiment>, CampaignError> {
+fn scenario_experiments(spec: &CampaignSpec) -> Result<Vec<ScenarioExperiment>, CampaignError> {
     let tag_cells = !spec.is_single_default_scenario();
     spec.scenarios
         .iter()
@@ -1564,94 +1513,23 @@ pub(crate) fn scenario_experiments(
         .collect()
 }
 
-/// The raw output of the grid engine: one entry per trace × scenario, keeping
-/// each (trace, scenario)'s baseline next to its cells so joins are
-/// positional — correct even when two traces share a name (the adapter paths
-/// accept arbitrary trace lists; only [`CampaignSpec::validate`] enforces
-/// unique labels).
+/// The grid engine's output over a set of spec rows: their baselines and
+/// cells in report order (trace-major, then scenario-major) and how many
+/// row trace sources were opened (the report's `trace_generations`).
 pub(crate) struct Grid {
-    /// Outer: one entry per row (trace); inner: one entry per scenario, each
-    /// holding the scenario's baseline (if run) and its policy cells.
-    per_trace: Vec<GridRow>,
-    pub baseline_runs: usize,
-}
-
-/// One grid row's output: per scenario, the scenario's baseline (if run)
-/// and its policy cells.
-type GridRow = Vec<(Option<BaselineRun>, Vec<CampaignCell>)>;
-
-impl Grid {
-    /// Flatten into the report's baseline and cell lists (trace-major, then
-    /// scenario-major — which degenerates to the exact pre-scenario order on
-    /// single-scenario grids).
-    pub(crate) fn into_flat_parts(self) -> (Vec<BaselineRun>, Vec<CampaignCell>) {
-        let mut baselines = Vec::with_capacity(self.per_trace.len());
-        let mut cells = Vec::new();
-        for row in self.per_trace {
-            for (baseline, scenario_cells) in row {
-                if let Some(b) = baseline {
-                    baselines.push(b);
-                }
-                cells.extend(scenario_cells);
-            }
-        }
-        (baselines, cells)
-    }
-
-    /// Join each (trace, scenario)'s cells with *its own* baseline into
-    /// [`ExperimentResult`]s, preserving cell order.
-    pub fn into_experiment_results(self) -> Vec<ExperimentResult> {
-        let mut results = Vec::new();
-        for row in self.per_trace {
-            for (baseline, scenario_cells) in row {
-                let Some(baseline) = baseline else { continue };
-                for c in scenario_cells {
-                    results.push(ExperimentResult {
-                        policy: c.policy,
-                        trace: c.trace,
-                        category: c.category,
-                        stats: c.stats,
-                        baseline: baseline.stats.clone(),
-                    });
-                }
-            }
-        }
-        results
-    }
-}
-
-/// The single-machine grid behind the [`Experiment::run_many`] and
-/// [`crate::suite::SuiteRunner`] adapters: one legacy scenario, no warmup,
-/// baselines on, no progress hook and no cache (in-memory traces carry no
-/// declarative identity to key one on).  `open_row` wraps one row's trace
-/// in a source the simulator reads in place.
-pub(crate) fn run_grid<'t, R: Sync>(
-    experiment: &Experiment,
-    rows: &'t [R],
-    open_row: impl Fn(&'t R) -> MaterializedSource<'t> + Sync,
-    policies: &[PolicyKind],
-) -> Grid {
-    let indices: Vec<usize> = (0..rows.len()).collect();
-    run_grid_streaming(
-        std::slice::from_ref(&ScenarioExperiment::legacy(experiment.clone())),
-        &indices,
-        |i| Ok(Box::new(open_row(&rows[i]))),
-        0,
-        policies,
-        0,
-        true,
-        None,
-        None,
-    )
-    .expect("in-memory rows cannot fail")
+    pub(crate) baselines: Vec<BaselineRun>,
+    pub(crate) cells: Vec<CampaignCell>,
+    pub(crate) trace_generations: usize,
 }
 
 /// The cache binding of one grid run: the [`CellCache`] plus every other
 /// component of its cells' content-addressed keys — the spec's length
 /// knobs, the compact JSON of the scenario axis (aligned with the grid's
 /// scenarios) and of every spec row's trace identity (indexed by row),
-/// each rendered once per run.
-struct GridCache<'a> {
+/// each rendered once per run.  The grid and the [`crate::cache::CostModel`]
+/// planner both key cells through it, so a planner reads the timings the
+/// grid recorded.
+pub(crate) struct GridCache<'a> {
     cache: &'a CellCache,
     trace_len: usize,
     warmup_runs: usize,
@@ -1662,7 +1540,11 @@ struct GridCache<'a> {
 impl<'a> GridCache<'a> {
     /// Bind `cache` to `spec`'s keys; `row_docs` are the rows' resolved
     /// trace identities ([`resolve_row_docs`]).
-    fn new(cache: &'a CellCache, spec: &CampaignSpec, row_docs: &[serde::Value]) -> Self {
+    pub(crate) fn new(
+        cache: &'a CellCache,
+        spec: &CampaignSpec,
+        row_docs: &[serde::Value],
+    ) -> Self {
         GridCache {
             cache,
             trace_len: spec.trace_len,
@@ -1673,7 +1555,7 @@ impl<'a> GridCache<'a> {
     }
 
     /// The claim target of `row`'s baseline under scenario `scenario`.
-    fn baseline(&self, row: usize, scenario: usize) -> (&CellCache, CellKey) {
+    pub(crate) fn baseline(&self, row: usize, scenario: usize) -> (&CellCache, CellKey) {
         let key = CellKey::baseline_from_json(
             &self.row_docs[row],
             self.trace_len,
@@ -1683,7 +1565,12 @@ impl<'a> GridCache<'a> {
     }
 
     /// The claim target of `row`'s `kind` cell under scenario `scenario`.
-    fn cell(&self, row: usize, scenario: usize, kind: PolicyKind) -> (&CellCache, CellKey) {
+    pub(crate) fn cell(
+        &self,
+        row: usize,
+        scenario: usize,
+        kind: PolicyKind,
+    ) -> (&CellCache, CellKey) {
         let key = CellKey::cell_from_json(
             &self.row_docs[row],
             self.trace_len,
@@ -1742,94 +1629,101 @@ pub(crate) fn deliver_progress(
     }
 }
 
-/// The grid engine.  Rows fan out in parallel; each worker opens *one row's
-/// trace source at a time* via `open_row`, runs every scenario × policy
-/// column against it, then drops it.  Peak memory is O(worker threads)
-/// traces regardless of row count — this is what lets the full 409-trace
-/// Table 2 suite run as one campaign.  Each (trace, scenario)'s baseline is
-/// simulated at most once and shared across policies; the trace itself is
-/// opened once and shared across *scenarios* too.
+/// The grid engine: run `rows` — indices into a validated spec's trace
+/// list — and return their baselines and cells.  [`CampaignRunner`] and
+/// every [`crate::shard::CampaignShard`] go through here, so shard cache
+/// keys are whole-campaign keys.
 ///
-/// Every row is a [`TraceSource`].  An in-memory row (a
-/// [`MaterializedSource`]) is read in place by the simulator; a `File` or
-/// `Phased` row streams a bounded window of µops.  Either way the stats are
-/// bit-identical.  Each worker thread owns one [`ExecContext`], reused for
-/// every run it performs — including runs under different scenario
-/// machines — so a campaign costs O(threads) simulator arenas, not
-/// O(cells).  The calling thread sizes them for `row_len` µops (`0`: on
-/// first use), which keeps them out of the workers' allocator arenas.
+/// Rows fan out in parallel; each worker opens *one row's trace source at a
+/// time*, runs every scenario × policy column against it, then drops it.
+/// Peak memory is O(worker threads) traces regardless of row count — this
+/// is what lets the full 409-trace Table 2 suite run as one campaign.  Each
+/// (trace, scenario)'s baseline is simulated at most once and shared across
+/// policies; the trace itself is opened once and shared across *scenarios*
+/// too.
+///
+/// A synthesized row's source generates its trace on the first read and is
+/// then read in place by the simulator; a `File` or `Phased` row streams a
+/// bounded window of µops.  Either way the stats are bit-identical.  Each
+/// worker thread owns one [`ExecContext`], reused for every run it performs
+/// — including runs under different scenario machines — so a campaign
+/// costs O(threads) simulator arenas, not O(cells).  The calling thread
+/// sizes them for the spec's `trace_len`, which keeps them out of the
+/// workers' allocator arenas.
 ///
 /// Every simulated cell, baselines included, goes through [`run_claimed`].
-/// With a [`GridCache`] bound, cached cells are restored, in-flight cells
-/// are joined, and only leads simulate and publish (with their wall-clock
-/// cost, for later runs and the cost-model planner).  Each row is still
-/// opened on a full-hit row, which keeps the report's `trace_generations`
-/// counter (and with it the report bytes) identical between cold and warm
-/// runs.  Opening costs no µop work: the source is read only inside a
-/// lead's simulation, so a synthesized row generates its trace when its
-/// first cell simulates and a full-hit row never does.
+/// With a cache bound, cached cells are restored, in-flight cells are
+/// joined, and only leads simulate and publish (with their wall-clock cost,
+/// for later runs and the cost-model planner).  Each row is still opened on
+/// a full-hit row, which keeps the report's `trace_generations` counter
+/// (and with it the report bytes) identical between cold and warm runs.
+/// Opening costs no µop work: the source is read only inside a lead's
+/// simulation, so a synthesized row generates its trace when its first cell
+/// simulates and a full-hit row never does.
 ///
 /// Opening and streaming a row are fallible (`File` rows can hit an
 /// unreadable or corrupt recording).  The parallel fan-out may surface
 /// several failures; the *first in row order* is returned, so failures are
 /// reproducible.
-#[allow(clippy::too_many_arguments)] // private engine; every caller is in this module.
-fn run_grid_streaming<'t>(
-    scenarios: &[ScenarioExperiment],
+pub(crate) fn run_spec_rows(
+    spec: &CampaignSpec,
     rows: &[usize],
-    open_row: impl Fn(usize) -> Result<RowSource<'t>, CampaignError> + Sync,
-    row_len: usize,
-    policies: &[PolicyKind],
-    warmup_runs: usize,
-    include_baseline: bool,
     progress: Option<&ProgressHook>,
-    cache: Option<&GridCache<'_>>,
+    cache: Option<&CellCache>,
 ) -> Result<Grid, CampaignError> {
-    let total_cells = rows.len() * policies.len() * scenarios.len();
+    let scenarios = scenario_experiments(spec)?;
+    // Row cache identities (content-addressed for `File` rows) resolve
+    // once, up front and fallibly, instead of per cell inside the grid.
+    let row_docs = resolve_row_docs(&spec.traces)?;
+    let grid_cache = cache.map(|cache| GridCache::new(cache, spec, &row_docs));
+    let grid_cache = grid_cache.as_ref();
+    let total_cells = rows.len() * spec.policies.len() * scenarios.len();
     let completed = AtomicUsize::new(0);
+    let generations = AtomicUsize::new(0);
     let hook_disabled = Mutex::new(false);
-    let baseline_count = AtomicUsize::new(0);
-    let baseline_needed = include_baseline || policies.contains(&PolicyKind::Baseline);
+    let baseline_needed = spec.simulates_baselines();
 
     let workers = rayon::current_num_threads().min(rows.len());
-    let sized_context = || ExecContext::with_capacity(row_len);
+    let sized_context = || ExecContext::with_capacity(spec.trace_len);
     let contexts = Mutex::new((0..workers).map(|_| sized_context()).collect::<Vec<_>>());
     let take_context = || lock(&contexts).pop().unwrap_or_default();
-    let rows_out: Vec<Result<GridRow, CampaignError>> = rows
+    let rows_out: Vec<Result<_, CampaignError>> = rows
         .par_iter()
         .map_init(take_context, |ctx, &row| {
-            let mut source = open_row(row)?;
+            generations.fetch_add(1, Ordering::Relaxed);
+            let mut source = open_row(&spec.traces[row], spec.trace_len)?;
             let source = source.as_mut();
             let (trace, category) = {
                 let header = source.header();
                 (header.name.clone(), header.category.clone())
             };
             let fail = |e: TraceError| CampaignError::Trace(format!("{trace}: {e}"));
-            let mut out = Vec::with_capacity(scenarios.len());
+            let mut baselines =
+                Vec::with_capacity(if baseline_needed { scenarios.len() } else { 0 });
+            let mut cells = Vec::with_capacity(spec.policies.len() * scenarios.len());
             for (s, scenario) in scenarios.iter().enumerate() {
                 let experiment = &scenario.experiment;
                 let baseline = if baseline_needed {
-                    baseline_count.fetch_add(1, Ordering::Relaxed);
-                    let stats = run_claimed(cache.map(|gc| gc.baseline(row, s)), || {
+                    let stats = run_claimed(grid_cache.map(|gc| gc.baseline(row, s)), || {
                         experiment.run_baseline_source(ctx, source)
                     })
                     .map_err(fail)?;
-                    Some(BaselineRun {
+                    baselines.push(BaselineRun {
                         trace: trace.clone(),
                         category: category.clone(),
                         scenario: scenario.key.clone(),
                         stats,
-                    })
+                    });
+                    baselines.last()
                 } else {
                     None
                 };
-                let mut cells = Vec::with_capacity(policies.len());
-                for &kind in policies {
-                    let stats = match &baseline {
+                for &kind in &spec.policies {
+                    let stats = match baseline {
                         // The `baseline` column is the memoized baseline run.
                         Some(b) if kind == PolicyKind::Baseline => b.stats.clone(),
-                        _ => run_claimed(cache.map(|gc| gc.cell(row, s, kind)), || {
-                            experiment.run_policy_warmed_source(ctx, source, kind, warmup_runs)
+                        _ => run_claimed(grid_cache.map(|gc| gc.cell(row, s, kind)), || {
+                            experiment.run_policy_warmed_source(ctx, source, kind, spec.warmup_runs)
                         })
                         .map_err(fail)?,
                     };
@@ -1854,16 +1748,22 @@ fn run_grid_streaming<'t>(
                         stats,
                     });
                 }
-                out.push((baseline, cells));
             }
-            Ok(out)
+            Ok((baselines, cells))
         })
         .collect();
 
     // Sequence the rows, surfacing the first error in row order.
+    let (mut baselines, mut cells) = (Vec::new(), Vec::with_capacity(total_cells));
+    for row in rows_out {
+        let (row_baselines, row_cells) = row?;
+        baselines.extend(row_baselines);
+        cells.extend(row_cells);
+    }
     Ok(Grid {
-        per_trace: rows_out.into_iter().collect::<Result<_, _>>()?,
-        baseline_runs: baseline_count.into_inner(),
+        baselines,
+        cells,
+        trace_generations: generations.into_inner(),
     })
 }
 
@@ -1956,30 +1856,6 @@ mod tests {
             .build()
             .unwrap_err();
         assert_eq!(err, CampaignError::DuplicatePolicy("8_8_8".to_string()));
-    }
-
-    #[test]
-    fn adapter_paths_join_duplicate_trace_names_positionally() {
-        // run_grid joins each trace's cells to its own baseline by position,
-        // so even two different traces sharing a name stay correct on the
-        // Experiment/SuiteRunner adapter paths (which skip spec validation).
-        use crate::suite::SuiteRunner;
-        use hc_trace::{KernelKind, WorkloadProfile};
-        let narrow =
-            WorkloadProfile::new("same", vec![(KernelKind::VectorAddU8, 1.0)]).with_trace_len(900);
-        let wide =
-            WorkloadProfile::new("same", vec![(KernelKind::PointerChase, 1.0)]).with_trace_len(900);
-        let suite = SuiteRunner::default().run_profiles(&[narrow, wide], PolicyKind::P888);
-        assert_eq!(suite.per_trace.len(), 2);
-        // Each result's baseline committed the same trace as its stats run —
-        // and the two baselines differ because the traces differ.
-        for r in &suite.per_trace {
-            assert_eq!(r.baseline.committed_uops, r.stats.committed_uops);
-        }
-        assert_ne!(
-            suite.per_trace[0].baseline.cycles, suite.per_trace[1].baseline.cycles,
-            "distinct traces must keep distinct baselines despite the shared name"
-        );
     }
 
     #[test]
@@ -2095,6 +1971,51 @@ mod tests {
         assert_eq!(report.cells.len(), 2);
         let count = *shared.lock().unwrap_or_else(|e| e.into_inner());
         assert_eq!(count, 1);
+    }
+
+    #[test]
+    fn category_means_group_by_the_table2_labels() {
+        let spec = CampaignBuilder::new("categories")
+            .policy(PolicyKind::Ir)
+            .category_suite(1)
+            .trace_len(1_200)
+            .build()
+            .unwrap();
+        let report = CampaignRunner::new().run(&spec).unwrap();
+        let by_category = report.mean_speedup_by_category("IR");
+        // The groups are the Table 2 category labels, not trace-name
+        // prefixes.
+        let labels: Vec<&str> = by_category.keys().map(String::as_str).collect();
+        assert_eq!(
+            labels,
+            ["enc", "kernels", "mm", "office", "prod", "sfp", "ws"]
+        );
+        for cell in &report.cells {
+            let category = cell.category.as_deref().unwrap();
+            let baseline = report.baseline_for(&cell.trace).unwrap();
+            assert_eq!(by_category[category], cell.stats.speedup_over(baseline));
+        }
+    }
+
+    #[test]
+    fn uncategorized_cells_group_under_a_stable_key() {
+        let spec = CampaignBuilder::new("spec")
+            .policy(PolicyKind::P888)
+            .spec_suite()
+            .trace_len(800)
+            .build()
+            .unwrap();
+        let report = CampaignRunner::new().run(&spec).unwrap();
+        let by_category = report.mean_speedup_by_category("8_8_8");
+        assert_eq!(
+            by_category.keys().collect::<Vec<_>>(),
+            ["uncategorized"],
+            "SPEC stand-ins carry no category label"
+        );
+        assert_eq!(
+            Some(by_category["uncategorized"]),
+            report.mean_speedup("8_8_8")
+        );
     }
 
     #[test]
@@ -2470,13 +2391,12 @@ mod tests {
         }
         let filled = cache.stats();
         let rows: Vec<usize> = (0..spec.traces.len()).collect();
-        let (grid, opened) = run_spec_rows(&spec, &rows, None, Some(&cache)).unwrap();
-        assert_eq!(opened, 2, "every row is still opened once");
-        let (baselines, cells) = grid.into_flat_parts();
-        assert_eq!((baselines.len(), cells.len()), (2, 6));
-        assert_eq!(cells[0].trace, "profile");
-        assert_eq!(cells[3].trace, "phased");
-        assert!(cells.iter().all(|c| c.stats == stats));
+        let grid = run_spec_rows(&spec, &rows, None, Some(&cache)).unwrap();
+        assert_eq!(grid.trace_generations, 2, "every row is still opened once");
+        assert_eq!((grid.baselines.len(), grid.cells.len()), (2, 6));
+        assert_eq!(grid.cells[0].trace, "profile");
+        assert_eq!(grid.cells[3].trace, "phased");
+        assert!(grid.cells.iter().all(|c| c.stats == stats));
         let replayed = cache.stats();
         assert_eq!(replayed.misses, filled.misses, "the replay misses nothing");
         // Per row: the baseline, P888 and IR (the `baseline` column reuses

@@ -1,12 +1,12 @@
 //! Running one trace under one policy and comparing against the monolithic
 //! baseline — the basic experiment unit behind every figure.
 //!
-//! Since the campaign redesign this is a thin adapter over
-//! [`crate::campaign`]'s grid engine: [`Experiment::run_many`] shares one
-//! baseline simulation across all policies exactly like a
-//! [`crate::campaign::CampaignRunner`] cell row does, and configurations are
-//! validated once, up front, with typed [`ConfigError`]s instead of
-//! `expect`s on the run path.
+//! An [`Experiment`] holds one scenario's validated simulators: the
+//! [`crate::campaign`] grid engine runs every cell through one, and
+//! [`Experiment::run`] is a single-cell campaign row without the campaign
+//! (one baseline run, one policy run).  Configurations are validated once,
+//! up front, with typed [`ConfigError`]s instead of `expect`s on the run
+//! path.
 
 use crate::policy::PolicyKind;
 use hc_power::{Ed2Comparison, PowerModel};
@@ -199,19 +199,24 @@ impl Experiment {
             .expect("an in-memory trace cannot fail")
     }
 
-    /// Run one policy and the baseline on the same trace.
+    /// Run the baseline and one policy on the same trace, both inside one
+    /// [`ExecContext`].  The `baseline` policy's stats are the baseline run,
+    /// as in a campaign's `baseline` column.
     pub fn run(&self, trace: &Trace, kind: PolicyKind) -> ExperimentResult {
-        self.run_many(trace, &[kind])
-            .pop()
-            .expect("one policy in, one result out")
-    }
-
-    /// Run a set of policies against one trace, reusing one baseline run —
-    /// the single-trace row of a campaign grid.
-    pub fn run_many(&self, trace: &Trace, kinds: &[PolicyKind]) -> Vec<ExperimentResult> {
-        let traces = std::slice::from_ref(trace);
-        crate::campaign::run_grid(self, traces, MaterializedSource::borrowed, kinds)
-            .into_experiment_results()
+        let mut ctx = ExecContext::new();
+        let baseline = self.run_baseline_with(&mut ctx, trace);
+        let stats = if kind == PolicyKind::Baseline {
+            baseline.clone()
+        } else {
+            self.run_policy_warmed_with(&mut ctx, trace, kind, 0)
+        };
+        ExperimentResult {
+            policy: kind.name().to_string(),
+            trace: trace.name.clone(),
+            category: trace.category.clone(),
+            stats,
+            baseline,
+        }
     }
 }
 
@@ -238,14 +243,6 @@ mod tests {
         let r = e.run(&trace(), PolicyKind::P888);
         assert_eq!(r.stats.committed_uops, r.baseline.committed_uops);
         assert_eq!(r.policy, "8_8_8");
-    }
-
-    #[test]
-    fn run_many_reuses_a_single_baseline() {
-        let e = Experiment::default();
-        let rs = e.run_many(&trace(), &[PolicyKind::P888, PolicyKind::P888Br]);
-        assert_eq!(rs.len(), 2);
-        assert_eq!(rs[0].baseline.cycles, rs[1].baseline.cycles);
     }
 
     #[test]

@@ -353,8 +353,8 @@ pub fn fig13(trace_len: usize) -> Figure {
 /// the worker that simulates it and its baseline runs exactly once).
 ///
 /// `apps_per_category == 0` names no traces and yields the typed
-/// [`CampaignError::NoTraces`]; [`fig14_categories`] and [`fig14_curve`]
-/// degrade to empty figures instead.
+/// [`CampaignError::NoTraces`]; [`fig14_categories`] degrades to an empty
+/// figure instead.  `usize::MAX` runs the paper's full 409-trace suite.
 pub fn suite_report(
     apps_per_category: usize,
     trace_len: usize,
@@ -410,14 +410,6 @@ pub fn fig14_categories(
         apps_per_category,
         trace_len,
     )?))
-}
-
-/// **Figure 14 (right)** — the per-application speedup S-curve over the suite.
-pub fn fig14_curve(apps_per_category: usize, trace_len: usize) -> Result<Vec<f64>, CampaignError> {
-    if apps_per_category == 0 {
-        return Ok(Vec::new());
-    }
-    Ok(suite_report(apps_per_category, trace_len)?.speedup_curve(PolicyKind::Ir.name()))
 }
 
 /// The helper-geometry sensitivity campaign behind

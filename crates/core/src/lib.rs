@@ -2,8 +2,8 @@
 //!
 //! The paper's contribution: **data-width aware instruction selection
 //! policies** for a processor augmented with an 8-bit helper cluster, plus the
-//! experiment / suite / figure-reproduction machinery built on top of the
-//! `hc-sim` cycle simulator.
+//! campaign / figure-reproduction machinery built on top of the `hc-sim`
+//! cycle simulator.
 //!
 //! * [`policy`] — the composable steering stack (8_8_8, BR, LR, CR, CP, IR,
 //!   IR-ND) and the [`policy::PolicyKind`] catalogue.
@@ -24,10 +24,8 @@
 //!   byte-identical reports either way.  Concurrent misses on the same key
 //!   coalesce onto one simulation (keyed singleflight), and LRU/age GC
 //!   keeps long-lived caches bounded.
-//! * [`experiment`] — run one trace under one policy against the monolithic
-//!   baseline (adapter over [`campaign`]).
-//! * [`suite`] — run the SPEC stand-ins or the Table 2 categories in parallel
-//!   (adapter over [`campaign`]).
+//! * [`experiment`] — one scenario's validated simulators, and one trace
+//!   run under one policy against the monolithic baseline.
 //! * [`figures`] — regenerate every figure and table of the evaluation section.
 //! * [`report`] — Markdown / CSV rendering of figures and campaign reports.
 //!
@@ -59,7 +57,6 @@ pub mod policy;
 pub mod report;
 pub mod scenario;
 pub mod shard;
-pub mod suite;
 
 pub use cache::{
     CacheStats, CachedCell, CellCache, CellClaim, CellJoin, CellKey, CellLead, CostModel,
@@ -82,4 +79,3 @@ pub use shard::{
     CampaignShard, ShardPlan, ShardReport, ShardStrategy, ShardedCampaignRunner, ShardedRunOutcome,
     LEGACY_SHARD_SCHEMA_VERSION, SCENARIO_SHARD_SCHEMA_VERSION, SHARD_SCHEMA_VERSION,
 };
-pub use suite::{SuiteResult, SuiteRunner};

@@ -61,7 +61,6 @@ use crate::campaign::{
     CampaignProgress, CampaignReport, CampaignRunner, CampaignSpec, ProgressHook,
 };
 use crate::fanout::{lease_file_name, FanoutWorker, MergeCoordinator};
-use crate::policy::PolicyKind;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -455,9 +454,7 @@ impl CampaignShard {
         cache: Option<&CellCache>,
     ) -> Result<ShardReport, CampaignError> {
         let indices = self.trace_indices();
-        let (grid, trace_generations) = run_spec_rows(&self.spec, &indices, progress, cache)?;
-        let baseline_runs = grid.baseline_runs;
-        let (baselines, cells) = grid.into_flat_parts();
+        let grid = run_spec_rows(&self.spec, &indices, progress, cache)?;
         Ok(ShardReport {
             schema_version: shard_wire_version(&self.spec, &self.plan),
             shard_index: self.shard_index,
@@ -465,10 +462,10 @@ impl CampaignShard {
             spec: self.spec.clone(),
             plan: (*self.plan).clone(),
             trace_indices: indices,
-            baselines,
-            cells,
-            baseline_runs,
-            trace_generations,
+            baseline_runs: grid.baselines.len(),
+            baselines: grid.baselines,
+            cells: grid.cells,
+            trace_generations: grid.trace_generations,
         })
     }
 }
@@ -584,11 +581,6 @@ impl ShardReport {
         Deserialize::from_value(&value).map_err(|e| CampaignError::Decode(e.to_string()))
     }
 
-    /// Whether this shard has baselines for its rows.
-    fn baseline_needed(&self) -> bool {
-        self.spec.include_baseline || self.spec.policies.contains(&PolicyKind::Baseline)
-    }
-
     /// Structural self-consistency: right row/cell/baseline counts and
     /// counters, a valid partition plan, and rows matching the plan's slice
     /// for `(shard_index, shard_count)`.
@@ -631,7 +623,7 @@ impl ShardReport {
                 self.spec.policies.len()
             )));
         }
-        let expected_baselines = if self.baseline_needed() {
+        let expected_baselines = if self.spec.simulates_baselines() {
             rows * scenarios
         } else {
             0
@@ -735,7 +727,7 @@ impl CampaignReport {
         // cells per scenario, scenario-major within the row.
         let scenarios = first.spec.scenarios.len();
         let row_cells = first.spec.policies.len() * scenarios;
-        let baseline_needed = first.baseline_needed();
+        let baseline_needed = first.spec.simulates_baselines();
         let mut baselines = Vec::with_capacity(if baseline_needed {
             n_rows * scenarios
         } else {
@@ -1070,6 +1062,7 @@ pub(crate) fn write_checkpoint_file(path: &Path, contents: &str) -> Result<(), C
 mod tests {
     use super::*;
     use crate::campaign::CampaignBuilder;
+    use crate::policy::PolicyKind;
     use hc_trace::SpecBenchmark;
     use std::sync::atomic::{AtomicUsize, Ordering};
 

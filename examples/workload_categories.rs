@@ -6,8 +6,8 @@
 //! cargo run --release --example workload_categories [apps_per_category] [trace_len]
 //! ```
 
+use hc_core::campaign::{CampaignBuilder, CampaignRunner};
 use hc_core::policy::PolicyKind;
-use hc_core::suite::SuiteRunner;
 use hc_trace::WorkloadCategory;
 
 fn main() {
@@ -20,35 +20,41 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(8_000);
 
-    let runner = SuiteRunner::default();
-    let mut all_speedups = Vec::new();
+    // One campaign over every category: each app's trace is synthesized
+    // inside the worker that simulates it.
+    let ir = PolicyKind::Ir.name();
+    let spec = CampaignBuilder::new("workload-categories")
+        .policy(PolicyKind::Ir)
+        .category_suite(apps_per_category)
+        .trace_len(trace_len)
+        .build()
+        .expect("a suite of at least one app per category");
+    let report = CampaignRunner::new().run(&spec).expect("the suite runs");
+    let by_category = report.mean_speedup_by_category(ir);
 
     println!("{:<10} {:>8} {:>14}", "category", "#apps", "perf incr %");
     for cat in WorkloadCategory::ALL {
-        let profiles: Vec<_> = (0..apps_per_category.min(cat.trace_count()))
-            .map(|i| cat.app_profile(i, trace_len))
-            .collect();
-        let result = runner.run_profiles(&profiles, PolicyKind::Ir);
-        all_speedups.extend(result.speedup_curve());
         println!(
             "{:<10} {:>8} {:>14.1}",
             cat.abbrev(),
-            profiles.len(),
-            result.mean_performance_increase_pct()
+            apps_per_category.min(cat.trace_count()),
+            (by_category[cat.abbrev()] - 1.0) * 100.0
         );
     }
 
-    all_speedups.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let n = all_speedups.len();
+    let curve = report.speedup_curve(ir);
+    let n = curve.len();
     println!("\nS-curve over {n} apps (speedup vs monolithic baseline):");
     println!(
         "  min {:.3}   p25 {:.3}   median {:.3}   p75 {:.3}   max {:.3}",
-        all_speedups[0],
-        all_speedups[n / 4],
-        all_speedups[n / 2],
-        all_speedups[3 * n / 4],
-        all_speedups[n - 1]
+        curve[0],
+        curve[n / 4],
+        curve[n / 2],
+        curve[3 * n / 4],
+        curve[n - 1]
     );
-    let mean = all_speedups.iter().sum::<f64>() / n as f64;
+    let mean = report
+        .mean_speedup(ir)
+        .expect("IR cells joined to baselines");
     println!("  mean speedup: {:+.1}%", (mean - 1.0) * 100.0);
 }

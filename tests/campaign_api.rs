@@ -164,15 +164,18 @@ fn invalid_sim_configs_surface_as_typed_errors() {
 }
 
 #[test]
-fn experiment_and_suite_adapters_share_campaign_semantics() {
-    // SuiteRunner now routes through the campaign grid: per-trace results
-    // must match Experiment::run exactly.
-    let runner = SuiteRunner::default();
-    let suite = runner.run_spec(900, PolicyKind::P888);
-    let experiment = Experiment::default();
-    let first = &suite.per_trace[0];
-    let direct = experiment.run(&SpecBenchmark::ALL[0].trace(900), PolicyKind::P888);
-    assert_eq!(first.stats, direct.stats);
-    assert_eq!(first.baseline, direct.baseline);
+fn experiment_run_matches_its_campaign_cell() {
+    // `Experiment::run` is one campaign cell plus its baseline, run without
+    // the grid: it must equal the campaign's joined result exactly.
+    let spec = CampaignBuilder::new("one-cell")
+        .policy(PolicyKind::P888)
+        .spec_suite()
+        .trace_len(900)
+        .build()
+        .unwrap();
+    let report = CampaignRunner::new().run(&spec).unwrap();
+    let first = &report.results_for_policy(PolicyKind::P888.name())[0];
+    let direct = Experiment::default().run(&SpecBenchmark::ALL[0].trace(900), PolicyKind::P888);
+    assert_eq!(first, &direct);
     assert_eq!(first.category, None);
 }

@@ -2,6 +2,7 @@
 //! cycle simulation → power model, exercised together the way the examples
 //! and the reproduction harness use them.
 
+use hc_core::campaign::{CampaignBuilder, CampaignRunner};
 use hc_core::experiment::Experiment;
 use hc_core::policy::PolicyKind;
 use hc_power::{Ed2Comparison, PowerModel};
@@ -153,12 +154,17 @@ fn helper_cluster_cost_stays_bounded_on_narrow_workloads() {
 
 #[test]
 fn category_suite_produces_results_for_every_category() {
-    let runner = hc_core::suite::SuiteRunner::default();
-    for cat in WorkloadCategory::ALL {
-        let profiles = vec![cat.app_profile(0, 2_000)];
-        let r = runner.run_profiles(&profiles, PolicyKind::Ir);
-        assert_eq!(r.per_trace.len(), 1);
-        assert!(r.per_trace[0].stats.committed_uops > 0, "{}", cat.abbrev());
+    let spec = CampaignBuilder::new("categories")
+        .policy(PolicyKind::Ir)
+        .category_suite(1)
+        .trace_len(2_000)
+        .build()
+        .unwrap();
+    let report = CampaignRunner::new().run(&spec).unwrap();
+    assert_eq!(report.cells.len(), WorkloadCategory::ALL.len());
+    for (cat, cell) in WorkloadCategory::ALL.iter().zip(&report.cells) {
+        assert_eq!(cell.category.as_deref(), Some(cat.abbrev()));
+        assert!(cell.stats.committed_uops > 0, "{}", cat.abbrev());
     }
 }
 
