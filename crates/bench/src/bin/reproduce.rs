@@ -13,7 +13,12 @@
 //!
 //! With no arguments every figure is reproduced.  Figure names: `table1`,
 //! `table2`, `fig1`, `fig5`, `fig6`, `fig7`, `fig8`, `fig9`, `fig11`, `fig12`,
-//! `fig13`, `fig14`, `headline`, `ed2`, `summary`.
+//! `fig13`, `fig14`, `headline`, `ed2`, `summary`.  The figures that simulate
+//! project two campaigns, each run at most once per invocation: the paper
+//! grid (7 policies × 12 SPEC traces) feeds `fig5`–`fig9`, `fig12`,
+//! `headline`, `ed2` and `summary`'s SPEC-Int number, and the Table 2 suite
+//! (`--apps-per-category N` applications per category, or all 409 with
+//! `--full-suite`) feeds `fig14` and `summary`'s wide-suite number.
 //!
 //! `campaign` is opt-in (it duplicates the headline grid's work): it runs
 //! the full 7-policy × 12-trace grid through
@@ -100,7 +105,9 @@
 //! rebuild it.
 
 use hc_core::cache::{CellCache, GcPolicy};
-use hc_core::campaign::{CampaignBuilder, CampaignError, CampaignRunner, CampaignSpec};
+use hc_core::campaign::{
+    CampaignBuilder, CampaignError, CampaignReport, CampaignRunner, CampaignSpec,
+};
 use hc_core::fanout::{FanoutWorker, MergeCoordinator, MergeWait};
 use hc_core::figures;
 use hc_core::policy::PolicyKind;
@@ -117,8 +124,8 @@ use std::sync::Arc;
 struct Options {
     figures: Vec<String>,
     trace_len: usize,
+    /// `usize::MAX` under `--full-suite`.
     apps_per_category: usize,
-    full_suite: bool,
     json: bool,
     csv: bool,
     threads: Option<usize>,
@@ -155,7 +162,6 @@ fn parse_args() -> Options {
         figures: Vec::new(),
         trace_len: hc_bench::REPRODUCE_TRACE_LEN,
         apps_per_category: hc_bench::REPRODUCE_APPS_PER_CATEGORY,
-        full_suite: false,
         json: false,
         csv: false,
         // Environment override; the --threads flag takes precedence.
@@ -190,66 +196,49 @@ fn parse_args() -> Options {
         bench: None,
         results_only: false,
     };
+    let mut full_suite = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        match a.as_str() {
-            "--trace-len" => {
-                opts.trace_len = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(opts.trace_len)
-            }
-            "--apps-per-category" => {
-                opts.apps_per_category = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(opts.apps_per_category)
-            }
-            "--threads" => opts.threads = args.next().and_then(|v| v.parse().ok()).or(opts.threads),
-            "--shards" => {
-                opts.shards = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(opts.shards)
-            }
-            "--checkpoint" => opts.checkpoint = args.next().or(opts.checkpoint),
+        let flag = a.as_str();
+        match flag {
+            "--trace-len" => opts.trace_len = number(&mut args, flag),
+            "--apps-per-category" => opts.apps_per_category = number(&mut args, flag),
+            "--threads" => opts.threads = Some(number(&mut args, flag)),
+            "--shards" => opts.shards = number(&mut args, flag),
+            "--checkpoint" => opts.checkpoint = Some(value(&mut args, flag)),
             "--resume" => opts.resume = true,
-            "--shard-index" => opts.shard_index = args.next().and_then(|v| v.parse().ok()),
-            "--of" => opts.of = args.next().and_then(|v| v.parse().ok()),
+            "--shard-index" => opts.shard_index = Some(number(&mut args, flag)),
+            "--of" => opts.of = Some(number(&mut args, flag)),
             "--no-steal" => opts.no_steal = true,
-            "--lease-timeout-secs" => {
-                opts.lease_timeout_secs = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(opts.lease_timeout_secs)
-            }
-            "--worker-id" => opts.worker_id = args.next().or(opts.worker_id),
+            "--lease-timeout-secs" => opts.lease_timeout_secs = number(&mut args, flag),
+            "--worker-id" => opts.worker_id = Some(value(&mut args, flag)),
             "--wait" => opts.wait = true,
-            "--merge-timeout-secs" => {
-                opts.merge_timeout_secs = args.next().and_then(|v| v.parse().ok())
-            }
-            "--cache" => opts.cache = args.next().or(opts.cache),
+            "--merge-timeout-secs" => opts.merge_timeout_secs = Some(number(&mut args, flag)),
+            "--cache" => opts.cache = Some(value(&mut args, flag)),
             "--no-cache" => opts.no_cache = true,
-            "--addr" => opts.addr = args.next().or(opts.addr),
-            "--addr-file" => opts.addr_file = args.next().or(opts.addr_file),
-            "--max-requests" => opts.max_requests = args.next().and_then(|v| v.parse().ok()),
-            "--spec" => opts.spec = args.next().or(opts.spec),
+            "--addr" => opts.addr = Some(value(&mut args, flag)),
+            "--addr-file" => opts.addr_file = Some(value(&mut args, flag)),
+            "--max-requests" => opts.max_requests = Some(number(&mut args, flag)),
+            "--spec" => opts.spec = Some(value(&mut args, flag)),
             "--metrics" => opts.metrics = true,
             "--shutdown" => opts.shutdown = true,
-            "--max-bytes" => opts.max_bytes = args.next().and_then(|v| v.parse().ok()),
-            "--max-age-secs" => opts.max_age_secs = args.next().and_then(|v| v.parse().ok()),
+            "--max-bytes" => opts.max_bytes = Some(number(&mut args, flag)),
+            "--max-age-secs" => opts.max_age_secs = Some(number(&mut args, flag)),
             "--dry-run" => opts.dry_run = true,
             "--compact" => opts.compact = true,
-            "--out" => opts.out = args.next().or(opts.out),
-            "--trace" => opts.trace_files.extend(args.next()),
-            "--bench" => opts.bench = args.next().or(opts.bench),
+            "--out" => opts.out = Some(value(&mut args, flag)),
+            "--trace" => opts.trace_files.push(value(&mut args, flag)),
+            "--bench" => opts.bench = Some(value(&mut args, flag)),
             "--results-only" => opts.results_only = true,
-            "--full-suite" => opts.full_suite = true,
+            "--full-suite" => full_suite = true,
             "--json" => opts.json = true,
             "--csv" => opts.csv = true,
             "--help" | "-h" => {
                 println!(
                     "usage: reproduce [FIGURE ...] [--trace-len N] [--apps-per-category N] [--full-suite] [--threads N] [--shards N] [--checkpoint DIR] [--resume] [--cache DIR] [--no-cache] [--json] [--csv]\n\
+                     \n\
+                     fig14, summary and suite run the Table 2 suite over --apps-per-category N apps\n\
+                     per category, or over all 409 with --full-suite.\n\
                      \n\
                      multi-process fan-out:\n\
                      \x20      reproduce suite    --of N [--shard-index K] --checkpoint DIR [--no-steal] [--lease-timeout-secs S] [--worker-id NAME]\n\
@@ -288,7 +277,27 @@ fn parse_args() -> Options {
             other => opts.figures.push(other.to_string()),
         }
     }
+    if full_suite {
+        opts.apps_per_category = usize::MAX;
+    }
     opts
+}
+
+/// The value after `flag`, or a usage error naming the flag.
+fn value(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
+    args.next().unwrap_or_else(|| {
+        eprintln!("reproduce: {flag} needs a value");
+        std::process::exit(2);
+    })
+}
+
+/// The number after `flag`, or a usage error naming the flag and the value.
+fn number<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> T {
+    let text = value(args, flag);
+    text.parse().unwrap_or_else(|_| {
+        eprintln!("reproduce: {flag} expects a number, got `{text}`");
+        std::process::exit(2);
+    })
 }
 
 fn wanted(opts: &Options, name: &str) -> bool {
@@ -333,30 +342,57 @@ fn report_cache_activity(mode: &str, cache: &CellCache) {
     );
 }
 
-fn print_curve_summary(curve: &[f64]) {
-    let n = curve.len();
-    if n == 0 {
-        return;
-    }
-    println!(
-        "S-curve over {n} apps: min {:.3}, p25 {:.3}, median {:.3}, p75 {:.3}, max {:.3}\n",
-        curve[0],
-        curve[n / 4],
-        curve[n / 2],
-        curve[3 * n / 4],
-        curve[n - 1]
-    );
+/// Run a study's campaign the first time a figure asks for it; every later
+/// figure of the invocation projects the same report.
+fn run_once<'a>(
+    cell: &'a OnceCell<CampaignReport>,
+    mode: &str,
+    spec: impl FnOnce() -> Result<CampaignSpec, CampaignError>,
+) -> &'a CampaignReport {
+    cell.get_or_init(|| {
+        or_die(
+            mode,
+            spec().and_then(|spec| CampaignRunner::new().run(&spec)),
+        )
+    })
 }
 
-/// The `campaign` mode's spec — also what `submit` sends when no `--spec`
-/// file is given, so the served stream can be diffed against the offline
-/// `campaign --json` output directly.
-fn grid_spec(len: usize) -> Result<CampaignSpec, CampaignError> {
-    CampaignBuilder::new("spec-grid")
-        .paper_policies()
-        .spec_suite()
-        .trace_len(len)
-        .build()
+/// Print a campaign mode's report: the versioned JSON (`--json`), the
+/// stable CSV cells (`--csv`) or the mode's Markdown.
+fn print_report(opts: &Options, report: &CampaignReport, markdown: impl FnOnce(&CampaignReport)) {
+    if opts.json {
+        println!("{}", report.to_json());
+    } else if opts.csv {
+        println!("{}", report.to_csv());
+    } else {
+        markdown(report);
+    }
+}
+
+/// Figure 14 in Markdown: the per-category bars and, given a suite, the
+/// S-curve line over its applications.
+fn print_fig14(suite: Option<&CampaignReport>) {
+    println!("{}", figure_to_markdown(&figures::fig14(suite)));
+    let curve = suite.map_or_else(Vec::new, |report| {
+        report.speedup_curve(PolicyKind::Ir.name())
+    });
+    let n = curve.len();
+    if n > 0 {
+        println!(
+            "S-curve over {n} apps: min {:.3}, p25 {:.3}, median {:.3}, p75 {:.3}, max {:.3}\n",
+            curve[0],
+            curve[n / 4],
+            curve[n / 2],
+            curve[3 * n / 4],
+            curve[n - 1]
+        );
+    }
+}
+
+/// The `suite` and `merge` Markdown: the campaign summary, then Figure 14.
+fn print_suite_markdown(report: &CampaignReport) {
+    println!("{}", campaign_to_markdown(report));
+    print_fig14(Some(report));
 }
 
 /// The `serve` mode: stand the campaign daemon up and run it until it
@@ -472,7 +508,7 @@ fn run_submit_mode(opts: &Options, len: usize) {
                 std::process::exit(2);
             }
         },
-        None => or_die("submit", grid_spec(len)).to_json(),
+        None => or_die("submit", figures::paper_grid_spec(len)).to_json(),
     };
     // Progress frames mirror the offline progress hook's stderr format;
     // the report goes to stdout via `println!`, exactly like the offline
@@ -636,14 +672,14 @@ fn campaign_spec(opts: &Options, len: usize) -> Result<CampaignSpec, CampaignErr
             .trace_len(len)
             .build();
     }
-    grid_spec(len)
+    figures::paper_grid_spec(len)
 }
 
 /// Render only a report's `baselines` and `cells` arrays — the parts that
 /// must be byte-identical between a campaign over a recording and one over
 /// the selector that recorded it (the embedded specs legitimately differ:
 /// one names a file, the other a benchmark).
-fn results_only_json(report: &hc_core::campaign::CampaignReport) -> String {
+fn results_only_json(report: &CampaignReport) -> String {
     let value = serde::Value::Map(vec![
         (
             "baselines".to_string(),
@@ -659,11 +695,7 @@ fn results_only_json(report: &hc_core::campaign::CampaignReport) -> String {
 
 /// Drive one campaign through the sharded streaming engine with the CLI's
 /// `--shards/--checkpoint/--resume` plumbing and return the merged report.
-fn run_sharded_campaign(
-    mode: &str,
-    opts: &Options,
-    spec: &CampaignSpec,
-) -> hc_core::campaign::CampaignReport {
+fn run_sharded_campaign(mode: &str, opts: &Options, spec: &CampaignSpec) -> CampaignReport {
     eprintln!(
         "{mode}: {} traces × {} policies × {} scenario(s) over {} shard(s){}",
         spec.traces.len(),
@@ -699,23 +731,6 @@ fn run_sharded_campaign(
         report_cache_activity(mode, cache);
     }
     outcome.report
-}
-
-/// The `suite` mode's spec — shared by the in-process sharded run, the
-/// fan-out worker mode and (via the checkpoint manifest) `merge`, so every
-/// path over the same flags simulates the identical campaign.
-fn suite_spec(opts: &Options, trace_len: usize) -> CampaignSpec {
-    let mut builder = CampaignBuilder::new("table2-suite")
-        .policy(PolicyKind::Ir)
-        .trace_len(trace_len);
-    builder = if opts.full_suite {
-        builder.full_table2_suite()
-    } else {
-        builder.category_suite(opts.apps_per_category)
-    };
-    // User input (`--apps-per-category 0`, `--shards 0`, …) can make the
-    // campaign invalid; report the typed error as a usage error, don't panic.
-    or_die("suite", builder.build())
 }
 
 /// The `suite --shard-index/--of` worker mode: one process of a fan-out
@@ -785,42 +800,27 @@ fn run_merge_mode(opts: &Options) {
     };
     let outcome = or_die("merge", MergeCoordinator::new(dir).wait(wait).run());
     eprintln!("merge: {} shards merged from {dir}", outcome.shard_count);
-    let report = outcome.report;
-    if opts.json {
-        println!("{}", report.to_json());
-    } else if opts.csv {
-        println!("{}", report.to_csv());
-    } else {
-        println!("{}", campaign_to_markdown(&report));
-        println!(
-            "{}",
-            figure_to_markdown(&figures::fig14_categories_from(&report))
-        );
-        print_curve_summary(&report.speedup_curve(PolicyKind::Ir.name()));
-    }
+    print_report(opts, &outcome.report, print_suite_markdown);
 }
 
 /// The `suite` mode: the Table 2 suite (IR policy) as one sharded,
-/// streaming, checkpointable campaign.
+/// streaming, checkpointable campaign.  Its spec is shared by the
+/// in-process sharded run, the fan-out worker mode and (via the checkpoint
+/// manifest) `merge`, so every path over the same flags simulates the
+/// identical campaign.
 fn run_suite_mode(opts: &Options, trace_len: usize) {
-    let spec = suite_spec(opts, trace_len);
+    // User input (`--apps-per-category 0`, …) can make the campaign
+    // invalid; report the typed error as a usage error, don't panic.
+    let spec = or_die(
+        "suite",
+        figures::suite_spec(opts.apps_per_category, trace_len),
+    );
     if opts.shard_index.is_some() || opts.of.is_some() {
         run_suite_worker_mode(opts, &spec);
         return;
     }
     let report = run_sharded_campaign("suite", opts, &spec);
-    if opts.json {
-        println!("{}", report.to_json());
-    } else if opts.csv {
-        println!("{}", report.to_csv());
-    } else {
-        println!("{}", campaign_to_markdown(&report));
-        println!(
-            "{}",
-            figure_to_markdown(&figures::fig14_categories_from(&report))
-        );
-        print_curve_summary(&report.speedup_curve(PolicyKind::Ir.name()));
-    }
+    print_report(opts, &report, print_suite_markdown);
 }
 
 /// The `sensitivity` mode: the 3×3 helper width × clock ratio scenario
@@ -829,23 +829,19 @@ fn run_suite_mode(opts: &Options, trace_len: usize) {
 fn run_sensitivity_mode(opts: &Options, trace_len: usize) {
     let spec = or_die("sensitivity", figures::sensitivity_geometry_spec(trace_len));
     let report = run_sharded_campaign("sensitivity", opts, &spec);
-    if opts.json {
-        println!("{}", report.to_json());
-    } else if opts.csv {
-        println!("{}", report.to_csv());
-    } else {
-        println!("{}", campaign_to_markdown(&report));
+    print_report(opts, &report, |report| {
+        println!("{}", campaign_to_markdown(report));
         println!(
             "{}",
             figure_to_markdown(&figures::sensitivity_figure_from(
-                &report,
+                report,
                 PolicyKind::Ir,
                 "sens_geometry",
             ))
         );
         println!(
             "{}",
-            scenario_summary_to_markdown(&report, PolicyKind::Ir.name())
+            scenario_summary_to_markdown(report, PolicyKind::Ir.name())
         );
         // The width-predictor sweep rides the same cache as the geometry
         // campaign (it is unsharded: its spec differs, so it cannot share
@@ -867,7 +863,7 @@ fn run_sensitivity_mode(opts: &Options, trace_len: usize) {
             "{}",
             figure_to_markdown(&figures::sensitivity_width_predictor_from(&wp_report))
         );
-    }
+    });
 }
 
 fn main() {
@@ -925,47 +921,34 @@ fn main() {
         }
         println!();
     }
+    // The paper grid and the Table 2 suite each run at most once, when the
+    // first figure that reads them asks (its name prefixes any error).
+    let (grid_report, suite_report) = (OnceCell::new(), OnceCell::new());
+    let grid = |mode: &str| run_once(&grid_report, mode, || figures::paper_grid_spec(len));
+    let suite = |mode: &str| {
+        let apps = opts.apps_per_category;
+        (apps > 0).then(|| run_once(&suite_report, mode, || figures::suite_spec(apps, len)))
+    };
     if wanted(&opts, "fig1") {
         println!("{}", figure_to_markdown(&figures::fig1(len)));
     }
-    if wanted(&opts, "fig5") {
-        println!(
-            "{}",
-            figure_to_markdown(&or_die("fig5", figures::fig5(len)))
-        );
-    }
-    if wanted(&opts, "fig6") {
-        println!(
-            "{}",
-            figure_to_markdown(&or_die("fig6", figures::fig6(len)))
-        );
-    }
-    if wanted(&opts, "fig7") {
-        println!(
-            "{}",
-            figure_to_markdown(&or_die("fig7", figures::fig7(len)))
-        );
-    }
-    if wanted(&opts, "fig8") {
-        println!(
-            "{}",
-            figure_to_markdown(&or_die("fig8", figures::fig8(len)))
-        );
-    }
-    if wanted(&opts, "fig9") {
-        println!(
-            "{}",
-            figure_to_markdown(&or_die("fig9", figures::fig9(len)))
-        );
+    for (name, figure) in [
+        ("fig5", figures::fig5 as fn(&CampaignReport) -> _),
+        ("fig6", figures::fig6),
+        ("fig7", figures::fig7),
+        ("fig8", figures::fig8),
+        ("fig9", figures::fig9),
+    ] {
+        if wanted(&opts, name) {
+            println!("{}", figure_to_markdown(&or_die(name, figure(grid(name)))));
+        }
     }
     if wanted(&opts, "fig11") {
         println!("{}", figure_to_markdown(&figures::fig11(len)));
     }
     if wanted(&opts, "fig12") {
-        println!(
-            "{}",
-            figure_to_markdown(&or_die("fig12", figures::fig12(len)))
-        );
+        let figure = or_die("fig12", figures::fig12(grid("fig12")));
+        println!("{}", figure_to_markdown(&figure));
     }
     if wanted(&opts, "fig13") {
         println!("{}", figure_to_markdown(&figures::fig13(len)));
@@ -973,38 +956,11 @@ fn main() {
     if wanted(&opts, "headline") {
         println!(
             "{}",
-            figure_to_markdown(&or_die("headline", figures::headline(len)))
+            figure_to_markdown(&figures::headline(grid("headline")))
         );
     }
-    // `ed2` and `summary` read one IR × SPEC campaign, and `fig14` and
-    // `summary` one Table 2 suite campaign: each runs at most once.
-    let ir_spec = OnceCell::new();
-    let run_ir_spec = || {
-        let spec = CampaignBuilder::new("ed2")
-            .policy(PolicyKind::Ir)
-            .spec_suite()
-            .trace_len(len)
-            .build();
-        or_die("ed2", CampaignRunner::new().run(&or_die("ed2", spec)))
-    };
-    let suite = OnceCell::new();
-    let run_suite = || or_die("fig14", figures::suite_report(opts.apps_per_category, len));
     if wanted(&opts, "fig14") {
-        // One suite campaign feeds both halves of the figure: the
-        // per-category bars and the per-application S-curve.
-        if opts.apps_per_category == 0 {
-            println!(
-                "{}",
-                figure_to_markdown(&or_die("fig14", figures::fig14_categories(0, len)))
-            );
-        } else {
-            let report = suite.get_or_init(run_suite);
-            println!(
-                "{}",
-                figure_to_markdown(&figures::fig14_categories_from(report))
-            );
-            print_curve_summary(&report.speedup_curve(PolicyKind::Ir.name()));
-        }
+        print_fig14(suite("fig14"));
     }
     // Opt-in: the §3.8 Table 2 suite as one sharded, streaming campaign.
     if opts.figures.iter().any(|f| f == "suite") {
@@ -1036,24 +992,21 @@ fn main() {
         }
         if opts.results_only {
             println!("{}", results_only_json(&report));
-        } else if opts.json {
-            println!("{}", report.to_json());
-        } else if opts.csv {
-            println!("{}", report.to_csv());
         } else {
-            println!("{}", campaign_to_markdown(&report));
+            print_report(&opts, &report, |report| {
+                println!("{}", campaign_to_markdown(report))
+            });
         }
     }
     if wanted(&opts, "ed2") {
         // §3.7: energy-delay² of the most aggressive configuration (IR) vs
-        // the baseline, via a single-policy campaign.
-        let report = ir_spec.get_or_init(run_ir_spec);
+        // the baseline, over the paper grid's IR cells.
         let model = PowerModel::default();
-        let mut improvements = Vec::new();
-        for r in &report.experiment_results() {
-            let cmp = Ed2Comparison::compare(&model, &r.baseline, &r.stats);
-            improvements.push(cmp.improvement);
-        }
+        let improvements: Vec<f64> = grid("ed2")
+            .results_for_policy(PolicyKind::Ir.name())
+            .iter()
+            .map(|r| Ed2Comparison::compare(&model, &r.baseline, &r.stats).improvement)
+            .collect();
         let avg = improvements.iter().sum::<f64>() / improvements.len().max(1) as f64;
         println!("### Energy-delay² (IR vs monolithic baseline)\n");
         println!(
@@ -1062,25 +1015,16 @@ fn main() {
         );
     }
     if wanted(&opts, "summary") {
-        // Abstract numbers: the IR means over the SPEC-Int campaign `ed2`
-        // runs and the wide suite `fig14` runs (all 409 apps under
-        // `--full-suite`).  An empty suite averages 0%.
+        // Abstract numbers: the IR means over the paper grid and the wide
+        // suite `fig14` plots.  An empty suite averages 0%.
         let ir = PolicyKind::Ir.name();
         let increase_pct = |mean: Option<f64>| (mean.unwrap_or(1.0) - 1.0) * 100.0;
         println!("### Summary (abstract numbers)\n");
         println!(
             "SPEC Int average speedup (IR): {:.1}% (paper: 22%)",
-            increase_pct(ir_spec.get_or_init(run_ir_spec).mean_speedup(ir))
+            increase_pct(grid("summary").mean_speedup(ir))
         );
-        let full_suite;
-        let wide = if opts.full_suite {
-            full_suite = or_die("summary", figures::suite_report(usize::MAX, len));
-            Some(&full_suite)
-        } else if opts.apps_per_category == 0 {
-            None
-        } else {
-            Some(suite.get_or_init(run_suite))
-        };
+        let wide = suite("summary");
         println!(
             "Wide-suite ({} apps) average speedup (IR): {:.1}% (paper: 11% over 412 apps)\n",
             wide.map_or(0, |report| report.spec.traces.len()),

@@ -7,12 +7,18 @@
 //! the paper's.  The default `trace_len` values are sized for
 //! minutes-not-hours runs; pass larger values for higher-fidelity numbers.
 //!
-//! Every figure that simulates does so through one [`crate::campaign`] grid,
-//! so each trace's monolithic baseline is simulated exactly once per figure
-//! regardless of how many policies the figure compares.  Figures 1, 11 and
-//! 13 are pure trace characterisation and do not simulate at all.
+//! The figures that simulate run nothing themselves: each projects the
+//! report of one of two studies, which a caller runs once per invocation
+//! through [`crate::campaign`].  Figures 5–9, 12 and the headline read the
+//! paper grid ([`paper_grid_spec`]), Figure 14 reads the Table 2 suite
+//! ([`suite_spec`]), so each trace's monolithic baseline is simulated once
+//! per invocation, not once per figure.  A cell's stats do not depend on
+//! which other policies share its grid, so a figure projected from the
+//! paper grid equals the same figure projected from a campaign over only
+//! its own policies.  Figures 1, 11 and 13 are pure trace characterisation
+//! and do not simulate at all.
 
-use crate::campaign::{CampaignBuilder, CampaignError, CampaignReport, CampaignRunner};
+use crate::campaign::{CampaignBuilder, CampaignError, CampaignReport, CampaignSpec};
 use crate::policy::PolicyKind;
 use hc_trace::{stats as tstats, SpecBenchmark, WorkloadCategory};
 use rayon::prelude::*;
@@ -79,22 +85,32 @@ fn spec_traces(trace_len: usize) -> Vec<(SpecBenchmark, hc_trace::Trace)> {
         .collect()
 }
 
-/// Run one SPEC-suite campaign for a figure.  `with_baseline` decides whether
-/// the monolithic baseline is simulated (only needed for speedup figures).
-fn spec_campaign(
-    id: &str,
-    kinds: &[PolicyKind],
-    trace_len: usize,
-    with_baseline: bool,
-) -> Result<CampaignReport, CampaignError> {
-    let mut builder = CampaignBuilder::new(id)
-        .policies(kinds.iter().copied())
+/// The paper grid behind Figures 5–9 and 12, the headline and the §3.7
+/// ED² number: the seven helper-cluster policies × the 12 SPEC Int 2000
+/// stand-ins, each trace's monolithic baseline simulated once and shared by
+/// every policy.
+pub fn paper_grid_spec(trace_len: usize) -> Result<CampaignSpec, CampaignError> {
+    CampaignBuilder::new("spec-grid")
+        .paper_policies()
         .spec_suite()
-        .trace_len(trace_len);
-    if !with_baseline {
-        builder = builder.without_baseline();
-    }
-    CampaignRunner::new().run(&builder.build()?)
+        .trace_len(trace_len)
+        .build()
+}
+
+/// The §3.8 suite behind Figure 14 and the abstract's wide-suite number: the
+/// IR policy over up to `apps_per_category` applications of every Table 2
+/// category, each trace synthesized inside the worker that simulates it.
+/// `usize::MAX` selects the paper's full 409-trace suite; 0 names no traces
+/// and yields the typed [`CampaignError::NoTraces`].
+pub fn suite_spec(
+    apps_per_category: usize,
+    trace_len: usize,
+) -> Result<CampaignSpec, CampaignError> {
+    CampaignBuilder::new("table2-suite")
+        .policy(PolicyKind::Ir)
+        .category_suite(apps_per_category)
+        .trace_len(trace_len)
+        .build()
 }
 
 /// Turn a campaign over the SPEC suite into per-benchmark rows: one row per
@@ -166,10 +182,9 @@ pub fn fig1(trace_len: usize) -> Figure {
 
 /// **Figure 5** — width prediction accuracy: correct / non-fatal / fatal, per
 /// benchmark, under the 8_8_8 policy.
-pub fn fig5(trace_len: usize) -> Result<Figure, CampaignError> {
+pub fn fig5(grid: &CampaignReport) -> Result<Figure, CampaignError> {
     let kinds = [PolicyKind::P888];
-    let report = spec_campaign("fig5", &kinds, trace_len, false)?;
-    let rows = rows_from_campaign(&report, &kinds, |cell, _| {
+    let rows = rows_from_campaign(grid, &kinds, |cell, _| {
         let stats = &cell.stats;
         let total = (stats.correct_width_predictions
             + stats.fatal_width_mispredicts
@@ -198,11 +213,10 @@ fn speedup_figure(
     id: &str,
     title: &str,
     kind: PolicyKind,
-    trace_len: usize,
+    grid: &CampaignReport,
 ) -> Result<Figure, CampaignError> {
     let kinds = [kind];
-    let report = spec_campaign(id, &kinds, trace_len, true)?;
-    let rows = rows_from_campaign(&report, &kinds, |cell, report| {
+    let rows = rows_from_campaign(grid, &kinds, |cell, report| {
         Ok(vec![perf_increase(cell, report)?])
     })?;
     Ok(Figure {
@@ -216,21 +230,20 @@ fn speedup_figure(
 
 /// **Figure 6** — performance increase of the 8_8_8 scheme over the monolithic
 /// baseline, per benchmark.
-pub fn fig6(trace_len: usize) -> Result<Figure, CampaignError> {
+pub fn fig6(grid: &CampaignReport) -> Result<Figure, CampaignError> {
     speedup_figure(
         "fig6",
         "Performance of 8_8_8 scheme (%)",
         PolicyKind::P888,
-        trace_len,
+        grid,
     )
 }
 
 /// **Figure 7** — percentage of instructions steered to the helper cluster and
 /// percentage of inter-cluster copies, under 8_8_8.
-pub fn fig7(trace_len: usize) -> Result<Figure, CampaignError> {
+pub fn fig7(grid: &CampaignReport) -> Result<Figure, CampaignError> {
     let kinds = [PolicyKind::P888];
-    let report = spec_campaign("fig7", &kinds, trace_len, false)?;
-    let rows = rows_from_campaign(&report, &kinds, |cell, _| {
+    let rows = rows_from_campaign(grid, &kinds, |cell, _| {
         Ok(vec![
             cell.stats.helper_fraction() * 100.0,
             cell.stats.copy_fraction() * 100.0,
@@ -250,10 +263,9 @@ fn copy_figure(
     id: &str,
     title: &str,
     kinds: &[PolicyKind],
-    trace_len: usize,
+    grid: &CampaignReport,
 ) -> Result<Figure, CampaignError> {
-    let report = spec_campaign(id, kinds, trace_len, false)?;
-    let rows = rows_from_campaign(&report, kinds, |cell, _| {
+    let rows = rows_from_campaign(grid, kinds, |cell, _| {
         Ok(vec![cell.stats.copy_fraction() * 100.0])
     })?;
     Ok(Figure {
@@ -269,22 +281,22 @@ fn copy_figure(
 }
 
 /// **Figure 8** — decrease in copy percentage due to the BR scheme.
-pub fn fig8(trace_len: usize) -> Result<Figure, CampaignError> {
+pub fn fig8(grid: &CampaignReport) -> Result<Figure, CampaignError> {
     copy_figure(
         "fig8",
         "Copy percentage: 8_8_8 vs 8_8_8+BR",
         &[PolicyKind::P888, PolicyKind::P888Br],
-        trace_len,
+        grid,
     )
 }
 
 /// **Figure 9** — further decrease in copy percentage due to the LR scheme.
-pub fn fig9(trace_len: usize) -> Result<Figure, CampaignError> {
+pub fn fig9(grid: &CampaignReport) -> Result<Figure, CampaignError> {
     copy_figure(
         "fig9",
         "Copy percentage: 8_8_8 vs +BR vs +BR+LR",
         &[PolicyKind::P888, PolicyKind::P888Br, PolicyKind::P888BrLr],
-        trace_len,
+        grid,
     )
 }
 
@@ -311,10 +323,9 @@ pub fn fig11(trace_len: usize) -> Figure {
 }
 
 /// **Figure 12** — performance of the CR scheme (8_8_8 vs 8_8_8+BR+LR+CR).
-pub fn fig12(trace_len: usize) -> Result<Figure, CampaignError> {
+pub fn fig12(grid: &CampaignReport) -> Result<Figure, CampaignError> {
     let kinds = [PolicyKind::P888, PolicyKind::P888BrLrCr];
-    let report = spec_campaign("fig12", &kinds, trace_len, true)?;
-    let rows = rows_from_campaign(&report, &kinds, |cell, report| {
+    let rows = rows_from_campaign(grid, &kinds, |cell, report| {
         Ok(vec![perf_increase(cell, report)?])
     })?;
     Ok(Figure {
@@ -347,29 +358,14 @@ pub fn fig13(trace_len: usize) -> Figure {
     .with_avg()
 }
 
-/// The §3.8 suite campaign behind both halves of Figure 14: the IR policy
-/// over up to `apps_per_category` applications of every Table 2 category,
-/// streamed through the campaign engine (each trace is synthesized inside
-/// the worker that simulates it and its baseline runs exactly once).
-///
-/// `apps_per_category == 0` names no traces and yields the typed
-/// [`CampaignError::NoTraces`]; [`fig14_categories`] degrades to an empty
-/// figure instead.  `usize::MAX` runs the paper's full 409-trace suite.
-pub fn suite_report(
-    apps_per_category: usize,
-    trace_len: usize,
-) -> Result<CampaignReport, CampaignError> {
-    let spec = CampaignBuilder::new("fig14-suite")
-        .policy(PolicyKind::Ir)
-        .category_suite(apps_per_category)
-        .trace_len(trace_len)
-        .build()?;
-    CampaignRunner::new().run(&spec)
-}
-
-/// The fig14 envelope over per-category mean speedups; categories absent
-/// from the map render as 0% rows.
-fn fig14_figure(by_category: &std::collections::BTreeMap<String, f64>) -> Figure {
+/// **Figure 14 (left)** — performance increase of the IR cells of a
+/// [`suite_spec`] report per Table 2 workload category.  Categories the
+/// suite did not cover render as 0% rows, and so does every category without
+/// a suite (`None`, as with 0 applications per category).
+pub fn fig14(suite: Option<&CampaignReport>) -> Figure {
+    let by_category = suite
+        .map(|report| report.mean_speedup_by_category(PolicyKind::Ir.name()))
+        .unwrap_or_default();
     let rows: Vec<FigureRow> = WorkloadCategory::ALL
         .iter()
         .map(|cat| FigureRow {
@@ -386,46 +382,12 @@ fn fig14_figure(by_category: &std::collections::BTreeMap<String, f64>) -> Figure
     .with_avg()
 }
 
-/// **Figure 14 (left)** from an already-run suite campaign (see
-/// [`suite_report`]): performance increase of the campaign's IR cells per
-/// Table 2 workload category.  Categories the campaign did not cover render
-/// as 0% rows.
-pub fn fig14_categories_from(report: &CampaignReport) -> Figure {
-    fig14_figure(&report.mean_speedup_by_category(PolicyKind::Ir.name()))
-}
-
-/// **Figure 14 (left)** — performance increase of the IR mechanism per Table 2
-/// workload category.  `apps_per_category` bounds run time; the paper used
-/// every trace in Table 2.
-pub fn fig14_categories(
-    apps_per_category: usize,
-    trace_len: usize,
-) -> Result<Figure, CampaignError> {
-    // `apps_per_category == 0` selects no traces at all; degrade to empty
-    // per-category rows (as the seed did) instead of failing on NoTraces.
-    if apps_per_category == 0 {
-        return Ok(fig14_figure(&std::collections::BTreeMap::new()));
-    }
-    Ok(fig14_categories_from(&suite_report(
-        apps_per_category,
-        trace_len,
-    )?))
-}
-
-/// The helper-geometry sensitivity campaign behind
-/// [`sensitivity_helper_geometry`] and `reproduce sensitivity`: the IR policy
-/// over the 12 SPEC stand-ins × the 3×3 helper width × clock ratio scenario
-/// plane, one streaming campaign with baselines memoized per
-/// (trace, scenario).
-pub fn sensitivity_geometry_report(trace_len: usize) -> Result<CampaignReport, CampaignError> {
-    CampaignRunner::new().run(&sensitivity_geometry_spec(trace_len)?)
-}
-
-/// The spec of the 3×3 helper-geometry sensitivity campaign (exposed so the
-/// `reproduce` binary can run it through the sharded engine).
-pub fn sensitivity_geometry_spec(
-    trace_len: usize,
-) -> Result<crate::campaign::CampaignSpec, CampaignError> {
+/// **Sensitivity (helper geometry)** — the spec of the campaign behind
+/// `reproduce sensitivity`: the IR policy over the 12 SPEC stand-ins × the
+/// helper width {4, 8, 16} × clock ratio {1×, 2×, 4×} plane, baselines
+/// memoized per (trace, scenario).  The paper's design point is the
+/// `hw8_cr2x` scenario; [`sensitivity_figure_from`] renders the report.
+pub fn sensitivity_geometry_spec(trace_len: usize) -> Result<CampaignSpec, CampaignError> {
     CampaignBuilder::new("sensitivity-geometry")
         .policy(PolicyKind::Ir)
         .spec_suite()
@@ -459,30 +421,10 @@ pub fn sensitivity_figure_from(report: &CampaignReport, policy: PolicyKind, id: 
     }
 }
 
-/// **Sensitivity (helper geometry)** — IR performance and ED² across the
-/// helper width {4, 8, 16} × clock ratio {1×, 2×, 4×} plane; the paper's
-/// design point is the `hw8_cr2x` row.
-pub fn sensitivity_helper_geometry(trace_len: usize) -> Result<Figure, CampaignError> {
-    Ok(sensitivity_figure_from(
-        &sensitivity_geometry_report(trace_len)?,
-        PolicyKind::Ir,
-        "sens_geometry",
-    ))
-}
-
-/// **Sensitivity (width predictor)** — 8_8_8 performance and ED² across
+/// **Sensitivity (width predictor)** — the spec of the 8_8_8 sweep over
 /// width-predictor table sizes {256 … 4096} (§3.2's complexity study; 256 is
 /// the paper's design point).
-pub fn sensitivity_width_predictor(trace_len: usize) -> Result<Figure, CampaignError> {
-    let report = CampaignRunner::new().run(&sensitivity_width_predictor_spec(trace_len)?)?;
-    Ok(sensitivity_width_predictor_from(&report))
-}
-
-/// The spec of the width-predictor table-size sweep (exposed so the
-/// `reproduce` binary can run it through a cache-aware runner).
-pub fn sensitivity_width_predictor_spec(
-    trace_len: usize,
-) -> Result<crate::campaign::CampaignSpec, CampaignError> {
+pub fn sensitivity_width_predictor_spec(trace_len: usize) -> Result<CampaignSpec, CampaignError> {
     CampaignBuilder::new("sensitivity-width-predictor")
         .policy(PolicyKind::P888)
         .spec_suite()
@@ -497,12 +439,9 @@ pub fn sensitivity_width_predictor_from(report: &CampaignReport) -> Figure {
     sensitivity_figure_from(report, PolicyKind::P888, "sens_width_predictor")
 }
 
-/// The §3.2–§3.7 headline numbers: per policy, the SPEC-average helper
-/// fraction, copy fraction, speedup and imbalance.
-///
-/// One 7-policy × 12-trace campaign: the twelve baselines are simulated once
-/// and shared across all seven policies.
-pub fn headline(trace_len: usize) -> Result<Figure, CampaignError> {
+/// The §3.2–§3.7 headline numbers: per policy of the paper grid, the
+/// SPEC-average helper fraction, copy fraction, speedup and imbalance.
+pub fn headline(grid: &CampaignReport) -> Figure {
     let kinds = [
         PolicyKind::P888,
         PolicyKind::P888Br,
@@ -512,11 +451,10 @@ pub fn headline(trace_len: usize) -> Result<Figure, CampaignError> {
         PolicyKind::Ir,
         PolicyKind::IrNoDest,
     ];
-    let report = spec_campaign("headline", &kinds, trace_len, true)?;
     let rows = kinds
         .iter()
         .map(|&kind| {
-            let results = report.results_for_policy(kind.name());
+            let results = grid.results_for_policy(kind.name());
             // `max(1)` keeps a policy with no joinable cells (a malformed
             // report) at 0.0 rows instead of NaN.
             let n = results.len().max(1) as f64;
@@ -536,7 +474,7 @@ pub fn headline(trace_len: usize) -> Result<Figure, CampaignError> {
             }
         })
         .collect();
-    Ok(Figure {
+    Figure {
         id: "headline".into(),
         title: "SPEC-average headline numbers per policy".into(),
         series: vec![
@@ -548,7 +486,7 @@ pub fn headline(trace_len: usize) -> Result<Figure, CampaignError> {
             "n->w imbalance %".into(),
         ],
         rows,
-    })
+    }
 }
 
 /// **Table 1** — the baseline processor parameters, rendered as rows.
@@ -620,8 +558,19 @@ pub fn table2() -> Vec<(String, usize, String)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::CampaignRunner;
+    use std::sync::OnceLock;
 
     const LEN: usize = 1_200;
+
+    /// The paper grid the grid-figure tests project, run once per test binary.
+    fn grid() -> &'static CampaignReport {
+        static GRID: OnceLock<CampaignReport> = OnceLock::new();
+        GRID.get_or_init(|| {
+            let spec = paper_grid_spec(LEN).expect("valid spec");
+            CampaignRunner::new().run(&spec).expect("grid runs")
+        })
+    }
 
     #[test]
     fn fig1_has_12_benchmarks_plus_average() {
@@ -633,7 +582,7 @@ mod tests {
 
     #[test]
     fn fig5_percentages_sum_to_100() {
-        let f = fig5(LEN).expect("fig5 reproduces");
+        let f = fig5(grid()).expect("fig5 reproduces");
         assert_eq!(f.series.len(), 3);
         for row in &f.rows {
             let sum: f64 = row.values.iter().sum();
@@ -643,7 +592,7 @@ mod tests {
 
     #[test]
     fn fig7_fractions_are_bounded() {
-        let f = fig7(LEN).expect("fig7 reproduces");
+        let f = fig7(grid()).expect("fig7 reproduces");
         for row in &f.rows {
             assert!(row.values[0] >= 0.0 && row.values[0] <= 100.0);
             assert!(row.values[1] >= 0.0);

@@ -102,28 +102,44 @@ fn paper_grid_runs_each_baseline_exactly_once() {
 
 #[test]
 fn figures_agree_with_the_direct_experiment_path() {
-    // The seed computed fig6 rows as one Experiment::run per benchmark; the
-    // campaign-backed figure must produce the same values.
+    // The seed computed fig6 rows as one Experiment::run per benchmark; every
+    // policy column of the paper grid, and the figures projected from it,
+    // must produce the same values.
     const LEN: usize = 1_000;
-    let fig = figures::fig6(LEN).expect("fig6 reproduces");
+    let grid = CampaignRunner::new()
+        .run(&figures::paper_grid_spec(LEN).expect("valid spec"))
+        .expect("grid runs");
+    let fig6 = figures::fig6(&grid).expect("fig6 reproduces");
+    let fig12 = figures::fig12(&grid).expect("fig12 reproduces");
     let experiment = Experiment::default();
     for benchmark in SpecBenchmark::ALL {
+        let label = benchmark.name();
+        let row = |fig: &figures::Figure| {
+            let row = fig.rows.iter().find(|r| r.label == label);
+            row.expect("row per benchmark").values.clone()
+        };
+        let mut checks = vec![
+            (PolicyKind::P888, row(&fig6)[0]),
+            (PolicyKind::P888, row(&fig12)[0]),
+            (PolicyKind::P888BrLrCr, row(&fig12)[1]),
+        ];
+        for &kind in &grid.spec.policies {
+            let results = grid.results_for_policy(kind.name());
+            let cell = results.iter().find(|r| r.trace == label);
+            checks.push((
+                kind,
+                cell.expect("cell per column").performance_increase_pct(),
+            ));
+        }
         let trace = benchmark.trace(LEN);
-        let expected = experiment
-            .run(&trace, PolicyKind::P888)
-            .performance_increase_pct();
-        let row = fig
-            .rows
-            .iter()
-            .find(|r| r.label == benchmark.name())
-            .expect("row per benchmark");
-        assert!(
-            (row.values[0] - expected).abs() < 1e-12,
-            "{}: {} vs {}",
-            benchmark.name(),
-            row.values[0],
-            expected
-        );
+        for (kind, value) in checks {
+            let expected = experiment.run(&trace, kind).performance_increase_pct();
+            assert!(
+                (value - expected).abs() < 1e-12,
+                "{} × {label}: {value} vs {expected}",
+                kind.name()
+            );
+        }
     }
 }
 

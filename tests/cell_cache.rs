@@ -152,7 +152,7 @@ fn golden_suite_bytes_survive_the_cache() {
             .run(&spec)
             .expect("the golden suite runs")
             .report;
-        let fig14 = figures::fig14_categories_from(&report);
+        let fig14 = figures::fig14(Some(&report));
         let snapshot =
             serde::json::to_string_pretty(&(&report.baselines, &report.cells, &fig14.rows));
         assert_eq!(snapshot, golden, "{pass} cache pass diverged from golden");

@@ -1,14 +1,84 @@
 //! Integration tests for the figure-reproduction API and the report
 //! renderers — the same code paths the `reproduce` binary uses.
 
-use hc_core::figures;
+use hc_core::campaign::{CampaignBuilder, CampaignError, CampaignReport, CampaignRunner};
+use hc_core::figures::{self, Figure};
 use hc_core::policy::PolicyKind;
 use hc_core::report::{figure_to_csv, figure_to_markdown, kv_table_to_markdown};
 use hc_power::PowerModel;
 use hc_sim::SimConfig;
 use hc_trace::SpecBenchmark;
+use std::sync::OnceLock;
 
 const LEN: usize = 1_200;
+
+/// The paper grid every grid figure here projects, run once per test binary.
+fn grid() -> &'static CampaignReport {
+    static GRID: OnceLock<CampaignReport> = OnceLock::new();
+    GRID.get_or_init(|| {
+        let spec = figures::paper_grid_spec(LEN).expect("valid spec");
+        CampaignRunner::new().run(&spec).expect("grid runs")
+    })
+}
+
+/// A figure's labels and the bits of every value, for exact comparison.
+fn bits(figure: &Figure) -> Vec<(String, Vec<u64>)> {
+    figure
+        .rows
+        .iter()
+        .map(|r| {
+            (
+                r.label.clone(),
+                r.values.iter().map(|v| v.to_bits()).collect(),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn grid_figures_equal_their_per_figure_campaigns() {
+    // A cell's stats do not depend on which other policies or baselines
+    // share its grid: each figure projected from the paper grid is bit for
+    // bit the figure projected from a campaign over only its own policies,
+    // with baselines only where it plots a speedup.
+    type GridFigure = fn(&CampaignReport) -> Result<Figure, CampaignError>;
+    let cases: [(GridFigure, &[PolicyKind], bool); 6] = [
+        (figures::fig5, &[PolicyKind::P888], false),
+        (figures::fig6, &[PolicyKind::P888], true),
+        (figures::fig7, &[PolicyKind::P888], false),
+        (
+            figures::fig8,
+            &[PolicyKind::P888, PolicyKind::P888Br],
+            false,
+        ),
+        (
+            figures::fig9,
+            &[PolicyKind::P888, PolicyKind::P888Br, PolicyKind::P888BrLr],
+            false,
+        ),
+        (
+            figures::fig12,
+            &[PolicyKind::P888, PolicyKind::P888BrLrCr],
+            true,
+        ),
+    ];
+    for (figure, policies, speedup) in cases {
+        let mut builder = CampaignBuilder::new("own")
+            .policies(policies.iter().copied())
+            .spec_suite()
+            .trace_len(LEN);
+        if !speedup {
+            builder = builder.without_baseline();
+        }
+        let own = CampaignRunner::new()
+            .run(&builder.build().expect("valid spec"))
+            .expect("campaign runs");
+        let from_grid = figure(grid()).expect("grid figure");
+        let from_own = figure(&own).expect("own figure");
+        assert_eq!(from_grid.series, from_own.series, "{}", from_grid.id);
+        assert_eq!(bits(&from_grid), bits(&from_own), "{}", from_grid.id);
+    }
+}
 
 #[test]
 fn figure_1_reports_all_spec_benchmarks_in_paper_order() {
@@ -26,8 +96,8 @@ fn figure_1_reports_all_spec_benchmarks_in_paper_order() {
 fn copy_figures_share_the_8_8_8_series() {
     // Figure 9 extends Figure 8 with the LR series; the common 8_8_8 column
     // must agree between the two (same policy, same traces, same simulator).
-    let f8 = figures::fig8(LEN).expect("fig8 reproduces");
-    let f9 = figures::fig9(LEN).expect("fig9 reproduces");
+    let f8 = figures::fig8(grid()).expect("fig8 reproduces");
+    let f9 = figures::fig9(grid()).expect("fig9 reproduces");
     for (r8, r9) in f8.rows.iter().zip(f9.rows.iter()) {
         assert_eq!(r8.label, r9.label);
         assert!((r8.values[0] - r9.values[0]).abs() < 1e-9);
@@ -37,7 +107,7 @@ fn copy_figures_share_the_8_8_8_series() {
 
 #[test]
 fn headline_contains_every_non_baseline_policy() {
-    let f = figures::headline(LEN).expect("headline reproduces");
+    let f = figures::headline(grid());
     let labels: Vec<&str> = f.rows.iter().map(|r| r.label.as_str()).collect();
     for kind in [
         PolicyKind::P888,
@@ -52,12 +122,18 @@ fn headline_contains_every_non_baseline_policy() {
 
 #[test]
 fn fig14_covers_all_seven_categories() {
-    let f = figures::fig14_categories(1, LEN).expect("fig14 reproduces");
-    assert_eq!(f.rows.len(), 8, "7 categories + AVG");
-    let labels: Vec<&str> = f.rows.iter().map(|r| r.label.as_str()).collect();
-    for cat in ["enc", "sfp", "kernels", "mm", "office", "prod", "ws"] {
-        assert!(labels.contains(&cat), "{cat} missing from {labels:?}");
+    let spec = figures::suite_spec(1, LEN).expect("valid spec");
+    let suite = CampaignRunner::new().run(&spec).expect("suite runs");
+    // Without a suite (0 apps per category) every category reads 0%.
+    let empty = figures::fig14(None);
+    for f in [figures::fig14(Some(&suite)), empty.clone()] {
+        assert_eq!(f.rows.len(), 8, "7 categories + AVG");
+        let labels: Vec<&str> = f.rows.iter().map(|r| r.label.as_str()).collect();
+        for cat in ["enc", "sfp", "kernels", "mm", "office", "prod", "ws"] {
+            assert!(labels.contains(&cat), "{cat} missing from {labels:?}");
+        }
     }
+    assert!(empty.rows.iter().all(|r| r.values == [0.0]));
 }
 
 #[test]
@@ -65,7 +141,7 @@ fn markdown_and_csv_render_every_figure() {
     for fig in [
         figures::fig1(LEN),
         figures::fig11(LEN),
-        figures::fig12(LEN).expect("fig12 reproduces"),
+        figures::fig12(grid()).expect("fig12 reproduces"),
         figures::fig13(LEN),
     ] {
         let md = figure_to_markdown(&fig);

@@ -43,7 +43,7 @@ fn suite_snapshot() -> String {
         .report;
     assert_eq!(report.baselines.len(), 14);
     assert_eq!(report.cells.len(), 14);
-    let fig14 = figures::fig14_categories_from(&report);
+    let fig14 = figures::fig14(Some(&report));
     serde::json::to_string_pretty(&(&report.baselines, &report.cells, &fig14.rows))
 }
 

@@ -200,7 +200,7 @@ fn full_table2_suite_streams_as_one_campaign() {
 
 /// The golden suite's snapshot of a report (see `tests/golden_suite.rs`).
 fn golden_suite_snapshot(report: &CampaignReport) -> String {
-    let fig14 = figures::fig14_categories_from(report);
+    let fig14 = figures::fig14(Some(report));
     serde::json::to_string_pretty(&(&report.baselines, &report.cells, &fig14.rows))
 }
 
