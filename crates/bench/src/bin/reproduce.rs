@@ -9,7 +9,8 @@
 //! `--threads N` caps the worker threads the parallel sweeps fan out over
 //! (0 = all cores).  Without the flag, the `REPRODUCE_THREADS` environment
 //! variable is consulted, then `RAYON_NUM_THREADS` (honoured by the thread
-//! pool itself), then all available cores.
+//! pool itself), then all available cores.  A `REPRODUCE_THREADS` that is
+//! not a number exits 2, as an unparsable flag value does.
 //!
 //! With no arguments every figure is reproduced.  Figure names: `table1`,
 //! `table2`, `fig1`, `fig5`, `fig6`, `fig7`, `fig8`, `fig9`, `fig11`, `fig12`,
@@ -167,7 +168,7 @@ fn parse_args() -> Options {
         // Environment override; the --threads flag takes precedence.
         threads: std::env::var("REPRODUCE_THREADS")
             .ok()
-            .and_then(|v| v.parse().ok()),
+            .map(|text| parsed(text, "REPRODUCE_THREADS")),
         shards: 1,
         checkpoint: None,
         resume: false,
@@ -293,9 +294,14 @@ fn value(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
 
 /// The number after `flag`, or a usage error naming the flag and the value.
 fn number<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> T {
-    let text = value(args, flag);
+    parsed(value(args, flag), flag)
+}
+
+/// `text` as a number, or a usage error naming `source` (a flag or an
+/// environment variable) and the value.
+fn parsed<T: std::str::FromStr>(text: String, source: &str) -> T {
     text.parse().unwrap_or_else(|_| {
-        eprintln!("reproduce: {flag} expects a number, got `{text}`");
+        eprintln!("reproduce: {source} expects a number, got `{text}`");
         std::process::exit(2);
     })
 }

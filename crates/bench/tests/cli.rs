@@ -1,12 +1,19 @@
 //! The `reproduce` binary refuses a value flag whose value is missing or
-//! does not parse, before it runs anything.
+//! does not parse, and a `REPRODUCE_THREADS` that does not parse, before
+//! it runs anything.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
 fn reproduce(args: &[&str]) -> Output {
+    reproduce_with(args, &[])
+}
+
+/// Run `reproduce` with `env` set on top of the inherited environment.
+fn reproduce_with(args: &[&str], env: &[(&str, &str)]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_reproduce"))
         .args(args)
+        .envs(env.iter().copied())
         .output()
         .expect("the reproduce binary starts")
 }
@@ -51,4 +58,17 @@ fn an_unparsable_worker_count_starts_no_run() {
 fn an_unparsable_or_missing_trace_length_is_refused() {
     assert_usage_error(&reproduce(&["ed2", "--trace-len", "3k"]), "--trace-len");
     assert_usage_error(&reproduce(&["ed2", "--trace-len"]), "--trace-len");
+}
+
+#[test]
+fn an_unparsable_thread_count_in_the_environment_is_refused() {
+    for threads in ["abc", "-1", ""] {
+        let output = reproduce_with(
+            &["fig1", "--trace-len", "100"],
+            &[("REPRODUCE_THREADS", threads)],
+        );
+        assert_usage_error(&output, "REPRODUCE_THREADS");
+    }
+    let output = reproduce_with(&["table1"], &[("REPRODUCE_THREADS", "1")]);
+    assert_eq!(output.status.code(), Some(0), "a valid count still runs");
 }

@@ -1,143 +1,249 @@
-//! JSON encoding and decoding over the [`Value`] data model —
-//! the subset of `serde_json` this workspace uses.
+//! JSON encoding and decoding — the subset of `serde_json` this workspace
+//! uses.
+//!
+//! Every formatting rule lives in one [`Writer`] and every parsing rule in
+//! one [`Reader`].  [`Serialize::write_json`] and
+//! [`Deserialize::read_json`] drive them: `#[derive]`d types write and read
+//! their fields in one pass, with no [`Value`] tree in between, while
+//! hand-written impls and [`Value`] itself go through a tree by default.
+//! Both paths produce the same bytes and accept the same documents.
 
 use crate::{Deserialize, Error, Serialize, Value};
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// Serialize a value to a compact JSON string.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> String {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), None, 0);
-    out
+    let mut w = Writer::new(false);
+    value.write_json(&mut w);
+    w.out
 }
 
 /// Serialize a value to a two-space-indented JSON string.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> String {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), Some(2), 0);
-    out
+    let mut w = Writer::new(true);
+    value.write_json(&mut w);
+    w.out
 }
 
-/// Deserialize a value from a JSON string.
+/// Deserialize a value from a JSON string.  Text after the value, other
+/// than whitespace, is an error.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    let value = parse(s)?;
-    T::from_value(&value)
-}
-
-/// Deepest array/object nesting [`parse`] accepts.  The parser spends one
-/// stack frame per level, so without a bound a few hundred kilobytes of `[`
-/// would overflow the stack; every document this workspace writes nests
-/// fewer than ten levels.
-const MAX_DEPTH: usize = 128;
-
-/// Parse a JSON string into a [`Value`].  Arrays and objects nested more
-/// than 128 levels deep are a parse error.
-pub fn parse(s: &str) -> Result<Value, Error> {
-    let mut p = Parser {
+    let mut r = Reader {
         text: s,
         bytes: s.as_bytes(),
         pos: 0,
         depth: 0,
     };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
+    let value = T::read_json(&mut r)?;
+    r.skip_ws();
+    if r.pos != r.bytes.len() {
         return Err(Error::custom("trailing characters after JSON value"));
     }
-    Ok(v)
+    Ok(value)
 }
 
-fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::UInt(n) => {
-            let _ = write!(out, "{n}");
-        }
-        Value::Int(n) => {
-            let _ = write!(out, "{n}");
-        }
-        Value::Float(f) => {
-            if f.is_finite() {
-                // `{:?}` prints the shortest representation that round-trips.
-                let _ = write!(out, "{f:?}");
-            } else {
-                out.push_str("null");
-            }
-        }
-        Value::Str(s) => write_string(out, s),
-        Value::Seq(items) => write_compound(out, indent, depth, '[', ']', items.len(), |out, i| {
-            write_value(out, &items[i], indent, depth + 1);
-        }),
-        Value::Map(entries) => {
-            write_compound(out, indent, depth, '{', '}', entries.len(), |out, i| {
-                write_string(out, &entries[i].0);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, &entries[i].1, indent, depth + 1);
-            })
-        }
-    }
+/// Deepest array/object nesting the [`Reader`] accepts, counted over the
+/// whole document, skipped values included.  The reader spends stack frames
+/// per level, so without a bound a few hundred kilobytes of `[` would
+/// overflow the stack; every document this workspace writes nests fewer
+/// than ten levels.
+const MAX_DEPTH: usize = 128;
+
+/// Parse a JSON string into a [`Value`].  Arrays and objects nested more
+/// than 128 levels deep are a parse error.
+pub fn parse(s: &str) -> Result<Value, Error> {
+    from_str(s)
 }
 
-fn write_compound(
-    out: &mut String,
-    indent: Option<usize>,
+/// The JSON output of one document.
+///
+/// Scalars are written as they come; arrays and objects are opened, given
+/// their elements or fields, and closed.  The writer places every
+/// separator, and in pretty mode every newline and two-space indent, so
+/// each formatting rule is written once: integers in decimal, finite
+/// floats in their shortest round-trip form (`{:?}`), non-finite floats as
+/// `null`, and strings with `"`, `\`, newline, carriage return and tab
+/// escaped by name and every other control character as `\u00XX`.  An
+/// empty array or object is written `[]` or `{}` in both modes.
+pub struct Writer {
+    out: String,
+    pretty: bool,
+    /// Arrays and objects currently open.
     depth: usize,
-    open: char,
-    close: char,
-    len: usize,
-    mut item: impl FnMut(&mut String, usize),
-) {
-    out.push(open);
-    if len == 0 {
-        out.push(close);
-        return;
-    }
-    for i in 0..len {
-        if i > 0 {
-            out.push(',');
-        }
-        if let Some(width) = indent {
-            out.push('\n');
-            for _ in 0..(depth + 1) * width {
-                out.push(' ');
-            }
-        }
-        item(out, i);
-    }
-    if let Some(width) = indent {
-        out.push('\n');
-        for _ in 0..depth * width {
-            out.push(' ');
-        }
-    }
-    out.push(close);
+    /// Whether the innermost open array or object has no element yet.
+    empty: bool,
 }
 
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+impl Writer {
+    fn new(pretty: bool) -> Writer {
+        Writer {
+            out: String::new(),
+            pretty,
+            depth: 0,
+            empty: true,
         }
     }
-    out.push('"');
+
+    /// Write `null`.
+    pub fn null(&mut self) {
+        self.out.push_str("null");
+    }
+
+    /// Write `true` or `false`.
+    pub fn bool(&mut self, b: bool) {
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+
+    /// Write an unsigned integer.
+    pub fn uint(&mut self, n: u64) {
+        let _ = write!(self.out, "{n}");
+    }
+
+    /// Write a signed integer.
+    pub fn int(&mut self, n: i64) {
+        let _ = write!(self.out, "{n}");
+    }
+
+    /// Write a float: its shortest round-trip form, or `null` when it is
+    /// not finite.
+    pub fn float(&mut self, f: f64) {
+        if f.is_finite() {
+            let _ = write!(self.out, "{f:?}");
+        } else {
+            self.null();
+        }
+    }
+
+    /// Write a string, quoted and escaped.
+    pub fn str(&mut self, s: &str) {
+        self.out.push('"');
+        // Copy the runs between bytes that need an escape in one step.
+        // Every such byte is ASCII, which never occurs inside a multi-byte
+        // UTF-8 sequence, so each run ends on a character boundary.
+        let mut run = 0;
+        for (i, &b) in s.as_bytes().iter().enumerate() {
+            let escape = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0..=0x1f => "",
+                _ => continue,
+            };
+            self.out.push_str(&s[run..i]);
+            if escape.is_empty() {
+                let _ = write!(self.out, "\\u{b:04x}");
+            } else {
+                self.out.push_str(escape);
+            }
+            run = i + 1;
+        }
+        self.out.push_str(&s[run..]);
+        self.out.push('"');
+    }
+
+    /// Open an array; give it elements with [`Writer::element`], then
+    /// close it with [`Writer::end_seq`].
+    pub fn begin_seq(&mut self) {
+        self.open('[');
+    }
+
+    /// Write one element of the open array.
+    pub fn element<T: Serialize + ?Sized>(&mut self, value: &T) {
+        self.next_item();
+        value.write_json(self);
+    }
+
+    /// Close the innermost open array.
+    pub fn end_seq(&mut self) {
+        self.close(']');
+    }
+
+    /// Write `items` as an array.
+    pub fn seq<'t, T: Serialize + 't>(&mut self, items: impl IntoIterator<Item = &'t T>) {
+        self.begin_seq();
+        for item in items {
+            self.element(item);
+        }
+        self.end_seq();
+    }
+
+    /// Open an object; give it fields with [`Writer::field`], then close
+    /// it with [`Writer::end_map`].
+    pub fn begin_map(&mut self) {
+        self.open('{');
+    }
+
+    /// Write one `key: value` field of the open object.
+    pub fn field<T: Serialize + ?Sized>(&mut self, key: &str, value: &T) {
+        self.key(key);
+        value.write_json(self);
+    }
+
+    /// Write the key of the open object's next field; the next value
+    /// written is that field's value.
+    pub fn key(&mut self, key: &str) {
+        self.next_item();
+        self.str(key);
+        self.out.push(':');
+        if self.pretty {
+            self.out.push(' ');
+        }
+    }
+
+    /// Close the innermost open object.
+    pub fn end_map(&mut self) {
+        self.close('}');
+    }
+
+    fn open(&mut self, bracket: char) {
+        self.out.push(bracket);
+        self.depth += 1;
+        self.empty = true;
+    }
+
+    /// The separator before an element or field: a comma after the first,
+    /// and in pretty mode a newline indented to the current depth.
+    fn next_item(&mut self) {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        self.line_break();
+    }
+
+    fn close(&mut self, bracket: char) {
+        self.depth -= 1;
+        if !self.empty {
+            self.line_break();
+        }
+        // The enclosing container holds at least this one.
+        self.empty = false;
+        self.out.push(bracket);
+    }
+
+    fn line_break(&mut self) {
+        if self.pretty {
+            self.out.push('\n');
+            for _ in 0..self.depth {
+                self.out.push_str("  ");
+            }
+        }
+    }
 }
 
-struct Parser<'a> {
+/// A cursor over one JSON document.
+///
+/// [`Reader::value`] parses the next value into a [`Value`] tree; the
+/// other methods let a type read its own shape in place: objects with
+/// [`Reader::map`], arrays with [`Reader::seq`], externally tagged enums
+/// with [`Reader::variant`], and anything to discard with
+/// [`Reader::skip`].  Every method skips the whitespace before its value,
+/// and nesting counts toward one 128-level bound whichever method opens
+/// it.
+pub struct Reader<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
@@ -145,7 +251,7 @@ struct Parser<'a> {
     depth: usize,
 }
 
-impl<'a> Parser<'a> {
+impl<'a> Reader<'a> {
     fn skip_ws(&mut self) {
         while let Some(&b) = self.bytes.get(self.pos) {
             if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
@@ -172,6 +278,10 @@ impl<'a> Parser<'a> {
         }
     }
 
+    fn expected(&self, what: &str) -> Error {
+        Error::custom(format!("expected {what} at byte {}", self.pos))
+    }
+
     fn eat_literal(&mut self, lit: &str) -> bool {
         if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
@@ -181,14 +291,30 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, Error> {
+    /// Parse the next value into a tree.
+    pub fn value(&mut self) -> Result<Value, Error> {
+        self.skip_ws();
         match self.peek() {
             Some(b'n') if self.eat_literal("null") => Ok(Value::Null),
             Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(Value::Bool(false)),
-            Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.nested(Self::seq),
-            Some(b'{') => self.nested(Self::map),
+            Some(b'"') => self.string().map(|s| Value::Str(s.into_owned())),
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.seq("sequence", |r, _| {
+                    items.push(r.value()?);
+                    Ok(())
+                })?;
+                Ok(Value::Seq(items))
+            }
+            Some(b'{') => {
+                let mut entries = Vec::new();
+                self.map("map", |r, key| {
+                    entries.push((key.into_owned(), r.value()?));
+                    Ok(())
+                })?;
+                Ok(Value::Map(entries))
+            }
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             _ => Err(Error::custom(format!(
                 "unexpected character at byte {}",
@@ -197,8 +323,135 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Parse one array or object with `compound`, one level deeper.
-    fn nested(&mut self, compound: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+    /// Parse the next value and drop it.  It must be valid, exactly as
+    /// [`Reader::value`] would accept it.
+    pub fn skip(&mut self) -> Result<(), Error> {
+        self.value().map(drop)
+    }
+
+    /// Whether the next value is `null`, consuming it if so.
+    pub fn null(&mut self) -> bool {
+        self.skip_ws();
+        self.eat_literal("null")
+    }
+
+    /// Read an object, calling `entry` with each key in document order;
+    /// `entry` must read or [`skip`](Reader::skip) that key's value.
+    /// `what` names the expected shape in the error when the next value is
+    /// not an object.
+    pub fn map(
+        &mut self,
+        what: &str,
+        mut entry: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), Error>,
+    ) -> Result<(), Error> {
+        self.skip_ws();
+        if self.peek() != Some(b'{') {
+            return Err(self.expected(what));
+        }
+        self.nested(|r| {
+            r.pos += 1;
+            r.skip_ws();
+            if r.peek() == Some(b'}') {
+                r.pos += 1;
+                return Ok(());
+            }
+            loop {
+                r.skip_ws();
+                let key = r.string()?;
+                r.skip_ws();
+                r.expect(b':')?;
+                entry(r, key)?;
+                r.skip_ws();
+                match r.peek() {
+                    Some(b',') => r.pos += 1,
+                    Some(b'}') => {
+                        r.pos += 1;
+                        return Ok(());
+                    }
+                    _ => return Err(Error::custom("expected `,` or `}` in map")),
+                }
+            }
+        })
+    }
+
+    /// Read an array, calling `element` with each element's index; it must
+    /// read or [`skip`](Reader::skip) that element.  `what` names the
+    /// expected shape in the error when the next value is not an array.
+    pub fn seq(
+        &mut self,
+        what: &str,
+        mut element: impl FnMut(&mut Self, usize) -> Result<(), Error>,
+    ) -> Result<(), Error> {
+        self.skip_ws();
+        if self.peek() != Some(b'[') {
+            return Err(self.expected(what));
+        }
+        self.nested(|r| {
+            r.pos += 1;
+            r.skip_ws();
+            if r.peek() == Some(b']') {
+                r.pos += 1;
+                return Ok(());
+            }
+            let mut index = 0;
+            loop {
+                element(r, index)?;
+                index += 1;
+                r.skip_ws();
+                match r.peek() {
+                    Some(b',') => r.pos += 1,
+                    Some(b']') => {
+                        r.pos += 1;
+                        return Ok(());
+                    }
+                    _ => return Err(Error::custom("expected `,` or `]` in sequence")),
+                }
+            }
+        })
+    }
+
+    /// Read an externally tagged enum: a unit variant as its name
+    /// (`unit(name)`), or a data variant as an object of exactly one key,
+    /// its name, whose value `data(reader, name)` reads.  `what` names the
+    /// enum in the error for any other shape.
+    pub fn variant<T>(
+        &mut self,
+        what: &str,
+        unit: impl FnOnce(&str) -> Result<T, Error>,
+        data: impl FnOnce(&mut Self, &str) -> Result<T, Error>,
+    ) -> Result<T, Error> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'"') => {
+                let name = self.string()?;
+                unit(&name)
+            }
+            Some(b'{') => self.nested(|r| {
+                r.pos += 1;
+                r.skip_ws();
+                if r.peek() == Some(b'}') {
+                    return Err(r.expected(what));
+                }
+                let tag = r.string()?;
+                r.skip_ws();
+                r.expect(b':')?;
+                let value = data(r, &tag)?;
+                r.skip_ws();
+                if r.peek() != Some(b'}') {
+                    return Err(r.expected(what));
+                }
+                r.pos += 1;
+                Ok(value)
+            }),
+            _ => Err(self.expected(what)),
+        }
+    }
+
+    /// Read one array or object with `compound`, one level deeper.
+    fn nested<T>(
+        &mut self,
+        compound: impl FnOnce(&mut Self) -> Result<T, Error>,
+    ) -> Result<T, Error> {
         if self.depth == MAX_DEPTH {
             return Err(Error::custom(format!(
                 "nesting deeper than {MAX_DEPTH} levels at byte {}",
@@ -211,60 +464,10 @@ impl<'a> Parser<'a> {
         value
     }
 
-    fn seq(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Seq(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Seq(items));
-                }
-                _ => return Err(Error::custom("expected `,` or `]` in sequence")),
-            }
-        }
-    }
-
-    fn map(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        let mut entries = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Map(entries));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            entries.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Map(entries));
-                }
-                _ => return Err(Error::custom("expected `,` or `}` in map")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, Error> {
+    /// A string, borrowed from the document when it holds no escape.
+    fn string(&mut self) -> Result<Cow<'a, str>, Error> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut out = Cow::Borrowed("");
         loop {
             // Copy the run of plain bytes up to the next quote or backslash
             // in one step.  The input is a `&str`, and both stop bytes are
@@ -276,11 +479,15 @@ impl<'a> Parser<'a> {
                 .position(|&b| b == b'"' || b == b'\\')
                 .unwrap_or(self.bytes.len() - start);
             self.pos += run;
-            out.push_str(
-                self.text
-                    .get(start..self.pos)
-                    .ok_or_else(|| Error::custom("invalid UTF-8 in string"))?,
-            );
+            let text: &'a str = self
+                .text
+                .get(start..self.pos)
+                .ok_or_else(|| Error::custom("invalid UTF-8 in string"))?;
+            if out.is_empty() {
+                out = Cow::Borrowed(text);
+            } else {
+                out.to_mut().push_str(text);
+            }
             match self.peek() {
                 None => return Err(Error::custom("unterminated string")),
                 Some(b'"') => {
@@ -294,18 +501,19 @@ impl<'a> Parser<'a> {
                         .peek()
                         .ok_or_else(|| Error::custom("unterminated escape"))?;
                     self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => out.push(self.unicode_escape()?),
+                    let c = match esc {
+                        b'"' => '"',
+                        b'\\' => '\\',
+                        b'/' => '/',
+                        b'b' => '\u{8}',
+                        b'f' => '\u{c}',
+                        b'n' => '\n',
+                        b'r' => '\r',
+                        b't' => '\t',
+                        b'u' => self.unicode_escape()?,
                         _ => return Err(Error::custom("unknown escape sequence")),
-                    }
+                    };
+                    out.to_mut().push(c);
                 }
             }
         }
@@ -385,163 +593,4 @@ impl<'a> Parser<'a> {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn scalars_round_trip() {
-        for text in ["null", "true", "false", "12", "-7", "1.5", "\"hi\\n\""] {
-            let v = parse(text).unwrap();
-            assert_eq!(parse(&to_string(&v)).unwrap(), v);
-        }
-    }
-
-    #[test]
-    fn nested_round_trip() {
-        let text = r#"{"a": [1, 2.5, {"b": null}], "c": "x\"y"}"#;
-        let v = parse(text).unwrap();
-        assert_eq!(parse(&to_string(&v)).unwrap(), v);
-        assert_eq!(parse(&to_string_pretty(&v)).unwrap(), v);
-    }
-
-    #[test]
-    fn nesting_is_bounded() {
-        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
-        assert!(parse(&nest(MAX_DEPTH)).is_ok(), "the limit itself parses");
-        let mixed = r#"{"a":"#.repeat(MAX_DEPTH - 1) + "[]" + &"}".repeat(MAX_DEPTH - 1);
-        assert!(parse(&mixed).is_ok(), "objects count toward the same limit");
-        let err = parse(&nest(MAX_DEPTH + 1)).expect_err("one level past the limit");
-        assert!(err.to_string().contains("nesting"), "{err}");
-        // Far past the limit is refused the same way, not a stack overflow.
-        assert!(parse(&"[".repeat(200_000)).is_err());
-        assert!(parse(&r#"{"a":"#.repeat(200_000)).is_err());
-    }
-
-    #[test]
-    fn floats_round_trip_exactly() {
-        let f = 0.123_456_789_012_345_68_f64;
-        let v = Value::Float(f);
-        match parse(&to_string(&v)).unwrap() {
-            Value::Float(g) => assert_eq!(f, g),
-            other => panic!("expected float, got {other:?}"),
-        }
-    }
-
-    fn string(text: &str) -> Result<String, Error> {
-        match parse(text)? {
-            Value::Str(s) => Ok(s),
-            other => panic!("expected a string, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn runs_keep_multi_byte_characters_whole() {
-        for plain in ["µops", "café", "rocket 🚀 launch", "ü€🚀x", "🚀"] {
-            let text = format!("\"{plain}\"");
-            assert_eq!(string(&text).unwrap(), plain);
-            // The same characters split by escapes on either side of a run.
-            let escaped = format!("\"\\t{plain}\\n{plain}\\\"\"");
-            assert_eq!(string(&escaped).unwrap(), format!("\t{plain}\n{plain}\""));
-        }
-    }
-
-    #[test]
-    fn escapes_directly_around_runs() {
-        assert_eq!(string(r#""\nabc""#).unwrap(), "\nabc");
-        assert_eq!(string(r#""abc\n""#).unwrap(), "abc\n");
-        assert_eq!(string(r#""\\\"""#).unwrap(), "\\\"");
-        assert_eq!(string(r#""a\/b\u0041c""#).unwrap(), "a/bAc");
-        assert_eq!(string(r#""""#).unwrap(), "");
-    }
-
-    #[test]
-    fn unterminated_strings_keep_their_error() {
-        for text in ["\"abc", "\"µ🚀é", "\"a\\nb", "{\"key", "[\"abc\\\"def"] {
-            let err = parse(text).expect_err(text);
-            assert!(
-                err.to_string().contains("unterminated string"),
-                "{text}: {err}"
-            );
-        }
-        let err = parse("\"abc\\").expect_err("dangling backslash");
-        assert!(err.to_string().contains("unterminated escape"), "{err}");
-    }
-
-    #[test]
-    fn surrogate_pairs_decode_to_one_character() {
-        assert_eq!(string(r#""\ud83d\ude80""#).unwrap(), "🚀");
-        assert_eq!(string(r#""a\uD83D\uDE80b""#).unwrap(), "a🚀b");
-        // The largest code point, U+10FFFF.
-        assert_eq!(string(r#""\udbff\udfff""#).unwrap(), "\u{10FFFF}");
-        // A non-BMP character survives the writer (which emits it raw) and
-        // the parser both ways.
-        let v = Value::Str("🚀".to_string());
-        assert_eq!(parse(&to_string(&v)).unwrap(), v);
-    }
-
-    #[test]
-    fn lone_surrogates_are_refused() {
-        for text in [
-            r#""\ud83d""#,
-            r#""\ud83dx""#,
-            r#""\ud83d\n""#,
-            r#""\ud83d\u0041""#,
-            r#""\ud83d\ud83d""#,
-            r#""\ude80""#,
-            r#""\ude80\ud83d""#,
-        ] {
-            let err = parse(text).expect_err(text);
-            assert!(err.to_string().contains("surrogate"), "{text}: {err}");
-        }
-    }
-
-    #[test]
-    fn unicode_escapes_take_exactly_four_hex_digits() {
-        assert_eq!(string(r#""\u0041""#).unwrap(), "A");
-        assert_eq!(string(r#""\u00e9\u00E9""#).unwrap(), "éé");
-        assert_eq!(string(r#""\u00411""#).unwrap(), "A1");
-        for text in [
-            r#""\u+041""#,
-            r#""\u-041""#,
-            r#""\u 041""#,
-            r#""\u004g""#,
-            r#""\u00µ""#,
-        ] {
-            let err = parse(text).expect_err(text);
-            assert!(
-                err.to_string().contains("invalid \\u escape"),
-                "{text}: {err}"
-            );
-        }
-        let err = parse(r#""\u004""#).expect_err("three digits, then the quote");
-        assert!(err.to_string().contains("escape"), "{err}");
-        let err = parse(r#""\u00"#).expect_err("input ends inside the escape");
-        assert!(err.to_string().contains("truncated"), "{err}");
-    }
-
-    /// Decoding is linear in the input.  Each size is four times the last;
-    /// a decoder that re-scans the rest of the document per character takes
-    /// 16 times longer per step and blows the bound within the ladder.
-    #[test]
-    fn decoding_time_is_linear_in_document_size() {
-        let bound = std::time::Duration::from_secs(2);
-        let timed = |text: &str| {
-            let start = std::time::Instant::now();
-            let value = parse(text).expect("valid document");
-            (start.elapsed(), value)
-        };
-        for kib in [64, 256, 1024, 4096] {
-            let text = format!("\"{}\"", "aµ".repeat(kib * 1024 / 3));
-            let (elapsed, value) = timed(&text);
-            assert!(elapsed < bound, "a {kib} KiB string took {elapsed:?}");
-            assert!(matches!(value, Value::Str(s) if s.len() == text.len() - 2));
-        }
-        for keys in [1_000, 10_000, 100_000] {
-            let body: Vec<String> = (0..keys).map(|i| format!("\"k{i:06}\":{i}")).collect();
-            let text = format!("{{{}}}", body.join(","));
-            let (elapsed, value) = timed(&text);
-            assert!(elapsed < bound, "{keys} keys took {elapsed:?}");
-            assert!(matches!(value, Value::Map(m) if m.len() == keys));
-        }
-    }
-}
+mod tests;

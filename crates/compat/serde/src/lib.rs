@@ -8,8 +8,14 @@
 //!   data model (maps, sequences, scalars) — the same externally-tagged shape
 //!   real serde uses for enums, so swapping the real crate back in changes no
 //!   on-disk schema.
+//! * One-pass JSON: [`Serialize::write_json`] and
+//!   [`Deserialize::read_json`] write and read a type straight through the
+//!   [`json::Writer`] and [`json::Reader`].  Their provided bodies go
+//!   through a [`Value`] tree, which is all a hand-written impl needs; the
+//!   derive overrides both, so derived types never build a tree.
 //! * `#[derive(Serialize, Deserialize)]` via the sibling `serde_derive`
-//!   proc-macro crate (re-exported here, like serde's `derive` feature).
+//!   proc-macro crate (re-exported here, like serde's `derive` feature),
+//!   with one field attribute, `#[serde(skip_serializing_if = "path")]`.
 //! * A [`json`] module with `to_string` / `to_string_pretty` / `from_str`,
 //!   covering what `serde_json` would provide.
 //!
@@ -20,6 +26,11 @@
 #![forbid(unsafe_code)]
 
 pub use serde_derive::{Deserialize, Serialize};
+
+// The derive names this crate `::serde`; the unit tests derive on types of
+// their own.
+#[cfg(test)]
+extern crate self as serde;
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -116,12 +127,25 @@ impl std::error::Error for Error {}
 pub trait Serialize {
     /// Convert `self` into a [`Value`].
     fn to_value(&self) -> Value;
+
+    /// Write `self` as JSON.  The provided body writes `self.to_value()`;
+    /// an override must write the same bytes without the tree.
+    fn write_json(&self, w: &mut json::Writer) {
+        self.to_value().write_json(w);
+    }
 }
 
 /// A type that can be reconstructed from the [`Value`] data model.
 pub trait Deserialize: Sized {
     /// Reconstruct `Self` from a [`Value`].
     fn from_value(v: &Value) -> Result<Self, Error>;
+
+    /// Read `Self` from the next JSON value.  The provided body parses a
+    /// [`Value`] and calls [`Deserialize::from_value`]; an override must
+    /// accept and reject the same documents and return the same values.
+    fn read_json(r: &mut json::Reader<'_>) -> Result<Self, Error> {
+        Self::from_value(&r.value()?)
+    }
 }
 
 fn expected(what: &str, got: &Value) -> Error {
@@ -136,6 +160,7 @@ macro_rules! impl_unsigned {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn to_value(&self) -> Value { Value::UInt(*self as u64) }
+            fn write_json(&self, w: &mut json::Writer) { w.uint(*self as u64) }
         }
         impl Deserialize for $t {
             fn from_value(v: &Value) -> Result<Self, Error> {
@@ -154,6 +179,7 @@ macro_rules! impl_signed {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn to_value(&self) -> Value { Value::Int(*self as i64) }
+            fn write_json(&self, w: &mut json::Writer) { w.int(*self as i64) }
         }
         impl Deserialize for $t {
             fn from_value(v: &Value) -> Result<Self, Error> {
@@ -177,6 +203,10 @@ impl Serialize for f64 {
     fn to_value(&self) -> Value {
         Value::Float(*self)
     }
+
+    fn write_json(&self, w: &mut json::Writer) {
+        w.float(*self);
+    }
 }
 
 impl Deserialize for f64 {
@@ -194,6 +224,10 @@ impl Serialize for f32 {
     fn to_value(&self) -> Value {
         Value::Float(*self as f64)
     }
+
+    fn write_json(&self, w: &mut json::Writer) {
+        w.float(*self as f64);
+    }
 }
 
 impl Deserialize for f32 {
@@ -205,6 +239,10 @@ impl Deserialize for f32 {
 impl Serialize for bool {
     fn to_value(&self) -> Value {
         Value::Bool(*self)
+    }
+
+    fn write_json(&self, w: &mut json::Writer) {
+        w.bool(*self);
     }
 }
 
@@ -221,6 +259,10 @@ impl Serialize for String {
     fn to_value(&self) -> Value {
         Value::Str(self.clone())
     }
+
+    fn write_json(&self, w: &mut json::Writer) {
+        w.str(self);
+    }
 }
 
 impl Deserialize for String {
@@ -230,17 +272,32 @@ impl Deserialize for String {
             _ => Err(expected("string", v)),
         }
     }
+
+    fn read_json(r: &mut json::Reader<'_>) -> Result<Self, Error> {
+        match r.value()? {
+            Value::Str(s) => Ok(s),
+            v => Err(expected("string", &v)),
+        }
+    }
 }
 
 impl Serialize for str {
     fn to_value(&self) -> Value {
         Value::Str(self.to_string())
     }
+
+    fn write_json(&self, w: &mut json::Writer) {
+        w.str(self);
+    }
 }
 
 impl Serialize for char {
     fn to_value(&self) -> Value {
         Value::Str(self.to_string())
+    }
+
+    fn write_json(&self, w: &mut json::Writer) {
+        w.str(self.encode_utf8(&mut [0; 4]));
     }
 }
 
@@ -263,6 +320,10 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
+
+    fn write_json(&self, w: &mut json::Writer) {
+        (**self).write_json(w);
+    }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
@@ -270,6 +331,13 @@ impl<T: Serialize> Serialize for Option<T> {
         match self {
             Some(t) => t.to_value(),
             None => Value::Null,
+        }
+    }
+
+    fn write_json(&self, w: &mut json::Writer) {
+        match self {
+            Some(t) => t.write_json(w),
+            None => w.null(),
         }
     }
 }
@@ -281,11 +349,23 @@ impl<T: Deserialize> Deserialize for Option<T> {
             other => T::from_value(other).map(Some),
         }
     }
+
+    fn read_json(r: &mut json::Reader<'_>) -> Result<Self, Error> {
+        if r.null() {
+            Ok(None)
+        } else {
+            T::read_json(r).map(Some)
+        }
+    }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
         Value::Seq(self.iter().map(Serialize::to_value).collect())
+    }
+
+    fn write_json(&self, w: &mut json::Writer) {
+        w.seq(self);
     }
 }
 
@@ -297,11 +377,24 @@ impl<T: Deserialize> Deserialize for Vec<T> {
             .map(T::from_value)
             .collect()
     }
+
+    fn read_json(r: &mut json::Reader<'_>) -> Result<Self, Error> {
+        let mut items = Vec::new();
+        r.seq("sequence", |r, _| {
+            items.push(T::read_json(r)?);
+            Ok(())
+        })?;
+        Ok(items)
+    }
 }
 
 impl<T: Serialize> Serialize for [T] {
     fn to_value(&self) -> Value {
         Value::Seq(self.iter().map(Serialize::to_value).collect())
+    }
+
+    fn write_json(&self, w: &mut json::Writer) {
+        w.seq(self);
     }
 }
 
@@ -309,56 +402,70 @@ impl<T: Serialize, const N: usize> Serialize for [T; N] {
     fn to_value(&self) -> Value {
         Value::Seq(self.iter().map(Serialize::to_value).collect())
     }
+
+    fn write_json(&self, w: &mut json::Writer) {
+        w.seq(self);
+    }
 }
 
 impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
     fn from_value(v: &Value) -> Result<Self, Error> {
-        let items: Vec<T> = Vec::from_value(v)?;
-        items
-            .try_into()
-            .map_err(|_| Error::custom(format!("expected sequence of length {N}")))
+        fixed_length(Vec::from_value(v)?)
+    }
+
+    fn read_json(r: &mut json::Reader<'_>) -> Result<Self, Error> {
+        fixed_length(Vec::read_json(r)?)
     }
 }
 
-impl<A: Serialize, B: Serialize> Serialize for (A, B) {
-    fn to_value(&self) -> Value {
-        Value::Seq(vec![self.0.to_value(), self.1.to_value()])
-    }
+fn fixed_length<T, const N: usize>(items: Vec<T>) -> Result<[T; N], Error> {
+    items
+        .try_into()
+        .map_err(|_| Error::custom(format!("expected sequence of length {N}")))
 }
 
-impl<A: Deserialize, B: Deserialize> Deserialize for (A, B) {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let s = v.as_seq().ok_or_else(|| expected("2-tuple", v))?;
-        if s.len() != 2 {
-            return Err(Error::custom("expected sequence of length 2"));
+/// Tuples are sequences of exactly their arity.
+macro_rules! impl_tuple {
+    ($len:literal, $what:literal: $($name:ident $slot:ident $index:tt),+) => {
+        impl<$($name: Serialize),+> Serialize for ($($name,)+) {
+            fn to_value(&self) -> Value {
+                Value::Seq(vec![$(self.$index.to_value()),+])
+            }
+
+            fn write_json(&self, w: &mut json::Writer) {
+                w.begin_seq();
+                $(w.element(&self.$index);)+
+                w.end_seq();
+            }
         }
-        Ok((A::from_value(&s[0])?, B::from_value(&s[1])?))
-    }
-}
 
-impl<A: Serialize, B: Serialize, C: Serialize> Serialize for (A, B, C) {
-    fn to_value(&self) -> Value {
-        Value::Seq(vec![
-            self.0.to_value(),
-            self.1.to_value(),
-            self.2.to_value(),
-        ])
-    }
-}
+        impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
+            fn from_value(v: &Value) -> Result<Self, Error> {
+                let s = v.as_seq().ok_or_else(|| expected($what, v))?;
+                if s.len() != $len {
+                    return Err(Error::custom(concat!("expected sequence of length ", $len)));
+                }
+                Ok(($($name::from_value(&s[$index])?,)+))
+            }
 
-impl<A: Deserialize, B: Deserialize, C: Deserialize> Deserialize for (A, B, C) {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let s = v.as_seq().ok_or_else(|| expected("3-tuple", v))?;
-        if s.len() != 3 {
-            return Err(Error::custom("expected sequence of length 3"));
+            fn read_json(r: &mut json::Reader<'_>) -> Result<Self, Error> {
+                let wrong_length = || Error::custom(concat!("expected sequence of length ", $len));
+                $(let mut $slot = None;)+
+                r.seq($what, |r, i| {
+                    match i {
+                        $($index => $slot = Some($name::read_json(r)?),)+
+                        _ => return Err(wrong_length()),
+                    }
+                    Ok(())
+                })?;
+                Ok(($($slot.ok_or_else(wrong_length)?,)+))
+            }
         }
-        Ok((
-            A::from_value(&s[0])?,
-            B::from_value(&s[1])?,
-            C::from_value(&s[2])?,
-        ))
-    }
+    };
 }
+
+impl_tuple!(2, "2-tuple": A a 0, B b 1);
+impl_tuple!(3, "3-tuple": A a 0, B b 1, C c 2);
 
 impl<V: Serialize> Serialize for BTreeMap<String, V> {
     fn to_value(&self) -> Value {
@@ -367,6 +474,14 @@ impl<V: Serialize> Serialize for BTreeMap<String, V> {
                 .map(|(k, v)| (k.clone(), v.to_value()))
                 .collect(),
         )
+    }
+
+    fn write_json(&self, w: &mut json::Writer) {
+        w.begin_map();
+        for (k, v) in self {
+            w.field(k, v);
+        }
+        w.end_map();
     }
 }
 
@@ -378,17 +493,53 @@ impl<V: Deserialize> Deserialize for BTreeMap<String, V> {
             .map(|(k, val)| Ok((k.clone(), V::from_value(val)?)))
             .collect()
     }
+
+    /// A key given twice keeps its last value, as collecting the tree's
+    /// entries into a map does.
+    fn read_json(r: &mut json::Reader<'_>) -> Result<Self, Error> {
+        let mut map = BTreeMap::new();
+        r.map("map", |r, key| {
+            map.insert(key.into_owned(), V::read_json(r)?);
+            Ok(())
+        })?;
+        Ok(map)
+    }
 }
 
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
     }
+
+    /// The tree writer: every [`Value`] and every provided
+    /// [`Serialize::write_json`] ends here.
+    fn write_json(&self, w: &mut json::Writer) {
+        match self {
+            Value::Null => w.null(),
+            Value::Bool(b) => w.bool(*b),
+            Value::UInt(n) => w.uint(*n),
+            Value::Int(n) => w.int(*n),
+            Value::Float(f) => w.float(*f),
+            Value::Str(s) => w.str(s),
+            Value::Seq(items) => w.seq(items),
+            Value::Map(entries) => {
+                w.begin_map();
+                for (k, v) in entries {
+                    w.field(k, v);
+                }
+                w.end_map();
+            }
+        }
+    }
 }
 
 impl Deserialize for Value {
     fn from_value(v: &Value) -> Result<Self, Error> {
         Ok(v.clone())
+    }
+
+    fn read_json(r: &mut json::Reader<'_>) -> Result<Self, Error> {
+        r.value()
     }
 }
 
@@ -401,9 +552,7 @@ impl Deserialize for Value {
 pub fn de_field<T: Deserialize>(map: &[(String, Value)], key: &str) -> Result<T, Error> {
     match map.iter().find(|(k, _)| k == key) {
         Some((_, v)) => T::from_value(v).map_err(|e| Error::custom(format!("field `{key}`: {e}"))),
-        None => {
-            T::from_value(&Value::Null).map_err(|_| Error::custom(format!("missing field `{key}`")))
-        }
+        None => missing_field(key),
     }
 }
 
@@ -411,8 +560,41 @@ pub fn de_field<T: Deserialize>(map: &[(String, Value)], key: &str) -> Result<T,
 pub fn de_index<T: Deserialize>(seq: &[Value], index: usize) -> Result<T, Error> {
     match seq.get(index) {
         Some(v) => T::from_value(v).map_err(|e| Error::custom(format!("index {index}: {e}"))),
-        None => Err(Error::custom(format!("missing element {index}"))),
+        None => Err(missing_element(index)),
     }
+}
+
+/// Read the first occurrence of named field `key` (the one [`de_field`]
+/// would pick).
+pub fn read_field<T: Deserialize>(r: &mut json::Reader<'_>, key: &str) -> Result<T, Error> {
+    T::read_json(r).map_err(|e| Error::custom(format!("field `{key}`: {e}")))
+}
+
+/// A named field once its map is read: `slot` holds its first occurrence,
+/// and an absent key reads as `null`, as in [`de_field`].
+pub fn take_field<T: Deserialize>(slot: Option<T>, key: &str) -> Result<T, Error> {
+    match slot {
+        Some(value) => Ok(value),
+        None => missing_field(key),
+    }
+}
+
+/// Read positional element `index`.
+pub fn read_index<T: Deserialize>(r: &mut json::Reader<'_>, index: usize) -> Result<T, Error> {
+    T::read_json(r).map_err(|e| Error::custom(format!("index {index}: {e}")))
+}
+
+/// A positional element once its sequence is read, as in [`de_index`].
+pub fn take_index<T>(slot: Option<T>, index: usize) -> Result<T, Error> {
+    slot.ok_or_else(|| missing_element(index))
+}
+
+fn missing_field<T: Deserialize>(key: &str) -> Result<T, Error> {
+    T::from_value(&Value::Null).map_err(|_| Error::custom(format!("missing field `{key}`")))
+}
+
+fn missing_element(index: usize) -> Error {
+    Error::custom(format!("missing element {index}"))
 }
 
 pub mod json;

@@ -98,7 +98,7 @@ pub use store::{CellCache, CellClaim, CellJoin, CellLead};
 use crate::campaign::{CampaignError, CampaignSpec, GridCache};
 use crate::policy::PolicyKind;
 use hc_sim::SimStats;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -291,8 +291,9 @@ fn lay_out_key(
 }
 
 /// One decoded cache entry: the memoized statistics plus the wall-clock cost
-/// of the original simulation.
-#[derive(Debug, Clone, PartialEq)]
+/// of the original simulation.  Its fields are the record payload's, in
+/// order, so a record is written and read without a `serde::Value` tree.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CachedCell {
     /// The memoized simulation result.
     pub stats: SimStats,

@@ -608,13 +608,10 @@ impl CellCache {
     /// effort: the cache is an accelerator, never a correctness dependency,
     /// so a full disk degrades to slower re-runs.
     pub fn insert(&self, key: &CellKey, stats: &SimStats, elapsed_nanos: u64) {
-        let payload = serde::json::to_string(&serde::Value::Map(vec![
-            ("stats".to_string(), Serialize::to_value(stats)),
-            (
-                "elapsed_nanos".to_string(),
-                serde::Value::UInt(elapsed_nanos),
-            ),
-        ]));
+        let payload = serde::json::to_string(&CachedCell {
+            stats: stats.clone(),
+            elapsed_nanos,
+        });
         let stamp = now_millis();
         let record = segment::encode_record(
             key.digest,
@@ -805,12 +802,7 @@ fn decode_record(file: &File, entry: &IndexEntry, key: &CellKey) -> Option<Cache
     if record.digest != key.digest || record.key != key.canonical.as_bytes() {
         return None;
     }
-    let payload = serde::json::parse(std::str::from_utf8(record.payload).ok()?).ok()?;
-    let m = payload.as_map()?;
-    Some(CachedCell {
-        stats: serde::de_field(m, "stats").ok()?,
-        elapsed_nanos: serde::de_field(m, "elapsed_nanos").ok()?,
-    })
+    serde::json::from_str(std::str::from_utf8(record.payload).ok()?).ok()
 }
 
 impl Drop for CellCache {

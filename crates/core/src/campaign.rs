@@ -1020,7 +1020,7 @@ pub struct CampaignProgress {
 pub type ProgressHook = Arc<dyn Fn(&CampaignProgress) + Send + Sync>;
 
 /// One policy × trace × scenario measurement.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CampaignCell {
     /// Policy name (stable report key, from [`PolicyKind::name`]).
     pub policy: String,
@@ -1031,6 +1031,7 @@ pub struct CampaignCell {
     /// Scenario name this cell was measured under; `None` on the legacy
     /// single-default-scenario path (and omitted from the serialized form,
     /// keeping pre-scenario documents byte-identical).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub scenario: Option<String>,
     /// Measured statistics of the policy run.
     pub stats: SimStats,
@@ -1038,7 +1039,7 @@ pub struct CampaignCell {
 
 /// One (trace, scenario) monolithic-baseline measurement (shared by every
 /// cell of that trace under that scenario).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BaselineRun {
     /// Trace name.
     pub trace: String,
@@ -1046,92 +1047,10 @@ pub struct BaselineRun {
     pub category: Option<String>,
     /// Scenario name; `None` on the legacy single-default-scenario path
     /// (omitted from the serialized form).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub scenario: Option<String>,
     /// Baseline statistics.
     pub stats: SimStats,
-}
-
-/// Serialize trace/category/[scenario]/stats-shaped rows: the `scenario`
-/// key appears only when set, so legacy documents stay byte-identical.
-fn row_to_value(
-    policy: Option<&String>,
-    trace: &String,
-    category: &Option<String>,
-    scenario: &Option<String>,
-    stats: &SimStats,
-) -> serde::Value {
-    let mut fields = Vec::with_capacity(5);
-    if let Some(policy) = policy {
-        fields.push(("policy".to_string(), Serialize::to_value(policy)));
-    }
-    fields.push(("trace".to_string(), Serialize::to_value(trace)));
-    fields.push(("category".to_string(), Serialize::to_value(category)));
-    if scenario.is_some() {
-        fields.push(("scenario".to_string(), Serialize::to_value(scenario)));
-    }
-    fields.push(("stats".to_string(), Serialize::to_value(stats)));
-    serde::Value::Map(fields)
-}
-
-/// Decode an optional `scenario` key (absent on legacy documents).
-fn scenario_from_map(m: &[(String, serde::Value)]) -> Result<Option<String>, serde::Error> {
-    match m.iter().find(|(k, _)| k == "scenario") {
-        Some((_, v)) => Deserialize::from_value(v),
-        None => Ok(None),
-    }
-}
-
-impl Serialize for CampaignCell {
-    fn to_value(&self) -> serde::Value {
-        row_to_value(
-            Some(&self.policy),
-            &self.trace,
-            &self.category,
-            &self.scenario,
-            &self.stats,
-        )
-    }
-}
-
-impl Deserialize for CampaignCell {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for struct CampaignCell"))?;
-        Ok(CampaignCell {
-            policy: serde::de_field(m, "policy")?,
-            trace: serde::de_field(m, "trace")?,
-            category: serde::de_field(m, "category")?,
-            scenario: scenario_from_map(m)?,
-            stats: serde::de_field(m, "stats")?,
-        })
-    }
-}
-
-impl Serialize for BaselineRun {
-    fn to_value(&self) -> serde::Value {
-        row_to_value(
-            None,
-            &self.trace,
-            &self.category,
-            &self.scenario,
-            &self.stats,
-        )
-    }
-}
-
-impl Deserialize for BaselineRun {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for struct BaselineRun"))?;
-        Ok(BaselineRun {
-            trace: serde::de_field(m, "trace")?,
-            category: serde::de_field(m, "category")?,
-            scenario: scenario_from_map(m)?,
-            stats: serde::de_field(m, "stats")?,
-        })
-    }
 }
 
 /// A cell's scenario display key (`"default"` on the legacy path).

@@ -150,11 +150,7 @@ pub fn submit(
         let frame = protocol::parse_frame(&line)?;
         match protocol::frame_event(&frame) {
             protocol::EVENT_REPORT => {
-                let bytes = protocol::frame_uint(&frame, "bytes")?;
-                let mut report = vec![0u8; usize::try_from(bytes).unwrap_or(usize::MAX)];
-                reader.read_exact(&mut report)?;
-                return String::from_utf8(report)
-                    .map_err(|e| ServeError::Protocol(format!("report is not UTF-8: {e}")));
+                return read_report(&mut reader, protocol::frame_uint(&frame, "bytes")?);
             }
             protocol::EVENT_ERROR => {
                 let field = |key: &str| {
@@ -172,6 +168,25 @@ pub fn submit(
             _ => on_frame(&frame),
         }
     }
+}
+
+/// Bytes reserved for a report before any arrive.  A `report` frame's
+/// `bytes` count comes from the peer, so it bounds how much is read, never
+/// how much is allocated up front.
+const REPORT_RESERVE: usize = 1 << 20;
+
+/// Read the `bytes`-byte report that follows a `report` frame.
+fn read_report(reader: &mut impl Read, bytes: u64) -> Result<String, ServeError> {
+    let reserve = usize::try_from(bytes).map_or(REPORT_RESERVE, |n| n.min(REPORT_RESERVE));
+    let mut report = Vec::with_capacity(reserve);
+    reader.take(bytes).read_to_end(&mut report)?;
+    if report.len() as u64 != bytes {
+        return Err(ServeError::Protocol(format!(
+            "the report frame announced {bytes} bytes, but the stream ended after {}",
+            report.len()
+        )));
+    }
+    String::from_utf8(report).map_err(|e| ServeError::Protocol(format!("report is not UTF-8: {e}")))
 }
 
 /// Fetch a plain JSON endpoint (`/healthz`, `/metrics`) and return its

@@ -355,3 +355,52 @@ fn concurrent_submissions_coalesce_onto_one_simulation_per_cell() {
     daemon.join().unwrap().expect("clean exit");
     let _ = std::fs::remove_dir_all(dir);
 }
+
+/// Run `submit` against a fake peer that reads the request, answers a
+/// stream head and one `report` frame claiming `claimed` bytes, sends
+/// `body`, and hangs up.
+fn submit_to_fake_peer(claimed: &str, body: &[u8]) -> Result<String, hc_serve::ServeError> {
+    use std::io::Write as _;
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local address").to_string();
+    let body = body.to_vec();
+    let frame = format!("{{\"event\":\"report\",\"bytes\":{claimed}}}\n");
+    let peer = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accept");
+        let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone"));
+        hc_serve::http::read_request(&mut reader).expect("a well-formed request");
+        let mut stream = stream;
+        hc_serve::http::write_stream_head(&mut stream).expect("head");
+        stream.write_all(frame.as_bytes()).expect("frame");
+        stream.write_all(&body).expect("body");
+    });
+    let outcome = client::submit(&addr, "{}", |_| {});
+    peer.join().expect("the fake peer ran");
+    outcome
+}
+
+#[test]
+fn report_sizes_from_the_wire_are_never_allocated_up_front() {
+    for (claimed, body) in [
+        ("18446744073709551615", &b"{}"[..]),
+        ("100000000000", &b"{}"[..]),
+        ("10", &b""[..]),
+        ("10", &b"{\"a\":"[..]),
+    ] {
+        match submit_to_fake_peer(claimed, body) {
+            Err(hc_serve::ServeError::Protocol(message)) => {
+                assert!(message.contains(claimed), "{claimed}: {message}");
+                assert!(
+                    message.contains(&format!("after {}", body.len())),
+                    "{claimed}: {message}"
+                );
+            }
+            other => panic!("a {claimed}-byte claim over {body:?}: {other:?}"),
+        }
+    }
+    // An honest claim still reads the report.
+    assert_eq!(
+        submit_to_fake_peer("7", b"{\"a\":1}").expect("report"),
+        "{\"a\":1}"
+    );
+}
