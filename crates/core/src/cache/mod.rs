@@ -100,7 +100,8 @@ use crate::policy::PolicyKind;
 use hc_sim::SimStats;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::SystemTime;
 
@@ -184,15 +185,46 @@ pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Write `contents` to `path` through `tmp` + rename, so readers never see a
-/// partial file.
-pub(crate) fn write_atomic(path: &Path, contents: &str, tmp: &Path) -> Result<(), CampaignError> {
-    std::fs::write(tmp, contents)
-        .map_err(|e| CampaignError::Cache(format!("write {}: {e}", tmp.display())))?;
-    std::fs::rename(tmp, path).map_err(|e| {
-        let _ = std::fs::remove_file(tmp);
-        CampaignError::Cache(format!("rename to {}: {e}", path.display()))
-    })
+/// Process-wide sequence for names no two threads of a process may share:
+/// [`publish`]'s temporary files and default fan-out worker ids.
+pub(crate) static PROCESS_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// Publish `contents` at `path` so that a reader sees a whole file or none:
+/// write a temporary sibling, then rename it over `path` or, when
+/// `exclusive`, `hard_link` it into place.  The sibling is named from the
+/// pid and a process-wide counter, so writers racing for one path — threads
+/// or processes — never write into each other's temporary file.  Link
+/// creation fails if `path` exists, so however many exclusive publishers
+/// race, **exactly one wins** (`Ok(true)`); the others get `Ok(false)`.
+/// `error` types a failure ([`CampaignError::Cache`] or
+/// [`CampaignError::Checkpoint`]).
+pub(crate) fn publish(
+    path: &Path,
+    contents: &str,
+    exclusive: bool,
+    error: fn(String) -> CampaignError,
+) -> Result<bool, CampaignError> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(
+        ".tmp.{}.{}",
+        std::process::id(),
+        PROCESS_SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let tmp = PathBuf::from(tmp);
+    std::fs::write(&tmp, contents).map_err(|e| error(format!("write {}: {e}", tmp.display())))?;
+    let installed = if exclusive {
+        std::fs::hard_link(&tmp, path)
+    } else {
+        std::fs::rename(&tmp, path)
+    };
+    if exclusive || installed.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    match installed {
+        Ok(()) => Ok(true),
+        Err(e) if exclusive && e.kind() == std::io::ErrorKind::AlreadyExists => Ok(false),
+        Err(e) => Err(error(format!("publish {}: {e}", path.display()))),
+    }
 }
 
 /// The content-addressed key of one cached cell: the canonical bytes of its

@@ -58,6 +58,54 @@ fn age_file(path: &std::path::Path, by: Duration) {
 }
 
 #[test]
+fn two_writers_of_one_shard_file_never_publish_a_part() {
+    // Two fan-out workers that both execute shard 0 write the same bytes to
+    // the same path.  Neither may fail, and a reader polling the path must
+    // only ever find the whole file.
+    let dir = tmp_dir("two_writers");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("shard_0000.json");
+    let contents = "x".repeat(4 << 20);
+    let writing = std::sync::atomic::AtomicUsize::new(2);
+    let start = std::sync::Barrier::new(2);
+    let (failed_writes, short_reads) = std::thread::scope(|scope| {
+        let writers: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    let failed = (0..50)
+                        .filter(|_| {
+                            publish(&path, &contents, false, CampaignError::Checkpoint).is_err()
+                        })
+                        .count();
+                    writing.fetch_sub(1, Ordering::SeqCst);
+                    failed
+                })
+            })
+            .collect();
+        let mut short_reads = 0;
+        while writing.load(Ordering::SeqCst) > 0 {
+            if let Ok(meta) = std::fs::metadata(&path) {
+                short_reads += usize::from(meta.len() != contents.len() as u64);
+            }
+        }
+        let failed: usize = writers.into_iter().map(|w| w.join().unwrap()).sum();
+        (failed, short_reads)
+    });
+    assert_eq!((failed_writes, short_reads), (0, 0));
+    let left: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name())
+        .collect();
+    assert_eq!(
+        left,
+        ["shard_0000.json"],
+        "no temporary file is left behind"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn digests_are_stable_and_key_sensitive() {
     let a = sample_key(1);
     assert_eq!(a, sample_key(1), "same inputs, same key");

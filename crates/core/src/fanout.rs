@@ -11,7 +11,7 @@
 //! * [`FanoutWorker`] is one worker of the fleet.  It reconciles (or, first
 //!   arrival, publishes) the manifest, claims shards through **lease files**
 //!   and executes each claimed shard through the ordinary streaming grid
-//!   engine, writing the shard report through a tmp+rename.  With stealing
+//!   engine, publishing the shard report through a rename.  With stealing
 //!   enabled a fast worker picks up a straggler's or crashed peer's
 //!   unfinished shards, steered by the recorded per-row costs of the
 //!   [`CostModel`].
@@ -45,57 +45,27 @@
 //! one, and in the worst interleaving two workers briefly simulate the same
 //! shard.  That is deliberate.  A shard report is a **pure function of
 //! (spec, plan, shard index)**: both workers produce byte-identical JSON,
-//! both write it through tmp+rename, and whichever rename lands last
-//! installs the same bytes.  Correctness never depends on mutual exclusion
-//! — the leases exist only to avoid wasting simulation time.
+//! both publish it through `cache::publish`, each from a temporary file of
+//! its own, and whichever rename lands last installs the same bytes.
+//! Correctness never depends on mutual exclusion — the leases exist only to
+//! avoid wasting simulation time.
 
-use crate::cache::{CellCache, CostModel};
+use crate::cache::{publish, CellCache, CostModel, PROCESS_SEQ};
 use crate::campaign::{
     deliver_progress, CampaignError, CampaignProgress, CampaignReport, CampaignSpec, ProgressHook,
 };
 use crate::shard::{
-    check_shard_count, load_shard_checkpoint, shard_file_name, shard_wire_version,
-    write_checkpoint_file, CampaignShard, CheckpointManifest, ShardPlan, ShardReport,
-    MANIFEST_FILE,
+    check_shard_count, load_shard_checkpoint, shard_file_name, shard_wire_version, CampaignShard,
+    CheckpointManifest, ShardPlan, ShardReport, MANIFEST_FILE,
 };
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant, SystemTime};
 
 /// File name of the lease guarding one shard's execution.
 pub fn lease_file_name(index: usize) -> String {
     format!("shard_{index:04}.lease")
-}
-
-/// Process-wide sequence for unique tmp-file names (two threads of one
-/// process racing for the same file must not collide on the tmp path).
-static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// Create `path` holding `contents` unless it already exists: write a
-/// uniquely named sibling, then `hard_link` it into place.  Link creation
-/// fails if `path` exists, so however many creators race, **exactly one
-/// wins** (`Ok(true)`); the others get `Ok(false)`.
-fn create_exclusive(path: &Path, contents: &str) -> Result<bool, CampaignError> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(format!(
-        ".tmp.{}.{}",
-        std::process::id(),
-        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let tmp = PathBuf::from(tmp);
-    std::fs::write(&tmp, contents)
-        .map_err(|e| CampaignError::Checkpoint(format!("write {}: {e}", tmp.display())))?;
-    let linked = std::fs::hard_link(&tmp, path);
-    let _ = std::fs::remove_file(&tmp);
-    match linked {
-        Ok(()) => Ok(true),
-        Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => Ok(false),
-        Err(e) => Err(CampaignError::Checkpoint(format!(
-            "create {}: {e}",
-            path.display()
-        ))),
-    }
 }
 
 /// An exclusive, heartbeat-renewed claim on one shard of a checkpoint
@@ -156,7 +126,7 @@ impl ShardLease {
             ),
         ]));
         for attempt in 0..2 {
-            if create_exclusive(&path, &doc)? {
+            if publish(&path, &doc, true, CampaignError::Checkpoint)? {
                 return Ok(Some(ShardLease::won(path, timeout)));
             }
             // Occupied.  Dead holder?  The mtime is the heartbeat clock:
@@ -294,7 +264,7 @@ impl FanoutWorker {
             worker_id: format!(
                 "pid{}-{}",
                 std::process::id(),
-                TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+                PROCESS_SEQ.fetch_add(1, Ordering::Relaxed)
             ),
             lease_timeout: Duration::from_secs(30),
             poll_interval: Duration::from_millis(200),
@@ -456,9 +426,11 @@ impl FanoutWorker {
                     skip_cells(k);
                 } else {
                     let report = shards[k].run_with(hook.as_ref(), self.cache.as_deref())?;
-                    write_checkpoint_file(
+                    publish(
                         &self.checkpoint.join(shard_file_name(k)),
                         &report.to_json(),
+                        false,
+                        CampaignError::Checkpoint,
                     )?;
                     outcome.executed_shards.push(k);
                     if Some(k) != self.home_shard {
@@ -511,7 +483,8 @@ impl FanoutWorker {
                 spec: spec.clone(),
                 plan,
             };
-            if create_exclusive(&path, &serde::json::to_string_pretty(&manifest))? {
+            let doc = serde::json::to_string_pretty(&manifest);
+            if publish(&path, &doc, true, CampaignError::Checkpoint)? {
                 return Ok(manifest.plan);
             }
             // Lost the publish race; adopt the winner's manifest on the

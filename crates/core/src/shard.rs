@@ -1047,17 +1047,6 @@ pub(crate) fn load_shard_checkpoint(
     Ok(report.check().is_ok().then_some(report))
 }
 
-/// Write a checkpoint file through a temporary sibling + rename, so a crash
-/// mid-write never leaves a truncated JSON file a later resume would trip
-/// over.
-pub(crate) fn write_checkpoint_file(path: &Path, contents: &str) -> Result<(), CampaignError> {
-    let tmp = path.with_extension("json.tmp");
-    std::fs::write(&tmp, contents)
-        .map_err(|e| CampaignError::Checkpoint(format!("write {}: {e}", tmp.display())))?;
-    std::fs::rename(&tmp, path)
-        .map_err(|e| CampaignError::Checkpoint(format!("rename to {}: {e}", path.display())))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

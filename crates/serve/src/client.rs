@@ -1,12 +1,14 @@
 //! The submit side: a blocking client for the campaign service.
 //!
-//! [`submit`] streams a campaign and hands every progress frame to a
-//! caller-supplied observer; the returned report string is byte-identical
-//! to the offline `reproduce campaign --json` output for the same spec.
-//! [`Connection`] holds one persistent (keep-alive) connection for the
-//! plain JSON endpoints, so a client running several exchanges — say
-//! `/metrics` then `/shutdown` — pays for one TCP handshake, not one per
-//! request.
+//! Every exchange runs over a [`Connection`] and reads through the bounded
+//! readers of [`http`].  [`submit`] streams a campaign and hands every
+//! progress frame to a caller-supplied observer; the returned report string
+//! is byte-identical to the offline `reproduce campaign --json` output for
+//! the same spec.  [`Connection::connect`] holds one persistent (keep-alive)
+//! connection for the plain JSON endpoints, so a client running several
+//! exchanges — say `/metrics` then `/shutdown` — pays for one TCP handshake,
+//! not one per request.  [`submit`], [`get`] and [`shutdown`] each run one
+//! exchange over a connection that asks the daemon to close it.
 
 use crate::http;
 use crate::{protocol, ServeError};
@@ -14,107 +16,77 @@ use serde::Value;
 use std::io::{BufReader, Read};
 use std::net::TcpStream;
 
-/// Connect, send one request, and return a buffered reader over the
-/// response along with its status and headers.
-fn exchange(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: &[u8],
-) -> Result<(BufReader<TcpStream>, u16), ServeError> {
-    let mut stream = TcpStream::connect(addr)?;
-    http::write_request(&mut stream, method, path, body, false)?;
-    let mut reader = BufReader::new(stream);
-    let (status, _headers) = http::read_response_head(&mut reader)?;
-    Ok((reader, status))
-}
-
-/// Read the remainder of a `Connection: close` body to EOF as UTF-8.
-fn read_to_end(reader: &mut BufReader<TcpStream>) -> Result<String, ServeError> {
-    let mut body = String::new();
-    reader.read_to_string(&mut body)?;
-    Ok(body)
-}
-
-/// One persistent connection to the daemon's plain JSON endpoints.
+/// One connection to the daemon.
 ///
-/// Every exchange is `Content-Length`-framed, so the connection survives it
-/// and the next request reuses the same socket.  The daemon may still hang
-/// up between exchanges (idle timeout, drain): that surfaces as an error on
-/// the *next* call, and the caller reconnects — [`Connection`] does not
-/// retry on its own.
+/// Plain exchanges are `Content-Length`-framed, so a persistent connection
+/// survives them and the next request reuses the same socket.  The daemon
+/// may still hang up between exchanges (idle timeout, drain): that surfaces
+/// as an error on the *next* call, and the caller reconnects —
+/// [`Connection`] does not retry on its own.
 pub struct Connection {
     reader: BufReader<TcpStream>,
+    keep_alive: bool,
 }
 
 impl Connection {
     /// Open a persistent connection to `addr`.
     pub fn connect(addr: &str) -> Result<Connection, ServeError> {
+        Connection::open(addr, true)
+    }
+
+    /// Open a connection whose requests ask the daemon to keep it open, or
+    /// (`keep_alive` false) to close it after one exchange.
+    fn open(addr: &str, keep_alive: bool) -> Result<Connection, ServeError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
         Ok(Connection {
             reader: BufReader::new(stream),
+            keep_alive,
         })
     }
 
-    /// One keep-alive exchange: write the request, read the framed
-    /// response.  Returns the status and the body.
-    fn exchange(
+    /// Write one request and read the response head.  A response other
+    /// than 200 is read whole and returned as [`ServeError::Rejected`].
+    fn request(
         &mut self,
         method: &str,
         path: &str,
         body: &[u8],
-    ) -> Result<(u16, String), ServeError> {
-        http::write_request(self.reader.get_mut(), method, path, body, true)?;
+    ) -> Result<Vec<(String, String)>, ServeError> {
+        http::write_request(self.reader.get_mut(), method, path, body, self.keep_alive)?;
         let (status, headers) = http::read_response_head(&mut self.reader)?;
-        let length = headers
-            .iter()
-            .find(|(k, _)| k == "content-length")
-            .and_then(|(_, v)| v.parse::<usize>().ok())
-            .ok_or_else(|| {
-                ServeError::Protocol("keep-alive response carries no Content-Length".to_string())
-            })?;
-        if length > http::MAX_BODY_BYTES {
-            return Err(ServeError::Protocol(format!(
-                "response body of {length} bytes exceeds the {}-byte cap",
-                http::MAX_BODY_BYTES
-            )));
+        if status == 200 {
+            return Ok(headers);
         }
-        let mut body = vec![0u8; length];
-        self.reader.read_exact(&mut body)?;
-        let body = String::from_utf8(body)
-            .map_err(|e| ServeError::Protocol(format!("response is not UTF-8: {e}")))?;
-        Ok((status, body))
+        let (kind, message) = protocol::parse_error_envelope(&self.read_body(&headers)?);
+        Err(ServeError::Rejected {
+            status,
+            kind,
+            message,
+        })
+    }
+
+    /// Read the `Content-Length`-framed body after `headers` as UTF-8.
+    fn read_body(&mut self, headers: &[(String, String)]) -> Result<String, ServeError> {
+        let body = http::read_body(&mut self.reader, headers)?.ok_or_else(|| {
+            ServeError::Protocol("response carries no Content-Length".to_string())
+        })?;
+        String::from_utf8(body)
+            .map_err(|e| ServeError::Protocol(format!("response is not UTF-8: {e}")))
     }
 
     /// Fetch a plain JSON endpoint (`/healthz`, `/metrics`) over this
     /// connection.
     pub fn get(&mut self, path: &str) -> Result<String, ServeError> {
-        let (status, body) = self.exchange("GET", path, b"")?;
-        if status != 200 {
-            let (kind, message) = protocol::parse_error_envelope(&body);
-            return Err(ServeError::Rejected {
-                status,
-                kind,
-                message,
-            });
-        }
-        Ok(body)
+        let headers = self.request("GET", path, b"")?;
+        self.read_body(&headers)
     }
 
     /// Ask the daemon to drain, over this connection.  The daemon closes
     /// the connection after this response, so it should be the last call.
     pub fn shutdown(&mut self) -> Result<(), ServeError> {
-        let (status, body) = self.exchange("POST", "/shutdown", b"")?;
-        if status != 200 {
-            let (kind, message) = protocol::parse_error_envelope(&body);
-            return Err(ServeError::Rejected {
-                status,
-                kind,
-                message,
-            });
-        }
-        Ok(())
+        let headers = self.request("POST", "/shutdown", b"")?;
+        self.read_body(&headers).map(drop)
     }
 }
 
@@ -129,28 +101,13 @@ pub fn submit(
     spec_json: &str,
     mut on_frame: impl FnMut(&Value),
 ) -> Result<String, ServeError> {
-    let (mut reader, status) = exchange(addr, "POST", "/campaign", spec_json.as_bytes())?;
-    if status != 200 {
-        let body = read_to_end(&mut reader)?;
-        let (kind, message) = protocol::parse_error_envelope(&body);
-        return Err(ServeError::Rejected {
-            status,
-            kind,
-            message,
-        });
-    }
+    let mut conn = Connection::open(addr, false)?;
+    conn.request("POST", "/campaign", spec_json.as_bytes())?;
     loop {
-        let mut line = String::new();
-        use std::io::BufRead;
-        if reader.read_line(&mut line)? == 0 {
-            return Err(ServeError::Protocol(
-                "stream ended before a report or error frame".to_string(),
-            ));
-        }
-        let frame = protocol::parse_frame(&line)?;
+        let frame = protocol::parse_frame(&mut conn.reader)?;
         match protocol::frame_event(&frame) {
             protocol::EVENT_REPORT => {
-                return read_report(&mut reader, protocol::frame_uint(&frame, "bytes")?);
+                return read_report(&mut conn.reader, protocol::frame_uint(&frame, "bytes")?);
             }
             protocol::EVENT_ERROR => {
                 let field = |key: &str| {
@@ -189,34 +146,14 @@ fn read_report(reader: &mut impl Read, bytes: u64) -> Result<String, ServeError>
     String::from_utf8(report).map_err(|e| ServeError::Protocol(format!("report is not UTF-8: {e}")))
 }
 
-/// Fetch a plain JSON endpoint (`/healthz`, `/metrics`) and return its
-/// body.
+/// Fetch a plain JSON endpoint (`/healthz`, `/metrics`) over a one-shot
+/// connection and return its body.
 pub fn get(addr: &str, path: &str) -> Result<String, ServeError> {
-    let (mut reader, status) = exchange(addr, "GET", path, b"")?;
-    let body = read_to_end(&mut reader)?;
-    if status != 200 {
-        let (kind, message) = protocol::parse_error_envelope(&body);
-        return Err(ServeError::Rejected {
-            status,
-            kind,
-            message,
-        });
-    }
-    Ok(body)
+    Connection::open(addr, false)?.get(path)
 }
 
-/// Ask the daemon to drain: in-flight campaigns finish streaming, then the
-/// accept loop exits.
+/// Ask the daemon to drain, over a one-shot connection: in-flight
+/// campaigns finish streaming, then the accept loop exits.
 pub fn shutdown(addr: &str) -> Result<(), ServeError> {
-    let (mut reader, status) = exchange(addr, "POST", "/shutdown", b"")?;
-    let body = read_to_end(&mut reader)?;
-    if status != 200 {
-        let (kind, message) = protocol::parse_error_envelope(&body);
-        return Err(ServeError::Rejected {
-            status,
-            kind,
-            message,
-        });
-    }
-    Ok(())
+    Connection::open(addr, false)?.shutdown()
 }

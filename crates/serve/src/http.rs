@@ -5,19 +5,33 @@
 //! a client can run several exchanges over one TCP connection.  The
 //! campaign stream is the exception: it has no predictable length, so its
 //! response is `Connection: close` and the body runs to EOF (no chunked
-//! transfer encoding to implement on either side).  Bodies are framed by
-//! `Content-Length` on requests; header blocks and bodies are size-capped
-//! so a hostile peer cannot balloon the daemon.
+//! transfer encoding to implement on either side).
+//!
+//! The daemon and the client read through the same three readers, so a
+//! hostile peer cannot balloon either of them:
+//!
+//! * the **line reader** reads through [`Read::take`], so it never buffers
+//!   more bytes than its budget has left;
+//! * the **head reader** reads a request's or a response's start line and
+//!   header block under one budget of [`MAX_HEAD_BYTES`];
+//! * the **body reader** reads a request's or a plain response's
+//!   `Content-Length`-framed body of at most [`MAX_BODY_BYTES`].
+//!
+//! A campaign stream's frame is one line read by the line reader under a
+//! budget of [`MAX_BODY_BYTES`]
+//! ([`protocol::parse_frame`](crate::protocol::parse_frame)), and its report
+//! is read up to the length its `report` frame announces.
 
 use crate::ServeError;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, ErrorKind, Read, Take, Write};
 
-/// Hard cap on a request's header block (request line + headers).
+/// Hard cap on a request's or a response's head (start line + headers).
 pub const MAX_HEAD_BYTES: usize = 64 * 1024;
 
-/// Hard cap on a request body.  The largest legitimate payload — a full
-/// 409-trace Table 2 scenario campaign spec — is well under 1 MiB; 16 MiB
-/// leaves room for generated suites without letting a peer exhaust memory.
+/// Hard cap on a request or plain response body, and on one stream frame.
+/// The largest legitimate payload — a full 409-trace Table 2 scenario
+/// campaign spec — is well under 1 MiB; 16 MiB leaves room for generated
+/// suites without letting a peer exhaust memory.
 pub const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
 
 /// One parsed HTTP request.
@@ -56,43 +70,71 @@ impl Request {
                 .split(',')
                 .any(|t| t.trim().eq_ignore_ascii_case(token))
         };
-        if has("close") {
-            false
-        } else {
-            self.http11 || has("keep-alive")
-        }
+        !has("close") && (self.http11 || has("keep-alive"))
     }
 }
 
-/// Read one size-capped CRLF line (the terminator is stripped).
-fn read_line<R: BufRead>(reader: &mut R, budget: &mut usize) -> Result<String, ServeError> {
-    let mut line = String::new();
-    let n = reader.read_line(&mut line)?;
-    if n == 0 {
-        return Err(ServeError::Protocol(
-            "connection closed mid-header".to_string(),
-        ));
+/// The line reader: read one `\n`-terminated line through `reader`, whose
+/// [`Take`] limit is the budget left for it, and strip its terminator.  A
+/// `Take` hands out no byte past its limit, so a line that runs past the
+/// budget is refused once the budget's bytes are buffered; `what` and `cap`
+/// name the budget in the error.  `Ok(None)` means the peer closed the
+/// connection, or the read timed out, before the line's first byte.
+pub(crate) fn read_line<R: BufRead>(
+    reader: &mut Take<R>,
+    what: &str,
+    cap: usize,
+) -> Result<Option<String>, ServeError> {
+    let mut line = Vec::new();
+    match reader.read_until(b'\n', &mut line) {
+        Err(e)
+            if line.is_empty()
+                && matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
+        {
+            return Ok(None)
+        }
+        Err(e) => return Err(e.into()),
+        Ok(0) if reader.limit() > 0 => return Ok(None),
+        Ok(_) => {}
     }
-    *budget = budget.checked_sub(n).ok_or_else(|| {
-        ServeError::Protocol(format!("header block exceeds {MAX_HEAD_BYTES} bytes"))
-    })?;
-    while line.ends_with('\n') || line.ends_with('\r') {
+    if line.pop() != Some(b'\n') {
+        return Err(ServeError::Protocol(if reader.limit() == 0 {
+            format!("{what} exceeds {cap} bytes")
+        } else {
+            format!("connection closed inside a {what}")
+        }));
+    }
+    while line.last() == Some(&b'\r') {
         line.pop();
     }
-    Ok(line)
+    String::from_utf8(line)
+        .map(Some)
+        .map_err(|_| ServeError::Protocol(format!("{what} is not UTF-8")))
 }
 
-/// Parse a header block (everything after the start line, up to and
-/// including the blank line) into lowercased name/value pairs.
-fn read_headers<R: BufRead>(
+/// Header name/value pairs, in arrival order, names lowercased.
+type Headers = Vec<(String, String)>;
+
+/// The head reader: read a start line, which `parse_start` parses, and the
+/// header block after it, at most [`MAX_HEAD_BYTES`] together.  Header names
+/// are lowercased.  `Ok(None)` means the peer closed the connection, or the
+/// read timed out, before the head's first byte.
+fn read_head<R: BufRead, T>(
     reader: &mut R,
-    budget: &mut usize,
-) -> Result<Vec<(String, String)>, ServeError> {
+    parse_start: impl FnOnce(&str) -> Result<T, ServeError>,
+) -> Result<Option<(T, Headers)>, ServeError> {
+    let mut head = reader.by_ref().take(MAX_HEAD_BYTES as u64);
+    let mut next_line = || read_line(&mut head, "header block", MAX_HEAD_BYTES);
+    let Some(start) = next_line()? else {
+        return Ok(None);
+    };
+    let start = parse_start(&start)?;
     let mut headers = Vec::new();
     loop {
-        let line = read_line(reader, budget)?;
+        let line = next_line()?
+            .ok_or_else(|| ServeError::Protocol("connection closed mid-header".to_string()))?;
         if line.is_empty() {
-            return Ok(headers);
+            return Ok(Some((start, headers)));
         }
         let Some((name, value)) = line.split_once(':') else {
             return Err(ServeError::Protocol(format!("malformed header `{line}`")));
@@ -101,14 +143,27 @@ fn read_headers<R: BufRead>(
     }
 }
 
-/// Read a body of `Content-Length` bytes (0 when the header is absent).
-fn read_body<R: BufRead>(
+/// Refuse a start line's protocol unless it is HTTP/1.x.
+fn check_version(version: &str) -> Result<(), ServeError> {
+    if version.starts_with("HTTP/1.") {
+        Ok(())
+    } else {
+        Err(ServeError::Protocol(format!(
+            "unsupported protocol `{version}`"
+        )))
+    }
+}
+
+/// The body reader: read the `Content-Length`-framed body after `headers`,
+/// at most [`MAX_BODY_BYTES`].  `Ok(None)` means the head carries no
+/// `Content-Length`.
+pub(crate) fn read_body<R: Read>(
     reader: &mut R,
     headers: &[(String, String)],
-) -> Result<Vec<u8>, ServeError> {
+) -> Result<Option<Vec<u8>>, ServeError> {
     // Every Content-Length header must agree.  Taking the first (or any
     // single) value of a conflicting set is the classic request-smuggling
-    // shape — two parsers framing the same bytes differently — so a request
+    // shape — two parsers framing the same bytes differently — so a head
     // carrying differing values is refused outright.  RFC 9110 §8.6 allows
     // repeated *identical* values, and those are accepted.
     let mut length = None;
@@ -126,81 +181,54 @@ fn read_body<R: BufRead>(
             }
         }
     }
-    let length = length.unwrap_or(0);
+    let Some(length) = length else {
+        return Ok(None);
+    };
     if length > MAX_BODY_BYTES {
         return Err(ServeError::Protocol(format!(
             "body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte cap"
         )));
     }
-    let mut body = vec![0u8; length];
-    reader.read_exact(&mut body)?;
-    Ok(body)
+    // The claimed length bounds the read, not an allocation up front.
+    let mut body = Vec::new();
+    reader.take(length as u64).read_to_end(&mut body)?;
+    if body.len() < length {
+        return Err(ServeError::Protocol(format!(
+            "body of {length} bytes ended after {}",
+            body.len()
+        )));
+    }
+    Ok(Some(body))
 }
 
 /// Read the next request off a persistent connection.  `Ok(None)` means
 /// the connection is simply done — the peer closed it between requests, or
 /// sent nothing within the socket's read timeout — as opposed to an actual
-/// protocol error mid-request.
+/// protocol error mid-request.  A request without `Content-Length` has an
+/// empty body.
 pub fn read_next_request<R: BufRead>(reader: &mut R) -> Result<Option<Request>, ServeError> {
-    let mut budget = MAX_HEAD_BYTES;
-    let mut start = String::new();
-    match reader.read_line(&mut start) {
-        Ok(0) => return Ok(None), // clean close between requests
-        Ok(n) => {
-            budget = budget.checked_sub(n).ok_or_else(|| {
-                ServeError::Protocol(format!("header block exceeds {MAX_HEAD_BYTES} bytes"))
-            })?;
-        }
-        Err(e)
-            if matches!(
-                e.kind(),
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-            ) =>
-        {
-            return Ok(None); // idle timeout: hang up on a silent peer
-        }
-        Err(e) => return Err(e.into()),
-    }
-    while start.ends_with('\n') || start.ends_with('\r') {
-        start.pop();
-    }
-    parse_request_after_start(reader, &start, budget).map(Some)
-}
-
-/// Read and parse one request (head + body) from a connection, treating a
-/// closed connection as an error (the single-exchange client paths).
-pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Request, ServeError> {
-    read_next_request(reader)?
-        .ok_or_else(|| ServeError::Protocol("connection closed mid-header".to_string()))
-}
-
-/// Parse the remainder of a request whose start line is already in hand.
-fn parse_request_after_start<R: BufRead>(
-    reader: &mut R,
-    start: &str,
-    mut budget: usize,
-) -> Result<Request, ServeError> {
-    let mut parts = start.split_whitespace();
-    let (Some(method), Some(path), Some(version)) = (parts.next(), parts.next(), parts.next())
-    else {
-        return Err(ServeError::Protocol(format!(
-            "malformed request line `{start}`"
-        )));
+    let head = read_head(reader, |start| {
+        let mut parts = start.split_whitespace();
+        let (Some(method), Some(path), Some(version)) = (parts.next(), parts.next(), parts.next())
+        else {
+            return Err(ServeError::Protocol(format!(
+                "malformed request line `{start}`"
+            )));
+        };
+        check_version(version)?;
+        Ok((method.to_string(), path.to_string(), version == "HTTP/1.1"))
+    })?;
+    let Some(((method, path, http11), headers)) = head else {
+        return Ok(None);
     };
-    if !version.starts_with("HTTP/1.") {
-        return Err(ServeError::Protocol(format!(
-            "unsupported protocol `{version}`"
-        )));
-    }
-    let headers = read_headers(reader, &mut budget)?;
-    let body = read_body(reader, &headers)?;
-    Ok(Request {
-        method: method.to_string(),
-        path: path.to_string(),
+    let body = read_body(reader, &headers)?.unwrap_or_default();
+    Ok(Some(Request {
+        method,
+        path,
         headers,
         body,
-        http11: version == "HTTP/1.1",
-    })
+        http11,
+    }))
 }
 
 /// Read and parse a response's status line and header block (the body, if
@@ -208,24 +236,19 @@ fn parse_request_after_start<R: BufRead>(
 pub fn read_response_head<R: BufRead>(
     reader: &mut R,
 ) -> Result<(u16, Vec<(String, String)>), ServeError> {
-    let mut budget = MAX_HEAD_BYTES;
-    let start = read_line(reader, &mut budget)?;
-    let mut parts = start.split_whitespace();
-    let (Some(version), Some(status)) = (parts.next(), parts.next()) else {
-        return Err(ServeError::Protocol(format!(
-            "malformed status line `{start}`"
-        )));
-    };
-    if !version.starts_with("HTTP/1.") {
-        return Err(ServeError::Protocol(format!(
-            "unsupported protocol `{version}`"
-        )));
-    }
-    let status = status
-        .parse::<u16>()
-        .map_err(|_| ServeError::Protocol(format!("unparseable status `{status}`")))?;
-    let headers = read_headers(reader, &mut budget)?;
-    Ok((status, headers))
+    read_head(reader, |start| {
+        let mut parts = start.split_whitespace();
+        let (Some(version), Some(status)) = (parts.next(), parts.next()) else {
+            return Err(ServeError::Protocol(format!(
+                "malformed status line `{start}`"
+            )));
+        };
+        check_version(version)?;
+        status
+            .parse::<u16>()
+            .map_err(|_| ServeError::Protocol(format!("unparseable status `{status}`")))
+    })?
+    .ok_or_else(|| ServeError::Protocol("connection closed mid-header".to_string()))
 }
 
 /// Write one complete request with an optional JSON body.  `keep_alive`
@@ -259,6 +282,10 @@ pub fn write_request<W: Write>(
 /// Write one complete response with a known body.  `keep_alive` must echo
 /// what the server decided for the connection, so the client knows whether
 /// to reuse it.
+///
+/// The response goes out in one write.  A daemon that refuses a request
+/// before reading all of it closes with input unread, which resets the
+/// connection and discards whatever of the reply the socket still queues.
 pub fn write_response<W: Write>(
     writer: &mut W,
     status: u16,
@@ -268,12 +295,13 @@ pub fn write_response<W: Write>(
     keep_alive: bool,
 ) -> Result<(), ServeError> {
     let connection = if keep_alive { "keep-alive" } else { "close" };
-    write!(
-        writer,
+    let mut response = format!(
         "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n",
         body.len()
-    )?;
-    writer.write_all(body)?;
+    )
+    .into_bytes();
+    response.extend_from_slice(body);
+    writer.write_all(&response)?;
     writer.flush()?;
     Ok(())
 }
@@ -294,11 +322,16 @@ mod tests {
     use super::*;
     use std::io::BufReader;
 
+    /// Read the one request `wire` holds.
+    fn parse(wire: &[u8]) -> Result<Request, ServeError> {
+        read_next_request(&mut BufReader::new(wire)).map(|request| request.expect("a request"))
+    }
+
     #[test]
     fn request_round_trips() {
         let mut wire = Vec::new();
         write_request(&mut wire, "POST", "/campaign", br#"{"x":1}"#, false).expect("write");
-        let req = read_request(&mut BufReader::new(wire.as_slice())).expect("parse");
+        let req = parse(&wire).expect("parse");
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/campaign");
         assert_eq!(req.header("content-type"), Some("application/json"));
@@ -311,7 +344,7 @@ mod tests {
     fn bodyless_request_round_trips() {
         let mut wire = Vec::new();
         write_request(&mut wire, "GET", "/healthz", b"", true).expect("write");
-        let req = read_request(&mut BufReader::new(wire.as_slice())).expect("parse");
+        let req = parse(&wire).expect("parse");
         assert_eq!(req.method, "GET");
         assert!(req.body.is_empty());
         assert!(req.keep_alive());
@@ -362,10 +395,10 @@ mod tests {
     #[test]
     fn http10_defaults_to_close() {
         let wire = "GET /healthz HTTP/1.0\r\n\r\n";
-        let req = read_request(&mut BufReader::new(wire.as_bytes())).expect("parse");
+        let req = parse(wire.as_bytes()).expect("parse");
         assert!(!req.keep_alive());
         let wire = "GET /healthz HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n";
-        let req = read_request(&mut BufReader::new(wire.as_bytes())).expect("parse");
+        let req = parse(wire.as_bytes()).expect("parse");
         assert!(req.keep_alive(), "explicit 1.0 keep-alive is honoured");
     }
 
@@ -375,14 +408,14 @@ mod tests {
             "POST /campaign HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
             MAX_BODY_BYTES + 1
         );
-        let err = read_request(&mut BufReader::new(wire.as_bytes())).expect_err("must refuse");
+        let err = parse(wire.as_bytes()).expect_err("must refuse");
         assert!(matches!(err, ServeError::Protocol(_)));
     }
 
     #[test]
     fn conflicting_content_lengths_are_refused() {
         let wire = "POST /campaign HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\n{}x";
-        let err = read_request(&mut BufReader::new(wire.as_bytes())).expect_err("must refuse");
+        let err = parse(wire.as_bytes()).expect_err("must refuse");
         match err {
             ServeError::Protocol(msg) => assert!(msg.contains("conflicting"), "{msg}"),
             other => panic!("expected a protocol error, got {other}"),
@@ -392,14 +425,14 @@ mod tests {
     #[test]
     fn repeated_identical_content_lengths_are_accepted() {
         let wire = "POST /campaign HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\n{}";
-        let req = read_request(&mut BufReader::new(wire.as_bytes())).expect("identical repeats");
+        let req = parse(wire.as_bytes()).expect("identical repeats");
         assert_eq!(req.body, b"{}");
     }
 
     #[test]
     fn malformed_request_lines_are_refused() {
         for wire in ["nonsense\r\n\r\n", "GET /x SPDY/3\r\n\r\n"] {
-            let err = read_request(&mut BufReader::new(wire.as_bytes())).expect_err("must refuse");
+            let err = parse(wire.as_bytes()).expect_err("must refuse");
             assert!(matches!(err, ServeError::Protocol(_)), "{wire}");
         }
     }

@@ -8,10 +8,11 @@
 //! validates it with the engine's typed errors, runs it on the process-wide
 //! worker pool against one shared
 //! [`CellCache`](hc_core::cache::CellCache), streams per-cell progress back
-//! as NDJSON frames, and finishes the stream with the final schema-v3
-//! [`CampaignReport`](hc_core::campaign::CampaignReport) — **byte-identical**
-//! to what the offline `reproduce campaign --json` path emits for the same
-//! spec.
+//! as NDJSON frames, and finishes the stream with the final
+//! [`CampaignReport`](hc_core::campaign::CampaignReport) — schema v2 for a
+//! campaign whose one scenario is the default overlay, v3 for a scenario
+//! sweep, and **byte-identical** to what the offline
+//! `reproduce campaign --json` path emits for the same spec.
 //!
 //! Because every request shares one cache, repeat traffic is O(changed
 //! cells) *across users*, and concurrent requests whose cells hash to the
@@ -30,7 +31,8 @@
 //!
 //! The NDJSON stream grammar, the error envelope and the drain semantics
 //! are specified in `DESIGN.md` ("Campaign service"); [`protocol`] holds
-//! the frame constructors and parsers both sides share.
+//! the frame constructors and parsers both sides share, and [`http`] the
+//! bounded readers both sides read through.
 //!
 //! ## Quick start (in process)
 //!

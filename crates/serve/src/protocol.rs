@@ -28,9 +28,10 @@
 //! {"error":{"kind":"invalid_spec","message":"campaign names no policies"}}
 //! ```
 
-use crate::ServeError;
+use crate::{http, ServeError};
 use hc_core::campaign::CampaignProgress;
 use serde::Value;
+use std::io::{BufRead, Read};
 
 /// `event` value of the stream's opening frame.
 pub const EVENT_ACCEPTED: &str = "accepted";
@@ -107,25 +108,26 @@ pub fn error_envelope(kind: &str, message: &str) -> String {
 /// Parse an error envelope back into its `(kind, message)` pair; malformed
 /// envelopes degrade to an `unknown` kind carrying the raw body.
 pub fn parse_error_envelope(body: &str) -> (String, String) {
-    let fallback = || ("unknown".to_string(), body.trim().to_string());
-    let Ok(value) = serde::json::parse(body.trim()) else {
-        return fallback();
-    };
-    let Some(error) = value.get("error") else {
-        return fallback();
-    };
-    match (
-        error.get("kind").and_then(Value::as_str),
-        error.get("message").and_then(Value::as_str),
-    ) {
+    let value = serde::json::parse(body.trim()).ok();
+    let error = value.as_ref().and_then(|value| value.get("error"));
+    let field = |key: &str| error.and_then(|e| e.get(key)).and_then(Value::as_str);
+    match (field("kind"), field("message")) {
         (Some(kind), Some(message)) => (kind.to_string(), message.to_string()),
-        _ => fallback(),
+        _ => ("unknown".to_string(), body.trim().to_string()),
     }
 }
 
-/// Parse one NDJSON frame line; the `event` discriminator must be present.
-pub fn parse_frame(line: &str) -> Result<Value, ServeError> {
-    let value = serde::json::parse(line.trim_end())
+/// Read and parse the next NDJSON frame of a campaign stream; the `event`
+/// discriminator must be present.  A frame is one line of at most
+/// [`MAX_BODY_BYTES`](http::MAX_BODY_BYTES) bytes: every name a frame echoes
+/// came from a request body of at most that size.
+pub fn parse_frame<R: BufRead>(reader: &mut R) -> Result<Value, ServeError> {
+    let mut frame = reader.by_ref().take(http::MAX_BODY_BYTES as u64);
+    let line =
+        http::read_line(&mut frame, "stream frame", http::MAX_BODY_BYTES)?.ok_or_else(|| {
+            ServeError::Protocol("stream ended before a report or error frame".to_string())
+        })?;
+    let value = serde::json::parse(&line)
         .map_err(|e| ServeError::Protocol(format!("unparseable stream frame: {e}")))?;
     if value.get("event").and_then(Value::as_str).is_none() {
         return Err(ServeError::Protocol(format!(
@@ -171,10 +173,10 @@ mod tests {
         ] {
             assert!(line.ends_with('\n'));
             assert_eq!(line.matches('\n').count(), 1, "one line per frame: {line}");
-            let frame = parse_frame(&line).expect("parses");
+            let frame = parse_frame(&mut line.as_bytes()).expect("parses");
             assert!(!frame_event(&frame).is_empty());
         }
-        let cell = parse_frame(&cell_frame(&progress)).unwrap();
+        let cell = parse_frame(&mut cell_frame(&progress).as_bytes()).unwrap();
         assert_eq!(frame_event(&cell), EVENT_CELL);
         assert_eq!(frame_uint(&cell, "total").unwrap(), 84);
     }
@@ -192,7 +194,7 @@ mod tests {
 
     #[test]
     fn frames_without_events_are_refused() {
-        assert!(parse_frame(r#"{"x": 1}"#).is_err());
-        assert!(parse_frame("garbage").is_err());
+        assert!(parse_frame(&mut &br#"{"x": 1}"#[..]).is_err());
+        assert!(parse_frame(&mut &b"garbage"[..]).is_err());
     }
 }

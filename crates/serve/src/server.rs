@@ -177,8 +177,20 @@ impl Server {
     }
 }
 
-/// Reply with an error envelope; write failures are ignored (the peer is
+/// Reply with a JSON document; write failures are ignored (the peer is
 /// gone — nothing to tell it).
+fn respond(stream: &mut TcpStream, status: u16, reason: &str, body: &str, keep_alive: bool) {
+    let _ = http::write_response(
+        stream,
+        status,
+        reason,
+        "application/json",
+        body.as_bytes(),
+        keep_alive,
+    );
+}
+
+/// Reply with an error envelope.
 fn reject(
     stream: &mut TcpStream,
     status: u16,
@@ -188,14 +200,7 @@ fn reject(
     keep_alive: bool,
 ) {
     let body = protocol::error_envelope(kind, message);
-    let _ = http::write_response(
-        stream,
-        status,
-        reason,
-        "application/json",
-        body.as_bytes(),
-        keep_alive,
-    );
+    respond(stream, status, reason, &body, keep_alive);
 }
 
 /// Serve one connection: a loop of requests for as long as both sides want
@@ -248,25 +253,11 @@ fn handle_connection(stream: TcpStream, state: Arc<ServerState>) {
                         Value::Bool(state.shutdown.load(Ordering::SeqCst)),
                     ),
                 ])) + "\n";
-                let _ = http::write_response(
-                    &mut stream,
-                    200,
-                    "OK",
-                    "application/json",
-                    body.as_bytes(),
-                    keep_alive,
-                );
+                respond(&mut stream, 200, "OK", &body, keep_alive);
             }
             ("GET", "/metrics") => {
                 let body = serde::json::to_string_pretty(&metrics_value(&state)) + "\n";
-                let _ = http::write_response(
-                    &mut stream,
-                    200,
-                    "OK",
-                    "application/json",
-                    body.as_bytes(),
-                    keep_alive,
-                );
+                respond(&mut stream, 200, "OK", &body, keep_alive);
             }
             ("POST", "/shutdown") => {
                 // The drain is about to tear the listener down; this
@@ -275,14 +266,7 @@ fn handle_connection(stream: TcpStream, state: Arc<ServerState>) {
                     "status".to_string(),
                     Value::Str("draining".to_string()),
                 )])) + "\n";
-                let _ = http::write_response(
-                    &mut stream,
-                    200,
-                    "OK",
-                    "application/json",
-                    body.as_bytes(),
-                    false,
-                );
+                respond(&mut stream, 200, "OK", &body, false);
                 state.begin_shutdown();
                 return;
             }

@@ -368,7 +368,9 @@ fn submit_to_fake_peer(claimed: &str, body: &[u8]) -> Result<String, hc_serve::S
     let peer = std::thread::spawn(move || {
         let (stream, _) = listener.accept().expect("accept");
         let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone"));
-        hc_serve::http::read_request(&mut reader).expect("a well-formed request");
+        hc_serve::http::read_next_request(&mut reader)
+            .expect("a well-formed request")
+            .expect("a request");
         let mut stream = stream;
         hc_serve::http::write_stream_head(&mut stream).expect("head");
         stream.write_all(frame.as_bytes()).expect("frame");

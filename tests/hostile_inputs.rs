@@ -17,7 +17,8 @@
 use hc_core::cache::{CacheStats, GcPolicy};
 use hc_core::fanout::{FanoutWorker, MergeCoordinator};
 use hc_core::shard::{ShardPlan, MAX_SHARD_COUNT};
-use hc_trace::{KernelKind, PhaseSchedule, WorkloadCategory};
+use hc_serve::{client, http, protocol, ServeOptions, Server};
+use hc_trace::{KernelKind, PhaseSchedule, TraceFileHeader, WorkloadCategory};
 use helper_cluster::prelude::*;
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -856,4 +857,354 @@ proptest! {
         let outcomes = read_checkpoint("damaged", &files, kind, seed);
         assert_typed_or_faithful(&outcomes, &files[file].0);
     }
+}
+
+/// The complete requests the HTTP sweep damages, as the client writes them:
+/// two plain endpoints and a small campaign.
+fn http_requests() -> Vec<Vec<u8>> {
+    let spec = CampaignBuilder::new("hostile-http")
+        .policy(PolicyKind::Ir)
+        .spec(SpecBenchmark::Gzip)
+        .trace_len(TRACE_LEN)
+        .build()
+        .expect("valid spec")
+        .to_json();
+    [
+        ("GET", "/healthz", ""),
+        ("GET", "/metrics", ""),
+        ("POST", "/campaign", &spec),
+    ]
+    .map(|(method, path, body)| {
+        let mut wire = Vec::new();
+        http::write_request(&mut wire, method, path, body.as_bytes(), false).expect("write");
+        wire
+    })
+    .to_vec()
+}
+
+/// The length of a request's head, blank line included.
+fn head_len(wire: &[u8]) -> usize {
+    wire.windows(4)
+        .position(|w| w == b"\r\n\r\n")
+        .expect("a head")
+        + 4
+}
+
+/// Every damaged request the HTTP sweep sends.
+fn damaged_requests() -> Vec<(String, Vec<u8>)> {
+    let mut cases = Vec::new();
+    for wire in http_requests() {
+        let head = head_len(&wire);
+        let start =
+            String::from_utf8_lossy(&wire[..wire.iter().position(|&b| b == b'\r').unwrap()])
+                .into_owned();
+        for at in 0..head {
+            cases.push((format!("`{start}` cut at byte {at}"), wire[..at].to_vec()));
+            for byte in [0x00, b'\n', 0xFF] {
+                if wire[at] != byte {
+                    let mut damaged = wire.clone();
+                    damaged[at] = byte;
+                    cases.push((format!("`{start}` byte {at} set to {byte:#04x}"), damaged));
+                }
+            }
+        }
+    }
+    let campaign = http_requests().pop().expect("the campaign request");
+    let head = String::from_utf8(campaign[..head_len(&campaign)].to_vec()).expect("ascii head");
+    let body = &campaign[head_len(&campaign)..];
+    let length = format!("Content-Length: {}\r\n", body.len());
+    let with_head = |head: String, body: &[u8]| [head.as_bytes(), body].concat();
+    let lengths = [
+        format!("{length}Content-Length: {}\r\n", body.len() + 1),
+        format!("Content-Length: {}\r\n", http::MAX_BODY_BYTES + 1),
+        "Content-Length: 18446744073709551616\r\n".to_string(),
+        format!("Content-Length: {}\r\n", body.len() + 10),
+        format!("Content-Length: {}\r\n", body.len() - 10),
+    ];
+    for replaced in lengths {
+        cases.push((
+            format!(
+                "campaign with `{}`",
+                replaced.trim_end().replace("\r\n", ", ")
+            ),
+            with_head(head.replace(&length, &replaced), body),
+        ));
+    }
+    let padded = head.replacen(
+        "\r\n",
+        &format!("\r\nX-Pad: {}\r\n", "a".repeat(70 << 10)),
+        1,
+    );
+    cases.push(("a 70 KiB header line".to_string(), with_head(padded, body)));
+    let long_line = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(1 << 20));
+    cases.push(("a 1 MiB request line".to_string(), long_line.into_bytes()));
+    let not_utf8: Vec<u8> = (0..body.len()).map(|i| 0x80 | i as u8).collect();
+    cases.push((
+        "a body that is not UTF-8".to_string(),
+        with_head(head, &not_utf8),
+    ));
+    cases
+}
+
+/// Send `wire` on a fresh connection, close the sending half, and return
+/// everything the daemon answers before it hangs up.  A daemon that neither
+/// answers nor hangs up within half a minute fails the sweep.
+fn send_raw(addr: &str, wire: &[u8], case: &str) -> Vec<u8> {
+    use std::io::{Read, Write};
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    // The daemon may refuse a request and hang up before reading all of it.
+    let _ = stream.write_all(wire);
+    let _ = stream.shutdown(std::net::Shutdown::Write);
+    let mut reply = Vec::new();
+    let mut buf = [0u8; 64 << 10];
+    loop {
+        match stream.read(&mut buf) {
+            Ok(0) => return reply,
+            Ok(n) => reply.extend_from_slice(&buf[..n]),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) =>
+            {
+                panic!("{case}: the daemon neither answered nor hung up")
+            }
+            Err(_) => return reply, // reset: the daemon hung up
+        }
+    }
+}
+
+/// What the daemon's answers to the sweep add up to.
+#[derive(Debug, Default)]
+struct Answers {
+    responses: usize,
+    streams: u64,
+    reports: u64,
+    refused_specs: u64,
+    stream_errors: u64,
+}
+
+impl Answers {
+    /// Check that `reply` is a sequence of well-formed responses with an
+    /// allowed status, and count them.
+    fn tally(&mut self, mut reply: &[u8], case: &str) {
+        while !reply.is_empty() {
+            let (status, headers) =
+                http::read_response_head(&mut reply).unwrap_or_else(|e| panic!("{case}: {e}"));
+            assert!(
+                [200, 400, 404, 405, 503].contains(&status),
+                "{case}: {status}"
+            );
+            self.responses += 1;
+            let header = |name: &str| {
+                headers
+                    .iter()
+                    .find(|(k, _)| k == name)
+                    .map(|(_, v)| v.as_str())
+            };
+            if header("content-type") == Some("application/x-ndjson") {
+                assert_eq!(status, 200, "{case}");
+                self.streams += 1;
+                return self.tally_stream(reply, case);
+            }
+            let length: usize = header("content-length")
+                .and_then(|v| v.parse().ok())
+                .unwrap_or_else(|| panic!("{case}: an unframed {status} response"));
+            assert!(
+                reply.len() >= length,
+                "{case}: a {status} response cut short"
+            );
+            let (body, rest) = reply.split_at(length);
+            let body = std::str::from_utf8(body).expect("a UTF-8 body");
+            if status == 200 {
+                serde::json::parse(body).unwrap_or_else(|e| panic!("{case}: {e}"));
+            } else {
+                let (kind, _) = protocol::parse_error_envelope(body);
+                assert_ne!(kind, "unknown", "{case}: {body}");
+                self.refused_specs += u64::from(kind == "invalid_spec");
+            }
+            reply = rest;
+        }
+    }
+
+    /// Check a campaign stream: frames, then a report of the announced
+    /// length or an error frame, then the end of the connection.
+    fn tally_stream(&mut self, mut reply: &[u8], case: &str) {
+        loop {
+            let frame = protocol::parse_frame(&mut reply).unwrap_or_else(|e| panic!("{case}: {e}"));
+            match protocol::frame_event(&frame) {
+                protocol::EVENT_REPORT => {
+                    let bytes = protocol::frame_uint(&frame, "bytes").expect("a report length");
+                    assert_eq!(
+                        reply.len() as u64,
+                        bytes + 1,
+                        "{case}: report then a newline"
+                    );
+                    self.reports += 1;
+                    return;
+                }
+                protocol::EVENT_ERROR => {
+                    assert!(reply.is_empty(), "{case}: bytes after an error frame");
+                    self.stream_errors += 1;
+                    return;
+                }
+                _ => {}
+            }
+        }
+    }
+}
+
+#[test]
+fn damaged_http_requests_get_an_answer_or_a_close() {
+    let server = Server::bind(ServeOptions {
+        addr: "127.0.0.1:0".to_string(),
+        idle_timeout: Some(Duration::from_secs(2)),
+        ..ServeOptions::default()
+    })
+    .expect("bind");
+    let addr = server.local_addr().to_string();
+    let daemon = std::thread::spawn(move || server.serve());
+
+    let mut answers = Answers::default();
+    let cases = damaged_requests();
+    for (case, wire) in &cases {
+        answers.tally(&send_raw(&addr, wire, case), case);
+    }
+    assert!(answers.responses > cases.len() / 2, "{answers:?}");
+    assert!(
+        answers.reports > 0,
+        "some damage leaves a valid campaign: {answers:?}"
+    );
+
+    let health = client::get(&addr, "/healthz").expect("the daemon still answers");
+    assert!(health.contains("\"ok\""), "{health}");
+    let metrics = serde::json::parse(&client::get(&addr, "/metrics").expect("metrics")).unwrap();
+    let count = |name: &str| match metrics.get("requests").and_then(|r| r.get(name)) {
+        Some(serde::Value::UInt(n)) => *n,
+        other => panic!("{name}: {other:?}"),
+    };
+    assert_eq!(count("campaigns_in_flight"), 0);
+    // Every admitted campaign settled: it completed, or failed mid-stream
+    // and was counted as rejected beside the specs refused before streaming.
+    assert_eq!(count("campaigns_accepted"), answers.streams);
+    assert_eq!(count("campaigns_completed"), answers.reports);
+    assert_eq!(
+        count("campaigns_accepted"),
+        count("campaigns_completed") + count("campaigns_rejected") - answers.refused_specs,
+        "{answers:?}"
+    );
+    client::shutdown(&addr).expect("drain");
+    daemon.join().unwrap().expect("clean exit");
+}
+
+/// A recording of three frames, held in memory with its header.
+fn recording() -> &'static (Vec<u8>, TraceFileHeader) {
+    static RECORDING: OnceLock<(Vec<u8>, TraceFileHeader)> = OnceLock::new();
+    RECORDING.get_or_init(|| {
+        let dir = scratch_dir("recording");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("gzip.uoptrace");
+        let trace = SpecBenchmark::Gzip.trace(2 * hc_trace::format::FRAME_UOPS + 300);
+        let header = hc_trace::write_trace(&path, &trace).expect("record");
+        let bytes = std::fs::read(&path).expect("read back");
+        let _ = std::fs::remove_dir_all(&dir);
+        (bytes, header)
+    })
+}
+
+/// The byte offsets at which the recording's frames start, and its end.
+fn frame_boundaries(bytes: &[u8], header: &TraceFileHeader) -> Vec<usize> {
+    let mut at = header.frames_offset as usize;
+    let mut boundaries = vec![at];
+    while at < bytes.len() {
+        let payload = u32::from_le_bytes(bytes[at + 8..at + 12].try_into().unwrap()) as usize;
+        at += 12 + payload + 8;
+        boundaries.push(at);
+    }
+    boundaries
+}
+
+/// Every reader of a recording, over the file at `path`: each must return a
+/// typed error or success, and a successful drain yields exactly the µops
+/// its header records.
+fn read_recording(path: &Path, spec: &CampaignSpec, case: &str) -> bool {
+    let survives = |what: &str, read: &dyn Fn() -> bool| {
+        catch_unwind(AssertUnwindSafe(read)).unwrap_or_else(|_| panic!("{what} panicked on {case}"))
+    };
+    survives("read_header", &|| hc_trace::read_header(path).is_ok());
+    let drained = survives("FileSource::open and drain", &|| {
+        let Ok(mut source) = hc_trace::FileSource::open(path) else {
+            return false;
+        };
+        let expected = source.file_header().uop_count;
+        match hc_trace::source::drain_source(&mut source) {
+            Ok(uops) => {
+                assert_eq!(uops.len() as u64, expected, "{case}: drained µops");
+                true
+            }
+            Err(_) => false,
+        }
+    });
+    survives("recover", &|| hc_trace::recover(path).is_ok());
+    survives("load_trace", &|| match hc_trace::load_trace(path) {
+        Ok(trace) => {
+            let header = hc_trace::read_header(path).expect("a loaded file's header");
+            assert_eq!(
+                trace.uops.len() as u64,
+                header.uop_count,
+                "{case}: loaded µops"
+            );
+            true
+        }
+        Err(_) => false,
+    });
+    survives("CampaignRunner::run", &|| {
+        CampaignRunner::new().run(spec).is_ok()
+    });
+    drained
+}
+
+#[test]
+fn damaged_recordings_fail_typed_or_drain_whole() {
+    let (bytes, header) = recording();
+    let boundaries = frame_boundaries(bytes, header);
+    assert_eq!(boundaries.len(), 4, "three frames: {boundaries:?}");
+    let dir = scratch_dir("damaged_recordings");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("damaged.uoptrace");
+    std::fs::write(&path, bytes).unwrap();
+    let spec = CampaignBuilder::new("hostile-recording")
+        .policy(PolicyKind::Ir)
+        .trace_file(path.to_str().expect("utf-8 path"))
+        .trace_len(TRACE_LEN)
+        .build()
+        .expect("the pristine recording is a valid row");
+    assert!(read_recording(&path, &spec, "the pristine recording"));
+
+    let mut cases = Vec::new();
+    // Every header byte and every byte of the first frame's header.
+    for at in 0..header.frames_offset as usize + 12 {
+        for byte in [0x00, 0xFF, bytes[at].wrapping_add(1)] {
+            if bytes[at] != byte {
+                let mut damaged = bytes.clone();
+                damaged[at] = byte;
+                cases.push((format!("byte {at} set to {byte:#04x}"), damaged));
+            }
+        }
+    }
+    for &boundary in &boundaries {
+        for cut in [boundary - 1, boundary, boundary + 1] {
+            if cut < bytes.len() {
+                cases.push((format!("cut at byte {cut}"), bytes[..cut].to_vec()));
+            }
+        }
+    }
+    for (case, damaged) in &cases {
+        std::fs::write(&path, damaged).unwrap();
+        read_recording(&path, &spec, case);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
