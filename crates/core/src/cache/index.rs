@@ -28,7 +28,7 @@
 //! The snapshot is written on [`CellCache`](super::CellCache) drop and after
 //! `gc()`; a SIGKILL between snapshots costs only a delta scan.
 
-use super::{now_millis, publish, CACHE_LAYOUT_VERSION, CACHE_SCHEMA_VERSION};
+use super::{now_millis, replace, CACHE_LAYOUT_VERSION, CACHE_SCHEMA_VERSION};
 use crate::campaign::CampaignError;
 use std::collections::HashMap;
 use std::path::Path;
@@ -225,7 +225,7 @@ impl CacheIndex {
     /// Persist the snapshot next to the segments (tmp + rename).
     pub(super) fn persist(&self, root: &Path) -> Result<(), CampaignError> {
         let path = root.join(super::INDEX_FILE);
-        publish(&path, &self.encode(), false, CampaignError::Cache).map(drop)
+        replace(&path, &self.encode(), CampaignError::Cache)
     }
 }
 

@@ -185,45 +185,60 @@ pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Process-wide sequence for names no two threads of a process may share:
-/// [`publish`]'s temporary files and default fan-out worker ids.
-pub(crate) static PROCESS_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// Publish `contents` at `path` so that a reader sees a whole file or none:
-/// write a temporary sibling, then rename it over `path` or, when
-/// `exclusive`, `hard_link` it into place.  The sibling is named from the
-/// pid and a process-wide counter, so writers racing for one path — threads
-/// or processes — never write into each other's temporary file.  Link
-/// creation fails if `path` exists, so however many exclusive publishers
-/// race, **exactly one wins** (`Ok(true)`); the others get `Ok(false)`.
-/// `error` types a failure ([`CampaignError::Cache`] or
-/// [`CampaignError::Checkpoint`]).
-pub(crate) fn publish(
+/// Write `contents` to a temporary sibling of `path` and return the
+/// sibling's path.  It is named from the pid and a process-wide counter, so
+/// writers racing for one path — threads or processes — never write into
+/// each other's temporary file.  `error` types a failure
+/// ([`CampaignError::Cache`] or [`CampaignError::Checkpoint`]).
+fn write_sibling(
     path: &Path,
     contents: &str,
-    exclusive: bool,
     error: fn(String) -> CampaignError,
-) -> Result<bool, CampaignError> {
+) -> Result<PathBuf, CampaignError> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(format!(
         ".tmp.{}.{}",
         std::process::id(),
-        PROCESS_SEQ.fetch_add(1, Ordering::Relaxed)
+        SEQ.fetch_add(1, Ordering::Relaxed)
     ));
     let tmp = PathBuf::from(tmp);
     std::fs::write(&tmp, contents).map_err(|e| error(format!("write {}: {e}", tmp.display())))?;
-    let installed = if exclusive {
-        std::fs::hard_link(&tmp, path)
-    } else {
-        std::fs::rename(&tmp, path)
-    };
-    if exclusive || installed.is_err() {
+    Ok(tmp)
+}
+
+/// Replace `path` with a file holding `contents`: write a temporary sibling
+/// and rename it over `path`, so a reader finds the old file or the new one,
+/// never a part of either.
+pub(crate) fn replace(
+    path: &Path,
+    contents: &str,
+    error: fn(String) -> CampaignError,
+) -> Result<(), CampaignError> {
+    let tmp = write_sibling(path, contents, error)?;
+    std::fs::rename(&tmp, path).map_err(|e| {
         let _ = std::fs::remove_file(&tmp);
-    }
-    match installed {
+        error(format!("rename to {}: {e}", path.display()))
+    })
+}
+
+/// Create `path` holding `contents` unless it already exists: write a
+/// temporary sibling and `hard_link` it into place.  Link creation fails if
+/// `path` exists, so however many creators race, **exactly one wins**
+/// (`Ok(true)`); the others get `Ok(false)`.  The files created this way
+/// are a checkpoint's manifest and leases, so a failure is a
+/// [`CampaignError::Checkpoint`].
+pub(crate) fn create_exclusive(path: &Path, contents: &str) -> Result<bool, CampaignError> {
+    let tmp = write_sibling(path, contents, CampaignError::Checkpoint)?;
+    let linked = std::fs::hard_link(&tmp, path);
+    let _ = std::fs::remove_file(&tmp);
+    match linked {
         Ok(()) => Ok(true),
-        Err(e) if exclusive && e.kind() == std::io::ErrorKind::AlreadyExists => Ok(false),
-        Err(e) => Err(error(format!("publish {}: {e}", path.display()))),
+        Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => Ok(false),
+        Err(e) => Err(CampaignError::Checkpoint(format!(
+            "create {}: {e}",
+            path.display()
+        ))),
     }
 }
 

@@ -3,7 +3,7 @@
 
 use super::index::{CacheIndex, IndexEntry};
 use super::{
-    lock, now_millis, publish, segment, CacheStats, CachedCell, CellKey, CACHE_LAYOUT_VERSION,
+    lock, now_millis, replace, segment, CacheStats, CachedCell, CellKey, CACHE_LAYOUT_VERSION,
     CACHE_SCHEMA_VERSION, INDEX_FILE, MANIFEST_FILE, SEGMENTS_DIR,
 };
 use crate::campaign::CampaignError;
@@ -313,10 +313,9 @@ impl CellCache {
         std::fs::create_dir_all(root.join(SEGMENTS_DIR))
             .map_err(|e| CampaignError::Cache(format!("create {}: {e}", root.display())))?;
         if initialise {
-            publish(
+            replace(
                 &manifest_path,
                 &serde::json::to_string_pretty(&CacheManifest::current()),
-                false,
                 CampaignError::Cache,
             )?;
         }

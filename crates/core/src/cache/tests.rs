@@ -74,9 +74,7 @@ fn two_writers_of_one_shard_file_never_publish_a_part() {
                 scope.spawn(|| {
                     start.wait();
                     let failed = (0..50)
-                        .filter(|_| {
-                            publish(&path, &contents, false, CampaignError::Checkpoint).is_err()
-                        })
+                        .filter(|_| replace(&path, &contents, CampaignError::Checkpoint).is_err())
                         .count();
                     writing.fetch_sub(1, Ordering::SeqCst);
                     failed

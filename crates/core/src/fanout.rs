@@ -45,12 +45,12 @@
 //! one, and in the worst interleaving two workers briefly simulate the same
 //! shard.  That is deliberate.  A shard report is a **pure function of
 //! (spec, plan, shard index)**: both workers produce byte-identical JSON,
-//! both publish it through `cache::publish`, each from a temporary file of
+//! both publish it through `cache::replace`, each from a temporary file of
 //! its own, and whichever rename lands last installs the same bytes.
 //! Correctness never depends on mutual exclusion — the leases exist only to
 //! avoid wasting simulation time.
 
-use crate::cache::{publish, CellCache, CostModel, PROCESS_SEQ};
+use crate::cache::{create_exclusive, replace, CellCache, CostModel};
 use crate::campaign::{
     deliver_progress, CampaignError, CampaignProgress, CampaignReport, CampaignSpec, ProgressHook,
 };
@@ -59,7 +59,7 @@ use crate::shard::{
     CheckpointManifest, ShardPlan, ShardReport, MANIFEST_FILE,
 };
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant, SystemTime};
 
@@ -67,6 +67,10 @@ use std::time::{Duration, Instant, SystemTime};
 pub fn lease_file_name(index: usize) -> String {
     format!("shard_{index:04}.lease")
 }
+
+/// Process-wide sequence that makes default worker ids unique among the
+/// workers of one process.
+static WORKER_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// An exclusive, heartbeat-renewed claim on one shard of a checkpoint
 /// directory.
@@ -126,7 +130,7 @@ impl ShardLease {
             ),
         ]));
         for attempt in 0..2 {
-            if publish(&path, &doc, true, CampaignError::Checkpoint)? {
+            if create_exclusive(&path, &doc)? {
                 return Ok(Some(ShardLease::won(path, timeout)));
             }
             // Occupied.  Dead holder?  The mtime is the heartbeat clock:
@@ -264,7 +268,7 @@ impl FanoutWorker {
             worker_id: format!(
                 "pid{}-{}",
                 std::process::id(),
-                PROCESS_SEQ.fetch_add(1, Ordering::Relaxed)
+                WORKER_SEQ.fetch_add(1, Ordering::Relaxed)
             ),
             lease_timeout: Duration::from_secs(30),
             poll_interval: Duration::from_millis(200),
@@ -426,10 +430,9 @@ impl FanoutWorker {
                     skip_cells(k);
                 } else {
                     let report = shards[k].run_with(hook.as_ref(), self.cache.as_deref())?;
-                    publish(
+                    replace(
                         &self.checkpoint.join(shard_file_name(k)),
                         &report.to_json(),
-                        false,
                         CampaignError::Checkpoint,
                     )?;
                     outcome.executed_shards.push(k);
@@ -483,8 +486,7 @@ impl FanoutWorker {
                 spec: spec.clone(),
                 plan,
             };
-            let doc = serde::json::to_string_pretty(&manifest);
-            if publish(&path, &doc, true, CampaignError::Checkpoint)? {
+            if create_exclusive(&path, &serde::json::to_string_pretty(&manifest))? {
                 return Ok(manifest.plan);
             }
             // Lost the publish race; adopt the winner's manifest on the

@@ -13,7 +13,7 @@
 use crate::http;
 use crate::{protocol, ServeError};
 use serde::Value;
-use std::io::{BufReader, Read};
+use std::io::BufReader;
 use std::net::TcpStream;
 
 /// One connection to the daemon.
@@ -107,7 +107,10 @@ pub fn submit(
         let frame = protocol::parse_frame(&mut conn.reader)?;
         match protocol::frame_event(&frame) {
             protocol::EVENT_REPORT => {
-                return read_report(&mut conn.reader, protocol::frame_uint(&frame, "bytes")?);
+                let bytes = protocol::frame_uint(&frame, "bytes")?;
+                let report = http::read_claimed(&mut conn.reader, bytes, "report")?;
+                return String::from_utf8(report)
+                    .map_err(|e| ServeError::Protocol(format!("report is not UTF-8: {e}")));
             }
             protocol::EVENT_ERROR => {
                 let field = |key: &str| {
@@ -125,25 +128,6 @@ pub fn submit(
             _ => on_frame(&frame),
         }
     }
-}
-
-/// Bytes reserved for a report before any arrive.  A `report` frame's
-/// `bytes` count comes from the peer, so it bounds how much is read, never
-/// how much is allocated up front.
-const REPORT_RESERVE: usize = 1 << 20;
-
-/// Read the `bytes`-byte report that follows a `report` frame.
-fn read_report(reader: &mut impl Read, bytes: u64) -> Result<String, ServeError> {
-    let reserve = usize::try_from(bytes).map_or(REPORT_RESERVE, |n| n.min(REPORT_RESERVE));
-    let mut report = Vec::with_capacity(reserve);
-    reader.take(bytes).read_to_end(&mut report)?;
-    if report.len() as u64 != bytes {
-        return Err(ServeError::Protocol(format!(
-            "the report frame announced {bytes} bytes, but the stream ended after {}",
-            report.len()
-        )));
-    }
-    String::from_utf8(report).map_err(|e| ServeError::Protocol(format!("report is not UTF-8: {e}")))
 }
 
 /// Fetch a plain JSON endpoint (`/healthz`, `/metrics`) over a one-shot

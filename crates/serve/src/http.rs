@@ -19,8 +19,9 @@
 //!
 //! A campaign stream's frame is one line read by the line reader under a
 //! budget of [`MAX_BODY_BYTES`]
-//! ([`protocol::parse_frame`](crate::protocol::parse_frame)), and its report
-//! is read up to the length its `report` frame announces.
+//! ([`protocol::parse_frame`](crate::protocol::parse_frame)).  A body and
+//! the stream's report (of the length its `report` frame announces) are read
+//! by one reader, which allocates at most 1 MiB before their bytes arrive.
 
 use crate::ServeError;
 use std::io::{BufRead, ErrorKind, Read, Take, Write};
@@ -70,7 +71,11 @@ impl Request {
                 .split(',')
                 .any(|t| t.trim().eq_ignore_ascii_case(token))
         };
-        !has("close") && (self.http11 || has("keep-alive"))
+        if has("close") {
+            false
+        } else {
+            self.http11 || has("keep-alive")
+        }
     }
 }
 
@@ -189,16 +194,27 @@ pub(crate) fn read_body<R: Read>(
             "body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte cap"
         )));
     }
-    // The claimed length bounds the read, not an allocation up front.
-    let mut body = Vec::new();
-    reader.take(length as u64).read_to_end(&mut body)?;
-    if body.len() < length {
+    read_claimed(reader, length as u64, "body").map(Some)
+}
+
+/// Read exactly the `length` bytes the peer claimed its `what` (a body, a
+/// report) holds; a stream that ends first is a protocol error.  The claim
+/// bounds how much is read, never how much is allocated up front: at most
+/// 1 MiB is reserved before the bytes arrive.
+pub(crate) fn read_claimed<R: Read>(
+    reader: &mut R,
+    length: u64,
+    what: &str,
+) -> Result<Vec<u8>, ServeError> {
+    let mut bytes = Vec::with_capacity(length.min(1 << 20) as usize);
+    reader.take(length).read_to_end(&mut bytes)?;
+    if (bytes.len() as u64) < length {
         return Err(ServeError::Protocol(format!(
-            "body of {length} bytes ended after {}",
-            body.len()
+            "{what} of {length} bytes ended after {}",
+            bytes.len()
         )));
     }
-    Ok(Some(body))
+    Ok(bytes)
 }
 
 /// Read the next request off a persistent connection.  `Ok(None)` means

@@ -108,12 +108,19 @@ pub fn error_envelope(kind: &str, message: &str) -> String {
 /// Parse an error envelope back into its `(kind, message)` pair; malformed
 /// envelopes degrade to an `unknown` kind carrying the raw body.
 pub fn parse_error_envelope(body: &str) -> (String, String) {
-    let value = serde::json::parse(body.trim()).ok();
-    let error = value.as_ref().and_then(|value| value.get("error"));
-    let field = |key: &str| error.and_then(|e| e.get(key)).and_then(Value::as_str);
-    match (field("kind"), field("message")) {
+    let fallback = || ("unknown".to_string(), body.trim().to_string());
+    let Ok(value) = serde::json::parse(body.trim()) else {
+        return fallback();
+    };
+    let Some(error) = value.get("error") else {
+        return fallback();
+    };
+    match (
+        error.get("kind").and_then(Value::as_str),
+        error.get("message").and_then(Value::as_str),
+    ) {
         (Some(kind), Some(message)) => (kind.to_string(), message.to_string()),
-        _ => ("unknown".to_string(), body.trim().to_string()),
+        _ => fallback(),
     }
 }
 
@@ -194,7 +201,23 @@ mod tests {
 
     #[test]
     fn frames_without_events_are_refused() {
-        assert!(parse_frame(&mut &br#"{"x": 1}"#[..]).is_err());
-        assert!(parse_frame(&mut &b"garbage"[..]).is_err());
+        for (wire, refusal) in [
+            (
+                &b"{\"x\": 1}\n"[..],
+                "stream frame without an event discriminator",
+            ),
+            (b"garbage\n", "unparseable stream frame"),
+            // Cut off before its newline, a frame is truncated, not parsed.
+            (
+                b"{\"event\":\"cell\"}",
+                "connection closed inside a stream frame",
+            ),
+        ] {
+            let message = match parse_frame(&mut &wire[..]) {
+                Err(ServeError::Protocol(message)) => message,
+                other => panic!("{wire:?}: {other:?}"),
+            };
+            assert!(message.starts_with(refusal), "{message}");
+        }
     }
 }
