@@ -15,37 +15,39 @@
 //! With no arguments every figure is reproduced.  Figure names: `table1`,
 //! `table2`, `fig1`, `fig5`, `fig6`, `fig7`, `fig8`, `fig9`, `fig11`, `fig12`,
 //! `fig13`, `fig14`, `headline`, `ed2`, `summary`.  The figures that simulate
-//! project two campaigns, each run at most once per invocation: the paper
+//! project two studies, each run at most once per invocation: the paper
 //! grid (7 policies × 12 SPEC traces) feeds `fig5`–`fig9`, `fig12`,
 //! `headline`, `ed2` and `summary`'s SPEC-Int number, and the Table 2 suite
 //! (`--apps-per-category N` applications per category, or all 409 with
-//! `--full-suite`) feeds `fig14` and `summary`'s wide-suite number.
+//! `--full-suite`) feeds `fig14` and `summary`'s wide-suite number.  One
+//! runner runs every campaign of an invocation: it opens the cell cache
+//! once and prints one `[k/N] policy × trace × scenario` line to stderr
+//! per finished cell.
 //!
-//! `campaign` is opt-in (it duplicates the headline grid's work): it runs
-//! the full 7-policy × 12-trace grid through
-//! [`hc_core::campaign`] — every trace's monolithic baseline is simulated
-//! exactly once — and prints a Markdown summary, the versioned JSON report
-//! (`--json`) or the stable CSV cells (`--csv`).
+//! `campaign` is opt-in: it prints the paper grid the figures read —
+//! every trace's monolithic baseline is simulated exactly once — as a
+//! Markdown summary, the versioned JSON report (`--json`) or the stable CSV
+//! cells (`--csv`).  With `--trace FILE` or `--bench BENCH` it runs its own
+//! grid over those rows instead.
 //!
-//! `suite` is opt-in too: the §3.8 Table 2 suite (IR policy,
-//! `--apps-per-category N` applications per category, or all 409 with
-//! `--full-suite`) as one streaming campaign.  With `--checkpoint DIR` the
-//! suite is split into `--shards N` deterministic shards, each completed
-//! shard is written to disk by the same worker and merge code as
-//! `suite --of N` and `merge` run, and `--resume` skips shards already on
-//! disk.  Without `--checkpoint`, `--shards N` only names the partition:
-//! the suite runs as one grid, whose bytes every partition merges to.
-//! Traces are synthesized per worker, so even the full suite holds
-//! O(threads) traces in memory.
+//! `suite` is opt-in too: it prints the Table 2 suite that `fig14` and
+//! `summary` read (IR policy, one streaming campaign).  With
+//! `--checkpoint DIR` the suite is split into `--shards N` deterministic
+//! shards, each completed shard is written to disk by the same worker and
+//! merge code as `suite --of N` and `merge` run, and `--resume` skips
+//! shards already on disk.  Without `--checkpoint`, `--shards N` only names
+//! the partition: the suite runs as one grid, whose bytes every partition
+//! merges to.  Traces are synthesized per worker, so even the full suite
+//! holds O(threads) traces in memory.
 //!
 //! `--cache DIR` opens (or initialises) a content-addressed cell cache for
-//! the campaign modes (`campaign`, `suite`, `sensitivity`): every simulated
-//! cell and baseline is memoized on disk, a repeated invocation replays
-//! cached cells instead of re-simulating them, and the emitted JSON/CSV is
-//! byte-identical either way.  Cache hit/miss counters go to stderr.  The
-//! `REPRODUCE_CACHE` environment variable supplies a default directory;
-//! `--no-cache` disables caching even when it is set.  With a warm cache,
-//! a checkpointed `--shards N` run partitions by *observed per-row cost*
+//! every campaign the invocation runs: every simulated cell and baseline is
+//! memoized on disk, a repeated invocation replays cached cells instead of
+//! re-simulating them, and the emitted JSON/CSV is byte-identical either
+//! way.  Cache hit/miss counters go to stderr.  The `REPRODUCE_CACHE`
+//! environment variable supplies a default directory; `--no-cache`
+//! disables caching even when it is set.  With a warm cache, a
+//! checkpointed `--shards N` run partitions by *observed per-row cost*
 //! (LPT bin packing) instead of round-robin, so one slow trace cannot
 //! straggle a shard set.
 //!
@@ -107,7 +109,7 @@
 
 use hc_core::cache::{CellCache, GcPolicy};
 use hc_core::campaign::{
-    CampaignBuilder, CampaignError, CampaignReport, CampaignRunner, CampaignSpec,
+    CampaignBuilder, CampaignError, CampaignProgress, CampaignReport, CampaignRunner, CampaignSpec,
 };
 use hc_core::fanout::{FanoutWorker, MergeCoordinator, MergeWait};
 use hc_core::figures;
@@ -322,15 +324,6 @@ fn or_die<T>(mode: &str, result: Result<T, CampaignError>) -> T {
     }
 }
 
-/// Open the cell cache named by `--cache` / `REPRODUCE_CACHE`, if any.
-fn open_cache(opts: &Options, mode: &str) -> Option<Arc<CellCache>> {
-    if opts.no_cache {
-        return None;
-    }
-    let dir = opts.cache.as_deref()?;
-    Some(Arc::new(or_die(mode, CellCache::open(dir))))
-}
-
 /// Report a cache's counters to stderr (never stdout: the JSON/CSV payloads
 /// must stay byte-identical between cold and warm runs).
 fn report_cache_activity(mode: &str, cache: &CellCache) {
@@ -348,19 +341,112 @@ fn report_cache_activity(mode: &str, cache: &CellCache) {
     );
 }
 
-/// Run a study's campaign the first time a figure asks for it; every later
-/// figure of the invocation projects the same report.
-fn run_once<'a>(
-    cell: &'a OnceCell<CampaignReport>,
-    mode: &str,
-    spec: impl FnOnce() -> Result<CampaignSpec, CampaignError>,
-) -> &'a CampaignReport {
-    cell.get_or_init(|| {
-        or_die(
-            mode,
-            spec().and_then(|spec| CampaignRunner::new().run(&spec)),
-        )
-    })
+/// The one progress printer: a line per finished cell, on stderr.
+fn print_progress(p: &CampaignProgress) {
+    eprintln!(
+        "[{}/{}] {} × {} × {}",
+        p.completed_cells, p.total_cells, p.policy, p.trace, p.scenario
+    );
+}
+
+/// Runs every campaign of one invocation.  The cell cache is opened once,
+/// by the first campaign, and every campaign reports through
+/// [`print_progress`].  The paper grid and the Table 2 suite each run at
+/// most once, when the first mode or figure that reads them asks (its name
+/// prefixes any error); every later reader projects the same report.
+struct Studies<'a> {
+    opts: &'a Options,
+    cache: OnceCell<Option<Arc<CellCache>>>,
+    grid: OnceCell<CampaignReport>,
+    suite: OnceCell<CampaignReport>,
+}
+
+impl<'a> Studies<'a> {
+    fn new(opts: &'a Options) -> Studies<'a> {
+        Studies {
+            opts,
+            cache: OnceCell::new(),
+            grid: OnceCell::new(),
+            suite: OnceCell::new(),
+        }
+    }
+
+    /// The cell cache named by `--cache` / `REPRODUCE_CACHE`, if any.
+    fn cache(&self, mode: &str) -> Option<&Arc<CellCache>> {
+        let opts = self.opts;
+        self.cache
+            .get_or_init(|| {
+                let dir = opts.cache.as_deref().filter(|_| !opts.no_cache)?;
+                Some(Arc::new(or_die(mode, CellCache::open(dir))))
+            })
+            .as_ref()
+    }
+
+    /// Run `spec` as one grid.
+    fn run(&self, mode: &str, spec: &CampaignSpec) -> CampaignReport {
+        let mut runner = CampaignRunner::new().with_progress(print_progress);
+        if let Some(cache) = self.cache(mode) {
+            runner = runner.with_cache(Arc::clone(cache));
+        }
+        or_die(mode, runner.run(spec))
+    }
+
+    /// Run `spec` through the sharded engine under `--shards`,
+    /// `--checkpoint` and `--resume`.
+    fn run_sharded(&self, mode: &str, spec: &CampaignSpec) -> CampaignReport {
+        let opts = self.opts;
+        eprintln!(
+            "{mode}: {} traces × {} policies × {} scenario(s) over {} shard(s){}",
+            spec.traces.len(),
+            spec.policies.len(),
+            spec.scenarios.len(),
+            opts.shards,
+            opts.checkpoint
+                .as_deref()
+                .map(|d| format!(", checkpointing to {d}"))
+                .unwrap_or_default()
+        );
+        let mut runner = ShardedCampaignRunner::new(opts.shards)
+            .resume(opts.resume)
+            .with_progress(print_progress);
+        if let Some(dir) = &opts.checkpoint {
+            runner = runner.with_checkpoint(dir);
+        }
+        if let Some(cache) = self.cache(mode) {
+            runner = runner.with_cache(Arc::clone(cache));
+        }
+        let outcome = or_die(mode, runner.run(spec));
+        eprintln!(
+            "{mode}: executed shards {:?}, resumed shards {:?}",
+            outcome.executed_shards, outcome.resumed_shards
+        );
+        outcome.report
+    }
+
+    /// The paper grid: 7 policies × 12 SPEC traces.
+    fn grid(&self, mode: &str) -> &CampaignReport {
+        self.grid.get_or_init(|| {
+            let spec = or_die(mode, figures::paper_grid_spec(self.opts.trace_len));
+            self.run(mode, &spec)
+        })
+    }
+
+    /// The Table 2 suite (IR), through the sharded engine: with
+    /// `--checkpoint` it runs as a fleet of one.
+    fn suite(&self, mode: &str) -> &CampaignReport {
+        self.suite.get_or_init(|| {
+            let apps = self.opts.apps_per_category;
+            let spec = or_die(mode, figures::suite_spec(apps, self.opts.trace_len));
+            self.run_sharded(mode, &spec)
+        })
+    }
+
+    /// Report the cache's counters to stderr, if a campaign opened it.
+    fn report_cache(&self) {
+        if let Some(Some(cache)) = self.cache.get() {
+            report_cache_activity("reproduce", cache);
+        }
+    }
 }
 
 /// Print a campaign mode's report: the versioned JSON (`--json`), the
@@ -658,10 +744,11 @@ fn run_trace_info_mode(opts: &Options) {
     }
 }
 
-/// The `campaign` mode's spec under the trace flags: recordings replace the
-/// grid's trace rows (`--trace FILE`, repeatable), or the grid restricts to
-/// one benchmark (`--bench`); otherwise the full 7×12 grid runs as before.
-fn campaign_spec(opts: &Options, len: usize) -> Result<CampaignSpec, CampaignError> {
+/// The `campaign` mode's own spec under the trace flags: recordings replace
+/// the grid's trace rows (`--trace FILE`, repeatable), or the grid
+/// restricts to one benchmark (`--bench`).  `None` without either flag:
+/// the mode then prints the paper grid.
+fn custom_campaign_spec(opts: &Options, len: usize) -> Option<Result<CampaignSpec, CampaignError>> {
     if !opts.trace_files.is_empty() {
         let mut builder = CampaignBuilder::new("spec-grid")
             .paper_policies()
@@ -669,16 +756,16 @@ fn campaign_spec(opts: &Options, len: usize) -> Result<CampaignSpec, CampaignErr
         for path in &opts.trace_files {
             builder = builder.trace_file(path);
         }
-        return builder.build();
+        return Some(builder.build());
     }
-    if let Some(name) = &opts.bench {
-        return CampaignBuilder::new("spec-grid")
+    let name = opts.bench.as_ref()?;
+    Some(
+        CampaignBuilder::new("spec-grid")
             .paper_policies()
             .spec(parse_bench("campaign", name))
             .trace_len(len)
-            .build();
-    }
-    figures::paper_grid_spec(len)
+            .build(),
+    )
 }
 
 /// Render only a report's `baselines` and `cells` arrays — the parts that
@@ -699,51 +786,12 @@ fn results_only_json(report: &CampaignReport) -> String {
     serde::json::to_string_pretty(&value)
 }
 
-/// Drive one campaign through the sharded streaming engine with the CLI's
-/// `--shards/--checkpoint/--resume` plumbing and return the merged report.
-fn run_sharded_campaign(mode: &str, opts: &Options, spec: &CampaignSpec) -> CampaignReport {
-    eprintln!(
-        "{mode}: {} traces × {} policies × {} scenario(s) over {} shard(s){}",
-        spec.traces.len(),
-        spec.policies.len(),
-        spec.scenarios.len(),
-        opts.shards,
-        opts.checkpoint
-            .as_deref()
-            .map(|d| format!(", checkpointing to {d}"))
-            .unwrap_or_default()
-    );
-    let mut runner = ShardedCampaignRunner::new(opts.shards)
-        .resume(opts.resume)
-        .with_progress(|p| {
-            eprintln!(
-                "[{}/{}] {} × {} × {}",
-                p.completed_cells, p.total_cells, p.policy, p.trace, p.scenario
-            );
-        });
-    if let Some(dir) = &opts.checkpoint {
-        runner = runner.with_checkpoint(dir);
-    }
-    let cache = open_cache(opts, mode);
-    if let Some(cache) = &cache {
-        runner = runner.with_cache(Arc::clone(cache));
-    }
-    let outcome = or_die(mode, runner.run(spec));
-    eprintln!(
-        "{mode}: executed shards {:?}, resumed shards {:?}",
-        outcome.executed_shards, outcome.resumed_shards
-    );
-    if let Some(cache) = &cache {
-        report_cache_activity(mode, cache);
-    }
-    outcome.report
-}
-
 /// The `suite --shard-index/--of` worker mode: one process of a fan-out
 /// fleet over a shared checkpoint directory.  The worker claims shards
 /// through lease files, executes them, writes each `shard_NNNN.json` and
 /// exits; `reproduce merge` assembles the report.
-fn run_suite_worker_mode(opts: &Options, spec: &CampaignSpec) {
+fn run_suite_worker_mode(studies: &Studies, spec: &CampaignSpec) {
+    let opts = studies.opts;
     let Some(of) = opts.of else {
         eprintln!("suite: --shard-index requires --of N (the fleet's shard count)");
         std::process::exit(2);
@@ -757,20 +805,14 @@ fn run_suite_worker_mode(opts: &Options, spec: &CampaignSpec) {
         .lease_timeout(std::time::Duration::from_secs(
             opts.lease_timeout_secs.max(1),
         ))
-        .with_progress(|p| {
-            eprintln!(
-                "[{}/{}] {} × {} × {}",
-                p.completed_cells, p.total_cells, p.policy, p.trace, p.scenario
-            );
-        });
+        .with_progress(print_progress);
     if let Some(home) = opts.shard_index {
         worker = worker.home_shard(home);
     }
     if let Some(id) = &opts.worker_id {
         worker = worker.worker_id(id.clone());
     }
-    let cache = open_cache(opts, "suite");
-    if let Some(cache) = &cache {
+    if let Some(cache) = studies.cache("suite") {
         worker = worker.with_cache(Arc::clone(cache));
     }
     eprintln!(
@@ -786,9 +828,6 @@ fn run_suite_worker_mode(opts: &Options, spec: &CampaignSpec) {
         "suite: worker executed shards {:?} (stolen: {:?})",
         outcome.executed_shards, outcome.stolen_shards
     );
-    if let Some(cache) = &cache {
-        report_cache_activity("suite", cache);
-    }
 }
 
 /// The `merge` mode: watch a fan-out checkpoint directory, validate the
@@ -810,31 +849,30 @@ fn run_merge_mode(opts: &Options) {
 }
 
 /// The `suite` mode: the Table 2 suite (IR policy) as one sharded,
-/// streaming, checkpointable campaign.  Its spec is shared by the
-/// in-process sharded run, the fan-out worker mode and (via the checkpoint
-/// manifest) `merge`, so every path over the same flags simulates the
-/// identical campaign.
-fn run_suite_mode(opts: &Options, trace_len: usize) {
-    // User input (`--apps-per-category 0`, …) can make the campaign
-    // invalid; report the typed error as a usage error, don't panic.
-    let spec = or_die(
-        "suite",
-        figures::suite_spec(opts.apps_per_category, trace_len),
-    );
+/// streaming, checkpointable campaign — the study `fig14` and `summary`
+/// read.  Its spec is shared by the in-process sharded run, the fan-out
+/// worker mode and (via the checkpoint manifest) `merge`, so every path
+/// over the same flags simulates the identical campaign.  User input
+/// (`--apps-per-category 0`, …) can make the campaign invalid; the typed
+/// error is a usage error, not a panic.
+fn run_suite_mode(studies: &Studies) {
+    let opts = studies.opts;
     if opts.shard_index.is_some() || opts.of.is_some() {
-        run_suite_worker_mode(opts, &spec);
+        let apps = opts.apps_per_category;
+        let spec = or_die("suite", figures::suite_spec(apps, opts.trace_len));
+        run_suite_worker_mode(studies, &spec);
         return;
     }
-    let report = run_sharded_campaign("suite", opts, &spec);
-    print_report(opts, &report, print_suite_markdown);
+    print_report(opts, studies.suite("suite"), print_suite_markdown);
 }
 
 /// The `sensitivity` mode: the 3×3 helper width × clock ratio scenario
 /// campaign (IR over the SPEC suite) through the sharded streaming engine;
 /// Markdown output adds the width-predictor table-size sweep.
-fn run_sensitivity_mode(opts: &Options, trace_len: usize) {
+fn run_sensitivity_mode(studies: &Studies) {
+    let (opts, trace_len) = (studies.opts, studies.opts.trace_len);
     let spec = or_die("sensitivity", figures::sensitivity_geometry_spec(trace_len));
-    let report = run_sharded_campaign("sensitivity", opts, &spec);
+    let report = studies.run_sharded("sensitivity", &spec);
     print_report(opts, &report, |report| {
         println!("{}", campaign_to_markdown(report));
         println!(
@@ -856,15 +894,7 @@ fn run_sensitivity_mode(opts: &Options, trace_len: usize) {
             "sensitivity",
             figures::sensitivity_width_predictor_spec(trace_len),
         );
-        let mut runner = CampaignRunner::new();
-        let cache = open_cache(opts, "sensitivity");
-        if let Some(cache) = &cache {
-            runner = runner.with_cache(Arc::clone(cache));
-        }
-        let wp_report = or_die("sensitivity", runner.run(&wp_spec));
-        if let Some(cache) = &cache {
-            report_cache_activity("sensitivity", cache);
-        }
+        let wp_report = studies.run("sensitivity", &wp_spec);
         println!(
             "{}",
             figure_to_markdown(&figures::sensitivity_width_predictor_from(&wp_report))
@@ -927,14 +957,9 @@ fn main() {
         }
         println!();
     }
-    // The paper grid and the Table 2 suite each run at most once, when the
-    // first figure that reads them asks (its name prefixes any error).
-    let (grid_report, suite_report) = (OnceCell::new(), OnceCell::new());
-    let grid = |mode: &str| run_once(&grid_report, mode, || figures::paper_grid_spec(len));
-    let suite = |mode: &str| {
-        let apps = opts.apps_per_category;
-        (apps > 0).then(|| run_once(&suite_report, mode, || figures::suite_spec(apps, len)))
-    };
+    let studies = Studies::new(&opts);
+    // The figures read an empty suite when `--apps-per-category` is 0.
+    let suite = |mode: &str| (opts.apps_per_category > 0).then(|| studies.suite(mode));
     if wanted(&opts, "fig1") {
         println!("{}", figure_to_markdown(&figures::fig1(len)));
     }
@@ -946,14 +971,17 @@ fn main() {
         ("fig9", figures::fig9),
     ] {
         if wanted(&opts, name) {
-            println!("{}", figure_to_markdown(&or_die(name, figure(grid(name)))));
+            println!(
+                "{}",
+                figure_to_markdown(&or_die(name, figure(studies.grid(name))))
+            );
         }
     }
     if wanted(&opts, "fig11") {
         println!("{}", figure_to_markdown(&figures::fig11(len)));
     }
     if wanted(&opts, "fig12") {
-        let figure = or_die("fig12", figures::fig12(grid("fig12")));
+        let figure = or_die("fig12", figures::fig12(studies.grid("fig12")));
         println!("{}", figure_to_markdown(&figure));
     }
     if wanted(&opts, "fig13") {
@@ -962,7 +990,7 @@ fn main() {
     if wanted(&opts, "headline") {
         println!(
             "{}",
-            figure_to_markdown(&figures::headline(grid("headline")))
+            figure_to_markdown(&figures::headline(studies.grid("headline")))
         );
     }
     if wanted(&opts, "fig14") {
@@ -970,36 +998,24 @@ fn main() {
     }
     // Opt-in: the §3.8 Table 2 suite as one sharded, streaming campaign.
     if opts.figures.iter().any(|f| f == "suite") {
-        run_suite_mode(&opts, len);
+        run_suite_mode(&studies);
     }
     // Opt-in: the helper-geometry sensitivity study as one N-D scenario
     // campaign through the sharded engine.
     if opts.figures.iter().any(|f| f == "sensitivity") {
-        run_sensitivity_mode(&opts, len);
+        run_sensitivity_mode(&studies);
     }
-    // Opt-in: the full 7-policy × 12-trace campaign grid (the `headline`
-    // figure's data, exposed through the declarative Campaign API with its
-    // versioned JSON / stable CSV schema).
+    // Opt-in: the paper grid the figures read, through the declarative
+    // Campaign API with its versioned JSON / stable CSV schema, or a grid
+    // over the `--trace` / `--bench` rows.
     if opts.figures.iter().any(|f| f == "campaign") {
-        let spec = or_die("campaign", campaign_spec(&opts, len));
-        let mut runner = CampaignRunner::new().with_progress(|p| {
-            eprintln!(
-                "[{}/{}] {} × {}",
-                p.completed_cells, p.total_cells, p.policy, p.trace
-            );
-        });
-        let cache = open_cache(&opts, "campaign");
-        if let Some(cache) = &cache {
-            runner = runner.with_cache(Arc::clone(cache));
-        }
-        let report = or_die("campaign", runner.run(&spec));
-        if let Some(cache) = &cache {
-            report_cache_activity("campaign", cache);
-        }
+        let custom = custom_campaign_spec(&opts, len)
+            .map(|spec| studies.run("campaign", &or_die("campaign", spec)));
+        let report = custom.as_ref().unwrap_or_else(|| studies.grid("campaign"));
         if opts.results_only {
-            println!("{}", results_only_json(&report));
+            println!("{}", results_only_json(report));
         } else {
-            print_report(&opts, &report, |report| {
+            print_report(&opts, report, |report| {
                 println!("{}", campaign_to_markdown(report))
             });
         }
@@ -1008,7 +1024,8 @@ fn main() {
         // §3.7: energy-delay² of the most aggressive configuration (IR) vs
         // the baseline, over the paper grid's IR cells.
         let model = PowerModel::default();
-        let improvements: Vec<f64> = grid("ed2")
+        let improvements: Vec<f64> = studies
+            .grid("ed2")
             .results_for_policy(PolicyKind::Ir.name())
             .iter()
             .map(|r| Ed2Comparison::compare(&model, &r.baseline, &r.stats).improvement)
@@ -1028,7 +1045,7 @@ fn main() {
         println!("### Summary (abstract numbers)\n");
         println!(
             "SPEC Int average speedup (IR): {:.1}% (paper: 22%)",
-            increase_pct(grid("summary").mean_speedup(ir))
+            increase_pct(studies.grid("summary").mean_speedup(ir))
         );
         let wide = suite("summary");
         println!(
@@ -1037,4 +1054,5 @@ fn main() {
             increase_pct(wide.and_then(|report| report.mean_speedup(ir)))
         );
     }
+    studies.report_cache();
 }

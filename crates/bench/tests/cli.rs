@@ -1,6 +1,6 @@
 //! The `reproduce` binary refuses a value flag whose value is missing or
 //! does not parse, and a `REPRODUCE_THREADS` that does not parse, before
-//! it runs anything.
+//! it runs anything; and it runs each study once per invocation.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -71,4 +71,25 @@ fn an_unparsable_thread_count_in_the_environment_is_refused() {
     }
     let output = reproduce_with(&["table1"], &[("REPRODUCE_THREADS", "1")]);
     assert_eq!(output.status.code(), Some(0), "a valid count still runs");
+}
+
+#[test]
+fn each_study_runs_once_per_invocation() {
+    // The paper grid is 84 cells: one `[k/84]` progress line each, however
+    // many modes and figures read it.
+    for study in [&["headline"][..], &["campaign", "headline"]] {
+        let mut args = study.to_vec();
+        args.extend(["--trace-len", "300", "--no-cache"]);
+        let output = reproduce(&args);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(0), "stderr: {stderr}");
+        let cells = stderr
+            .lines()
+            .filter(|line| {
+                line.split_once(']')
+                    .is_some_and(|(k, _)| k.ends_with("/84"))
+            })
+            .count();
+        assert_eq!(cells, 84, "{args:?} stderr: {stderr}");
+    }
 }

@@ -1,8 +1,8 @@
 //! Offline stand-in for `rayon`.
 //!
 //! Implements the small slice of the rayon API this workspace uses —
-//! `par_iter()` / `into_par_iter()` followed by `.map(...).collect()`, plus
-//! `map_init` for per-worker scratch state — with real data parallelism over
+//! `par_iter()` followed by `.map(...).collect()`, plus `map_init` for
+//! per-worker scratch state — with real data parallelism over
 //! `std::thread::scope`.  Items are split into one contiguous chunk per
 //! available core; chunk results are concatenated in order, so collected
 //! output is identical to the sequential equivalent.
@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The rayon-style prelude: import the parallel-iterator extension traits.
 pub mod prelude {
-    pub use crate::{IntoParallelIterator, IntoParallelRefIterator};
+    pub use crate::IntoParallelRefIterator;
 }
 
 /// Process-wide worker cap; 0 = no cap set.
@@ -113,41 +113,6 @@ where
     })
 }
 
-/// Order-preserving parallel map over owned items.
-pub fn par_map_vec<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let n = items.len();
-    let threads = current_num_threads().min(n);
-    if threads <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let chunk_len = n.div_ceil(threads);
-    let mut chunks: Vec<Vec<T>> = Vec::with_capacity(threads);
-    let mut items = items.into_iter();
-    loop {
-        let chunk: Vec<T> = items.by_ref().take(chunk_len).collect();
-        if chunk.is_empty() {
-            break;
-        }
-        chunks.push(chunk);
-    }
-    std::thread::scope(|s| {
-        let f = &f;
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|c| s.spawn(move || c.into_iter().map(f).collect::<Vec<R>>()))
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("parallel worker panicked"))
-            .collect()
-    })
-}
-
 /// `par_iter()` on borrowed collections.
 pub trait IntoParallelRefIterator<'a> {
     /// Borrowed item type.
@@ -174,21 +139,6 @@ impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
     type Item = T;
     fn par_iter(&'a self) -> ParSliceIter<'a, T> {
         ParSliceIter { items: self }
-    }
-}
-
-/// `into_par_iter()` on owned collections.
-pub trait IntoParallelIterator {
-    /// Owned item type.
-    type Item: Send;
-    /// Create a parallel iterator over owned items.
-    fn into_par_iter(self) -> ParVecIter<Self::Item>;
-}
-
-impl<T: Send> IntoParallelIterator for Vec<T> {
-    type Item = T;
-    fn into_par_iter(self) -> ParVecIter<T> {
-        ParVecIter { items: self }
     }
 }
 
@@ -267,43 +217,6 @@ impl<'a, T: Sync, I, F> ParSliceMapInit<'a, T, I, F> {
     }
 }
 
-/// Parallel iterator over owned items.
-pub struct ParVecIter<T> {
-    items: Vec<T>,
-}
-
-impl<T: Send> ParVecIter<T> {
-    /// Map each item through `f` in parallel.
-    pub fn map<R, F>(self, f: F) -> ParVecMap<T, F>
-    where
-        R: Send,
-        F: Fn(T) -> R + Sync,
-    {
-        ParVecMap {
-            items: self.items,
-            f,
-        }
-    }
-}
-
-/// Pending parallel map over owned items.
-pub struct ParVecMap<T, F> {
-    items: Vec<T>,
-    f: F,
-}
-
-impl<T: Send, F> ParVecMap<T, F> {
-    /// Execute the map and collect the results in input order.
-    pub fn collect<C, R>(self) -> C
-    where
-        R: Send,
-        F: Fn(T) -> R + Sync,
-        C: FromIterator<R>,
-    {
-        par_map_vec(self.items, self.f).into_iter().collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
@@ -313,15 +226,6 @@ mod tests {
         let v: Vec<u32> = (0..1000).collect();
         let doubled: Vec<u32> = v.par_iter().map(|x| x * 2).collect();
         assert_eq!(doubled, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn into_par_iter_preserves_order() {
-        let v: Vec<String> = (0..257).map(|i| i.to_string()).collect();
-        let out: Vec<usize> = v.into_par_iter().map(|s| s.len()).collect();
-        assert_eq!(out.len(), 257);
-        assert_eq!(out[0], 1);
-        assert_eq!(out[256], 3);
     }
 
     #[test]

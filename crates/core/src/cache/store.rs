@@ -381,7 +381,7 @@ impl CellCache {
     /// at open — cut torn tails off segments that have been quiet past the
     /// reclaim grace.  Cost is one `read_dir` plus one `stat` per segment
     /// when nothing changed, never per-entry work.
-    pub(super) fn sync_index(&self, truncate_stale_tails: bool) {
+    pub(crate) fn sync_index(&self, truncate_stale_tails: bool) {
         let segments_dir = self.segments_dir();
         let mut on_disk: Vec<(u64, u64, SystemTime)> = Vec::new();
         if let Ok(dir) = std::fs::read_dir(&segments_dir) {

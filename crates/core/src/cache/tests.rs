@@ -1182,6 +1182,49 @@ fn forgotten_and_deleted_segments_release_their_descriptors() {
 }
 
 #[test]
+fn a_run_sees_the_cache_directory_as_it_is_when_it_starts() {
+    // Handle A hits through segment 0, then handle B compacts that segment
+    // away.  A's next run must let go of the deleted file, so its disk
+    // space is reclaimed, and still hit the cell.
+    let dir = tmp_dir("run_refresh");
+    let spec = CampaignBuilder::new("refresh")
+        .policy(crate::policy::PolicyKind::P888)
+        .spec(SpecBenchmark::Gzip)
+        .without_baseline()
+        .trace_len(600)
+        .build()
+        .unwrap();
+    let run = |cache: &Arc<CellCache>| {
+        crate::campaign::CampaignRunner::new()
+            .with_cache(Arc::clone(cache))
+            .run(&spec)
+            .expect("run")
+            .to_json()
+    };
+    let cold = run(&Arc::new(CellCache::open(&dir).expect("open")));
+    let a = Arc::new(CellCache::open(&dir).expect("open A"));
+    assert_eq!(run(&a), cold);
+    assert_eq!(a.open_segment_ids(), vec![0], "A hit through segment 0");
+    let b = CellCache::open(&dir).expect("open B");
+    let segment = b.segment_files().pop().expect("one segment");
+    age_file(&segment, Duration::from_secs(30));
+    let compact = GcPolicy {
+        compact: true,
+        ..GcPolicy::default()
+    };
+    b.gc(&compact).expect("gc");
+    assert!(!segment.exists(), "B compacted segment 0 away");
+    assert_eq!(run(&a), cold);
+    assert!(
+        !a.open_segment_ids().contains(&0),
+        "A still holds the compacted segment open"
+    );
+    let stats = a.stats();
+    assert_eq!((stats.hits, stats.misses), (2, 0));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn only_unconfirmed_horizons_are_rescanned_from_the_header() {
     let dir = tmp_dir("confirmed");
     let (k1, k2) = (sample_key(81), sample_key(82));

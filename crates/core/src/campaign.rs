@@ -1314,8 +1314,8 @@ impl CampaignReport {
 /// Executes [`CampaignSpec`]s.
 #[derive(Clone, Default)]
 pub struct CampaignRunner {
-    progress: Option<ProgressHook>,
-    cache: Option<Arc<CellCache>>,
+    pub(crate) progress: Option<ProgressHook>,
+    pub(crate) cache: Option<Arc<CellCache>>,
 }
 
 impl fmt::Debug for CampaignRunner {
@@ -1550,8 +1550,12 @@ pub(crate) fn deliver_progress(
 
 /// The grid engine: run `rows` — indices into a validated spec's trace
 /// list — and return their baselines and cells.  [`CampaignRunner`] and
-/// every [`crate::shard::CampaignShard`] go through here, so shard cache
-/// keys are whole-campaign keys.
+/// every shard run ([`crate::shard::ShardReport::run`]) go through here, so
+/// shard cache keys are whole-campaign keys.
+///
+/// A bound cache re-reads its directory once, before the rows fan out, so
+/// a run sees the cells other processes appended and lets go of segments
+/// they compacted away (one `read_dir` plus one `stat` per segment).
 ///
 /// Rows fan out in parallel; each worker opens *one row's trace source at a
 /// time*, runs every scenario × policy column against it, then drops it.
@@ -1594,6 +1598,9 @@ pub(crate) fn run_spec_rows(
     // Row cache identities (content-addressed for `File` rows) resolve
     // once, up front and fallibly, instead of per cell inside the grid.
     let row_docs = resolve_row_docs(&spec.traces)?;
+    if let Some(cache) = cache {
+        cache.sync_index(false);
+    }
     let grid_cache = cache.map(|cache| GridCache::new(cache, spec, &row_docs));
     let grid_cache = grid_cache.as_ref();
     let total_cells = rows.len() * spec.policies.len() * scenarios.len();

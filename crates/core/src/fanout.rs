@@ -10,11 +10,11 @@
 //!
 //! * [`FanoutWorker`] is one worker of the fleet.  It reconciles (or, first
 //!   arrival, publishes) the manifest, claims shards through **lease files**
-//!   and executes each claimed shard through the ordinary streaming grid
-//!   engine, publishing the shard report through a rename.  With stealing
-//!   enabled a fast worker picks up a straggler's or crashed peer's
-//!   unfinished shards, steered by the recorded per-row costs of the
-//!   [`CostModel`].
+//!   and runs each claimed shard, an index into the manifest's
+//!   [`ShardPlan`], as [`ShardReport::run`] does, publishing the shard
+//!   report through a rename.  With stealing enabled a fast worker picks
+//!   up a straggler's or crashed peer's unfinished shards, steered by the
+//!   recorded per-row costs of the [`CostModel`].
 //! * [`ShardLease`] is the claim primitive: an exclusively-created
 //!   `shard_NNNN.lease` file whose mtime is renewed by a heartbeat thread
 //!   while the holder simulates.  A lease whose mtime has not moved for the
@@ -52,11 +52,12 @@
 
 use crate::cache::{create_exclusive, replace, CellCache, CostModel};
 use crate::campaign::{
-    deliver_progress, CampaignError, CampaignProgress, CampaignReport, CampaignSpec, ProgressHook,
+    deliver_progress, CampaignError, CampaignProgress, CampaignReport, CampaignRunner,
+    CampaignSpec, ProgressHook,
 };
 use crate::shard::{
-    check_shard_count, load_shard_checkpoint, shard_file_name, shard_wire_version, CampaignShard,
-    CheckpointManifest, ShardPlan, ShardReport, MANIFEST_FILE,
+    check_shard_count, check_shard_index, load_shard_checkpoint, shard_file_name,
+    shard_wire_version, CheckpointManifest, ShardPlan, ShardReport, MANIFEST_FILE,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -231,6 +232,7 @@ pub struct WorkerOutcome {
 /// (rescanning on the backoff described in the [module docs](self)),
 /// reclaims it if the lease goes stale, and returns once the shard's report
 /// is on disk, whoever wrote it.
+#[derive(Debug)]
 pub struct FanoutWorker {
     shard_count: usize,
     home_shard: Option<usize>,
@@ -239,21 +241,8 @@ pub struct FanoutWorker {
     lease_timeout: Duration,
     poll_interval: Duration,
     steal: bool,
-    cache: Option<Arc<CellCache>>,
-    progress: Option<ProgressHook>,
-}
-
-impl std::fmt::Debug for FanoutWorker {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FanoutWorker")
-            .field("shard_count", &self.shard_count)
-            .field("home_shard", &self.home_shard)
-            .field("checkpoint", &self.checkpoint)
-            .field("worker_id", &self.worker_id)
-            .field("lease_timeout", &self.lease_timeout)
-            .field("steal", &self.steal)
-            .finish()
-    }
+    /// The progress hook and cell cache every claimed shard runs with.
+    pub(crate) runner: CampaignRunner,
 }
 
 impl FanoutWorker {
@@ -273,8 +262,7 @@ impl FanoutWorker {
             lease_timeout: Duration::from_secs(30),
             poll_interval: Duration::from_millis(200),
             steal: true,
-            cache: None,
-            progress: None,
+            runner: CampaignRunner::new(),
         }
     }
 
@@ -318,7 +306,7 @@ impl FanoutWorker {
     /// timings also steer the partition plan (first arrival only) and the
     /// steal order.
     pub fn with_cache(mut self, cache: Arc<CellCache>) -> FanoutWorker {
-        self.cache = Some(cache);
+        self.runner = self.runner.with_cache(cache);
         self
     }
 
@@ -330,7 +318,7 @@ impl FanoutWorker {
         mut self,
         hook: impl Fn(&CampaignProgress) + Send + Sync + 'static,
     ) -> FanoutWorker {
-        self.progress = Some(Arc::new(hook));
+        self.runner = self.runner.with_progress(hook);
         self
     }
 
@@ -340,28 +328,23 @@ impl FanoutWorker {
     pub fn run(&self, spec: &CampaignSpec) -> Result<WorkerOutcome, CampaignError> {
         check_shard_count(self.shard_count)?;
         if let Some(home) = self.home_shard {
-            if home >= self.shard_count {
-                return Err(CampaignError::ShardIndexOutOfRange {
-                    index: home,
-                    count: self.shard_count,
-                });
-            }
+            check_shard_index(home, self.shard_count)?;
         }
         spec.validate()?;
         std::fs::create_dir_all(&self.checkpoint).map_err(|e| {
             CampaignError::Checkpoint(format!("create {}: {e}", self.checkpoint.display()))
         })?;
-        let model = match self.cache.as_deref() {
+        let cache = self.runner.cache.as_deref();
+        let model = match cache {
             Some(cache) => CostModel::observed(cache),
             None => CostModel::uniform(),
         };
         let plan = self.reconcile_manifest(spec, &model)?;
-        let shards = CampaignShard::from_plan(spec, plan);
 
         // Steal order: home shard first, then the remaining shards by
         // descending estimated load (break the biggest straggler first),
         // ties by index.
-        let loads = shards[0].shard_plan().shard_loads(&model.row_costs(spec));
+        let loads = plan.shard_loads(&model.row_costs(spec));
         let mut order: Vec<usize> = (0..self.shard_count).collect();
         order.sort_by_key(|&k| (Some(k) != self.home_shard, std::cmp::Reverse(loads[k]), k));
 
@@ -373,7 +356,7 @@ impl FanoutWorker {
         // count and the disable flag for a panicking hook live out here.
         let total_cells = spec.cell_count();
         let completed = Arc::new(AtomicUsize::new(0));
-        let hook: Option<ProgressHook> = self.progress.clone().map(|user| {
+        let hook: Option<ProgressHook> = self.runner.progress.clone().map(|user| {
             let completed = Arc::clone(&completed);
             let disabled = Mutex::new(false);
             Arc::new(move |p: &CampaignProgress| {
@@ -385,12 +368,14 @@ impl FanoutWorker {
                 deliver_progress(&user, &disabled, &global);
             }) as ProgressHook
         });
-        let skip_cells = |k: usize| completed.fetch_add(shards[k].cell_count(), Ordering::Relaxed);
+        let row_cells = spec.policies.len() * spec.scenarios.len();
+        let skip_cells =
+            |k: usize| completed.fetch_add(plan.rows(k).len() * row_cells, Ordering::Relaxed);
         // A shard file cut along another plan counts as absent: running the
         // shard overwrites it.
         let landed = |k: usize| {
             matches!(
-                load_shard_checkpoint(&self.checkpoint, &shards[k]),
+                load_shard_checkpoint(&self.checkpoint, spec, &plan, k),
                 Ok(Some(_))
             )
         };
@@ -429,7 +414,8 @@ impl FanoutWorker {
                 if landed(k) {
                     skip_cells(k);
                 } else {
-                    let report = shards[k].run_with(hook.as_ref(), self.cache.as_deref())?;
+                    // The spec was validated above, the plan by `reconcile_manifest`.
+                    let report = ShardReport::run_validated(spec, &plan, k, hook.as_ref(), cache)?;
                     replace(
                         &self.checkpoint.join(shard_file_name(k)),
                         &report.to_json(),
@@ -597,13 +583,13 @@ impl MergeCoordinator {
         };
         backoff.reset();
         // Shards accepted so far; an accepted shard is not read again.
-        let shards = CampaignShard::from_plan(&manifest.spec, manifest.plan);
         let mut loaded: Vec<Option<ShardReport>> = vec![None; manifest.shard_count];
+        let (dir, spec, plan) = (&self.checkpoint, &manifest.spec, &manifest.plan);
         loop {
             let mut landed = false;
-            for (shard, slot) in shards.iter().zip(&mut loaded) {
+            for (index, slot) in loaded.iter_mut().enumerate() {
                 if slot.is_none() {
-                    *slot = load_shard_checkpoint(&self.checkpoint, shard)?;
+                    *slot = load_shard_checkpoint(dir, spec, plan, index)?;
                     landed |= slot.is_some();
                 }
             }

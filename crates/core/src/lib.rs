@@ -76,6 +76,6 @@ pub use figures::{Figure, FigureRow};
 pub use policy::{PolicyKind, SteeringFeatures, SteeringStack};
 pub use scenario::{ScenarioError, ScenarioSpec, DEFAULT_SCENARIO_NAME};
 pub use shard::{
-    CampaignShard, ShardPlan, ShardReport, ShardStrategy, ShardedCampaignRunner, ShardedRunOutcome,
+    ShardPlan, ShardReport, ShardStrategy, ShardedCampaignRunner, ShardedRunOutcome,
     LEGACY_SHARD_SCHEMA_VERSION, SCENARIO_SHARD_SCHEMA_VERSION, SHARD_SCHEMA_VERSION,
 };

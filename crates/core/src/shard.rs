@@ -1,17 +1,18 @@
 //! Sharded, resumable execution of large campaigns.
 //!
-//! A [`CampaignShard`] is a **deterministic partition** of a
-//! [`CampaignSpec`]'s trace rows: shard `k` of `N` owns every row `i` with
-//! `i % N == k` (round-robin, so the Table 2 categories spread evenly over
-//! shards instead of one shard getting all of `mm`).  Policies are *not*
-//! partitioned — a shard runs every policy column over its rows, which keeps
-//! the per-trace baseline memoization intact: sharding never re-simulates a
-//! baseline.
+//! A shard is a [`ShardPlan`] and an index into it.  The plan is a
+//! **deterministic partition** of a [`CampaignSpec`]'s trace rows: under the
+//! round-robin plan shard `k` of `N` owns every row `i` with `i % N == k`
+//! (so the Table 2 categories spread evenly over shards instead of one
+//! shard getting all of `mm`), and a cost-balanced plan packs rows by their
+//! recorded simulation times.  Policies are *not* partitioned — a shard
+//! runs every policy column over its rows, which keeps the per-trace
+//! baseline memoization intact: sharding never re-simulates a baseline.
 //!
-//! Each shard runs through the same streaming grid engine as
-//! [`CampaignRunner`]: workers synthesize one trace at a time from its
-//! selector and drop it after the row's cells finish, so even the full
-//! 409-trace suite peaks at O(worker threads) traces in memory.
+//! [`ShardReport::run`] runs one shard through the same streaming grid
+//! engine as [`CampaignRunner`]: workers synthesize one trace at a time
+//! from its selector and drop it after the row's cells finish, so even the
+//! full 409-trace suite peaks at O(worker threads) traces in memory.
 //!
 //! The output of a shard is a serializable [`ShardReport`];
 //! [`CampaignReport::merge`] reassembles any complete set of shards —
@@ -130,6 +131,13 @@ pub(crate) fn check_shard_count(count: usize) -> Result<(), CampaignError> {
     }
 }
 
+/// Refuse an index outside a partition of `count` shards with a typed error.
+pub(crate) fn check_shard_index(index: usize, count: usize) -> Result<(), CampaignError> {
+    (index < count)
+        .then_some(())
+        .ok_or(CampaignError::ShardIndexOutOfRange { index, count })
+}
+
 /// How a [`ShardPlan`] assigned rows to shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardStrategy {
@@ -154,10 +162,11 @@ impl ShardStrategy {
 
 /// A complete, validated assignment of a campaign's trace rows to shards.
 ///
-/// Plans are value objects shared by every [`CampaignShard`] of a partition
-/// (and embedded in v3 [`ShardReport`]s and checkpoint manifests, so a
-/// resumed run re-executes **the same partition** even if cost observations
-/// have changed since the plan was made).
+/// A plan and a shard index name one shard; [`ShardReport::run`] runs it.
+/// Plans are value objects shared by every shard of a partition (and
+/// embedded in v3 [`ShardReport`]s and checkpoint manifests, so a resumed
+/// run re-executes **the same partition** even if cost observations have
+/// changed since the plan was made).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardPlan {
     strategy: ShardStrategy,
@@ -340,136 +349,6 @@ fn decode_plan(
         .map_err(|e| serde::Error::custom(e.to_string()))
 }
 
-/// One deterministic slice of a campaign's trace rows, per its partition's
-/// [`ShardPlan`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct CampaignShard {
-    spec: CampaignSpec,
-    plan: Arc<ShardPlan>,
-    shard_index: usize,
-}
-
-impl CampaignShard {
-    /// Shard `shard_index` of a round-robin `shard_count`-way partition of
-    /// `spec`.
-    pub fn new(
-        spec: CampaignSpec,
-        shard_count: usize,
-        shard_index: usize,
-    ) -> Result<CampaignShard, CampaignError> {
-        check_shard_count(shard_count)?;
-        if shard_index >= shard_count {
-            return Err(CampaignError::ShardIndexOutOfRange {
-                index: shard_index,
-                count: shard_count,
-            });
-        }
-        spec.validate()?;
-        let plan = Arc::new(ShardPlan::round_robin(spec.traces.len(), shard_count)?);
-        Ok(CampaignShard {
-            spec,
-            plan,
-            shard_index,
-        })
-    }
-
-    /// The full round-robin `shard_count`-way partition of `spec`, in shard
-    /// order.  Shards beyond the trace count are valid but own no rows.
-    pub fn plan(
-        spec: &CampaignSpec,
-        shard_count: usize,
-    ) -> Result<Vec<CampaignShard>, CampaignError> {
-        spec.validate()?;
-        let plan = ShardPlan::round_robin(spec.traces.len(), shard_count)?;
-        Ok(CampaignShard::from_plan(spec, plan))
-    }
-
-    /// The full cost-balanced partition of `spec` under `model`, in shard
-    /// order (see [`ShardPlan::cost_balanced`]).
-    pub fn plan_balanced(
-        spec: &CampaignSpec,
-        shard_count: usize,
-        model: &CostModel<'_>,
-    ) -> Result<Vec<CampaignShard>, CampaignError> {
-        let plan = ShardPlan::for_spec(spec, shard_count, model)?;
-        Ok(CampaignShard::from_plan(spec, plan))
-    }
-
-    /// Materialize every shard of an already-validated plan.
-    pub(crate) fn from_plan(spec: &CampaignSpec, plan: ShardPlan) -> Vec<CampaignShard> {
-        let plan = Arc::new(plan);
-        (0..plan.shard_count())
-            .map(|shard_index| CampaignShard {
-                spec: spec.clone(),
-                plan: Arc::clone(&plan),
-                shard_index,
-            })
-            .collect()
-    }
-
-    /// The campaign spec this shard slices.
-    pub fn spec(&self) -> &CampaignSpec {
-        &self.spec
-    }
-
-    /// The partition plan this shard belongs to.
-    pub fn shard_plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
-    /// Total shards in the partition.
-    pub fn shard_count(&self) -> usize {
-        self.plan.shard_count()
-    }
-
-    /// This shard's index within the partition.
-    pub fn shard_index(&self) -> usize {
-        self.shard_index
-    }
-
-    /// The spec trace rows this shard owns, ascending: `i % N == k` under a
-    /// round-robin plan, the LPT assignment under a cost-balanced one.
-    pub fn trace_indices(&self) -> Vec<usize> {
-        self.plan.rows(self.shard_index).to_vec()
-    }
-
-    /// Number of policy × trace × scenario cells this shard will simulate.
-    pub fn cell_count(&self) -> usize {
-        self.plan.rows(self.shard_index).len()
-            * self.spec.policies.len()
-            * self.spec.scenarios.len()
-    }
-
-    /// Execute this shard through the streaming grid engine.
-    pub fn run(&self) -> Result<ShardReport, CampaignError> {
-        self.run_with(None, None)
-    }
-
-    /// [`CampaignShard::run`] with an optional progress hook and an
-    /// optional [`CellCache`] memoizing every simulated cell.  Shard reports
-    /// stay byte-identical with or without the cache.
-    pub fn run_with(
-        &self,
-        progress: Option<&ProgressHook>,
-        cache: Option<&CellCache>,
-    ) -> Result<ShardReport, CampaignError> {
-        let indices = self.trace_indices();
-        let grid = run_spec_rows(&self.spec, &indices, progress, cache)?;
-        Ok(ShardReport {
-            schema_version: shard_wire_version(&self.spec, &self.plan),
-            shard_index: self.shard_index,
-            shard_count: self.plan.shard_count(),
-            spec: self.spec.clone(),
-            plan: (*self.plan).clone(),
-            trace_indices: indices,
-            baseline_runs: grid.baselines.len(),
-            baselines: grid.baselines,
-            cells: grid.cells,
-            trace_generations: grid.trace_generations,
-        })
-    }
-}
-
 /// The serializable result of one shard's execution — a mergeable,
 /// checkpointable slice of a [`CampaignReport`].
 #[derive(Debug, Clone, PartialEq)]
@@ -569,6 +448,53 @@ impl Deserialize for ShardReport {
 }
 
 impl ShardReport {
+    /// Run shard `index` of `plan`, a partition of `spec`'s rows, through
+    /// the streaming grid engine; a [`CellCache`] memoizes every simulated
+    /// cell without changing a byte of the report.  Refuses an invalid spec
+    /// with its [`CampaignSpec::validate`] error, an index outside the plan
+    /// with [`CampaignError::ShardIndexOutOfRange`], and a plan that does
+    /// not partition the spec's rows (one cut for another row count, say)
+    /// with [`CampaignError::ShardSetMismatch`].
+    pub fn run(
+        spec: &CampaignSpec,
+        plan: &ShardPlan,
+        index: usize,
+        progress: Option<&ProgressHook>,
+        cache: Option<&CellCache>,
+    ) -> Result<ShardReport, CampaignError> {
+        spec.validate()?;
+        check_shard_index(index, plan.shard_count())?;
+        plan.validate(spec.traces.len()).map_err(|reason| {
+            CampaignError::ShardSetMismatch(format!("the plan does not fit the spec: {reason}"))
+        })?;
+        ShardReport::run_validated(spec, plan, index, progress, cache)
+    }
+
+    /// [`ShardReport::run`] for a valid spec, a plan that partitions its
+    /// rows, and an index within the plan.
+    pub(crate) fn run_validated(
+        spec: &CampaignSpec,
+        plan: &ShardPlan,
+        index: usize,
+        progress: Option<&ProgressHook>,
+        cache: Option<&CellCache>,
+    ) -> Result<ShardReport, CampaignError> {
+        let rows = plan.rows(index);
+        let grid = run_spec_rows(spec, rows, progress, cache)?;
+        Ok(ShardReport {
+            schema_version: shard_wire_version(spec, plan),
+            shard_index: index,
+            shard_count: plan.shard_count(),
+            spec: spec.clone(),
+            plan: plan.clone(),
+            trace_indices: rows.to_vec(),
+            baseline_runs: grid.baselines.len(),
+            baselines: grid.baselines,
+            cells: grid.cells,
+            trace_generations: grid.trace_generations,
+        })
+    }
+
     /// Serialize to pretty JSON.
     pub fn to_json(&self) -> String {
         serde::json::to_string_pretty(self)
@@ -589,12 +515,7 @@ impl ShardReport {
             index: self.shard_index,
             reason,
         };
-        if self.shard_index >= self.shard_count {
-            return Err(CampaignError::ShardIndexOutOfRange {
-                index: self.shard_index,
-                count: self.shard_count,
-            });
-        }
+        check_shard_index(self.shard_index, self.shard_count)?;
         if self.plan.shard_count() != self.shard_count {
             return Err(malformed(format!(
                 "plan covers {} shards but the shard claims {}",
@@ -883,28 +804,13 @@ pub struct ShardedRunOutcome {
 /// runs.  Without a checkpoint directory the shard count only names the
 /// partition: the runner runs [`CampaignRunner::run`], whose bytes every
 /// partition merges to.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct ShardedCampaignRunner {
     shard_count: usize,
     checkpoint: Option<PathBuf>,
     resume: bool,
-    progress: Option<ProgressHook>,
-    cache: Option<Arc<CellCache>>,
-}
-
-impl std::fmt::Debug for ShardedCampaignRunner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedCampaignRunner")
-            .field("shard_count", &self.shard_count)
-            .field("checkpoint", &self.checkpoint)
-            .field("resume", &self.resume)
-            .field("progress", &self.progress.is_some())
-            .field(
-                "cache",
-                &self.cache.as_ref().map(|c| c.root().to_path_buf()),
-            )
-            .finish()
-    }
+    /// The progress hook and cell cache the shards run with.
+    runner: CampaignRunner,
 }
 
 impl ShardedCampaignRunner {
@@ -915,8 +821,7 @@ impl ShardedCampaignRunner {
             shard_count,
             checkpoint: None,
             resume: false,
-            progress: None,
-            cache: None,
+            runner: CampaignRunner::new(),
         }
     }
 
@@ -925,7 +830,7 @@ impl ShardedCampaignRunner {
     /// cost-balanced partition (see [`ShardPlan::cost_balanced`]).  Reports
     /// stay byte-identical with or without the cache.
     pub fn with_cache(mut self, cache: Arc<CellCache>) -> ShardedCampaignRunner {
-        self.cache = Some(cache);
+        self.runner = self.runner.with_cache(cache);
         self
     }
 
@@ -951,7 +856,7 @@ impl ShardedCampaignRunner {
         mut self,
         hook: impl Fn(&CampaignProgress) + Send + Sync + 'static,
     ) -> ShardedCampaignRunner {
-        self.progress = Some(Arc::new(hook));
+        self.runner = self.runner.with_progress(hook);
         self
     }
 
@@ -964,15 +869,8 @@ impl ShardedCampaignRunner {
                     "resume requested without a checkpoint directory".to_string(),
                 ));
             }
-            let mut runner = CampaignRunner::new();
-            if let Some(hook) = self.progress.clone() {
-                runner = runner.with_progress(move |p| hook(p));
-            }
-            if let Some(cache) = &self.cache {
-                runner = runner.with_cache(Arc::clone(cache));
-            }
             return Ok(ShardedRunOutcome {
-                report: runner.run(spec)?,
+                report: self.runner.run(spec)?,
                 executed_shards: (0..self.shard_count).collect(),
                 resumed_shards: Vec::new(),
             });
@@ -987,12 +885,7 @@ impl ShardedCampaignRunner {
             }
         }
         let mut worker = FanoutWorker::new(self.shard_count, dir);
-        if let Some(hook) = self.progress.clone() {
-            worker = worker.with_progress(move |p| hook(p));
-        }
-        if let Some(cache) = &self.cache {
-            worker = worker.with_cache(Arc::clone(cache));
-        }
+        worker.runner = self.runner.clone();
         let executed_shards = worker.run(spec)?.executed_shards;
         Ok(ShardedRunOutcome {
             report: MergeCoordinator::new(dir).run()?.report,
@@ -1014,29 +907,31 @@ fn remove_if_present(path: &Path) -> Result<(), CampaignError> {
     }
 }
 
-/// Load `shard`'s report from the checkpoint directory `dir`.  An absent,
-/// undecodable or malformed file is `None`: the shard re-runs and the file
-/// is overwritten, which is the crash-tolerant re-execution path.  A file
-/// that decodes but was cut along a different campaign or partition plan,
-/// or written at another wire version than the plan's, is refused as a
-/// mixed-plan directory: a worker overwrites it, but no amount of waiting
-/// lets a merge use it.
+/// Load the report of shard `index` of `plan`, a partition of `spec`, from
+/// the checkpoint directory `dir`.  An absent, undecodable or malformed
+/// file is `None`: the shard re-runs and the file is overwritten, which is
+/// the crash-tolerant re-execution path.  A file that decodes but was cut
+/// along a different campaign or partition plan, or written at another
+/// wire version than the plan's, is refused as a mixed-plan directory: a
+/// worker overwrites it, but no amount of waiting lets a merge use it.
 pub(crate) fn load_shard_checkpoint(
     dir: &Path,
-    shard: &CampaignShard,
+    spec: &CampaignSpec,
+    plan: &ShardPlan,
+    index: usize,
 ) -> Result<Option<ShardReport>, CampaignError> {
-    let path = dir.join(shard_file_name(shard.shard_index()));
+    let path = dir.join(shard_file_name(index));
     let Some(report) = std::fs::read_to_string(&path)
         .ok()
         .and_then(|text| ShardReport::from_json(&text).ok())
     else {
         return Ok(None);
     };
-    if report.shard_index != shard.shard_index()
-        || report.shard_count != shard.shard_count()
-        || report.spec != *shard.spec()
-        || report.plan != *shard.shard_plan()
-        || report.schema_version != shard_wire_version(shard.spec(), shard.shard_plan())
+    if report.shard_index != index
+        || report.shard_count != plan.shard_count()
+        || report.spec != *spec
+        || report.plan != *plan
+        || report.schema_version != shard_wire_version(spec, plan)
     {
         return Err(CampaignError::ShardSetMismatch(format!(
             "{} was cut along a different campaign or partition plan than \
@@ -1063,15 +958,29 @@ mod tests {
         b.trace_len(600).build().unwrap()
     }
 
+    /// Every shard of the round-robin `count`-way partition of `spec`, run.
+    fn run_all(spec: &CampaignSpec, count: usize) -> Vec<ShardReport> {
+        let plan = ShardPlan::round_robin(spec.traces.len(), count).unwrap();
+        (0..count)
+            .map(|k| ShardReport::run(spec, &plan, k, None, None).unwrap())
+            .collect()
+    }
+
+    /// Shard `index` of the round-robin `count`-way partition of `spec`, run.
+    fn run_one(spec: &CampaignSpec, count: usize, index: usize) -> ShardReport {
+        let plan = ShardPlan::round_robin(spec.traces.len(), count).unwrap();
+        ShardReport::run(spec, &plan, index, None, None).unwrap()
+    }
+
     #[test]
     fn plan_partitions_rows_disjointly_and_completely() {
         let spec = spec(7);
         for count in 1..=9 {
-            let shards = CampaignShard::plan(&spec, count).unwrap();
-            assert_eq!(shards.len(), count);
+            let plan = ShardPlan::round_robin(spec.traces.len(), count).unwrap();
+            assert_eq!(plan.shard_count(), count);
             let mut seen = vec![false; spec.traces.len()];
-            for shard in &shards {
-                for i in shard.trace_indices() {
+            for k in 0..count {
+                for &i in plan.rows(k) {
                     assert!(!seen[i], "row {i} assigned twice at count {count}");
                     seen[i] = true;
                 }
@@ -1082,9 +991,8 @@ mod tests {
 
     #[test]
     fn round_robin_balances_shards() {
-        let spec = spec(7);
-        let shards = CampaignShard::plan(&spec, 3).unwrap();
-        let sizes: Vec<usize> = shards.iter().map(|s| s.trace_indices().len()).collect();
+        let plan = ShardPlan::round_robin(spec(7).traces.len(), 3).unwrap();
+        let sizes: Vec<usize> = (0..3).map(|k| plan.rows(k).len()).collect();
         assert_eq!(sizes, vec![3, 2, 2]);
     }
 
@@ -1159,7 +1067,7 @@ mod tests {
         // A single-default-scenario round-robin shard still writes the v1
         // wire shape with no `plan` field; decoding re-derives the implied
         // round-robin plan from the shard count.
-        let report = CampaignShard::new(spec(3), 2, 1).unwrap().run().unwrap();
+        let report = run_one(&spec(3), 2, 1);
         assert_eq!(report.schema_version, LEGACY_SHARD_SCHEMA_VERSION);
         let json = report.to_json();
         assert!(
@@ -1180,10 +1088,7 @@ mod tests {
         // Both shards are structurally valid, but shard 1 claims it was cut
         // along a different (here: differently-labelled) plan: merging them
         // could interleave rows from incompatible partitions.
-        let spec = spec(4);
-        let shards = CampaignShard::plan(&spec, 2).unwrap();
-        let a = shards[0].run().unwrap();
-        let mut b = shards[1].run().unwrap();
+        let [a, mut b]: [ShardReport; 2] = run_all(&spec(4), 2).try_into().unwrap();
         b.plan = ShardPlan {
             strategy: ShardStrategy::CostBalanced,
             assignments: b.plan.assignments.clone(),
@@ -1198,19 +1103,19 @@ mod tests {
     fn zero_shards_and_bad_indices_are_typed_errors() {
         let spec = spec(3);
         assert_eq!(
-            CampaignShard::plan(&spec, 0).unwrap_err(),
+            ShardPlan::round_robin(spec.traces.len(), 0).unwrap_err(),
             CampaignError::ZeroShardCount
         );
+        let plan = ShardPlan::round_robin(spec.traces.len(), 2).unwrap();
         assert_eq!(
-            CampaignShard::new(spec, 2, 2).unwrap_err(),
+            ShardReport::run(&spec, &plan, 2, None, None).unwrap_err(),
             CampaignError::ShardIndexOutOfRange { index: 2, count: 2 }
         );
     }
 
     #[test]
     fn shard_report_round_trips_through_json() {
-        let shard = CampaignShard::new(spec(3), 2, 1).unwrap();
-        let report = shard.run().unwrap();
+        let report = run_one(&spec(3), 2, 1);
         assert_eq!(report.trace_indices, vec![1]);
         let decoded = ShardReport::from_json(&report.to_json()).unwrap();
         assert_eq!(decoded, report);
@@ -1218,10 +1123,7 @@ mod tests {
 
     #[test]
     fn merge_rejects_incomplete_and_overlapping_sets() {
-        let spec = spec(4);
-        let shards = CampaignShard::plan(&spec, 2).unwrap();
-        let a = shards[0].run().unwrap();
-        let b = shards[1].run().unwrap();
+        let [a, b]: [ShardReport; 2] = run_all(&spec(4), 2).try_into().unwrap();
         assert_eq!(
             CampaignReport::merge(std::slice::from_ref(&a)).unwrap_err(),
             CampaignError::IncompleteShardSet {
@@ -1249,15 +1151,15 @@ mod tests {
 
     #[test]
     fn merge_rejects_mixed_specs_and_shard_counts() {
-        let a = CampaignShard::new(spec(2), 2, 0).unwrap().run().unwrap();
-        let b = CampaignShard::new(spec(2), 3, 1).unwrap().run().unwrap();
+        let a = run_one(&spec(2), 2, 0);
+        let b = run_one(&spec(2), 3, 1);
         assert!(matches!(
             CampaignReport::merge(&[a.clone(), b]).unwrap_err(),
             CampaignError::ShardSetMismatch(_)
         ));
         let mut other = spec(2);
         other.trace_len = 700;
-        let c = CampaignShard::new(other, 2, 1).unwrap().run().unwrap();
+        let c = run_one(&other, 2, 1);
         assert!(matches!(
             CampaignReport::merge(&[a, c]).unwrap_err(),
             CampaignError::ShardSetMismatch(_)
@@ -1266,10 +1168,7 @@ mod tests {
 
     #[test]
     fn merge_rejects_corrupt_payloads() {
-        let spec = spec(3);
-        let shards = CampaignShard::plan(&spec, 2).unwrap();
-        let mut a = shards[0].run().unwrap();
-        let b = shards[1].run().unwrap();
+        let [mut a, b]: [ShardReport; 2] = run_all(&spec(3), 2).try_into().unwrap();
         a.cells.pop();
         assert!(matches!(
             CampaignReport::merge(&[a, b]).unwrap_err(),
@@ -1281,9 +1180,7 @@ mod tests {
     fn empty_shards_merge_cleanly() {
         // More shards than rows: the tail shards own nothing but still
         // participate in the merge.
-        let spec = spec(2);
-        let shards = CampaignShard::plan(&spec, 5).unwrap();
-        let reports: Vec<ShardReport> = shards.iter().map(|s| s.run().unwrap()).collect();
+        let reports = run_all(&spec(2), 5);
         assert_eq!(reports[4].trace_indices.len(), 0);
         let merged = CampaignReport::merge(&reports).unwrap();
         assert_eq!(merged.cells.len(), 2);

@@ -6,7 +6,9 @@
 //! abstract rounds the study to "412 apps").  Each category is modelled as a
 //! family of workload profiles with per-application jitter in the kernel mix,
 //! data sizes and narrow bias, so the suite spans a realistic spread of
-//! behaviours rather than 400 copies of the same trace.
+//! behaviours rather than 400 copies of the same trace.  Campaigns walk the
+//! suite one row per application, in category-then-app order, through
+//! `hc_core`'s `CampaignBuilder::category_suite`.
 
 use crate::kernels::KernelKind;
 use crate::profile::WorkloadProfile;
@@ -180,90 +182,6 @@ impl WorkloadCategory {
             .with_trace_len(trace_len)
             .with_seed(h ^ 0xABCD_EF01)
     }
-
-    /// All application profiles in this category.
-    pub fn profiles(self, trace_len: usize) -> Vec<WorkloadProfile> {
-        (0..self.trace_count())
-            .map(|i| self.app_profile(i, trace_len))
-            .collect()
-    }
-}
-
-/// A lazy walk over the Table 2 suite: yields each category's application
-/// profiles in `(category, app)` order **without materializing the whole
-/// suite** — each profile (and, downstream, its trace) is built on demand,
-/// which is what lets sharded campaigns stream the 409-application suite.
-#[derive(Debug, Clone)]
-pub struct SuiteProfiles {
-    per_category: Option<usize>,
-    trace_len: usize,
-    category: usize,
-    app: usize,
-}
-
-impl SuiteProfiles {
-    /// Applications taken from one category.
-    fn apps_in(&self, category: WorkloadCategory) -> usize {
-        let n = category.trace_count();
-        self.per_category.map_or(n, |cap| cap.min(n))
-    }
-}
-
-impl Iterator for SuiteProfiles {
-    type Item = WorkloadProfile;
-
-    fn next(&mut self) -> Option<WorkloadProfile> {
-        while let Some(&category) = WorkloadCategory::ALL.get(self.category) {
-            if self.app < self.apps_in(category) {
-                let profile = category.app_profile(self.app, self.trace_len);
-                self.app += 1;
-                return Some(profile);
-            }
-            self.category += 1;
-            self.app = 0;
-        }
-        None
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let remaining: usize = WorkloadCategory::ALL
-            .get(self.category..)
-            .unwrap_or(&[])
-            .iter()
-            .map(|&c| self.apps_in(c))
-            .sum::<usize>()
-            .saturating_sub(self.app);
-        (remaining, Some(remaining))
-    }
-}
-
-impl ExactSizeIterator for SuiteProfiles {}
-
-/// Stream the Table 2 suite lazily: up to `per_category` applications from
-/// each category (`None` = every application — the full 409-trace suite),
-/// in `(category, app)` order.
-pub fn suite_profiles(per_category: Option<usize>, trace_len: usize) -> SuiteProfiles {
-    SuiteProfiles {
-        per_category,
-        trace_len,
-        category: 0,
-        app: 0,
-    }
-}
-
-/// The complete Table 2 suite: every application profile of every category.
-///
-/// `trace_len` is the per-trace dynamic µop count (the paper used 10M
-/// consecutive IA-32 instructions per trace for this study).  This
-/// materializes all 409 profiles; prefer [`suite_profiles`] when streaming.
-pub fn paper_suite(trace_len: usize) -> Vec<WorkloadProfile> {
-    suite_profiles(None, trace_len).collect()
-}
-
-/// A smaller suite with `per_category` applications from each category, for
-/// quick runs and CI-sized tests.
-pub fn reduced_suite(per_category: usize, trace_len: usize) -> Vec<WorkloadProfile> {
-    suite_profiles(Some(per_category), trace_len).collect()
 }
 
 #[cfg(test)]
@@ -281,14 +199,6 @@ mod tests {
         assert_eq!(WorkloadCategory::Workstation.trace_count(), 49);
         let total: usize = WorkloadCategory::ALL.iter().map(|c| c.trace_count()).sum();
         assert_eq!(total, 409, "Table 2 sums to 409 traces");
-    }
-
-    #[test]
-    fn suite_has_one_profile_per_trace() {
-        let suite = paper_suite(1_000);
-        assert_eq!(suite.len(), 409);
-        let names: std::collections::HashSet<_> = suite.iter().map(|p| p.name.clone()).collect();
-        assert_eq!(names.len(), suite.len(), "profile names are unique");
     }
 
     #[test]
@@ -313,44 +223,6 @@ mod tests {
         let t = p.generate();
         assert_eq!(t.len(), 2_000);
         assert_eq!(t.category.as_deref(), Some("kernels"));
-    }
-
-    #[test]
-    fn reduced_suite_respects_per_category_limit() {
-        let s = reduced_suite(2, 500);
-        assert_eq!(s.len(), 14);
-    }
-
-    #[test]
-    fn suite_iterator_is_lazy_exact_and_matches_the_materialized_suites() {
-        let mut iter = suite_profiles(None, 400);
-        assert_eq!(iter.len(), 409, "full suite size is known up front");
-        let first = iter.next().unwrap();
-        assert_eq!(first.name, "enc_000");
-        assert_eq!(iter.len(), 408, "ExactSizeIterator tracks consumption");
-        // Lazy walk and eager collection agree element-for-element.
-        let eager = paper_suite(400);
-        let lazy: Vec<_> = suite_profiles(None, 400).collect();
-        assert_eq!(lazy, eager);
-        let capped: Vec<_> = suite_profiles(Some(3), 400).collect();
-        assert_eq!(capped, reduced_suite(3, 400));
-        assert_eq!(suite_profiles(Some(3), 400).len(), 21);
-    }
-
-    #[test]
-    fn suite_iterator_caps_categories_independently() {
-        // A cap above the smallest category (sfp, 41) but below the largest
-        // (mm, 85) must clamp per category, not globally.
-        let profiles: Vec<_> = suite_profiles(Some(50), 300).collect();
-        let count = |cat: &str| {
-            profiles
-                .iter()
-                .filter(|p| p.category.as_deref() == Some(cat))
-                .count()
-        };
-        assert_eq!(count("sfp"), 41);
-        assert_eq!(count("mm"), 50);
-        assert_eq!(profiles.len(), suite_profiles(Some(50), 300).len());
     }
 
     #[test]

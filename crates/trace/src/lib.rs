@@ -25,7 +25,7 @@ pub mod spec;
 pub mod stats;
 pub mod trace;
 
-pub use categories::{paper_suite, reduced_suite, suite_profiles, SuiteProfiles, WorkloadCategory};
+pub use categories::WorkloadCategory;
 pub use format::{
     load_trace, read_header, record_source, recover, write_trace, FileSource, RecoveredTail,
     TraceError, TraceFileHeader, TraceWriter, TRACE_FORMAT_VERSION, TRACE_MAGIC,

@@ -32,7 +32,7 @@ pub mod prelude {
     pub use hc_core::experiment::{Experiment, ExperimentResult};
     pub use hc_core::policy::{PolicyKind, SteeringStack};
     pub use hc_core::scenario::ScenarioSpec;
-    pub use hc_core::shard::{CampaignShard, ShardReport, ShardedCampaignRunner};
+    pub use hc_core::shard::{ShardPlan, ShardReport, ShardedCampaignRunner};
     pub use hc_isa::uop::{Uop, UopKind};
     pub use hc_isa::value::Value;
     pub use hc_power::PowerParams;

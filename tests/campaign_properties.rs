@@ -4,7 +4,6 @@
 //! relies on.
 
 use hc_core::campaign::TraceSelector;
-use hc_core::shard::CampaignShard;
 use hc_sim::config::CacheConfig;
 use hc_trace::WorkloadCategory;
 use helper_cluster::prelude::*;
@@ -145,20 +144,21 @@ proptest! {
         shard_count in 1usize..9,
     ) {
         let spec = arbitrary_spec(0b10, selector_mask, 1_000, 0);
-        let shards = CampaignShard::plan(&spec, shard_count).expect("plans are valid");
-        prop_assert_eq!(shards.len(), shard_count);
+        let plan = ShardPlan::round_robin(spec.traces.len(), shard_count).expect("plans are valid");
+        prop_assert_eq!(plan.shard_count(), shard_count);
         let mut owner = vec![usize::MAX; spec.traces.len()];
-        for shard in &shards {
-            for row in shard.trace_indices() {
+        for k in 0..shard_count {
+            for &row in plan.rows(k) {
                 prop_assert_eq!(owner[row], usize::MAX, "row {} claimed twice", row);
-                owner[row] = shard.shard_index();
+                owner[row] = k;
             }
         }
         for (row, &shard_index) in owner.iter().enumerate() {
             prop_assert_eq!(shard_index, row % shard_count, "round-robin assignment");
         }
         // Cell accounting sums back to the unsharded grid.
-        let cells: usize = shards.iter().map(|s| s.cell_count()).sum();
+        let row_cells = spec.policies.len() * spec.scenarios.len();
+        let cells: usize = (0..shard_count).map(|k| plan.rows(k).len() * row_cells).sum();
         prop_assert_eq!(cells, spec.cell_count());
     }
 
@@ -232,16 +232,17 @@ proptest! {
         prop_assert_eq!(&decoded, &spec);
 
         // Shard plans partition rows; cell accounting includes scenarios.
-        let shards = CampaignShard::plan(&spec, shard_count).expect("plans are valid");
+        let plan = ShardPlan::round_robin(spec.traces.len(), shard_count).expect("plans are valid");
         let mut seen = vec![false; spec.traces.len()];
-        for shard in &shards {
-            for row in shard.trace_indices() {
+        for k in 0..shard_count {
+            for &row in plan.rows(k) {
                 prop_assert!(!seen[row], "row {} claimed twice", row);
                 seen[row] = true;
             }
         }
         prop_assert!(seen.iter().all(|&s| s), "every row covered");
-        let cells: usize = shards.iter().map(|s| s.cell_count()).sum();
+        let row_cells = spec.policies.len() * spec.scenarios.len();
+        let cells: usize = (0..shard_count).map(|k| plan.rows(k).len() * row_cells).sum();
         prop_assert_eq!(cells, spec.cell_count());
         prop_assert_eq!(
             spec.cell_count(),
@@ -249,4 +250,42 @@ proptest! {
             "cell count is traces × policies × scenarios"
         );
     }
+}
+
+/// The suite walk caps each category on its own, not the suite as a whole:
+/// at 50 apps per category the 41-trace `sfp` category keeps all 41 rows
+/// and the 85-trace `mm` category gets 50, in category-then-app order.
+#[test]
+fn category_suites_cap_each_category_independently() {
+    let spec = CampaignBuilder::new("capped-suite")
+        .policy(PolicyKind::Ir)
+        .category_suite(50)
+        .build()
+        .expect("valid suite spec");
+    let rows: Vec<(usize, usize)> = spec
+        .traces
+        .iter()
+        .map(|row| match row {
+            TraceSelector::CategoryApp { category, app } => {
+                let position = WorkloadCategory::ALL.iter().position(|c| c == category);
+                (position.expect("a Table 2 category"), *app)
+            }
+            other => panic!("not a suite row: {other:?}"),
+        })
+        .collect();
+    assert!(
+        rows.windows(2).all(|w| w[0] < w[1]),
+        "category-then-app order"
+    );
+    let count = |category: WorkloadCategory| {
+        let position = WorkloadCategory::ALL.iter().position(|&c| c == category);
+        rows.iter().filter(|row| Some(row.0) == position).count()
+    };
+    assert_eq!(count(WorkloadCategory::SpecFp), 41);
+    assert_eq!(count(WorkloadCategory::Multimedia), 50);
+    let capped: usize = WorkloadCategory::ALL
+        .iter()
+        .map(|c| c.trace_count().min(50))
+        .sum();
+    assert_eq!(rows.len(), capped);
 }

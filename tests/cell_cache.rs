@@ -8,7 +8,7 @@
 
 use hc_core::cache::{CellCache, CostModel, GcPolicy};
 use hc_core::figures;
-use hc_core::shard::{CampaignShard, ShardPlan, ShardStrategy, ShardedCampaignRunner};
+use hc_core::shard::{ShardPlan, ShardStrategy, ShardedCampaignRunner};
 use hc_core::CellKey;
 use hc_sim::SimStats;
 use hc_trace::WorkloadCategory;
@@ -528,7 +528,7 @@ proptest! {
         }
     }
 
-    /// `CampaignShard::plan_balanced` covers a real spec's grid exactly:
+    /// `ShardPlan::for_spec` covers a real spec's grid exactly:
     /// per-shard cell counts sum back to the full campaign, with any cost
     /// skew injected through a synthetic cache.
     #[test]
@@ -546,18 +546,19 @@ proptest! {
             }
         }
         let spec = builder.build().expect("sampled specs are valid");
-        let shards = CampaignShard::plan_balanced(&spec, shard_count, &CostModel::uniform())
+        let plan = ShardPlan::for_spec(&spec, shard_count, &CostModel::uniform())
             .expect("balanced plans are valid");
-        prop_assert_eq!(shards.len(), shard_count);
+        prop_assert_eq!(plan.shard_count(), shard_count);
         let mut seen = vec![false; spec.traces.len()];
-        for shard in &shards {
-            for row in shard.trace_indices() {
+        for k in 0..shard_count {
+            for &row in plan.rows(k) {
                 prop_assert!(!seen[row], "row {} claimed twice", row);
                 seen[row] = true;
             }
         }
         prop_assert!(seen.iter().all(|&s| s), "every row covered");
-        let cells: usize = shards.iter().map(|s| s.cell_count()).sum();
+        let row_cells = spec.policies.len() * spec.scenarios.len();
+        let cells: usize = (0..shard_count).map(|k| plan.rows(k).len() * row_cells).sum();
         prop_assert_eq!(cells, spec.cell_count());
     }
 }

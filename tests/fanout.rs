@@ -11,7 +11,6 @@
 use hc_core::cache::{CellCache, CostModel};
 use hc_core::campaign::CampaignError;
 use hc_core::fanout::{lease_file_name, FanoutWorker, MergeCoordinator, MergeWait, ShardLease};
-use hc_core::shard::CampaignShard;
 use hc_core::CellKey;
 use hc_sim::SimStats;
 use helper_cluster::prelude::*;
@@ -311,15 +310,13 @@ fn merge_refuses_a_mixed_plan_directory() {
     ] {
         cache.insert(&key, &SimStats::default(), u64::MAX / 4);
     }
-    let skewed =
-        CampaignShard::plan_balanced(&spec, 2, &CostModel::observed(&cache)).expect("skewed plan");
-    let round_robin = CampaignShard::plan(&spec, 2).expect("round-robin plan");
+    let skewed = ShardPlan::for_spec(&spec, 2, &CostModel::observed(&cache)).expect("skewed plan");
+    let round_robin = ShardPlan::round_robin(spec.traces.len(), 2).expect("round-robin plan");
     assert_ne!(
-        skewed[0].shard_plan(),
-        round_robin[0].shard_plan(),
+        skewed, round_robin,
         "sanity: the fabricated costs must actually change the partition"
     );
-    let foreign = skewed[0].run().expect("foreign shard run");
+    let foreign = ShardReport::run(&spec, &skewed, 0, None, None).expect("foreign shard run");
     std::fs::write(dir.join("shard_0000.json"), foreign.to_json()).expect("swap shard file");
 
     // Even a *waiting* coordinator must refuse immediately: no amount of
@@ -407,9 +404,8 @@ fn idle_worker_wakes_soon_after_its_peers_shard_lands() {
         .expect("single-process run");
     // The peer's shard, computed up front; the worker's uncached plan is
     // the round-robin one.
-    let peer_report = CampaignShard::plan(&spec, 2).expect("plan")[1]
-        .run()
-        .expect("peer shard run");
+    let plan = ShardPlan::round_robin(spec.traces.len(), 2).expect("plan");
+    let peer_report = ShardReport::run(&spec, &plan, 1, None, None).expect("peer shard run");
     // A live peer holds shard 1 for the whole wait.
     let peer_lease = ShardLease::try_claim(&dir, 1, "peer", Duration::from_secs(60))
         .expect("claim")

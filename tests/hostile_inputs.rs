@@ -71,10 +71,8 @@ fn documents() -> &'static [String] {
     DOCUMENTS.get_or_init(|| {
         let spec = spec();
         let report = CampaignRunner::new().run(&spec).expect("report");
-        let shard = CampaignShard::new(cached_spec(), 2, 1)
-            .expect("shard")
-            .run()
-            .expect("shard report");
+        let plan = ShardPlan::round_robin(cached_spec().traces.len(), 2).expect("plan");
+        let shard = ShardReport::run(&cached_spec(), &plan, 1, None, None).expect("shard report");
         vec![
             spec.to_json(),
             cached_spec().to_json(),
@@ -771,7 +769,7 @@ fn inflated_checkpoint_fields_fail_typed() {
 
     let spec = cached_spec();
     let dir = scratch_dir("too_many_shards");
-    assert!(CampaignShard::plan(&spec, MAX_SHARD_COUNT).is_ok());
+    assert!(ShardPlan::round_robin(spec.traces.len(), MAX_SHARD_COUNT).is_ok());
     for count in [MAX_SHARD_COUNT + 1, 1_000_000_000_000_000] {
         let too_many = CampaignError::TooManyShards {
             count,
@@ -783,10 +781,15 @@ fn inflated_checkpoint_fields_fail_typed() {
             too_many
         );
         assert_eq!(
-            CampaignShard::new(spec.clone(), count, 0).unwrap_err(),
+            ShardPlan::round_robin(spec.traces.len(), count).unwrap_err(),
             too_many
         );
-        assert_eq!(CampaignShard::plan(&spec, count).unwrap_err(), too_many);
+        assert_eq!(
+            ShardPlan::round_robin(spec.traces.len(), count)
+                .and_then(|plan| ShardReport::run(&spec, &plan, 0, None, None))
+                .unwrap_err(),
+            too_many
+        );
         assert_eq!(
             ShardedCampaignRunner::new(count).run(&spec).unwrap_err(),
             too_many

@@ -83,8 +83,8 @@ fn typed_documents_render_the_bytes_of_their_trees() {
         Ok(report.clone())
     );
 
-    let shard = CampaignShard::new(spec, 2, 1)
-        .and_then(|shard| shard.run())
+    let shard = ShardPlan::round_robin(spec.traces.len(), 2)
+        .and_then(|plan| ShardReport::run(&spec, &plan, 1, None, None))
         .expect("the shard runs");
     assert_renders_its_tree("shard report", &shard);
     assert_eq!(ShardReport::from_json(&shard.to_json()), Ok(shard));

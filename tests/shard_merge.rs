@@ -12,7 +12,6 @@
 //!   campaign.
 
 use hc_core::figures;
-use hc_core::shard::{CampaignShard, ShardedCampaignRunner};
 use hc_trace::WorkloadCategory;
 use helper_cluster::prelude::*;
 use std::path::PathBuf;
@@ -53,10 +52,9 @@ fn merged_shards_are_byte_identical_to_the_unsharded_report_for_any_count_and_or
     let unsharded = CampaignRunner::new().run(&spec).expect("unsharded run");
     let unsharded_json = unsharded.to_json();
     for shard_count in [1, 2, 3, 5, 11] {
-        let shards = CampaignShard::plan(&spec, shard_count).expect("plan");
-        let mut reports: Vec<ShardReport> = shards
-            .iter()
-            .map(|s| s.run().expect("shard runs"))
+        let plan = ShardPlan::round_robin(spec.traces.len(), shard_count).expect("plan");
+        let mut reports: Vec<ShardReport> = (0..shard_count)
+            .map(|k| ShardReport::run(&spec, &plan, k, None, None).expect("shard runs"))
             .collect();
         // Present the shards in a scrambled order: reversed, then with the
         // first two swapped.
@@ -169,6 +167,33 @@ fn resume_without_a_checkpoint_dir_is_a_typed_error() {
 }
 
 #[test]
+fn a_shard_run_refuses_what_it_cannot_run_with_typed_errors() {
+    // An index outside the plan, a plan cut for another row count (one
+    // that would index past the spec's rows, one that leaves a row unrun)
+    // and an invalid spec are refused before anything simulates.
+    let spec = suite_spec();
+    let rows = spec.traces.len();
+    let plan = ShardPlan::round_robin(rows, 2).expect("plan");
+    assert_eq!(
+        ShardReport::run(&spec, &plan, 2, None, None).unwrap_err(),
+        CampaignError::ShardIndexOutOfRange { index: 2, count: 2 }
+    );
+    for foreign_rows in [rows + 3, rows - 1] {
+        let foreign = ShardPlan::round_robin(foreign_rows, 2).expect("plan");
+        for index in 0..2 {
+            let err = ShardReport::run(&spec, &foreign, index, None, None).unwrap_err();
+            assert!(matches!(err, CampaignError::ShardSetMismatch(_)), "{err}");
+        }
+    }
+    let mut invalid = spec;
+    invalid.trace_len = 0;
+    assert_eq!(
+        ShardReport::run(&invalid, &plan, 0, None, None).unwrap_err(),
+        CampaignError::ZeroTraceLength
+    );
+}
+
+#[test]
 fn full_table2_suite_streams_as_one_campaign() {
     // The paper's whole 409-trace §3.8 suite as a single sharded campaign at
     // a tiny trace length: every row is synthesized exactly once (inside the
@@ -240,7 +265,8 @@ fn a_checkpointed_runner_is_a_fleet_of_one_that_reproduces_the_golden_suite() {
     assert_eq!(resumed.resumed_shards, vec![0, 2]);
     assert_eq!(golden_suite_snapshot(&resumed.report), golden);
     let total = spec.cell_count();
-    let resumed_cells = total - CampaignShard::plan(&spec, 3).expect("plan")[1].cell_count();
+    let plan = ShardPlan::round_robin(spec.traces.len(), 3).expect("plan");
+    let resumed_cells = total - plan.rows(1).len() * spec.policies.len() * spec.scenarios.len();
     let events = events.lock().expect("events");
     assert!(events.iter().all(|&(_, of)| of == total), "{events:?}");
     let mut completed: Vec<usize> = events.iter().map(|&(done, _)| done).collect();
