@@ -1526,25 +1526,62 @@ fn run_claimed(
     }
 }
 
-/// Deliver one progress event, isolating the engine from a panicking user
-/// hook: the panic is caught and the hook is disabled for the rest of the
-/// run, so observation can never abort (or poison state shared with) the
-/// campaign.  The hook runs under the `disabled` lock, and a panic sets the
-/// flag before the lock is released, so a panicking hook is called exactly
-/// once per run however many workers deliver at the same moment.
-/// `AssertUnwindSafe` is sound here because the engine never touches
-/// hook-owned state afterwards — the hook is simply not called again.
-pub(crate) fn deliver_progress(
-    hook: &ProgressHook,
-    disabled: &Mutex<bool>,
-    progress: &CampaignProgress,
-) {
-    let mut disabled = lock(disabled);
-    if *disabled {
-        return;
+/// Numbers a run's finished cells and delivers them to its progress hook.
+///
+/// The count and the hook-panicked flag live under one lock, and each event
+/// takes its number under the lock that delivers it, so the hook sees
+/// `completed_cells` rise by exactly one per call however many workers
+/// finish at the same moment.  A panicking hook is isolated from the
+/// engine: the panic is caught and the hook is disabled for the rest of the
+/// run (the flag is set before the lock is released, so it is called
+/// exactly once), and observation can never abort, or poison state shared
+/// with, the campaign.  `AssertUnwindSafe` is sound here because the
+/// engine never touches hook-owned state afterwards — the hook is simply
+/// not called again.
+pub(crate) struct ProgressCounter {
+    hook: ProgressHook,
+    total_cells: usize,
+    state: Mutex<ProgressState>,
+}
+
+#[derive(Default)]
+struct ProgressState {
+    completed: usize,
+    hook_panicked: bool,
+}
+
+impl ProgressCounter {
+    pub(crate) fn new(hook: ProgressHook, total_cells: usize) -> ProgressCounter {
+        ProgressCounter {
+            hook,
+            total_cells,
+            state: Mutex::default(),
+        }
     }
-    if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| hook(progress))).is_err() {
-        *disabled = true;
+
+    /// Count `cells` cells finished elsewhere, without delivering them.
+    pub(crate) fn skip(&self, cells: usize) {
+        lock(&self.state).completed += cells;
+    }
+
+    /// Count one finished cell and deliver it.
+    pub(crate) fn deliver(&self, policy: &str, trace: &str, scenario: &str) {
+        let mut state = lock(&self.state);
+        state.completed += 1;
+        if state.hook_panicked {
+            return;
+        }
+        let progress = CampaignProgress {
+            completed_cells: state.completed,
+            total_cells: self.total_cells,
+            policy: policy.to_string(),
+            trace: trace.to_string(),
+            scenario: scenario.to_string(),
+        };
+        let hook = &self.hook;
+        if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| hook(&progress))).is_err() {
+            state.hook_panicked = true;
+        }
     }
 }
 
@@ -1570,9 +1607,8 @@ pub(crate) fn deliver_progress(
 /// bounded window of µops.  Either way the stats are bit-identical.  Each
 /// worker thread owns one [`ExecContext`], reused for every run it performs
 /// — including runs under different scenario machines — so a campaign
-/// costs O(threads) simulator arenas, not O(cells).  The calling thread
-/// sizes them for the spec's `trace_len`, which keeps them out of the
-/// workers' allocator arenas.
+/// costs O(threads) simulator arenas, not O(cells), and an arena's window
+/// is bounded by the machine, not by `trace_len`.
 ///
 /// Every simulated cell, baselines included, goes through [`run_claimed`].
 /// With a cache bound, cached cells are restored, in-flight cells are
@@ -1604,18 +1640,13 @@ pub(crate) fn run_spec_rows(
     let grid_cache = cache.map(|cache| GridCache::new(cache, spec, &row_docs));
     let grid_cache = grid_cache.as_ref();
     let total_cells = rows.len() * spec.policies.len() * scenarios.len();
-    let completed = AtomicUsize::new(0);
+    let progress = progress.map(|hook| ProgressCounter::new(Arc::clone(hook), total_cells));
     let generations = AtomicUsize::new(0);
-    let hook_disabled = Mutex::new(false);
     let baseline_needed = spec.simulates_baselines();
 
-    let workers = rayon::current_num_threads().min(rows.len());
-    let sized_context = || ExecContext::with_capacity(spec.trace_len);
-    let contexts = Mutex::new((0..workers).map(|_| sized_context()).collect::<Vec<_>>());
-    let take_context = || lock(&contexts).pop().unwrap_or_default();
     let rows_out: Vec<Result<_, CampaignError>> = rows
         .par_iter()
-        .map_init(take_context, |ctx, &row| {
+        .map_init(ExecContext::new, |ctx, &row| {
             generations.fetch_add(1, Ordering::Relaxed);
             let mut source = open_row(&spec.traces[row], spec.trace_len)?;
             let source = source.as_mut();
@@ -1653,18 +1684,8 @@ pub(crate) fn run_spec_rows(
                         })
                         .map_err(fail)?,
                     };
-                    if let Some(hook) = progress {
-                        deliver_progress(
-                            hook,
-                            &hook_disabled,
-                            &CampaignProgress {
-                                completed_cells: completed.fetch_add(1, Ordering::Relaxed) + 1,
-                                total_cells,
-                                policy: kind.name().to_string(),
-                                trace: trace.clone(),
-                                scenario: scenario.progress_key().to_string(),
-                            },
-                        );
+                    if let Some(progress) = &progress {
+                        progress.deliver(kind.name(), &trace, scenario.progress_key());
                     }
                     cells.push(CampaignCell {
                         policy: kind.name().to_string(),

@@ -52,15 +52,15 @@
 
 use crate::cache::{create_exclusive, replace, CellCache, CostModel};
 use crate::campaign::{
-    deliver_progress, CampaignError, CampaignProgress, CampaignReport, CampaignRunner,
-    CampaignSpec, ProgressHook,
+    CampaignError, CampaignProgress, CampaignReport, CampaignRunner, CampaignSpec, ProgressCounter,
+    ProgressHook,
 };
 use crate::shard::{
     check_shard_count, check_shard_index, load_shard_checkpoint, shard_file_name,
     shard_wire_version, CheckpointManifest, ShardPlan, ShardReport, MANIFEST_FILE,
 };
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant, SystemTime};
 
@@ -353,24 +353,23 @@ impl FanoutWorker {
         }
 
         // Campaign-global progress: the grid engine counts per shard, so the
-        // count and the disable flag for a panicking hook live out here.
-        let total_cells = spec.cell_count();
-        let completed = Arc::new(AtomicUsize::new(0));
-        let hook: Option<ProgressHook> = self.runner.progress.clone().map(|user| {
-            let completed = Arc::clone(&completed);
-            let disabled = Mutex::new(false);
-            Arc::new(move |p: &CampaignProgress| {
-                let global = CampaignProgress {
-                    completed_cells: completed.fetch_add(1, Ordering::Relaxed) + 1,
-                    total_cells,
-                    ..p.clone()
-                };
-                deliver_progress(&user, &disabled, &global);
-            }) as ProgressHook
+        // campaign's count and the disable flag for a panicking hook live in
+        // one counter out here, which renumbers each shard's events.
+        let counter = self
+            .runner
+            .progress
+            .clone()
+            .map(|user| Arc::new(ProgressCounter::new(user, spec.cell_count())));
+        let hook: Option<ProgressHook> = counter.clone().map(|counter| {
+            Arc::new(move |p: &CampaignProgress| counter.deliver(&p.policy, &p.trace, &p.scenario))
+                as ProgressHook
         });
         let row_cells = spec.policies.len() * spec.scenarios.len();
-        let skip_cells =
-            |k: usize| completed.fetch_add(plan.rows(k).len() * row_cells, Ordering::Relaxed);
+        let skip_cells = |k: usize| {
+            if let Some(counter) = &counter {
+                counter.skip(plan.rows(k).len() * row_cells);
+            }
+        };
         // A shard file cut along another plan counts as absent: running the
         // shard overwrites it.
         let landed = |k: usize| {

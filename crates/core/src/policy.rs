@@ -198,6 +198,16 @@ pub struct SteeringStack {
     carry_pred: CarryPredictor,
     copy_pred: CopyPredictor,
     stats: StackStats,
+    /// `(capacity, threshold)`: the helper-full threshold of the last helper
+    /// IQ capacity seen, so a steer recomputes it only when the capacity
+    /// changes.
+    full_threshold: (usize, usize),
+}
+
+/// Helper IQ occupancy above which the helper counts as full:
+/// `fraction` of a `capacity`-entry queue, truncated.
+fn helper_full_threshold(capacity: usize, fraction: f64) -> usize {
+    (capacity.max(1) as f64 * fraction) as usize
 }
 
 impl SteeringStack {
@@ -219,6 +229,7 @@ impl SteeringStack {
             width_pred: WidthPredictor::new(predictors.width_entries, predictors.use_confidence),
             carry_pred: CarryPredictor::new(predictors.carry_entries),
             copy_pred: CopyPredictor::new(predictors.copy_entries),
+            full_threshold: (0, helper_full_threshold(0, features.helper_full_fraction)),
             features,
             predictors,
             name,
@@ -271,15 +282,25 @@ impl SteeringStack {
         self.copy_pred.stats().accuracy()
     }
 
-    fn helper_has_room(&self, ctx: &SteerContext, extra: usize) -> bool {
-        let cap = ctx.helper_iq_capacity.max(1);
-        let full = (cap as f64 * self.features.helper_full_fraction) as usize;
+    /// The helper-full threshold for `ctx`'s helper IQ capacity.
+    fn helper_full(&mut self, ctx: &SteerContext) -> usize {
+        let capacity = ctx.helper_iq_capacity;
+        if self.full_threshold.0 != capacity {
+            let threshold = helper_full_threshold(capacity, self.features.helper_full_fraction);
+            self.full_threshold = (capacity, threshold);
+        }
+        self.full_threshold.1
+    }
+
+    /// Whether `extra` more helper IQ entries stay within the helper-full
+    /// threshold `full`.
+    fn helper_has_room(ctx: &SteerContext, extra: usize, full: usize) -> bool {
         ctx.helper_iq_occupancy + extra <= full
     }
 
-    fn helper_overloaded(&self, ctx: &SteerContext) -> bool {
+    fn helper_overloaded(&self, ctx: &SteerContext, full: usize) -> bool {
         ctx.narrow_to_wide_imbalance > self.features.overload_threshold
-            || !self.helper_has_room(ctx, 1)
+            || !Self::helper_has_room(ctx, 1, full)
     }
 
     /// The 8-8-8 test of §3.2: every source (actual width when written back,
@@ -335,7 +356,7 @@ impl SteeringStack {
 
     /// The IR rule of §3.7: when there is wide→narrow imbalance, split wide
     /// ALU µops into four chained 8-bit chunks and send them to the helper.
-    fn rule_ir(&self, uop: &DynUop, ctx: &SteerContext) -> bool {
+    fn rule_ir(&self, uop: &DynUop, ctx: &SteerContext, full: usize) -> bool {
         if !self.features.ir || !uop.uop.kind.is_simple_alu() {
             return false;
         }
@@ -347,7 +368,7 @@ impl SteeringStack {
         // when the wide issue bandwidth is the bottleneck.
         ctx.wide_to_narrow_imbalance > self.features.ir_imbalance_threshold
             && ctx.helper_iq_occupancy * 4 <= ctx.helper_iq_capacity
-            && self.helper_has_room(ctx, 8)
+            && Self::helper_has_room(ctx, 8, full)
     }
 }
 
@@ -375,7 +396,8 @@ impl SteeringPolicy for SteeringStack {
 
         // Workload-balance guard: an overloaded helper cluster sheds narrow
         // work back to the wide cluster until balance is restored (§3.7).
-        let overloaded = self.helper_overloaded(ctx);
+        let full = self.helper_full(ctx);
+        let overloaded = self.helper_overloaded(ctx, full);
 
         // BR first: branches carry no data result, so they are never fatal.
         if self.rule_br(uop, ctx) && !overloaded {
@@ -410,7 +432,7 @@ impl SteeringPolicy for SteeringStack {
         }
 
         // IR: split wide work into narrow chunks when the helper is idle.
-        if self.rule_ir(uop, ctx) {
+        if self.rule_ir(uop, ctx, full) {
             self.stats.steered_ir_split += 1;
             return with_pred(SteerDecision::split_to_helper());
         }

@@ -10,7 +10,7 @@ impl Machine<'_> {
     pub(crate) fn commit(&mut self) {
         let mut committed = 0usize;
         while let Some(&seq) = self.ctx.rob.front() {
-            let idx = seq as usize;
+            let idx = self.ctx.slot(seq);
             if !self.ctx.ctl[idx].alive() {
                 self.ctx.rob.pop_front();
                 continue;
@@ -28,16 +28,12 @@ impl Machine<'_> {
     }
 
     fn retire(&mut self, seq: Seq) {
-        let idx = seq as usize;
+        let idx = self.ctx.slot(seq);
         if self.ctx.entries[idx].is_store {
-            // Drop this store from the MOB index; any entries in front of it
-            // are older squashed stores whose retirement never came.
-            while let Some(s) = self.ctx.stores.pop_front() {
-                if s == seq {
-                    break;
-                }
-                debug_assert!(!self.ctx.ctl[s as usize].alive());
-            }
+            // Stores retire in age order and a flush drops the ones it
+            // squashes, so this store heads the MOB index.
+            let oldest = self.ctx.stores.pop_front();
+            debug_assert_eq!(oldest, Some(seq), "the MOB index lost its order");
         }
         let cluster = self.ctx.ctl[idx].cluster;
         let replicated = self.ctx.ctl[idx].replicated;
@@ -57,7 +53,7 @@ impl Machine<'_> {
             self.ctx.arch_loc[dst.index()] = cluster;
             self.ctx.arch_replicated[dst.index()] = replicated;
             self.ctx.arch_narrow[dst.index()] =
-                uop.result.map(|v| v.fits_in(self.nbits())).unwrap_or(false);
+                uop.result.map(|v| v.fits_in(self.nbits)).unwrap_or(false);
         }
         if uop.uop.writes_flags {
             if self.ctx.flags_map.map(|e| e.seq == seq).unwrap_or(false) {
@@ -80,7 +76,7 @@ impl Machine<'_> {
                 if self.eligible_for_width_accounting(&uop) {
                     if cluster == Cluster::Helper {
                         self.ctx.stats.correct_width_predictions += 1;
-                    } else if uop.is_all_narrow_within(self.nbits()) && self.cfg.helper_enabled {
+                    } else if uop.is_all_narrow_within(self.nbits) && self.cfg.helper_enabled {
                         self.ctx.stats.nonfatal_width_mispredicts += 1;
                     } else {
                         self.ctx.stats.correct_width_predictions += 1;
@@ -88,9 +84,9 @@ impl Machine<'_> {
                 }
                 let info = WritebackInfo {
                     executed_in: cluster,
-                    result_narrow: uop.result.map(|v| v.fits_in(self.nbits())).unwrap_or(true),
-                    carry_free: uop.is_carry_free_within(self.nbits())
-                        || Self::address_carry_free(&uop, self.nbits()),
+                    result_narrow: uop.result.map(|v| v.fits_in(self.nbits)).unwrap_or(true),
+                    carry_free: uop.is_carry_free_within(self.nbits)
+                        || Self::address_carry_free(&uop, self.nbits),
                     fatal_mispredict: fatal,
                     incurred_copy,
                 };

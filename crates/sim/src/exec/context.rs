@@ -13,6 +13,27 @@
 //! allocations*, which is what makes the staged engine's hot loop
 //! allocation-free in steady state: a campaign worker thread is handed one
 //! context and replays every grid cell through it.
+//!
+//! # The sliding window
+//!
+//! The slab holds the entries from `base` (the sequence number of
+//! `entries[0]`) on; every column is indexed through `ExecContext::slot`.
+//! After commit, `ExecContext::trim` drains the entries below the oldest
+//! live one once a batch of them has built up, and the dependence arena
+//! recycles links through a free list, so a context's memory is bounded by
+//! the reorder buffer plus what rename allocates while one µop waits at the
+//! head, not by the trace length.  An entry below `base` has retired or
+//! been squashed, and every stage answers for it what the unbounded slab
+//! answered:
+//!
+//! * a due completion event for it is skipped — retired entries have no
+//!   pending event, so it was squashed after issue;
+//! * a dependence link to it is skipped — no consumer retires before its
+//!   producer completes, so it was squashed;
+//! * a copy recorded in the current copy epoch was not squashed (a flush
+//!   bumps the epoch), so it retired and its value is available;
+//! * the MOB's store index never names it: a flush pops the stores it
+//!   squashes, and a retiring store pops itself.
 
 use super::RenameEntry;
 use crate::cache::MemoryHierarchy;
@@ -22,11 +43,16 @@ use crate::rob::{Inflight, Seq, UopCtl};
 use crate::stats::SimStats;
 use crate::steer::{Cluster, SourceWidthInfo};
 use hc_isa::reg::NUM_ARCH_REGS;
+use hc_isa::uop::MAX_SRCS;
 use hc_predictors::BranchPredictor;
 use std::collections::VecDeque;
 
 /// Sentinel for "no link" in the dependence arena.
 pub(crate) const NO_LINK: usize = usize::MAX;
+
+/// How many leading ROB slots can hold its smallest sequence number: a µop
+/// and its source copies, one per source plus one for the flags.
+const OLDEST_LIVE_SPAN: usize = 1 + MAX_SRCS + 1;
 
 /// Default number of buckets in the event wheel: larger than the longest
 /// event latency of the paper configuration (a main-memory load is under
@@ -47,7 +73,7 @@ const DEFAULT_WHEEL_BUCKETS: usize = 1024;
 pub struct ExecContext {
     // ------------------------------------------------------------- arenas
     /// Dense in-flight window slab (cold per-entry payload), indexed by
-    /// [`Seq`].
+    /// [`ExecContext::slot`].
     pub(crate) entries: Vec<Inflight>,
     /// Packed hot scheduling state of each entry (8 bytes/entry), parallel
     /// to `entries` — the wakeup/select/routing loops walk this column
@@ -56,15 +82,25 @@ pub struct ExecContext {
     /// Head of each entry's dependents chain in [`ExecContext::dep_pool`]
     /// (`NO_LINK` = no dependents).  Parallel to `entries`.
     pub(crate) dep_head: Vec<usize>,
+    /// Sequence number of `entries[0]` (and of `ctl[0]`, `dep_head[0]`):
+    /// every entry below it has retired or been squashed.
+    pub(crate) base: Seq,
     /// Arena of `(consumer, next)` dependence links: the index-vector
     /// replacement for the old per-entry `Vec<Seq>` dependents lists.
+    /// Links of a completed or squashed producer go back to the free list
+    /// headed by `dep_free`.
     pub(crate) dep_pool: Vec<(Seq, usize)>,
-    /// The reorder buffer (sequence numbers in dispatch order).
+    /// Head of the free list threaded through `dep_pool`'s `next` fields
+    /// (`NO_LINK` = empty).
+    pub(crate) dep_free: usize,
+    /// The reorder buffer (sequence numbers in dispatch order).  Not
+    /// ascending: a µop's source copies are allocated after it but
+    /// dispatched before it.
     pub(crate) rob: VecDeque<Seq>,
-    /// In-flight store sequence numbers in dispatch (= age) order: the MOB's
-    /// index, so the load ordering check scans stores only, not the whole
-    /// window.  Squashed stores are skipped lazily and dropped at the next
-    /// store retirement.
+    /// In-flight store sequence numbers in dispatch (= age = ascending
+    /// sequence) order: the MOB's index, so the load ordering check scans
+    /// stores only, not the whole window.  A flush drops the stores it
+    /// squashes, so the index holds live stores only.
     pub(crate) stores: VecDeque<Seq>,
     /// Cycle-bucketed completion-event wheel.
     pub(crate) events: EventWheel,
@@ -74,10 +110,11 @@ pub struct ExecContext {
     pub(crate) select_scratch: Vec<Seq>,
     /// Alive `Ready` (not yet issued) entries per `[cluster][is_fp]`, each
     /// queue in ascending sequence order — the select loop walks exactly the
-    /// issuable entries instead of scanning the whole reorder buffer.
+    /// issuable entries, oldest first.
     pub(crate) ready: ReadyQueues,
     /// Trace positions forced to the wide cluster after a fatal width
-    /// misprediction, as a dense bitset over trace positions.
+    /// misprediction, as a dense bitset over the positions from the commit
+    /// watermark on.
     pub(crate) forced_wide: BitSet,
     /// Scratch for the steer-context source list, reclaimed after every
     /// policy call so rename never allocates per µop.
@@ -147,7 +184,9 @@ impl ExecContext {
             entries: Vec::new(),
             ctl: Vec::new(),
             dep_head: Vec::new(),
+            base: 0,
             dep_pool: Vec::new(),
+            dep_free: NO_LINK,
             rob: VecDeque::new(),
             stores: VecDeque::new(),
             events: EventWheel::new(),
@@ -183,33 +222,15 @@ impl ExecContext {
         }
     }
 
-    /// Create a context whose window slab already holds a run of
-    /// `trace_len` µops.  The memory is taken on the calling thread, so a
-    /// caller that hands contexts to short-lived worker threads keeps the
-    /// largest buffers out of those threads' allocator arenas.
-    pub fn with_capacity(trace_len: usize) -> ExecContext {
-        let mut ctx = ExecContext::new();
-        ctx.reserve_window(trace_len);
-        ctx
-    }
-
-    /// Reserve the window slab and its parallel columns for a run of
-    /// `trace_len` µops, with half as many again for copies and splits.
-    fn reserve_window(&mut self, trace_len: usize) {
-        let want = trace_len + trace_len / 2;
-        self.entries.reserve(want);
-        self.ctl.reserve(want);
-        self.dep_head.reserve(want);
-    }
-
-    /// Return the arena buffers to a cold state for a run of `trace_len`
-    /// µops under `cfg`, keeping every allocation.
-    fn prepare(&mut self, cfg: &SimConfig, trace_len: usize) {
+    /// Return the arena buffers to a cold state for a run under `cfg`,
+    /// keeping every allocation.
+    fn prepare(&mut self, cfg: &SimConfig) {
         self.entries.clear();
         self.ctl.clear();
         self.dep_head.clear();
+        self.base = 0;
         self.dep_pool.clear();
-        self.reserve_window(trace_len);
+        self.dep_free = NO_LINK;
         self.rob.clear();
         self.stores.clear();
         self.events.reset();
@@ -218,7 +239,7 @@ impl ExecContext {
         self.event_scratch.clear();
         self.select_scratch.clear();
         self.ready.reset();
-        self.forced_wide.reset(trace_len);
+        self.forced_wide.reset();
         self.steer_sources.clear();
         self.seq_scratch.clear();
         if self.mem.matches(cfg) {
@@ -240,7 +261,7 @@ impl ExecContext {
         trace_len: usize,
         policy_name: &str,
     ) {
-        self.prepare(cfg, trace_len);
+        self.prepare(cfg);
         self.rename_map = [None; NUM_ARCH_REGS];
         self.flags_map = None;
         self.arch_loc = [Cluster::Wide; NUM_ARCH_REGS];
@@ -267,6 +288,103 @@ impl ExecContext {
         self.committed_trace_uops = 0;
         self.trace_len = trace_len;
         self.skipped_cycles = 0;
+    }
+
+    /// Index of `seq` in the window columns (`entries`, `ctl`,
+    /// `dep_head`).  Only a live entry has one: callers check
+    /// [`ExecContext::trimmed`] first wherever a trimmed entry can reach
+    /// them.
+    #[inline]
+    pub(crate) fn slot(&self, seq: Seq) -> usize {
+        debug_assert!(
+            seq >= self.base,
+            "seq {seq} was trimmed out of the window (base {})",
+            self.base
+        );
+        (seq - self.base) as usize
+    }
+
+    /// Whether `seq` lies below the window, i.e. it retired or was squashed
+    /// and has since been drained.
+    #[inline]
+    pub(crate) fn trimmed(&self, seq: Seq) -> bool {
+        seq < self.base
+    }
+
+    /// The sequence number the next allocated entry receives.
+    pub(crate) fn next_seq(&self) -> Seq {
+        self.base + self.entries.len() as Seq
+    }
+
+    /// Record `consumer` at the head of a producer's dependents chain whose
+    /// current head is `next`; returns the new head.
+    pub(crate) fn push_link(&mut self, consumer: Seq, next: usize) -> usize {
+        if self.dep_free == NO_LINK {
+            self.dep_pool.push((consumer, next));
+            return self.dep_pool.len() - 1;
+        }
+        let link = self.dep_free;
+        self.dep_free = self.dep_pool[link].1;
+        self.dep_pool[link] = (consumer, next);
+        link
+    }
+
+    /// Return the chain from `head` through `tail` (its last link) to the
+    /// free list.
+    pub(crate) fn free_links(&mut self, head: usize, tail: usize) {
+        self.dep_pool[tail].1 = self.dep_free;
+        self.dep_free = head;
+    }
+
+    /// Return a squashed producer's whole dependents chain to the free
+    /// list.
+    pub(crate) fn free_chain(&mut self, idx: usize) {
+        let head = std::mem::replace(&mut self.dep_head[idx], NO_LINK);
+        if head == NO_LINK {
+            return;
+        }
+        let mut tail = head;
+        while self.dep_pool[tail].1 != NO_LINK {
+            tail = self.dep_pool[tail].1;
+        }
+        self.free_links(head, tail);
+    }
+
+    /// Drop what the machine can no longer reach, after commit: the window
+    /// entries below the oldest live one, once at least `batch` of them
+    /// have built up (draining a column's front moves the live rest, so the
+    /// cost is paid once per batch), and the forced-wide positions below
+    /// the commit watermark.
+    pub(crate) fn trim(&mut self, batch: usize) {
+        self.forced_wide.trim(self.committed_trace_uops);
+        // Everything below the ROB's smallest sequence number has retired
+        // or been squashed.  A µop's source copies (at most one per source
+        // plus a flags copy) are allocated after it but dispatched before
+        // it, so that minimum is among the first 1 + MAX_SRCS + 1 slots.
+        let oldest_live = self
+            .rob
+            .iter()
+            .take(OLDEST_LIVE_SPAN)
+            .min()
+            .copied()
+            .unwrap_or_else(|| self.next_seq());
+        debug_assert_eq!(
+            oldest_live,
+            self.rob.iter().min().copied().unwrap_or(self.next_seq()),
+            "the ROB minimum lies beyond its first {OLDEST_LIVE_SPAN} slots"
+        );
+        let dead = (oldest_live - self.base) as usize;
+        if dead < batch {
+            return;
+        }
+        debug_assert!(
+            self.dep_head[..dead].iter().all(|&link| link == NO_LINK),
+            "a retired or squashed entry still holds dependence links"
+        );
+        self.entries.drain(..dead);
+        self.ctl.drain(..dead);
+        self.dep_head.drain(..dead);
+        self.base = oldest_live;
     }
 
     /// Whether the current run has retired its whole trace (or hit the
@@ -302,11 +420,10 @@ impl Default for ExecContext {
 /// The per-cluster ready queues: alive, `Ready`, not-yet-issued entries in
 /// ascending sequence order, indexed `[cluster][is_fp]`.
 ///
-/// Because the reorder buffer holds sequence numbers in ascending dispatch
-/// order, walking a merged (int + fp) view of a cluster's queues visits
-/// ready entries in **exactly the order the old O(window) ROB scan
-/// encountered them** — the select loop's results are bit-identical, it
-/// just skips the non-ready window entries the scan used to step over.
+/// Walking a merged (int + fp) view of a cluster's queues visits its ready
+/// entries by ascending sequence number — the select order.  (The reorder
+/// buffer is not in sequence order: a µop's source copies are allocated
+/// after it but dispatched before it.)
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ReadyQueues {
     queues: [[Vec<Seq>; 2]; 2],
@@ -498,11 +615,15 @@ impl EventWheel {
     }
 }
 
-/// A dense bitset over trace positions, replacing the old
-/// `HashSet<usize>` for `forced_wide` with two instructions per query.
+/// A dense bitset over the trace positions from `base` (a multiple of 64)
+/// on, replacing the old `HashSet<usize>` for `forced_wide` with a few
+/// instructions per query.  It grows as positions are inserted and drops
+/// its words below the commit watermark, so it spans the in-flight window,
+/// not the trace.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct BitSet {
     words: Vec<u64>,
+    base: usize,
 }
 
 impl BitSet {
@@ -510,20 +631,34 @@ impl BitSet {
         BitSet::default()
     }
 
-    /// Clear and resize to cover `bits` positions, keeping the allocation.
-    fn reset(&mut self, bits: usize) {
+    /// Clear, keeping the allocation.
+    fn reset(&mut self) {
         self.words.clear();
-        self.words.resize(bits.div_ceil(64), 0);
+        self.base = 0;
     }
 
     pub(crate) fn insert(&mut self, i: usize) {
-        self.words[i / 64] |= 1 << (i % 64);
+        debug_assert!(i >= self.base, "position {i} is below the watermark");
+        let word = (i - self.base) / 64;
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        self.words[word] |= 1 << (i % 64);
     }
 
     pub(crate) fn contains(&self, i: usize) -> bool {
-        self.words
-            .get(i / 64)
+        i.checked_sub(self.base)
+            .and_then(|offset| self.words.get(offset / 64))
             .is_some_and(|w| w & (1 << (i % 64)) != 0)
+    }
+
+    /// Forget every position below `watermark`.
+    fn trim(&mut self, watermark: usize) {
+        let dead = (watermark - self.base) / 64;
+        if dead > 0 {
+            self.words.drain(..dead.min(self.words.len()));
+            self.base += dead * 64;
+        }
     }
 }
 
@@ -534,7 +669,6 @@ mod tests {
     #[test]
     fn bitset_inserts_and_queries() {
         let mut b = BitSet::new();
-        b.reset(130);
         assert!(!b.contains(0));
         b.insert(0);
         b.insert(64);
@@ -543,8 +677,27 @@ mod tests {
         assert!(b.contains(64));
         assert!(b.contains(129));
         assert!(!b.contains(1));
-        b.reset(130);
+        assert!(!b.contains(10_000), "past the last word reads as absent");
+        b.reset();
         assert!(!b.contains(64), "reset must clear previous bits");
+    }
+
+    #[test]
+    fn bitset_trims_below_the_watermark() {
+        let mut b = BitSet::new();
+        b.insert(5);
+        b.insert(70);
+        b.insert(200);
+        b.trim(63);
+        assert!(b.contains(5), "a partly dead word is kept");
+        b.trim(130);
+        assert!(!b.contains(5) && !b.contains(70));
+        assert!(b.contains(200));
+        assert_eq!(b.words.len(), 2, "two dead words were dropped");
+        b.trim(1_000);
+        assert!(b.words.is_empty());
+        b.insert(1_000);
+        assert!(b.contains(1_000) && !b.contains(999));
     }
 
     #[test]
@@ -634,7 +787,7 @@ mod tests {
             .generate();
         let cfg = SimConfig::paper_baseline();
         let mut ctx = ExecContext::new();
-        ctx.prepare(&cfg, trace.len());
+        ctx.prepare(&cfg);
         ctx.entries.push(Inflight::new(
             0,
             crate::rob::Role::Trace { pos: 0 },
@@ -643,8 +796,10 @@ mod tests {
         ctx.ctl
             .push(UopCtl::new(crate::steer::Cluster::Wide, false));
         ctx.events.push(3, 0);
-        ctx.prepare(&cfg, trace.len());
+        ctx.base = 7;
+        ctx.prepare(&cfg);
         assert!(ctx.entries.is_empty());
+        assert_eq!(ctx.base, 0);
         assert!(ctx.ctl.is_empty());
         assert_eq!(ctx.events.pending, 0);
     }

@@ -18,6 +18,11 @@ impl Machine<'_> {
         if self.ctx.tick < self.ctx.frontend_stall_until || self.ctx.branch_stall.is_some() {
             return;
         }
+        // Nothing samples NREADY during rename, so one read serves the pass.
+        let imbalance = (
+            self.ctx.nready.recent_wide_to_narrow(),
+            self.ctx.nready.recent_narrow_to_wide(),
+        );
         let mut renamed = 0usize;
         while renamed < self.cfg.rename_width && self.ctx.next_pos < self.feed.len() {
             if self.window_full() {
@@ -29,7 +34,7 @@ impl Machine<'_> {
             let Some(duop) = self.feed.get(pos) else {
                 break;
             };
-            let sctx = self.build_context(&duop, pos);
+            let sctx = self.build_context(&duop, pos, imbalance);
             self.ctx.stats.energy.predictor_accesses += 1;
             let mut decision = self.policy.steer(&duop, &sctx);
             // Reclaim the source-info buffer so the next µop fills it in place.
@@ -58,14 +63,13 @@ impl Machine<'_> {
     /// Whether the window lacks room for the worst case one µop can need:
     /// a split's chunks plus their copies, and two source copies.
     pub(crate) fn window_full(&self) -> bool {
-        self.ctx.rob.len() + self.split_chunks() * 2 + 2 > self.cfg.rob_entries
+        self.ctx.rob.len() + self.split_chunks * 2 + 2 > self.cfg.rob_entries
     }
 
     /// Whether this µop's steering is forced wide by the decision context
     /// (helper missing, wide-only kind, or a post-flush resteer).
     fn forced_wide(&self, duop: &DynUop, pos: usize) -> bool {
-        let helper_ok = self.cfg.helper_enabled && self.policy.uses_helper();
-        !helper_ok || duop.uop.kind.wide_only() || self.ctx.forced_wide.contains(pos)
+        !self.helper_on || duop.uop.kind.wide_only() || self.ctx.forced_wide.contains(pos)
     }
 
     fn sanitize_decision(&self, duop: &DynUop, d: &mut SteerDecision) {
@@ -95,7 +99,7 @@ impl Machine<'_> {
         } else if d.split {
             // chunks in the helper IQ + copies (also helper IQ, they execute at
             // the producer side).
-            needed_helper = self.split_chunks() * 2;
+            needed_helper = self.split_chunks * 2;
         } else {
             match d.cluster {
                 Cluster::Wide => {
@@ -114,7 +118,8 @@ impl Machine<'_> {
 
     /// Fill a [`SteerContext`] for `duop`, reusing the context's source-info
     /// buffer (the caller hands `sources` back after the policy call).
-    fn build_context(&mut self, duop: &DynUop, pos: usize) -> SteerContext {
+    /// `imbalance` is the recent (wide→narrow, narrow→wide) NREADY estimate.
+    fn build_context(&mut self, duop: &DynUop, pos: usize, imbalance: (f64, f64)) -> SteerContext {
         let mut sources = std::mem::take(&mut self.ctx.steer_sources);
         sources.clear();
         for src in duop.uop.sources() {
@@ -122,7 +127,7 @@ impl Machine<'_> {
         }
         let flags_producer = if duop.uop.reads_flags {
             match self.ctx.flags_map {
-                Some(e) => Some(self.ctx.ctl[e.seq as usize].cluster),
+                Some(e) => Some(self.ctx.ctl[self.ctx.slot(e.seq)].cluster),
                 None => Some(self.ctx.flags_loc),
             }
         } else {
@@ -130,15 +135,15 @@ impl Machine<'_> {
         };
         SteerContext {
             sources,
-            imm_narrow: duop.uop.imm.map(|v| v.fits_in(self.nbits())),
+            imm_narrow: duop.uop.imm.map(|v| v.fits_in(self.nbits)),
             flags_producer,
             wide_iq_occupancy: self.ctx.wide_int_iq,
             helper_iq_occupancy: self.ctx.helper_iq,
             wide_iq_capacity: self.cfg.int_iq_entries,
             helper_iq_capacity: self.cfg.helper_iq_entries,
-            wide_to_narrow_imbalance: self.ctx.nready.recent_wide_to_narrow(),
-            narrow_to_wide_imbalance: self.ctx.nready.recent_narrow_to_wide(),
-            helper_available: self.cfg.helper_enabled && self.policy.uses_helper(),
+            wide_to_narrow_imbalance: imbalance.0,
+            narrow_to_wide_imbalance: imbalance.1,
+            helper_available: self.helper_on,
             forced_wide: self.ctx.forced_wide.contains(pos),
         }
     }
@@ -146,15 +151,12 @@ impl Machine<'_> {
     fn source_info(&self, src: ArchReg) -> SourceWidthInfo {
         match self.ctx.rename_map[src.index()] {
             Some(e) => {
-                let c = self.ctx.ctl[e.seq as usize];
-                let p = &self.ctx.entries[e.seq as usize];
+                let idx = self.ctx.slot(e.seq);
+                let c = self.ctx.ctl[idx];
+                let p = &self.ctx.entries[idx];
                 if c.state == UopState::Completed {
                     SourceWidthInfo {
-                        narrow: p
-                            .uop
-                            .result
-                            .map(|v| v.fits_in(self.nbits()))
-                            .unwrap_or(false),
+                        narrow: p.uop.result.map(|v| v.fits_in(self.nbits)).unwrap_or(false),
                         actual: true,
                         producer_cluster: Some(c.cluster),
                     }

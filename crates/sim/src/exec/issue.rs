@@ -3,13 +3,13 @@
 //!
 //! The select loop walks the cluster's **ready queues** (ascending sequence
 //! order, maintained by dispatch/wakeup/flush) instead of scanning the
-//! reorder buffer: because the ROB holds sequence numbers in ascending
-//! dispatch order, the merged ready walk visits entries in exactly the order
-//! the O(window) scan encountered them — same select outcome, without
-//! stepping over waiting and issued entries.  Completion events are drained
-//! from the context's cycle-bucketed event wheel into a reused scratch
-//! buffer.
+//! reorder buffer, so it visits exactly the issuable entries, by ascending
+//! sequence number.  (The ROB is not in sequence order: a µop's source
+//! copies are allocated after it but dispatched before it.)  Completion
+//! events are drained from the context's cycle-bucketed event wheel into a
+//! reused scratch buffer.
 
+use super::context::NO_LINK;
 use super::Machine;
 use crate::rob::{Role, Seq, UopState};
 use crate::steer::{Cluster, HelperMode};
@@ -23,7 +23,12 @@ impl Machine<'_> {
         let mut due = std::mem::take(&mut self.ctx.event_scratch);
         self.ctx.events.drain_due(now, &mut due);
         for &seq in &due {
-            let idx = seq as usize;
+            // Retired entries have no pending event, so one trimmed out of
+            // the window was squashed after issue.
+            if self.ctx.trimmed(seq) {
+                continue;
+            }
+            let idx = self.ctx.slot(seq);
             if self.ctx.ctl[idx].state != UopState::Issued {
                 continue; // squashed after issue
             }
@@ -38,17 +43,27 @@ impl Machine<'_> {
             if matches!(self.ctx.entries[idx].role, Role::Copy { .. }) {
                 self.ctx.stats.energy.copy_transfers += 1;
             }
-            // Wake dependents by walking this entry's chain in the link arena.
-            let mut link = self.ctx.dep_head[idx];
-            self.ctx.dep_head[idx] = super::context::NO_LINK;
-            while link != super::context::NO_LINK {
+            // Wake dependents by walking this entry's chain in the link
+            // arena, then return the chain to the free list.  A consumer
+            // trimmed out of the window was squashed: no consumer retires
+            // before its producer completes.
+            let head = std::mem::replace(&mut self.ctx.dep_head[idx], NO_LINK);
+            let (mut link, mut tail) = (head, head);
+            while link != NO_LINK {
                 let (consumer, next) = self.ctx.dep_pool[link];
-                let c = &mut self.ctx.ctl[consumer as usize];
-                if c.alive() && c.satisfy_dep() {
-                    let (cl, fp) = (c.cluster, c.is_fp);
-                    self.ctx.ready.insert(cl, fp, consumer);
+                if !self.ctx.trimmed(consumer) {
+                    let cidx = self.ctx.slot(consumer);
+                    let c = &mut self.ctx.ctl[cidx];
+                    if c.alive() && c.satisfy_dep() {
+                        let (cl, fp) = (c.cluster, c.is_fp);
+                        self.ctx.ready.insert(cl, fp, consumer);
+                    }
                 }
+                tail = link;
                 link = next;
+            }
+            if head != NO_LINK {
+                self.ctx.free_links(head, tail);
             }
             // Branch-stall release.
             if self.ctx.branch_stall == Some(seq) {
@@ -86,7 +101,7 @@ impl Machine<'_> {
             if int_used >= int_width && (fp_width == 0 || fp_used >= fp_width) {
                 break;
             }
-            let idx = seq as usize;
+            let idx = self.ctx.slot(seq);
             debug_assert!(
                 self.ctx.ctl[idx].alive()
                     && self.ctx.ctl[idx].cluster == cluster
@@ -175,7 +190,7 @@ impl Machine<'_> {
     }
 
     fn is_fatal_width_violation(&self, idx: usize) -> bool {
-        let nbits = self.nbits();
+        let nbits = self.nbits;
         let e = &self.ctx.entries[idx];
         match e.helper_mode {
             Some(HelperMode::AllNarrow) => !e.uop.is_all_narrow_within(nbits),
@@ -211,7 +226,7 @@ impl Machine<'_> {
 
     fn latency_ticks(&mut self, idx: usize, forwarded: bool) -> u64 {
         let cluster = self.ctx.ctl[idx].cluster;
-        let ratio = self.ratio();
+        let ratio = self.ratio;
         let own_cycle = match cluster {
             Cluster::Wide => ratio,
             Cluster::Helper => 1,

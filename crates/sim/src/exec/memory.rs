@@ -16,24 +16,21 @@ pub(crate) enum MemOrder {
 
 impl Machine<'_> {
     pub(crate) fn memory_order_check(&self, load_seq: Seq) -> MemOrder {
-        let load_idx = load_seq as usize;
-        let load_mem = match self.ctx.entries[load_idx].uop.mem {
+        let load_mem = match self.ctx.entries[self.ctx.slot(load_seq)].uop.mem {
             Some(m) => m,
             None => return MemOrder::Clear,
         };
-        // The store index holds exactly the in-flight stores in age order, so
-        // this walks the same stores the full ROB scan used to, in the same
-        // order — squashed leftovers are skipped like the ROB scan skipped
-        // dead entries.
+        // The store index holds exactly the live in-flight stores in age
+        // order (a flush drops the stores it squashes), so this walks the
+        // same stores a scan of the window for older live stores would, in
+        // the same order.
         for &seq in self.ctx.stores.iter() {
             if seq >= load_seq {
                 break;
             }
-            let idx = seq as usize;
+            let idx = self.ctx.slot(seq);
             let c = self.ctx.ctl[idx];
-            if !c.alive() {
-                continue;
-            }
+            debug_assert!(c.alive(), "a squashed store stayed in the MOB index");
             if let Some(smem) = self.ctx.entries[idx].uop.mem {
                 if smem.overlaps(&load_mem) {
                     return if c.state == UopState::Completed {

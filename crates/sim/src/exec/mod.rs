@@ -52,6 +52,14 @@
 //! capacity) can allocate.  Keep it that way: new per-µop state belongs in
 //! the slab or an arena, not in per-entry `Vec`s, and per-tick scratch
 //! belongs in [`ExecContext`].
+//!
+//! # The bounded window
+//!
+//! The slab slides: after commit it drops the entries below the oldest live
+//! one a batch at a time, and dependence links are recycled, so a run's
+//! memory is bounded by the reorder buffer plus what rename allocates while
+//! one µop waits at the head, whatever the trace length (see
+//! [`context`]).
 
 pub mod commit;
 pub mod context;
@@ -114,13 +122,7 @@ impl Simulator {
         policy: &mut dyn SteeringPolicy,
     ) -> SimStats {
         ctx.begin_run(&self.config, &trace.name, trace.len(), policy.name());
-        Machine {
-            cfg: &self.config,
-            feed: TraceFeed::Slice(trace),
-            policy,
-            ctx,
-        }
-        .run_to_completion();
+        Machine::new(&self.config, TraceFeed::Slice(trace), policy, ctx).run_to_completion();
         ctx.take_stats()
     }
 
@@ -157,12 +159,8 @@ impl Simulator {
             (header.name.clone(), len)
         };
         ctx.begin_run(&self.config, &name, len, policy.name());
-        let mut machine = Machine {
-            cfg: &self.config,
-            feed: TraceFeed::Stream(StreamCursor::new(source, len)),
-            policy,
-            ctx,
-        };
+        let feed = TraceFeed::Stream(StreamCursor::new(source, len));
+        let mut machine = Machine::new(&self.config, feed, policy, ctx);
         machine.run_to_completion();
         match machine.feed.into_failure() {
             Some(e) => Err(e),
@@ -290,32 +288,56 @@ impl<'a> StreamCursor<'a> {
     }
 }
 
+/// Dead window entries, in reorder buffers' worth, that build up before
+/// [`ExecContext::trim`] drains them: each drain moves the live window, so
+/// a larger batch moves less per entry and keeps more dead entries around.
+const TRIM_BATCH_ROBS: usize = 4;
+
 /// One run's stage driver: a *view* that borrows the configuration, µop
-/// feed, policy and the [`ExecContext`] holding **all** mutable state.  The
-/// context must have been started with [`ExecContext::begin_run`] for
-/// the feed's name and length.
+/// feed, policy and the [`ExecContext`] holding **all** mutable state, plus
+/// the per-run constants the hot path reads.  The context must have been
+/// started with [`ExecContext::begin_run`] for the feed's name and length.
 pub(crate) struct Machine<'a> {
     pub(crate) cfg: &'a SimConfig,
     pub(crate) feed: TraceFeed<'a>,
     pub(crate) policy: &'a mut dyn SteeringPolicy,
     pub(crate) ctx: &'a mut ExecContext,
+    /// Ticks per wide cycle.
+    pub(crate) ratio: u64,
+    /// Helper datapath width every narrowness / carry check runs against.
+    pub(crate) nbits: u32,
+    /// IR split chunk count for the configured helper width.
+    pub(crate) split_chunks: usize,
+    /// Whether this run steers to the helper cluster at all: it exists and
+    /// the policy uses it.
+    pub(crate) helper_on: bool,
+    /// Dead window entries drained at once (see [`TRIM_BATCH_ROBS`]).
+    trim_batch: usize,
+}
+
+impl<'a> Machine<'a> {
+    pub(crate) fn new(
+        cfg: &'a SimConfig,
+        feed: TraceFeed<'a>,
+        policy: &'a mut dyn SteeringPolicy,
+        ctx: &'a mut ExecContext,
+    ) -> Machine<'a> {
+        let helper_on = cfg.helper_enabled && policy.uses_helper();
+        Machine {
+            ratio: cfg.ticks_per_wide_cycle(),
+            nbits: cfg.narrow_bits(),
+            split_chunks: cfg.split_chunks(),
+            helper_on,
+            trim_batch: cfg.rob_entries * TRIM_BATCH_ROBS,
+            cfg,
+            feed,
+            policy,
+            ctx,
+        }
+    }
 }
 
 impl Machine<'_> {
-    pub(crate) fn ratio(&self) -> u64 {
-        self.cfg.ticks_per_wide_cycle()
-    }
-
-    /// Helper datapath width every narrowness / carry check runs against.
-    pub(crate) fn nbits(&self) -> u32 {
-        self.cfg.narrow_bits()
-    }
-
-    /// IR split chunk count for the configured helper width.
-    pub(crate) fn split_chunks(&self) -> usize {
-        self.cfg.split_chunks()
-    }
-
     // ----------------------------------------------------------------- run
 
     /// Drive the run until its trace has fully retired (or, for a streaming
@@ -329,10 +351,9 @@ impl Machine<'_> {
     }
 
     fn step_wide_cycle(&mut self) {
-        let ratio = self.ratio();
-        for sub in 0..ratio {
+        for sub in 0..self.ratio {
             self.complete_at(self.ctx.tick);
-            if self.cfg.helper_enabled && self.policy.uses_helper() {
+            if self.helper_on {
                 self.issue_cluster(Cluster::Helper);
             }
             if sub == 0 {
@@ -342,6 +363,7 @@ impl Machine<'_> {
         }
         self.commit();
         self.feed.trim(self.ctx.committed_trace_uops);
+        self.ctx.trim(self.trim_batch);
         self.rename_and_dispatch();
         self.close_cycles(1);
     }
@@ -352,7 +374,7 @@ impl Machine<'_> {
         self.sample_nready(n);
         self.ctx.cycles += n;
         self.ctx.stats.energy.wide_cycles += n;
-        self.ctx.stats.energy.helper_cycles += n * self.ratio();
+        self.ctx.stats.energy.helper_cycles += n * self.ratio;
     }
 
     /// Jump over the wide cycles, starting with the current one, in which
@@ -378,12 +400,12 @@ impl Machine<'_> {
             return false;
         }
         if let Some(&head) = ctx.rob.front() {
-            let head = ctx.ctl[head as usize];
+            let head = ctx.ctl[ctx.slot(head)];
             if !head.alive() || head.state == UopState::Completed {
                 return false;
             }
         }
-        let ratio = self.ratio();
+        let ratio = self.ratio;
         // Rename runs after the cycle's ticks, so it sees the next boundary.
         let stalled = ctx.tick + ratio < ctx.frontend_stall_until;
         let waits_for_event =
@@ -416,7 +438,7 @@ impl Machine<'_> {
     /// identical samples; the accumulator's window halving is integer
     /// state, so the replay is exact.
     fn sample_nready(&mut self, cycles: u64) {
-        if !self.cfg.helper_enabled || !self.policy.uses_helper() {
+        if !self.helper_on {
             return;
         }
         // The occupancy counters maintained by dispatch/issue/flush and the
@@ -429,7 +451,7 @@ impl Machine<'_> {
         let considered = self.ctx.wide_int_iq + self.ctx.helper_iq;
         // Free slots next cycle approximated by the issue widths.
         let wide_free = self.cfg.int_issue_width;
-        let helper_free = self.cfg.helper_issue_width * self.ratio() as usize;
+        let helper_free = self.cfg.helper_issue_width * self.ratio as usize;
         for _ in 0..cycles {
             self.ctx
                 .nready
@@ -620,21 +642,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn presized_context_is_bit_identical_to_a_fresh_one() {
-        let trace = small_trace(1_500);
-        let sim = Simulator::new(SimConfig::paper_baseline()).unwrap();
-        // Sized for a shorter, the same and a longer trace than it runs.
-        for len in [500, 1_500, 4_000] {
-            let mut ctx = ExecContext::with_capacity(len);
-            assert!(ctx.entries.capacity() >= len + len / 2);
-            assert_eq!(
-                sim.run_with(&mut ctx, &trace, &mut RecklessNarrow),
-                sim.run(&trace, &mut RecklessNarrow)
-            );
-        }
-    }
-
     /// A source that streams a trace but never offers it in place, so runs
     /// over it take the stream cursor.
     struct StreamOnly {
@@ -691,6 +698,49 @@ mod tests {
     }
 
     #[test]
+    fn a_long_stream_keeps_the_window_bounded() {
+        // Flush-heavy policies stream 100,000 µops through a 32-entry ROB.
+        // The window slab and the link arena must stay within a bound set
+        // by the machine, not by the trace, and the stats must equal a
+        // fresh context's over the materialized trace.
+        let mut cfg = SimConfig::paper_baseline();
+        cfg.rob_entries = 32;
+        let bound = 4 * TRIM_BATCH_ROBS * cfg.rob_entries;
+        let sim = Simulator::new(cfg).unwrap();
+        let trace = small_trace(100_000);
+        let mut source = StreamOnly::new(trace.clone());
+        let mut ctx = ExecContext::new();
+        for make_policy in [
+            || Box::new(RecklessNarrow) as Box<dyn SteeringPolicy>,
+            || Box::new(Scattershot(17)) as Box<dyn SteeringPolicy>,
+        ] {
+            let streamed = sim
+                .run_source(&mut ctx, &mut source, make_policy().as_mut())
+                .expect("an in-memory stream cannot fail");
+            assert!(
+                streamed.fatal_width_mispredicts > 1_000,
+                "the run must flush often"
+            );
+            assert!(
+                ctx.base > trace.len() as Seq,
+                "the window slid past the trace"
+            );
+            for (column, capacity) in [
+                ("entries", ctx.entries.capacity()),
+                ("ctl", ctx.ctl.capacity()),
+                ("dep_head", ctx.dep_head.capacity()),
+                ("dep_pool", ctx.dep_pool.capacity()),
+            ] {
+                assert!(
+                    capacity <= bound,
+                    "{column} grew to {capacity} (bound {bound})"
+                );
+            }
+            assert_eq!(streamed, sim.run(&trace, make_policy().as_mut()));
+        }
+    }
+
+    #[test]
     fn short_stream_is_a_typed_error_not_a_hang() {
         let trace = small_trace(500);
         let mut source = StreamOnly::new(trace);
@@ -721,12 +771,7 @@ mod tests {
     fn run_stepping(sim: &Simulator, trace: &Trace, policy: &mut dyn SteeringPolicy) -> SimStats {
         let mut ctx = ExecContext::new();
         ctx.begin_run(sim.config(), &trace.name, trace.len(), policy.name());
-        let mut machine = Machine {
-            cfg: sim.config(),
-            feed: TraceFeed::Slice(trace),
-            policy,
-            ctx: &mut ctx,
-        };
+        let mut machine = Machine::new(sim.config(), TraceFeed::Slice(trace), policy, &mut ctx);
         while !machine.ctx.run_done() {
             machine.step_wide_cycle();
         }

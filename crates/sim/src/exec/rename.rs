@@ -18,7 +18,7 @@ use hc_isa::DynUop;
 
 impl Machine<'_> {
     pub(crate) fn alloc_entry(&mut self, mut e: Inflight, cluster: Cluster) -> Seq {
-        let seq = self.ctx.entries.len() as Seq;
+        let seq = self.ctx.next_seq();
         e.seq = seq;
         let is_fp = matches!(e.uop.uop.kind, UopKind::Fp);
         self.ctx.entries.push(e);
@@ -29,15 +29,14 @@ impl Machine<'_> {
 
     /// Record that `consumer` must wait for `producer` to complete.
     pub(crate) fn add_dep(&mut self, consumer: Seq, producer: Seq) {
-        let pidx = producer as usize;
+        let pidx = self.ctx.slot(producer);
         let p = self.ctx.ctl[pidx];
         if p.state == UopState::Completed || !p.alive() {
             return;
         }
-        self.ctx.ctl[consumer as usize].add_pending_dep();
-        let link = self.ctx.dep_pool.len();
-        self.ctx.dep_pool.push((consumer, self.ctx.dep_head[pidx]));
-        self.ctx.dep_head[pidx] = link;
+        let cidx = self.ctx.slot(consumer);
+        self.ctx.ctl[cidx].add_pending_dep();
+        self.ctx.dep_head[pidx] = self.ctx.push_link(consumer, self.ctx.dep_head[pidx]);
     }
 
     fn charge_iq(&mut self, cluster: Cluster, is_fp: bool) {
@@ -58,7 +57,7 @@ impl Machine<'_> {
     }
 
     pub(crate) fn finish_dispatch(&mut self, seq: Seq) {
-        let idx = seq as usize;
+        let idx = self.ctx.slot(seq);
         let c = &mut self.ctx.ctl[idx];
         let (cluster, is_fp) = (c.cluster, c.is_fp);
         let ready_now = c.pending_deps == 0;
@@ -78,7 +77,7 @@ impl Machine<'_> {
     /// Cached copy of `producer`'s value in `cluster`, if one is still valid
     /// for the current epoch.
     fn cached_copy(&self, producer: Seq, cluster: Cluster) -> Option<Seq> {
-        let p = &self.ctx.entries[producer as usize];
+        let p = &self.ctx.entries[self.ctx.slot(producer)];
         if p.copy_epoch != self.ctx.copy_epoch {
             return None;
         }
@@ -88,7 +87,8 @@ impl Machine<'_> {
 
     fn record_copy(&mut self, producer: Seq, cluster: Cluster, copy: Seq) {
         let epoch = self.ctx.copy_epoch;
-        let p = &mut self.ctx.entries[producer as usize];
+        let pidx = self.ctx.slot(producer);
+        let p = &mut self.ctx.entries[pidx];
         if p.copy_epoch != epoch {
             p.copy_to = [Seq::MAX; 2];
             p.copy_epoch = epoch;
@@ -102,32 +102,7 @@ impl Machine<'_> {
     /// any.
     pub(crate) fn route_source(&mut self, src: ArchReg, cluster: Cluster) -> Option<Seq> {
         match self.ctx.rename_map[src.index()] {
-            Some(e) => {
-                let pseq = e.seq;
-                let pidx = pseq as usize;
-                let p = self.ctx.ctl[pidx];
-                if p.cluster == cluster || p.replicated {
-                    if p.state == UopState::Completed {
-                        None
-                    } else {
-                        Some(pseq)
-                    }
-                } else {
-                    // Need the value in the other cluster: reuse or create a copy.
-                    if let Some(cseq) = self.cached_copy(pseq, cluster) {
-                        let c = self.ctx.ctl[cseq as usize];
-                        if c.alive() {
-                            return if c.state == UopState::Completed {
-                                None
-                            } else {
-                                Some(cseq)
-                            };
-                        }
-                    }
-                    let cseq = self.make_copy(pseq, cluster, false);
-                    Some(cseq)
-                }
-            }
+            Some(e) => self.route_inflight(e.seq, cluster),
             None => {
                 // Architectural value.
                 if self.ctx.arch_loc[src.index()] == cluster
@@ -144,30 +119,7 @@ impl Machine<'_> {
 
     pub(crate) fn route_flags(&mut self, cluster: Cluster) -> Option<Seq> {
         match self.ctx.flags_map {
-            Some(e) => {
-                let pseq = e.seq;
-                let p = self.ctx.ctl[pseq as usize];
-                if p.cluster == cluster || p.replicated {
-                    if p.state == UopState::Completed {
-                        None
-                    } else {
-                        Some(pseq)
-                    }
-                } else {
-                    if let Some(cseq) = self.cached_copy(pseq, cluster) {
-                        let c = self.ctx.ctl[cseq as usize];
-                        if c.alive() {
-                            return if c.state == UopState::Completed {
-                                None
-                            } else {
-                                Some(cseq)
-                            };
-                        }
-                    }
-                    let cseq = self.make_copy(pseq, cluster, false);
-                    Some(cseq)
-                }
-            }
+            Some(e) => self.route_inflight(e.seq, cluster),
             None => {
                 if self.ctx.flags_loc == cluster {
                     None
@@ -181,9 +133,32 @@ impl Machine<'_> {
         }
     }
 
+    /// Make in-flight producer `pseq`'s value available in `cluster`: its
+    /// own result when it executes there (or is replicated), else a copy
+    /// made earlier this epoch or a new one.  Returns the seq the consumer
+    /// must wait for, if it is not complete yet.
+    fn route_inflight(&mut self, pseq: Seq, cluster: Cluster) -> Option<Seq> {
+        let p = self.ctx.ctl[self.ctx.slot(pseq)];
+        if p.cluster == cluster || p.replicated {
+            return (p.state != UopState::Completed).then_some(pseq);
+        }
+        if let Some(cseq) = self.cached_copy(pseq, cluster) {
+            // A copy made this epoch was not squashed, so one trimmed out of
+            // the window has retired and its value is available.
+            if self.ctx.trimmed(cseq) {
+                return None;
+            }
+            let c = self.ctx.ctl[self.ctx.slot(cseq)];
+            if c.alive() {
+                return (c.state != UopState::Completed).then_some(cseq);
+            }
+        }
+        Some(self.make_copy(pseq, cluster, false))
+    }
+
     /// Create a copy µop for in-flight producer `producer` targeting `target`.
     pub(crate) fn make_copy(&mut self, producer: Seq, target: Cluster, prefetched: bool) -> Seq {
-        let pidx = producer as usize;
+        let pidx = self.ctx.slot(producer);
         let pcluster = self.ctx.ctl[pidx].cluster;
         let uop = DynUop::from_uop(Uop::new(self.ctx.entries[pidx].uop.uop.pc, UopKind::Copy));
         let e = Inflight::new(
@@ -254,7 +229,8 @@ impl Machine<'_> {
         let replicate = decision.replicate_load && duop.uop.kind.is_load();
         let seq = self.alloc_entry(e, cluster);
         if replicate {
-            self.ctx.ctl[seq as usize].replicated = true;
+            let idx = self.ctx.slot(seq);
+            self.ctx.ctl[idx].replicated = true;
             self.ctx.stats.replicated_loads += 1;
         }
 
@@ -308,7 +284,7 @@ impl Machine<'_> {
         // 8-bit design point) executed in the helper cluster (§3.7).  Chunk 0
         // handles the least significant slice; each chunk depends on the
         // previous one (carry chain).
-        let chunks = self.split_chunks();
+        let chunks = self.split_chunks;
         let mut prev: Option<Seq> = None;
         let mut last_chunk: Seq = 0;
         for i in 0..chunks {
@@ -362,7 +338,7 @@ impl Machine<'_> {
         // µop: the last chunk carries the Trace role bookkeeping is handled at
         // retire of split chunks; we additionally retire the logical trace µop
         // by tagging the last chunk.
-        let idx = last_chunk as usize;
+        let idx = self.ctx.slot(last_chunk);
         self.ctx.entries[idx].role = Role::Trace { pos };
         self.ctx.entries[idx].helper_mode = Some(HelperMode::SplitChunk);
         self.ctx.entries[idx].predicted_narrow = decision.predicted_dest_narrow;

@@ -251,6 +251,7 @@ pub trait SteeringPolicy {
 
     /// Whether the policy ever uses the helper cluster (false for the
     /// monolithic baseline, which lets the simulator skip helper bookkeeping).
+    /// The simulator reads it once, when a run starts.
     fn uses_helper(&self) -> bool {
         true
     }

@@ -9,7 +9,7 @@
 //! what any consumer observes.
 
 use hc_core::cache::{CellCache, CostModel};
-use hc_core::campaign::CampaignError;
+use hc_core::campaign::{CampaignError, CampaignProgress};
 use hc_core::fanout::{lease_file_name, FanoutWorker, MergeCoordinator, MergeWait, ShardLease};
 use hc_core::CellKey;
 use hc_sim::SimStats;
@@ -454,7 +454,7 @@ fn idle_worker_wakes_soon_after_its_peers_shard_lands() {
 #[test]
 fn a_workers_progress_counts_across_its_shards() {
     // One worker executing both shards reports one campaign-wide count, not
-    // a count per shard.  Worker threads may deliver events out of order.
+    // a count per shard.
     let dir = tmp_dir("progress");
     let spec = small_spec();
     let events = Arc::new(Mutex::new(Vec::new()));
@@ -473,5 +473,64 @@ fn a_workers_progress_counts_across_its_shards() {
     let mut completed: Vec<usize> = events.iter().map(|&(done, _)| done).collect();
     completed.sort_unstable();
     assert_eq!(completed, (1..=total).collect::<Vec<_>>());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn progress_counts_arrive_in_delivery_order() {
+    // Two worker threads that finish cells at the same moment must still
+    // deliver `completed_cells` as 1, 2, ..., N: each event is numbered
+    // under the lock that delivers it.  Every pass after the first replays
+    // its cells from the cache, and the hook is slow, so one thread's next
+    // cell is ready while the other waits to deliver: a count taken before
+    // the lock would then arrive out of order.  The rayon cap is
+    // process-wide; no other test in this binary depends on the thread
+    // count.
+    rayon::set_thread_cap(2);
+    let dir = tmp_dir("ordered_progress");
+    let cache = Arc::new(CellCache::open(dir.join("cache")).expect("open cache"));
+    let mut spec = CampaignBuilder::new("ordered-progress")
+        .policy(PolicyKind::P888)
+        .policy(PolicyKind::Ir);
+    for benchmark in SpecBenchmark::ALL {
+        spec = spec.spec(benchmark);
+    }
+    let spec = spec.trace_len(200).build().expect("valid campaign");
+    let expected: Vec<usize> = (1..=spec.cell_count()).collect();
+    let recorder = |events: &Arc<Mutex<Vec<usize>>>| {
+        let events = Arc::clone(events);
+        move |p: &CampaignProgress| {
+            std::thread::sleep(Duration::from_micros(200));
+            events.lock().expect("events").push(p.completed_cells);
+        }
+    };
+    for pass in 0..10 {
+        let events = Arc::new(Mutex::new(Vec::new()));
+        CampaignRunner::new()
+            .with_cache(Arc::clone(&cache))
+            .with_progress(recorder(&events))
+            .run(&spec)
+            .expect("grid run");
+        assert_eq!(
+            *events.lock().expect("events"),
+            expected,
+            "grid pass {pass}"
+        );
+    }
+    for pass in 0..4 {
+        let events = Arc::new(Mutex::new(Vec::new()));
+        let outcome = FanoutWorker::new(2, dir.join(format!("checkpoint-{pass}")))
+            .with_cache(Arc::clone(&cache))
+            .with_progress(recorder(&events))
+            .run(&spec)
+            .expect("worker run");
+        assert_eq!(outcome.executed_shards, vec![0, 1]);
+        assert_eq!(
+            *events.lock().expect("events"),
+            expected,
+            "worker pass {pass}"
+        );
+    }
+    rayon::set_thread_cap(0);
     let _ = std::fs::remove_dir_all(&dir);
 }
