@@ -355,7 +355,7 @@ pub struct CachedCell {
 /// *not part of any report* — reports stay byte-identical whether cells hit
 /// or miss; these counters are how the `reproduce` CLI, the `hc_serve`
 /// `/metrics` endpoint, tests and CI observe the cache working.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,

@@ -531,21 +531,6 @@ impl CampaignSpec {
         self.wire_version() == LEGACY_CAMPAIGN_SPEC_SCHEMA_VERSION
     }
 
-    /// The machine of the spec's first scenario — the single machine of
-    /// every pre-scenario campaign, kept as a convenience accessor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec names no scenarios (invalid; [`CampaignSpec::validate`]
-    /// rejects it).
-    pub fn primary_machine(&self) -> &SimConfig {
-        &self
-            .scenarios
-            .first()
-            .expect("validated specs have at least one scenario")
-            .machine
-    }
-
     /// Validate the spec, returning the first problem found.
     pub fn validate(&self) -> Result<(), CampaignError> {
         // Accepted versions: the canonical encoding of this scenario list,

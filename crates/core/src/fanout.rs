@@ -30,8 +30,8 @@
 //! A worker whose remaining shards are all freshly leased by peers, and a
 //! waiting coordinator whose manifest or shards have not landed yet, sleep
 //! between rescans of the directory: 1 ms at first, doubling on every
-//! rescan that finds nothing new, up to the configured poll interval, and
-//! back to 1 ms after any progress.  So a peer's shard is picked up within
+//! rescan that finds nothing new, up to a 200 ms cap, and back to 1 ms
+//! after any progress.  So a peer's shard is picked up within
 //! about as long again as the wait so far, and an idle fleet rescans
 //! rarely.  Each side remembers the shards it has accepted and never reads
 //! them again.
@@ -239,7 +239,6 @@ pub struct FanoutWorker {
     checkpoint: PathBuf,
     worker_id: String,
     lease_timeout: Duration,
-    poll_interval: Duration,
     steal: bool,
     /// The progress hook and cell cache every claimed shard runs with.
     pub(crate) runner: CampaignRunner,
@@ -260,7 +259,6 @@ impl FanoutWorker {
                 WORKER_SEQ.fetch_add(1, Ordering::Relaxed)
             ),
             lease_timeout: Duration::from_secs(30),
-            poll_interval: Duration::from_millis(200),
             steal: true,
             runner: CampaignRunner::new(),
         }
@@ -285,14 +283,6 @@ impl FanoutWorker {
     /// must comfortably exceed scheduling jitter — not shard runtime.
     pub fn lease_timeout(mut self, timeout: Duration) -> FanoutWorker {
         self.lease_timeout = timeout;
-        self
-    }
-
-    /// The longest sleep between rescans of an idle worker looking for
-    /// newly-stale leases or newly-complete shards (default 200 ms).  The
-    /// sleeps start at 1 ms and double up to this cap.
-    pub fn poll_interval(mut self, interval: Duration) -> FanoutWorker {
-        self.poll_interval = interval;
         self
     }
 
@@ -383,7 +373,7 @@ impl FanoutWorker {
         // A finished shard is never probed again, so each landed shard file
         // is read and decoded at most once per run.
         let mut done = vec![false; self.shard_count];
-        let mut backoff = Backoff::new(self.poll_interval);
+        let mut backoff = Backoff::new(Backoff::CAP);
         let mut outcome = WorkerOutcome::default();
         loop {
             let mut progressed = false;
@@ -527,7 +517,6 @@ pub struct MergeOutcome {
 pub struct MergeCoordinator {
     checkpoint: PathBuf,
     wait: MergeWait,
-    poll_interval: Duration,
 }
 
 impl MergeCoordinator {
@@ -536,7 +525,6 @@ impl MergeCoordinator {
         MergeCoordinator {
             checkpoint: checkpoint.into(),
             wait: MergeWait::NoWait,
-            poll_interval: Duration::from_millis(200),
         }
     }
 
@@ -546,20 +534,13 @@ impl MergeCoordinator {
         self
     }
 
-    /// The longest sleep between rescans of a waiting coordinator (default
-    /// 200 ms).  The sleeps start at 1 ms and double up to this cap.
-    pub fn poll_interval(mut self, interval: Duration) -> MergeCoordinator {
-        self.poll_interval = interval;
-        self
-    }
-
     /// Watch (per the wait policy), validate and merge.
     pub fn run(&self) -> Result<MergeOutcome, CampaignError> {
         let deadline = match self.wait {
             MergeWait::Timeout(limit) => Some(Instant::now() + limit),
             _ => None,
         };
-        let mut backoff = Backoff::new(self.poll_interval);
+        let mut backoff = Backoff::new(Backoff::CAP);
         // A waiting coordinator may start before the first worker has
         // published the manifest, so a missing one is waitable.  Publication
         // is atomic, so a manifest that exists but cannot be read, decoded
@@ -640,8 +621,9 @@ impl MergeCoordinator {
 }
 
 /// The sleep between rescans of a waiting worker or coordinator: 1 ms
-/// after any progress, doubling on every idle rescan up to the configured
-/// poll interval.  Waiting always sleeps; it never spins or yields.
+/// after any progress, doubling on every idle rescan up to a cap (200 ms,
+/// `Backoff::CAP`, outside unit tests).  Waiting always sleeps; it never
+/// spins or yields.
 #[derive(Debug)]
 struct Backoff {
     next: Duration,
@@ -650,6 +632,8 @@ struct Backoff {
 
 impl Backoff {
     const FIRST: Duration = Duration::from_millis(1);
+    /// The longest sleep between two rescans.
+    const CAP: Duration = Duration::from_millis(200);
 
     fn new(cap: Duration) -> Backoff {
         Backoff {

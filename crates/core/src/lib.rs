@@ -5,8 +5,10 @@
 //! campaign / figure-reproduction machinery built on top of the `hc-sim`
 //! cycle simulator.
 //!
-//! * [`policy`] — the composable steering stack (8_8_8, BR, LR, CR, CP, IR,
-//!   IR-ND) and the [`policy::PolicyKind`] catalogue.
+//! * [`policy`] — the paper's policy ladder (8_8_8, +BR, +LR, +CR, +CP, IR,
+//!   IR-ND).  [`PolicyKind`] names each policy and is the one way to build
+//!   it ([`PolicyKind::build`], [`PolicyKind::build_with`]); the IR,
+//!   overload and helper-full thresholds are fixed at 0.08, 0.10 and 0.85.
 //! * [`campaign`] — declarative policy × trace grids with shared baselines,
 //!   typed errors and a versioned results schema; the engine everything else
 //!   runs on.  Grids *stream*: traces are synthesized per worker and dropped
@@ -73,7 +75,7 @@ pub use fanout::{
     WorkerOutcome,
 };
 pub use figures::{Figure, FigureRow};
-pub use policy::{PolicyKind, SteeringFeatures, SteeringStack};
+pub use policy::PolicyKind;
 pub use scenario::{ScenarioError, ScenarioSpec, DEFAULT_SCENARIO_NAME};
 pub use shard::{
     ShardPlan, ShardReport, ShardStrategy, ShardedCampaignRunner, ShardedRunOutcome,

@@ -1,18 +1,25 @@
 //! The data-width aware instruction selection policies — the paper's
 //! contribution (§3).
 //!
-//! All policies are built from one composable [`SteeringStack`] whose feature
-//! flags correspond to the paper's incremental schemes:
+//! [`PolicyKind`] names the paper's ladder of policies and is the one way to
+//! build one, through [`PolicyKind::build`] or [`PolicyKind::build_with`].
+//! Every policy but the monolithic baseline is a steering stack running the
+//! 8_8_8 rule plus the schemes of its kind, each policy adding one scheme to
+//! the one before it:
 //!
-//! | Paper scheme | Flag | Section |
-//! |--------------|------|---------|
-//! | `8_8_8` all-narrow steering with width predictor + confidence | always on (except baseline) | §3.2 |
-//! | `BR` branches that depend on a narrow-produced flag | `br` | §3.3 |
-//! | `LR` load replication | `lr` | §3.4 |
-//! | `CR` carry-width prediction | `cr` | §3.5 |
-//! | `CP` copy prefetching | `cp` | §3.6 |
-//! | `IR` instruction splitting for imbalance reduction | `ir` | §3.7 |
-//! | `IR-ND` split only µops without a destination | `ir_no_dest_only` | §3.7 |
+//! | Paper scheme | First policy running it | Section |
+//! |--------------|-------------------------|---------|
+//! | `8_8_8` all-narrow steering with width predictor + confidence | [`PolicyKind::P888`] | §3.2 |
+//! | `BR` branches that depend on a narrow-produced flag | [`PolicyKind::P888Br`] | §3.3 |
+//! | `LR` load replication | [`PolicyKind::P888BrLr`] | §3.4 |
+//! | `CR` carry-width prediction | [`PolicyKind::P888BrLrCr`] | §3.5 |
+//! | `CP` copy prefetching | [`PolicyKind::P888BrLrCrCp`] | §3.6 |
+//! | `IR` instruction splitting for imbalance reduction | [`PolicyKind::Ir`] | §3.7 |
+//! | `IR-ND` split only µops without a destination | [`PolicyKind::IrNoDest`] | §3.7 |
+//!
+//! The thresholds are fixed: IR splits above a wide→narrow imbalance of
+//! 0.08, and the helper cluster counts as overloaded above a narrow→wide
+//! imbalance of 0.10 or once its issue queue is 85 % full.
 
 use hc_isa::uop::{AluOp, UopKind};
 use hc_isa::DynUop;
@@ -22,7 +29,8 @@ use hc_sim::{
 };
 use serde::{Deserialize, Serialize};
 
-/// The named policy configurations evaluated in the paper.
+/// The named policy configurations evaluated in the paper, declared in the
+/// order the paper introduces them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PolicyKind {
     /// Monolithic baseline: no helper cluster.
@@ -80,216 +88,72 @@ impl PolicyKind {
     pub fn build_with(self, predictors: &PredictorConfig) -> Box<dyn SteeringPolicy + Send> {
         match self {
             PolicyKind::Baseline => Box::new(AlwaysWide),
-            _ => Box::new(SteeringStack::with_predictors(self.features(), *predictors)),
+            _ => Box::new(SteeringStack::new(self, predictors)),
         }
     }
 
-    /// The feature set of this policy.
-    pub fn features(self) -> SteeringFeatures {
-        let mut f = SteeringFeatures::default();
-        match self {
-            PolicyKind::Baseline => {}
-            PolicyKind::P888 => {}
-            PolicyKind::P888Br => {
-                f.br = true;
-            }
-            PolicyKind::P888BrLr => {
-                f.br = true;
-                f.lr = true;
-            }
-            PolicyKind::P888BrLrCr => {
-                f.br = true;
-                f.lr = true;
-                f.cr = true;
-            }
-            PolicyKind::P888BrLrCrCp => {
-                f.br = true;
-                f.lr = true;
-                f.cr = true;
-                f.cp = true;
-            }
-            PolicyKind::Ir => {
-                f.br = true;
-                f.lr = true;
-                f.cr = true;
-                f.cp = true;
-                f.ir = true;
-            }
-            PolicyKind::IrNoDest => {
-                f.br = true;
-                f.lr = true;
-                f.cr = true;
-                f.cp = true;
-                f.ir = true;
-                f.ir_no_dest_only = true;
-            }
+    /// The schemes this policy runs on top of 8_8_8.  Each policy adds one
+    /// to the one declared before it, so a scheme is on from the policy
+    /// that introduces it onwards.
+    fn features(self) -> Features {
+        let from = |first: PolicyKind| self as u8 >= first as u8;
+        Features {
+            br: from(PolicyKind::P888Br),
+            lr: from(PolicyKind::P888BrLr),
+            cr: from(PolicyKind::P888BrLrCr),
+            cp: from(PolicyKind::P888BrLrCrCp),
+            ir: from(PolicyKind::Ir),
+            ir_no_dest_only: from(PolicyKind::IrNoDest),
         }
-        f
     }
 }
 
-/// Tunable parameters and feature switches of the steering stack.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SteeringFeatures {
+/// The scheme switches of a steering stack.
+#[derive(Debug)]
+struct Features {
     /// Steer flag-consuming branches after helper-resident flag producers (§3.3).
-    pub br: bool,
+    br: bool,
     /// Replicate byte loads into both register files (§3.4).
-    pub lr: bool,
+    lr: bool,
     /// Carry-width prediction for 8/32→32 operations (§3.5).
-    pub cr: bool,
+    cr: bool,
     /// Copy prefetching (§3.6).
-    pub cp: bool,
+    cp: bool,
     /// Wide-instruction splitting when the helper cluster is underutilised (§3.7).
-    pub ir: bool,
+    ir: bool,
     /// Restrict splitting to µops without a destination register (§3.7 fine tuning).
-    pub ir_no_dest_only: bool,
-    /// Wide→narrow NREADY imbalance above which IR starts splitting.
-    pub ir_imbalance_threshold: f64,
-    /// Narrow→wide imbalance above which narrow µops are steered wide again
-    /// ("if the helper cluster is overloaded", §3.7 / §1 item 5).
-    pub overload_threshold: f64,
-    /// Helper IQ occupancy fraction above which the helper is considered full.
-    pub helper_full_fraction: f64,
+    ir_no_dest_only: bool,
 }
 
-impl Default for SteeringFeatures {
-    fn default() -> Self {
-        SteeringFeatures {
-            br: false,
-            lr: false,
-            cr: false,
-            cp: false,
-            ir: false,
-            ir_no_dest_only: false,
-            ir_imbalance_threshold: 0.08,
-            overload_threshold: 0.10,
-            helper_full_fraction: 0.85,
-        }
-    }
-}
-
-/// Internal decision statistics kept by the stack (useful for reports/tests;
-/// the authoritative performance numbers come from the simulator).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StackStats {
-    /// µops steered to the helper cluster via the 8-8-8 rule.
-    pub steered_888: u64,
-    /// Branches steered via the BR rule.
-    pub steered_br: u64,
-    /// µops steered via the CR rule.
-    pub steered_cr: u64,
-    /// µops split via the IR rule.
-    pub steered_ir_split: u64,
-    /// Loads marked for replication (LR).
-    pub replicated_loads: u64,
-    /// Copy prefetches requested (CP).
-    pub copy_prefetches: u64,
-    /// µops kept wide because the helper cluster was overloaded.
-    pub overload_reverts: u64,
-}
-
-/// The composable data-width aware steering policy.
-#[derive(Debug, Clone)]
-pub struct SteeringStack {
-    features: SteeringFeatures,
-    predictors: PredictorConfig,
-    name: String,
+/// The helper-cluster steering policy of every [`PolicyKind`] but the
+/// baseline.
+#[derive(Debug)]
+struct SteeringStack {
+    kind: PolicyKind,
+    features: Features,
     width_pred: WidthPredictor,
     carry_pred: CarryPredictor,
     copy_pred: CopyPredictor,
-    stats: StackStats,
-    /// `(capacity, threshold)`: the helper-full threshold of the last helper
-    /// IQ capacity seen, so a steer recomputes it only when the capacity
-    /// changes.
-    full_threshold: (usize, usize),
 }
 
-/// Helper IQ occupancy above which the helper counts as full:
-/// `fraction` of a `capacity`-entry queue, truncated.
-fn helper_full_threshold(capacity: usize, fraction: f64) -> usize {
-    (capacity.max(1) as f64 * fraction) as usize
-}
+/// Helper IQ occupancy fraction above which the helper counts as full.
+const HELPER_FULL_FRACTION: f64 = 0.85;
+/// Narrow→wide imbalance above which narrow µops are steered wide again
+/// ("if the helper cluster is overloaded", §3.7 / §1 item 5).
+const OVERLOAD_THRESHOLD: f64 = 0.10;
+/// Wide→narrow NREADY imbalance above which IR starts splitting.
+const IR_IMBALANCE_THRESHOLD: f64 = 0.08;
 
 impl SteeringStack {
-    /// Create a stack with the given features and the paper's predictor
-    /// sizing (256-entry tables, confidence on).
-    pub fn new(features: SteeringFeatures) -> SteeringStack {
-        SteeringStack::with_predictors(features, PredictorConfig::paper_default())
-    }
-
-    /// Create a stack with explicit predictor table sizing — the predictor
-    /// constructor arguments used to be scattered here; they now arrive as
-    /// one [`PredictorConfig`] so scenarios can sweep them.
-    pub fn with_predictors(
-        features: SteeringFeatures,
-        predictors: PredictorConfig,
-    ) -> SteeringStack {
-        let name = Self::derive_name(&features);
+    /// The stack of `kind` with the given predictor table sizing.
+    fn new(kind: PolicyKind, predictors: &PredictorConfig) -> SteeringStack {
         SteeringStack {
+            kind,
+            features: kind.features(),
             width_pred: WidthPredictor::new(predictors.width_entries, predictors.use_confidence),
             carry_pred: CarryPredictor::new(predictors.carry_entries),
             copy_pred: CopyPredictor::new(predictors.copy_entries),
-            full_threshold: (0, helper_full_threshold(0, features.helper_full_fraction)),
-            features,
-            predictors,
-            name,
-            stats: StackStats::default(),
         }
-    }
-
-    fn derive_name(f: &SteeringFeatures) -> String {
-        if f.ir {
-            return if f.ir_no_dest_only { "IR-ND" } else { "IR" }.to_string();
-        }
-        let mut n = "8_8_8".to_string();
-        if f.br {
-            n.push_str("+BR");
-        }
-        if f.lr {
-            n.push_str("+LR");
-        }
-        if f.cr {
-            n.push_str("+CR");
-        }
-        if f.cp {
-            n.push_str("+CP");
-        }
-        n
-    }
-
-    /// The features this stack runs with.
-    pub fn features(&self) -> &SteeringFeatures {
-        &self.features
-    }
-
-    /// The predictor sizing this stack runs with.
-    pub fn predictors(&self) -> &PredictorConfig {
-        &self.predictors
-    }
-
-    /// Decision statistics accumulated so far.
-    pub fn stats(&self) -> StackStats {
-        self.stats
-    }
-
-    /// Width predictor accuracy observed so far (Figure 5 companion data).
-    pub fn width_predictor_accuracy(&self) -> f64 {
-        self.width_pred.stats().accuracy()
-    }
-
-    /// Copy predictor accuracy observed so far (§3.6 reports ≈90%).
-    pub fn copy_predictor_accuracy(&self) -> f64 {
-        self.copy_pred.stats().accuracy()
-    }
-
-    /// The helper-full threshold for `ctx`'s helper IQ capacity.
-    fn helper_full(&mut self, ctx: &SteerContext) -> usize {
-        let capacity = ctx.helper_iq_capacity;
-        if self.full_threshold.0 != capacity {
-            let threshold = helper_full_threshold(capacity, self.features.helper_full_fraction);
-            self.full_threshold = (capacity, threshold);
-        }
-        self.full_threshold.1
     }
 
     /// Whether `extra` more helper IQ entries stay within the helper-full
@@ -298,9 +162,8 @@ impl SteeringStack {
         ctx.helper_iq_occupancy + extra <= full
     }
 
-    fn helper_overloaded(&self, ctx: &SteerContext, full: usize) -> bool {
-        ctx.narrow_to_wide_imbalance > self.features.overload_threshold
-            || !Self::helper_has_room(ctx, 1, full)
+    fn helper_overloaded(ctx: &SteerContext, full: usize) -> bool {
+        ctx.narrow_to_wide_imbalance > OVERLOAD_THRESHOLD || !Self::helper_has_room(ctx, 1, full)
     }
 
     /// The 8-8-8 test of §3.2: every source (actual width when written back,
@@ -366,7 +229,7 @@ impl SteeringStack {
         // Split only while the wide cluster is visibly backed up *and* the
         // helper cluster has plenty of headroom: splitting is a net win only
         // when the wide issue bandwidth is the bottleneck.
-        ctx.wide_to_narrow_imbalance > self.features.ir_imbalance_threshold
+        ctx.wide_to_narrow_imbalance > IR_IMBALANCE_THRESHOLD
             && ctx.helper_iq_occupancy * 4 <= ctx.helper_iq_capacity
             && Self::helper_has_room(ctx, 8, full)
     }
@@ -374,7 +237,7 @@ impl SteeringStack {
 
 impl SteeringPolicy for SteeringStack {
     fn name(&self) -> &str {
-        &self.name
+        self.kind.name()
     }
 
     fn steer(&mut self, uop: &DynUop, ctx: &SteerContext) -> SteerDecision {
@@ -396,22 +259,19 @@ impl SteeringPolicy for SteeringStack {
 
         // Workload-balance guard: an overloaded helper cluster sheds narrow
         // work back to the wide cluster until balance is restored (§3.7).
-        let full = self.helper_full(ctx);
-        let overloaded = self.helper_overloaded(ctx, full);
+        let full = (ctx.helper_iq_capacity.max(1) as f64 * HELPER_FULL_FRACTION) as usize;
+        let overloaded = Self::helper_overloaded(ctx, full);
 
         // BR first: branches carry no data result, so they are never fatal.
         if self.rule_br(uop, ctx) && !overloaded {
-            self.stats.steered_br += 1;
             return with_pred(SteerDecision::helper(HelperMode::FlagBranch));
         }
 
         // 8-8-8.
         if !uop.uop.kind.is_branch() && self.rule_888(uop, ctx) {
             if overloaded {
-                self.stats.overload_reverts += 1;
                 return with_pred(self.maybe_prefetch_wide(uop, SteerDecision::wide()));
             }
-            self.stats.steered_888 += 1;
             let mut d = SteerDecision::helper(HelperMode::AllNarrow);
             d = self.maybe_replicate(uop, d);
             d = self.maybe_prefetch_helper(uop, d);
@@ -421,10 +281,8 @@ impl SteeringPolicy for SteeringStack {
         // CR.
         if !uop.uop.kind.is_branch() && self.rule_cr(uop, ctx) {
             if overloaded {
-                self.stats.overload_reverts += 1;
                 return with_pred(self.maybe_prefetch_wide(uop, SteerDecision::wide()));
             }
-            self.stats.steered_cr += 1;
             let mut d = SteerDecision::helper(HelperMode::CarryFree);
             d = self.maybe_replicate(uop, d);
             d = self.maybe_prefetch_helper(uop, d);
@@ -433,7 +291,6 @@ impl SteeringPolicy for SteeringStack {
 
         // IR: split wide work into narrow chunks when the helper is idle.
         if self.rule_ir(uop, ctx, full) {
-            self.stats.steered_ir_split += 1;
             return with_pred(SteerDecision::split_to_helper());
         }
 
@@ -466,9 +323,8 @@ impl SteeringPolicy for SteeringStack {
 }
 
 impl SteeringStack {
-    fn maybe_replicate(&mut self, uop: &DynUop, d: SteerDecision) -> SteerDecision {
+    fn maybe_replicate(&self, uop: &DynUop, d: SteerDecision) -> SteerDecision {
         if self.features.lr && matches!(uop.uop.kind, UopKind::Load(hc_isa::uop::MemSize::Byte)) {
-            self.stats.replicated_loads += 1;
             d.with_replication()
         } else {
             d
@@ -480,7 +336,6 @@ impl SteeringStack {
     /// cluster.
     fn maybe_prefetch_helper(&mut self, uop: &DynUop, d: SteerDecision) -> SteerDecision {
         if self.features.cp && uop.uop.has_dest() && self.copy_pred.predict(uop.uop.pc) {
-            self.stats.copy_prefetches += 1;
             d.with_copy_prefetch()
         } else {
             d
@@ -496,7 +351,6 @@ impl SteeringStack {
             && self.width_pred.peek(uop.uop.pc).confidently_narrow()
             && self.copy_pred.predict(uop.uop.pc)
         {
-            self.stats.copy_prefetches += 1;
             d.with_copy_prefetch()
         } else {
             d
@@ -548,6 +402,10 @@ mod tests {
         d
     }
 
+    fn stack(kind: PolicyKind) -> SteeringStack {
+        SteeringStack::new(kind, &PredictorConfig::paper_default())
+    }
+
     fn train(stack: &mut SteeringStack, uop: &DynUop, narrow: bool, n: usize) {
         for _ in 0..n {
             stack.on_writeback(
@@ -568,9 +426,11 @@ mod tests {
         assert_eq!(PolicyKind::P888.name(), "8_8_8");
         assert_eq!(PolicyKind::P888BrLrCr.name(), "8_8_8+BR+LR+CR");
         assert_eq!(PolicyKind::Ir.name(), "IR");
-        assert_eq!(PolicyKind::Baseline.build().name(), "baseline");
-        assert_eq!(PolicyKind::Ir.build().name(), "IR");
-        assert_eq!(PolicyKind::IrNoDest.build().name(), "IR-ND");
+        assert_eq!(PolicyKind::IrNoDest.name(), "IR-ND");
+        // A built policy reports its kind's name, for every kind.
+        for kind in PolicyKind::ALL {
+            assert_eq!(kind.build().name(), kind.name());
+        }
     }
 
     #[test]
@@ -585,7 +445,7 @@ mod tests {
 
     #[test]
     fn untrained_predictor_keeps_uops_wide() {
-        let mut s = SteeringStack::new(PolicyKind::P888.features());
+        let mut s = stack(PolicyKind::P888);
         let uop = alu_uop(0x10);
         let d = s.steer(&uop, &ctx_with_sources(&[true, true]));
         assert_eq!(d.cluster, Cluster::Wide, "no confidence yet -> stay wide");
@@ -593,7 +453,7 @@ mod tests {
 
     #[test]
     fn trained_888_steers_narrow_uops_to_helper() {
-        let mut s = SteeringStack::new(PolicyKind::P888.features());
+        let mut s = stack(PolicyKind::P888);
         let uop = alu_uop(0x10);
         train(&mut s, &uop, true, 4);
         let d = s.steer(&uop, &ctx_with_sources(&[true, true]));
@@ -604,7 +464,7 @@ mod tests {
 
     #[test]
     fn wide_source_blocks_888() {
-        let mut s = SteeringStack::new(PolicyKind::P888.features());
+        let mut s = stack(PolicyKind::P888);
         let uop = alu_uop(0x10);
         train(&mut s, &uop, true, 4);
         let d = s.steer(&uop, &ctx_with_sources(&[true, false]));
@@ -613,7 +473,7 @@ mod tests {
 
     #[test]
     fn forced_wide_overrides_everything() {
-        let mut s = SteeringStack::new(PolicyKind::Ir.features());
+        let mut s = stack(PolicyKind::Ir);
         let uop = alu_uop(0x10);
         train(&mut s, &uop, true, 4);
         let mut ctx = ctx_with_sources(&[true, true]);
@@ -625,7 +485,7 @@ mod tests {
 
     #[test]
     fn br_follows_helper_flag_producer() {
-        let mut s = SteeringStack::new(PolicyKind::P888Br.features());
+        let mut s = stack(PolicyKind::P888Br);
         let br =
             DynUop::from_uop(Uop::new(0x20, UopKind::CondBranch(BranchCond::Ne)).reading_flags());
         let mut ctx = ctx_with_sources(&[]);
@@ -635,14 +495,14 @@ mod tests {
         assert_eq!(d.helper_mode, Some(HelperMode::FlagBranch));
 
         // Without BR the same branch stays wide.
-        let mut s = SteeringStack::new(PolicyKind::P888.features());
+        let mut s = stack(PolicyKind::P888);
         let d = s.steer(&br, &ctx);
         assert_eq!(d.cluster, Cluster::Wide);
     }
 
     #[test]
     fn br_ignores_wide_flag_producers() {
-        let mut s = SteeringStack::new(PolicyKind::P888Br.features());
+        let mut s = stack(PolicyKind::P888Br);
         let br =
             DynUop::from_uop(Uop::new(0x20, UopKind::CondBranch(BranchCond::Ne)).reading_flags());
         let mut ctx = ctx_with_sources(&[]);
@@ -652,7 +512,7 @@ mod tests {
 
     #[test]
     fn lr_replicates_byte_loads() {
-        let mut s = SteeringStack::new(PolicyKind::P888BrLr.features());
+        let mut s = stack(PolicyKind::P888BrLr);
         let load = {
             let u = Uop::new(0x30, UopKind::Load(MemSize::Byte))
                 .with_src(ArchReg::Ebx)
@@ -673,7 +533,7 @@ mod tests {
 
     #[test]
     fn cr_steers_trained_carry_free_mixed_width_ops() {
-        let mut s = SteeringStack::new(PolicyKind::P888BrLrCr.features());
+        let mut s = stack(PolicyKind::P888BrLrCr);
         let uop = {
             let u = Uop::new(0x40, UopKind::Alu(AluOp::Add))
                 .with_src(ArchReg::Ebx)
@@ -703,14 +563,14 @@ mod tests {
         assert_eq!(d.helper_mode, Some(HelperMode::CarryFree));
 
         // Without CR the same µop stays wide.
-        let mut s = SteeringStack::new(PolicyKind::P888BrLr.features());
+        let mut s = stack(PolicyKind::P888BrLr);
         let d = s.steer(&uop, &ctx_with_sources(&[false, true]));
         assert_eq!(d.cluster, Cluster::Wide);
     }
 
     #[test]
     fn cp_prefetches_copies_for_copy_prone_producers() {
-        let mut s = SteeringStack::new(PolicyKind::P888BrLrCrCp.features());
+        let mut s = stack(PolicyKind::P888BrLrCrCp);
         let uop = alu_uop(0x50);
         // Train: result narrow and it keeps incurring copies.
         for _ in 0..4 {
@@ -732,7 +592,7 @@ mod tests {
 
     #[test]
     fn ir_splits_wide_alu_when_helper_is_idle() {
-        let mut s = SteeringStack::new(PolicyKind::Ir.features());
+        let mut s = stack(PolicyKind::Ir);
         let uop = {
             let u = Uop::new(0x60, UopKind::Alu(AluOp::Add))
                 .with_src(ArchReg::Ebx)
@@ -752,14 +612,14 @@ mod tests {
         assert_eq!(d.cluster, Cluster::Helper);
 
         // IR-ND refuses to split a µop with a destination.
-        let mut snd = SteeringStack::new(PolicyKind::IrNoDest.features());
+        let mut snd = stack(PolicyKind::IrNoDest);
         let d = snd.steer(&uop, &ctx);
         assert!(!d.split);
     }
 
     #[test]
     fn ir_does_not_split_when_balanced_or_full() {
-        let mut s = SteeringStack::new(PolicyKind::Ir.features());
+        let mut s = stack(PolicyKind::Ir);
         let uop = alu_uop(0x70);
         let mut ctx = ctx_with_sources(&[false, false]);
         ctx.wide_to_narrow_imbalance = 0.0;
@@ -774,21 +634,20 @@ mod tests {
 
     #[test]
     fn overloaded_helper_sheds_narrow_work() {
-        let mut s = SteeringStack::new(PolicyKind::P888.features());
+        let mut s = stack(PolicyKind::P888);
         let uop = alu_uop(0x80);
         train(&mut s, &uop, true, 4);
         let mut ctx = ctx_with_sources(&[true, true]);
         ctx.narrow_to_wide_imbalance = 0.5;
         let d = s.steer(&uop, &ctx);
         assert_eq!(d.cluster, Cluster::Wide);
-        assert!(s.stats().overload_reverts > 0);
     }
 
     #[test]
     fn writeback_trains_width_predictor() {
-        let mut s = SteeringStack::new(PolicyKind::P888.features());
+        let mut s = stack(PolicyKind::P888);
         let uop = alu_uop(0x90);
         train(&mut s, &uop, true, 10);
-        assert!(s.width_predictor_accuracy() > 0.8);
+        assert!(s.width_pred.stats().accuracy() > 0.8);
     }
 }

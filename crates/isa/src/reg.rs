@@ -94,16 +94,6 @@ impl ArchReg {
     pub fn is_flags(self) -> bool {
         matches!(self, ArchReg::Eflags)
     }
-
-    /// Whether this register typically holds addresses (stack / base pointers).
-    /// Address-holding registers are a strong hint for wide values; the
-    /// workload generator uses this to produce realistic value distributions.
-    pub fn is_pointer_like(self) -> bool {
-        matches!(
-            self,
-            ArchReg::Esp | ArchReg::Ebp | ArchReg::Esi | ArchReg::Edi
-        )
-    }
 }
 
 impl std::fmt::Display for ArchReg {

@@ -3,9 +3,9 @@
 
 use crate::http::{self, Request};
 use crate::{protocol, ServeError};
-use hc_core::cache::{CacheStats, CellCache};
+use hc_core::cache::CellCache;
 use hc_core::campaign::{CampaignRunner, CampaignSpec, TraceSelector};
-use serde::Value;
+use serde::{Serialize, Value};
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -424,20 +424,6 @@ fn handle_campaign(mut stream: TcpStream, request: &Request, state: &Arc<ServerS
     }
 }
 
-/// Render a [`CacheStats`] snapshot as a JSON map.
-fn cache_stats_value(stats: &CacheStats) -> Value {
-    Value::Map(vec![
-        ("hits".to_string(), Value::UInt(stats.hits)),
-        ("misses".to_string(), Value::UInt(stats.misses)),
-        ("inserts".to_string(), Value::UInt(stats.inserts)),
-        ("evictions".to_string(), Value::UInt(stats.evictions)),
-        ("dedupe_leads".to_string(), Value::UInt(stats.dedupe_leads)),
-        ("dedupe_joins".to_string(), Value::UInt(stats.dedupe_joins)),
-        ("entries".to_string(), Value::UInt(stats.entries)),
-        ("bytes".to_string(), Value::UInt(stats.bytes)),
-    ])
-}
-
 /// The `GET /metrics` document.
 fn metrics_value(state: &ServerState) -> Value {
     let m = &state.metrics;
@@ -494,7 +480,7 @@ fn metrics_value(state: &ServerState) -> Value {
         (
             "cache".to_string(),
             match &state.cache {
-                Some(cache) => cache_stats_value(&cache.stats()),
+                Some(cache) => cache.stats().to_value(),
                 None => Value::Null,
             },
         ),

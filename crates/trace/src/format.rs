@@ -688,39 +688,55 @@ pub struct RecoveredTail {
 pub fn recover(path: &Path) -> Result<RecoveredTail, TraceError> {
     let header = read_header(path)?;
     let bytes = std::fs::read(path)?;
+    // The length and µop count of the frame starting at `at`, if it is
+    // sound: the frame readers every other walk uses, over the buffered
+    // bytes.
+    let sound_frame = |at: usize| {
+        let mut rest = &bytes[at..];
+        let frame = read_frame_header(&mut rest, at as u64).ok()??;
+        // A frame that claims more bytes than remain is torn: refuse it
+        // before `read_frame_body` sizes a buffer for the claim, which the
+        // damage scan below would otherwise pay at every candidate.
+        if rest.len() < frame.payload_len as usize + FRAME_TRAILER_LEN {
+            return None;
+        }
+        let payload = read_frame_body(&mut rest, at as u64, &frame).ok()?;
+        Some((
+            FRAME_HEADER_LEN + payload.len() + FRAME_TRAILER_LEN,
+            frame.uops,
+        ))
+    };
     let mut offset = header.frames_offset as usize;
     let mut sound_uops = 0u64;
     let mut sound_frames = 0u64;
     while offset < bytes.len() {
-        match sound_frame_at(&bytes, offset) {
-            Some(frame_len_and_uops) => {
-                let (frame_len, uops) = frame_len_and_uops;
-                sound_uops += uops as u64;
-                sound_frames += 1;
-                offset += frame_len;
-            }
-            None => {
-                // Damage. A sound frame anywhere after it means mid-file
-                // corruption; none means a torn tail.
-                for cand in offset + 1..bytes.len() {
-                    if sound_frame_at(&bytes, cand).is_some() {
-                        return Err(TraceError::CorruptFrame {
-                            offset: offset as u64,
-                            reason: format!(
-                                "unsound frame is followed by a sound frame at byte {cand} \
-                                 (mid-file corruption, not a torn tail)"
-                            ),
-                        });
-                    }
-                }
-                return Ok(RecoveredTail {
-                    sound_uops,
-                    sound_frames,
-                    tail_offset: offset as u64,
-                    torn: true,
+        let Some((frame_len, uops)) = sound_frame(offset) else {
+            // Damage. A sound frame anywhere after it means mid-file
+            // corruption; none means a torn tail.  Only an offset holding
+            // the frame magic can start one, so the others skip the reader
+            // (and the error it would format).
+            let magic = FRAME_MAGIC.to_le_bytes();
+            let later = (offset + 1..bytes.len())
+                .find(|&cand| bytes[cand..].starts_with(&magic) && sound_frame(cand).is_some());
+            if let Some(cand) = later {
+                return Err(TraceError::CorruptFrame {
+                    offset: offset as u64,
+                    reason: format!(
+                        "unsound frame is followed by a sound frame at byte {cand} \
+                         (mid-file corruption, not a torn tail)"
+                    ),
                 });
             }
-        }
+            return Ok(RecoveredTail {
+                sound_uops,
+                sound_frames,
+                tail_offset: offset as u64,
+                torn: true,
+            });
+        };
+        sound_uops += uops as u64;
+        sound_frames += 1;
+        offset += frame_len;
     }
     Ok(RecoveredTail {
         sound_uops,
@@ -728,28 +744,4 @@ pub fn recover(path: &Path) -> Result<RecoveredTail, TraceError> {
         tail_offset: bytes.len() as u64,
         torn: false,
     })
-}
-
-/// If a sound frame starts at `offset`, return `(total_frame_len, uops)`.
-fn sound_frame_at(bytes: &[u8], offset: usize) -> Option<(usize, u32)> {
-    let head = bytes.get(offset..offset + FRAME_HEADER_LEN)?;
-    if u32::from_le_bytes(head[0..4].try_into().unwrap()) != FRAME_MAGIC {
-        return None;
-    }
-    let uops = u32::from_le_bytes(head[4..8].try_into().unwrap());
-    let payload_len = u32::from_le_bytes(head[8..12].try_into().unwrap());
-    if payload_len > MAX_FRAME_PAYLOAD || uops as usize > FRAME_UOPS {
-        return None;
-    }
-    let payload_start = offset + FRAME_HEADER_LEN;
-    let payload = bytes.get(payload_start..payload_start + payload_len as usize)?;
-    let trailer_start = payload_start + payload_len as usize;
-    let trailer = bytes.get(trailer_start..trailer_start + FRAME_TRAILER_LEN)?;
-    if fnv64(payload) != u64::from_le_bytes(trailer.try_into().unwrap()) {
-        return None;
-    }
-    Some((
-        FRAME_HEADER_LEN + payload_len as usize + FRAME_TRAILER_LEN,
-        uops,
-    ))
 }

@@ -488,21 +488,6 @@ impl Interpreter {
     }
 }
 
-/// Convenience: run a program on an initial memory image with default-length
-/// output and a register preset map.
-pub fn run_program(
-    program: &Program,
-    mem: MemImage,
-    presets: &[(ArchReg, Value)],
-    config: InterpConfig,
-) -> Result<Trace, InterpError> {
-    let mut interp = Interpreter::new(mem, config);
-    for (r, v) in presets {
-        interp.set_reg(*r, *v);
-    }
-    interp.run(program)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -30,7 +30,7 @@ pub mod prelude {
         CampaignBuilder, CampaignError, CampaignReport, CampaignRunner, CampaignSpec, TraceSelector,
     };
     pub use hc_core::experiment::{Experiment, ExperimentResult};
-    pub use hc_core::policy::{PolicyKind, SteeringStack};
+    pub use hc_core::policy::PolicyKind;
     pub use hc_core::scenario::ScenarioSpec;
     pub use hc_core::shard::{ShardPlan, ShardReport, ShardedCampaignRunner};
     pub use hc_isa::uop::{Uop, UopKind};

@@ -151,7 +151,6 @@ fn racing_workers_execute_each_shard_exactly_once() {
                         .home_shard(0)
                         .steal(false)
                         .worker_id(format!("racer-{i}"))
-                        .poll_interval(Duration::from_millis(20))
                         .run(spec)
                         .expect("worker run")
                 })
@@ -323,7 +322,6 @@ fn merge_refuses_a_mixed_plan_directory() {
     // waiting repairs a directory whose shards disagree about the plan.
     let err = MergeCoordinator::new(&dir)
         .wait(MergeWait::Timeout(Duration::from_secs(30)))
-        .poll_interval(Duration::from_millis(20))
         .run()
         .expect_err("mixed-plan directory must be refused");
     assert!(
@@ -348,7 +346,6 @@ fn waiting_merge_converges_while_workers_trickle_in() {
             scope.spawn(move || {
                 MergeCoordinator::new(dir)
                     .wait(MergeWait::Timeout(Duration::from_secs(120)))
-                    .poll_interval(Duration::from_millis(20))
                     .run()
             })
         };
@@ -383,7 +380,6 @@ fn waiting_merge_times_out_naming_the_missing_manifest() {
     let dir = tmp_dir("no_workers");
     let err = MergeCoordinator::new(&dir)
         .wait(MergeWait::Timeout(Duration::from_millis(200)))
-        .poll_interval(Duration::from_millis(20))
         .run()
         .expect_err("no worker ever starts");
     assert!(matches!(err, CampaignError::Checkpoint(_)), "{err}");
@@ -416,7 +412,6 @@ fn idle_worker_wakes_soon_after_its_peers_shard_lands() {
             let outcome = FanoutWorker::new(2, &dir)
                 .home_shard(0)
                 .worker_id("waker")
-                .poll_interval(Duration::from_secs(10))
                 .run(&spec)
                 .expect("worker run");
             (outcome, Instant::now())
@@ -442,7 +437,7 @@ fn idle_worker_wakes_soon_after_its_peers_shard_lands() {
     });
     assert!(
         wake_latency < Duration::from_secs(2),
-        "the worker took {wake_latency:?} to notice its peer's shard (poll interval 10 s)"
+        "the worker took {wake_latency:?} to notice its peer's shard"
     );
     assert_eq!(outcome.executed_shards, vec![0]);
     assert!(outcome.stolen_shards.is_empty());

@@ -4,7 +4,7 @@
 //! terminates).
 
 use hc_core::experiment::Experiment;
-use hc_core::policy::{PolicyKind, SteeringStack};
+use hc_core::policy::PolicyKind;
 use hc_sim::{SimConfig, Simulator};
 use hc_trace::{KernelKind, WorkloadProfile};
 use proptest::prelude::*;
@@ -65,8 +65,8 @@ proptest! {
         let trace = arbitrary_profile(seed, 1_200, 0.7).generate();
         let sim = Simulator::new(SimConfig::paper_baseline()).unwrap();
         let run = || {
-            let mut policy = SteeringStack::new(PolicyKind::Ir.features());
-            sim.run(&trace, &mut policy)
+            let mut policy = PolicyKind::Ir.build();
+            sim.run(&trace, policy.as_mut())
         };
         let a = run();
         let b = run();
